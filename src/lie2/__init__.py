@@ -32,7 +32,7 @@ _LAZY = {"census", "iso_match", "CensusReport"}
 
 
 def __getattr__(name):
-    # the census module pulls in numba; load it only on demand
+    # the census module needs numpy; load it only on demand
     if name in _LAZY:
         from . import search
         return getattr(search, name)

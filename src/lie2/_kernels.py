@@ -1,35 +1,21 @@
-"""Hot census kernels over bit-packed bracket tables.
+"""Census kernels over bit-packed bracket tables.
 
 A bracket table for dimension n stores the C(n,2) basis brackets as n-bit
 fields of one integer; pair (i, j) with i < j sits at field index
-i*(2n-i-1)/2 + (j-i-1).  The numba path shards the candidate space and
-writes into per-shard accumulators, so totals never depend on the thread
-schedule.  The numpy path replays the same arithmetic vectorised per chunk
-and funnels rare survivors through the scalar helpers below, which also
-serve as the reference implementation in the tests.
+i*(2n-i-1)/2 + (j-i-1).  The census engine keeps one uint8 array per
+field, one candidate table per array slot, and evaluates the Jacobi
+identity for a whole chunk with in-place bitwise ufuncs (bit-sliced GF(2)
+arithmetic in the style of M4RI).  The rare survivors go through a
+vectorised derived-algebra rank filter and then the scalar helpers below,
+which also serve as the reference implementation in the tests.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from itertools import combinations
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-try:
-    from numba import njit, prange
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-        return wrap
-
-    prange = range
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -41,7 +27,7 @@ def pair_index(i: int, j: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference pipeline (shared by the numpy path, sampling re-checks,
+# scalar reference pipeline (shared by the census engine, sampling re-checks,
 # and the test suite)
 
 
@@ -152,240 +138,101 @@ def splitmix64_words(seed: int, start: int, count: int, words_per: int) -> np.nd
 
 
 def bytes_from_words(words: np.ndarray, nbytes: int) -> np.ndarray:
-    count = words.shape[0]
-    out = np.empty((count, nbytes), dtype=np.uint8)
-    for pos in range(nbytes):
-        w = pos // 8
-        sh = np.uint64(8 * (pos % 8))
-        out[:, pos] = ((words[:, w] >> sh) & np.uint64(0xFF)).astype(np.uint8)
-    return out
+    """The first nbytes bytes of each row of words, least significant first."""
+    le = words.astype("<u8", copy=False).view(np.uint8)
+    return le.reshape(words.shape[0], -1)[:, :nbytes]
 
 
 # ---------------------------------------------------------------------------
-# numba kernels
+# vectorised census engine: fields are uint8 arrays, or uint8 scalars for a
+# field that is constant over the chunk
 
 
-@njit(cache=True)
-def _br(b, n, v, k):
-    res = 0
-    for m in range(n):
-        if m != k and (v >> m) & 1:
-            if m < k:
-                p = m * (2 * n - m - 1) // 2 + (k - m - 1)
-            else:
-                p = k * (2 * n - k - 1) // 2 + (m - k - 1)
-            res ^= b[p]
-    return res
+def jacobi_mask(b: Sequence, n: int, size: int) -> np.ndarray:
+    """Jacobi verdict for each of `size` candidates with bracket fields b.
 
-
-@njit(cache=True)
-def _jacobi(b, n):
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                pij = i * (2 * n - i - 1) // 2 + (j - i - 1)
-                pjk = j * (2 * n - j - 1) // 2 + (k - j - 1)
-                pik = i * (2 * n - i - 1) // 2 + (k - i - 1)
-                if _br(b, n, b[pij], k) ^ _br(b, n, b[pjk], i) ^ _br(b, n, b[pik], j):
-                    return False
-    return True
-
-
-@njit(cache=True)
-def _insert(slots, n, v):
-    for bit in range(n - 1, -1, -1):
-        if (v >> bit) & 1:
-            if slots[bit]:
-                v ^= slots[bit]
-            else:
-                slots[bit] = v
-                return v
-    return 0
-
-
-@njit(cache=True)
-def _simple(b, n, slots, work):
-    for bit in range(n):
-        slots[bit] = 0
-    rank = 0
-    npairs = n * (n - 1) // 2
-    for p in range(npairs):
-        if _insert(slots, n, b[p]) != 0:
-            rank += 1
-    if rank != n:
-        return False
-    for seed in range(1, 1 << n):
-        for bit in range(n):
-            slots[bit] = 0
-        rank = 0
-        head = 0
-        tail = 0
-        red = _insert(slots, n, seed)
-        if red != 0:
-            rank += 1
-            work[tail] = red
-            tail += 1
-        while head < tail and rank < n:
-            w = work[head]
-            head += 1
-            for k in range(n):
-                u = _br(b, n, w, k)
-                if u != 0:
-                    red = _insert(slots, n, u)
-                    if red != 0:
-                        rank += 1
-                        work[tail] = red
-                        tail += 1
-        if rank != n:
-            return False
-    return True
-
-
-@njit(cache=True, parallel=True)
-def census_exhaustive_numba(n, total, shard_size, cap):
-    npairs = n * (n - 1) // 2
-    nmask = (1 << n) - 1
-    nshards = (total + shard_size - 1) // shard_size
-    counts = np.zeros((nshards, 3), dtype=np.int64)
-    simples = np.zeros((nshards, cap), dtype=np.int64)
-    nsimple = np.zeros(nshards, dtype=np.int64)
-    overflow = np.zeros(nshards, dtype=np.int64)
-    for s in prange(nshards):
-        lo = s * shard_size
-        hi = lo + shard_size
-        if hi > total:
-            hi = total
-        b = np.zeros(16, dtype=np.int64)
-        slots = np.zeros(8, dtype=np.int64)
-        work = np.zeros(16, dtype=np.int64)
-        for t in range(lo, hi):
-            counts[s, 0] += 1
-            for p in range(npairs):
-                b[p] = (t >> (n * p)) & nmask
-            if not _jacobi(b, n):
-                continue
-            counts[s, 1] += 1
-            if _simple(b, n, slots, work):
-                counts[s, 2] += 1
-                if nsimple[s] < cap:
-                    simples[s, nsimple[s]] = t
-                    nsimple[s] += 1
-                else:
-                    overflow[s] = 1
-    return counts, simples, nsimple, overflow
-
-
-@njit(cache=True, parallel=True)
-def census_sampled_numba(n, rows, shard_size, cap):
-    count = rows.shape[0]
-    npairs = n * (n - 1) // 2
-    nmask = (1 << n) - 1
-    nshards = (count + shard_size - 1) // shard_size
-    counts = np.zeros((nshards, 3), dtype=np.int64)
-    simples = np.zeros((nshards, cap), dtype=np.int64)
-    nsimple = np.zeros(nshards, dtype=np.int64)
-    overflow = np.zeros(nshards, dtype=np.int64)
-    for s in prange(nshards):
-        lo = s * shard_size
-        hi = lo + shard_size
-        if hi > count:
-            hi = count
-        b = np.zeros(16, dtype=np.int64)
-        slots = np.zeros(8, dtype=np.int64)
-        work = np.zeros(16, dtype=np.int64)
-        for idx in range(lo, hi):
-            counts[s, 0] += 1
-            for p in range(npairs):
-                b[p] = rows[idx, p] & nmask
-            if not _jacobi(b, n):
-                continue
-            counts[s, 1] += 1
-            if _simple(b, n, slots, work):
-                counts[s, 2] += 1
-                if nsimple[s] < cap:
-                    simples[s, nsimple[s]] = idx
-                    nsimple[s] += 1
-                else:
-                    overflow[s] = 1
-    return counts, simples, nsimple, overflow
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback path
-
-
-def _jacobi_mask_numpy(b, n: int) -> np.ndarray:
-    def br(v, k):
-        res = np.zeros_like(v)
-        for m in range(n):
-            if m == k:
-                continue
-            res ^= ((v >> m) & 1) * b[pair_index(min(m, k), max(m, k), n)]
-        return res
-
-    ok = np.ones(b[0].shape, dtype=bool)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                r = br(b[pair_index(i, j, n)], k)
-                r ^= br(b[pair_index(j, k, n)], i)
-                r ^= br(b[pair_index(i, k, n)], j)
-                ok &= r == 0
+    [v, e_c] is the XOR over m != c of field (m, c) masked by bit m of v;
+    the mask is (0 - bit), all ones or all zeros in uint8 arithmetic.
+    """
+    ok = np.ones(size, dtype=bool)
+    acc = np.empty(size, dtype=np.uint8)
+    term = np.empty(size, dtype=np.uint8)
+    zero = np.empty(size, dtype=bool)
+    for i, j, k in combinations(range(n), 3):
+        acc.fill(0)
+        for p, c in ((pair_index(i, j, n), k), (pair_index(j, k, n), i),
+                     (pair_index(i, k, n), j)):
+            for m in range(n):
+                if m == c:
+                    continue
+                np.right_shift(b[p], m, out=term)
+                np.bitwise_and(term, 1, out=term)
+                np.subtract(0, term, out=term)
+                np.bitwise_and(term, b[pair_index(min(m, c), max(m, c), n)],
+                               out=term)
+                np.bitwise_xor(acc, term, out=acc)
+        np.equal(acc, 0, out=zero)
+        ok &= zero
     return ok
 
 
-def _derived_rank_numpy(b, n: int) -> np.ndarray:
+def _derived_rank_numpy(b: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Rank of the span of the bracket fields, per candidate."""
     size = b[0].shape[0]
-    slots = np.zeros((size, n), dtype=np.int64)
-    for p in range(len(b)):
-        v = b[p].copy()
+    slots = np.zeros((n, size), dtype=np.uint8)
+    for field in b:
+        v = field.copy()
         for bit in range(n - 1, -1, -1):
             has = ((v >> bit) & 1).astype(bool)
-            filled = slots[:, bit] != 0
-            red = has & filled
-            if red.any():
-                v = np.where(red, v ^ slots[:, bit], v)
+            filled = slots[bit] != 0
+            np.bitwise_xor(v, slots[bit], out=v, where=has & filled)
             ins = has & ~filled
-            if ins.any():
-                slots[ins, bit] = v[ins]
-                v = np.where(ins, 0, v)
-    return np.count_nonzero(slots, axis=1)
+            slots[bit][ins] = v[ins]
+            v[ins] = 0
+    return np.count_nonzero(slots, axis=0)
 
 
-def census_exhaustive_numpy(n: int, total: int,
-                            chunk: int = 1 << 20) -> Tuple[int, int, List[int]]:
+def _simple_positions(b: Sequence[np.ndarray], n: int) -> List[int]:
+    """Positions of the simple tables among Jacobi survivors with fields b."""
+    full = np.flatnonzero(_derived_rank_numpy(b, n) == n)
+    return [int(i) for i in full
+            if table_is_simple([int(field[i]) for field in b], n)]
+
+
+def census_exhaustive(n: int, chunk_bits: int = 20) -> Tuple[int, int, List[int]]:
+    """Scan every table of dimension n >= 2: (scanned, Jacobi passes, simple).
+
+    A chunk fixes the high fields and runs through all values of the low
+    fields, so the low field arrays are built once and each high field is a
+    scalar per chunk.
+    """
     npairs = n * (n - 1) // 2
     nmask = (1 << n) - 1
-    scanned = 0
+    nlow = min(npairs, chunk_bits // n)
+    size = 1 << (n * nlow)
+    digits = np.arange(1 << n, dtype=np.uint8)
+    low = [np.tile(np.repeat(digits, 1 << (n * p)), 1 << (n * (nlow - 1 - p)))
+           for p in range(nlow)]
     jacobi = 0
     survivors: List[int] = []
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        t = np.arange(lo, hi, dtype=np.int64)
-        scanned += hi - lo
-        b = [(t >> (n * p)) & nmask for p in range(npairs)]
-        ok = _jacobi_mask_numpy(b, n)
-        surv = t[ok]
-        jacobi += int(surv.size)
-        if surv.size == 0:
+    for chunk in range(1 << (n * (npairs - nlow))):
+        high = [np.uint8((chunk >> (n * h)) & nmask) for h in range(npairs - nlow)]
+        idx = np.flatnonzero(jacobi_mask(low + high, n, size))
+        jacobi += int(idx.size)
+        if idx.size == 0:
             continue
-        sb = [(surv >> (n * p)) & nmask for p in range(npairs)]
-        full = _derived_rank_numpy(sb, n) == n
-        for tt in surv[full].tolist():
-            if table_is_simple(unpack_table(tt, n), n):
-                survivors.append(int(tt))
-    return scanned, jacobi, survivors
+        sb = [f[idx] for f in low] + [np.full(idx.size, h) for h in high]
+        lo = chunk * size
+        survivors.extend(lo + int(idx[s]) for s in _simple_positions(sb, n))
+    return size << (n * (npairs - nlow)), jacobi, survivors
 
 
-def census_sampled_numpy(n: int, rows: np.ndarray) -> Tuple[int, int, List[int]]:
-    npairs = n * (n - 1) // 2
-    nmask = (1 << n) - 1
-    b = [rows[:, p].astype(np.int64) & nmask for p in range(npairs)]
-    ok = _jacobi_mask_numpy(b, n)
-    jacobi = int(np.count_nonzero(ok))
-    survivors = []
-    for idx in np.nonzero(ok)[0].tolist():
-        bv = [int(b[p][idx]) for p in range(npairs)]
-        if table_is_simple(bv, n):
-            survivors.append(int(idx))
-    return rows.shape[0], jacobi, survivors
+def census_sampled(n: int, rows: np.ndarray) -> Tuple[int, int, List[int]]:
+    """Scan sampled tables, one uint8 row of fields each.
+
+    Returns (scanned, Jacobi passes, indices of the simple rows).
+    """
+    fields = np.ascontiguousarray(rows.T)
+    idx = np.flatnonzero(jacobi_mask(fields, n, rows.shape[0]))
+    survivors = [int(idx[s]) for s in _simple_positions(fields[:, idx], n)]
+    return rows.shape[0], int(idx.size), survivors

@@ -393,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--field-degree", type=int, default=1)
     c.add_argument("--sample", type=int, default=None)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--threads", type=int, default=1)
+    c.add_argument("--threads", type=int, default=1,
+                   help="accepted and recorded in the report; the census "
+                        "engine is single-threaded and ignores it")
     c.add_argument("--out")
     c.add_argument("--dump-survivors", metavar="DIR")
     c.set_defaults(func=_cmd_census)

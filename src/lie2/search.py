@@ -5,9 +5,9 @@ dimensions up to 4 (at most 24 bits per table), filters by the Jacobi
 identity, tests simplicity by ideal closure from every nonzero seed, then
 attempts a two-map synthesis on the survivors and measures toral rank on
 the restrictable ones.  Sampled mode draws tables from a counter-based
-deterministic stream instead, so reports are reproducible under any thread
-schedule.  Backend selection: the LIE2_BACKEND environment variable, one of
-auto, numba, numpy.
+deterministic stream instead, so reports are reproducible from the seed
+alone.  Both modes run on one numpy engine (`_kernels`); the LIE2_BACKEND
+environment variable may name it (auto or numpy) but cannot pick another.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from ._kernels import (HAVE_NUMBA, bytes_from_words, pack_table, pair_index,
+from ._kernels import (bytes_from_words, pack_table, pair_index,
                        splitmix64_words)
 from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput)
@@ -32,26 +32,24 @@ from .restricted import RestrictedAlgebra, synthesize_two_map
 from .toruscartan import FIELD_CAVEAT, max_tori
 
 _EXHAUSTIVE_MAX_BITS = 24
-_SHARD = 1 << 18
-_CAP = 1 << 15
 _BLOCK = 1 << 20
 
 
 def census_backend() -> str:
-    """Active kernel backend, chosen by the LIE2_BACKEND environment flag."""
+    """Name of the census engine; LIE2_BACKEND must be unset, auto or numpy."""
     mode = os.environ.get("LIE2_BACKEND", "auto").strip().lower()
-    if mode not in ("auto", "numba", "numpy"):
+    if mode not in ("auto", "numpy"):
         raise InvalidInput(f"unknown backend {mode!r}")
-    if mode == "numba" and not HAVE_NUMBA:
-        raise InvalidInput("numba backend requested but numba is not importable")
-    if mode == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return mode
+    return "numpy"
 
 
 @dataclass(frozen=True)
 class CensusSpec:
-    """What to scan: dimension, field degree, sampling, and thread budget."""
+    """What to scan: dimension, field degree and sampling.
+
+    `threads` is accepted, validated and echoed in the report for
+    compatibility; the census engine is single-threaded and ignores it.
+    """
     dim: int
     field_degree: int = 1
     sample_count: Optional[int] = None
@@ -294,38 +292,10 @@ def iso_match(a: LieAlgebra, b: LieAlgebra) -> Optional[Mat]:
 # census driver
 
 
-def _configure_threads(threads: int) -> None:
-    try:
-        import numba
-        from numba import set_num_threads
-        set_num_threads(max(1, min(threads, numba.config.NUMBA_NUM_THREADS)))
-    except Exception:
-        pass
-
-
-def _merge_kernel_output(counts, simples, nsimple, overflow, offset=0):
-    if int(overflow.sum()) != 0:
-        raise InternalInconsistency("survivor buffer overflow in census kernel")
-    scanned = int(counts[:, 0].sum())
-    jac = int(counts[:, 1].sum())
-    out: List[int] = []
-    for s in range(counts.shape[0]):
-        for i in range(int(nsimple[s])):
-            out.append(int(simples[s, i]) + offset)
-    return scanned, jac, out
-
-
-def _run_exhaustive(n: int, backend: str) -> Tuple[int, int, List[int]]:
+def _run_exhaustive(n: int) -> Tuple[int, int, List[int]]:
     if n == 1:
         return 1, 1, []
-    total = 1 << (n * n * (n - 1) // 2)
-    if backend == "numba":
-        shard = min(total, _SHARD)
-        cap = min(total, _CAP)
-        counts, simples, nsimple, overflow = _kernels.census_exhaustive_numba(
-            n, total, shard, cap)
-        return _merge_kernel_output(counts, simples, nsimple, overflow)
-    return _kernels.census_exhaustive_numpy(n, total)
+    return _kernels.census_exhaustive(n)
 
 
 def _sample_rows(n: int, seed: int, start: int, count: int) -> np.ndarray:
@@ -336,7 +306,7 @@ def _sample_rows(n: int, seed: int, start: int, count: int) -> np.ndarray:
     return rows & np.uint8((1 << n) - 1)
 
 
-def _run_sampled_packed(spec: CensusSpec, backend: str) -> Tuple[int, int, List[int]]:
+def _run_sampled_packed(spec: CensusSpec) -> Tuple[int, int, List[int]]:
     n = spec.dim
     scanned = 0
     jac = 0
@@ -344,16 +314,10 @@ def _run_sampled_packed(spec: CensusSpec, backend: str) -> Tuple[int, int, List[
     for start in range(0, spec.sample_count, _BLOCK):
         count = min(_BLOCK, spec.sample_count - start)
         rows = _sample_rows(n, spec.seed, start, count)
-        if backend == "numba":
-            shard = min(count, 1 << 14)
-            out = _kernels.census_sampled_numba(n, rows, shard, min(count, _CAP))
-            bscanned, bjac, idxs = _merge_kernel_output(*out)
-        else:
-            bscanned, bjac, idxs = _kernels.census_sampled_numpy(n, rows)
+        bscanned, bjac, idxs = _kernels.census_sampled(n, rows)
         scanned += bscanned
         jac += bjac
-        for idx in idxs:
-            tables.append(pack_table([int(v) for v in rows[idx]], n))
+        tables.extend(pack_table(rows[idx], n) for idx in idxs)
     verified = []
     for t in tables:
         alg = table_to_algebra(n, t)
@@ -468,15 +432,13 @@ def census(spec: CensusSpec) -> CensusReport:
     """Run the census described by the spec and return its report."""
     t0 = time.monotonic()
     backend = census_backend()
-    if backend == "numba":
-        _configure_threads(spec.threads)
     if spec.sample_count is None:
-        scanned, jac, tables = _run_exhaustive(spec.dim, backend)
+        scanned, jac, tables = _run_exhaustive(spec.dim)
         mode = "exhaustive"
         classes = _classify_packed(spec.dim, tables)
         simple_count = len(tables)
     elif spec.field_degree == 1 and spec.dim <= 6:
-        scanned, jac, tables = _run_sampled_packed(spec, backend)
+        scanned, jac, tables = _run_sampled_packed(spec)
         mode = "sampled"
         simple_count = len(tables)
         if spec.dim <= 4:

@@ -1,24 +1,31 @@
 """Census and isomorphism-search tests.
 
-The fast kernels are checked against the plain-python pipeline and against
-the liealg module on every dim-3 table; census counts are frozen from those
-oracle-verified runs.  Backend and thread count must never change a report.
+The vectorised census engine is checked against the plain-python pipeline,
+and that pipeline against the liealg module on every dim-3 table; census
+counts are frozen from those oracle-verified runs.  The thread count must
+never change a report.
 """
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from lie2 import (BudgetExceeded, DimensionTooLarge, InvalidInput, catalog,
                   is_simple, validate_lie)
-from lie2._kernels import (bytes_from_words, pack_table, pair_index,
-                           splitmix64_one, splitmix64_words, table_is_simple,
-                           table_jacobi_ok, unpack_table)
+from lie2._kernels import (bytes_from_words, census_exhaustive, census_sampled,
+                           jacobi_mask, pack_table, pair_index, splitmix64_one,
+                           splitmix64_words, table_is_simple, table_jacobi_ok,
+                           unpack_table)
 from lie2.liealg import LieAlgebra
 from lie2.field import GF
-from lie2.search import (CensusSpec, algebra_to_table, canonical_table, census,
+from lie2.search import (CensusSpec, _run_exhaustive, _run_sampled_packed,
+                         _sample_rows, algebra_to_table, canonical_table, census,
                          census_backend, gl_matrices, iso_match,
                          packed_bracket, table_orbit, table_to_algebra)
 
@@ -213,6 +220,12 @@ def test_backend_flag(monkeypatch):
         census_backend()
 
 
+def test_backend_flag_rejects_numba(monkeypatch):
+    monkeypatch.setenv("LIE2_BACKEND", "numba")
+    with pytest.raises(InvalidInput):
+        census_backend()
+
+
 def assert_reports_equal_modulo_runtime(a: dict, b: dict) -> None:
     for key in ("runtime_ms", "backend", "threads"):
         a = dict(a)
@@ -255,13 +268,87 @@ def test_census_thread_determinism_dim3(monkeypatch):
     assert_reports_equal_modulo_runtime(a, b)
 
 
-def test_census_backend_agreement_dim3(monkeypatch):
-    monkeypatch.setenv("LIE2_BACKEND", "numpy")
-    a = census(CensusSpec(dim=3)).to_json()
-    assert a["backend"] == "numpy"
-    monkeypatch.setenv("LIE2_BACKEND", "auto")
-    b = census(CensusSpec(dim=3)).to_json()
-    assert_reports_equal_modulo_runtime(a, b)
+def table_fields(tables, n):
+    """uint8 bracket field arrays of packed tables, one slot per table."""
+    t = np.array(tables, dtype=np.int64)
+    return [((t >> (n * p)) & ((1 << n) - 1)).astype(np.uint8)
+            for p in range(n * (n - 1) // 2)]
+
+
+def scalar_jacobi(rows, n):
+    return [table_jacobi_ok([int(v) for v in row], n) for row in rows]
+
+
+def scalar_simple(rows, n):
+    return [table_jacobi_ok([int(v) for v in row], n)
+            and table_is_simple([int(v) for v in row], n) for row in rows]
+
+
+def test_census_backend_agreement_dim3():
+    """Vectorised Jacobi mask and census survivors against the scalar path."""
+    dim3 = [unpack_table(t, 3) for t in range(512)]
+    want = scalar_jacobi(dim3, 3)
+    assert jacobi_mask(table_fields(range(512), 3), 3, 512).tolist() == want
+    rng = random.Random(53)
+    tables = [rng.randrange(1 << 24) for _ in range(1 << 14)]
+    want4 = scalar_jacobi([unpack_table(t, 4) for t in tables], 4)
+    assert jacobi_mask(table_fields(tables, 4), 4, len(tables)).tolist() == want4
+    assert sum(want4) > 0
+    simple = [t for t, ok in enumerate(scalar_simple(dim3, 3)) if ok]
+    assert len(simple) == 28
+    assert _run_exhaustive(3) == (512, 120, simple)
+    # chunks with one or two high fields held as scalars
+    for chunk_bits in (3, 6):
+        assert census_exhaustive(3, chunk_bits) == (512, 120, simple)
+
+
+def test_census_sampled_backend_agreement():
+    """Sampled rows: vectorised mask and survivors against the scalar path."""
+    for n in (5, 6):
+        rows = _sample_rows(n, 11, 0, 20000)
+        # few set bits, so that many tables satisfy Jacobi
+        sparse = (rows[:5000] & _sample_rows(n, 12, 0, 5000)
+                  & _sample_rows(n, 13, 0, 5000))
+        for block in (rows, sparse):
+            fields = np.ascontiguousarray(block.T)
+            got = jacobi_mask(fields, n, len(block)).tolist()
+            assert got == scalar_jacobi(block, n)
+        assert sum(got) > 0
+        simple = [i for i, ok in enumerate(scalar_simple(sparse, n)) if ok]
+        assert census_sampled(n, sparse) == (5000, sum(got), simple)
+    rows = _sample_rows(3, 11, 0, 2000)
+    simple = [pack_table(row, 3)
+              for row, ok in zip(rows, scalar_simple(rows, 3)) if ok]
+    assert len(simple) > 0
+    spec = CensusSpec(dim=3, sample_count=2000, seed=11)
+    assert _run_sampled_packed(spec) == (2000, sum(scalar_jacobi(rows, 3)), simple)
+
+
+def test_census_never_imports_numba():
+    """The census engine is plain numpy: numba is not even looked up."""
+    import lie2
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lie2.__file__)))
+    script = textwrap.dedent("""
+        import sys
+        looked_up = []
+
+        class Spy:
+            def find_spec(self, name, path=None, target=None):
+                looked_up.append(name)
+                return None
+
+        sys.meta_path.insert(0, Spy())
+        import lie2.search
+        lie2.search.census(lie2.search.CensusSpec(dim=3))
+        assert "numba" not in sys.modules
+        numba = [m for m in looked_up if m.split(".")[0] == "numba"]
+        assert not numba, numba
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_census_sampled_dim5_frozen(monkeypatch):
@@ -271,14 +358,6 @@ def test_census_sampled_dim5_frozen(monkeypatch):
     assert rep.candidates_scanned == 50000
     assert rep.jacobi_pass == 0 and rep.simple_count == 0
     assert rep.seed == 42 and rep.sample_count == 50000
-
-
-def test_census_sampled_backend_agreement(monkeypatch):
-    monkeypatch.setenv("LIE2_BACKEND", "numpy")
-    a = census(CensusSpec(dim=5, sample_count=20000, seed=11)).to_json()
-    monkeypatch.setenv("LIE2_BACKEND", "auto")
-    b = census(CensusSpec(dim=5, sample_count=20000, seed=11)).to_json()
-    assert_reports_equal_modulo_runtime(a, b)
 
 
 def test_census_gf4_sampled_frozen():
