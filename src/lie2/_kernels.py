@@ -17,6 +17,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .liealg import f2_ideal_rank, f2_rank
+
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
 
@@ -64,46 +66,13 @@ def table_jacobi_ok(b, n: int) -> bool:
     return True
 
 
-def _insert_py(slots, n: int, v: int) -> int:
-    for bit in range(n - 1, -1, -1):
-        if (v >> bit) & 1:
-            if slots[bit]:
-                v ^= slots[bit]
-            else:
-                slots[bit] = v
-                return v
-    return 0
-
-
 def table_is_simple(b, n: int) -> bool:
     """No proper nonzero ideal: derived algebra full, every seed generates."""
-    slots = [0] * n
-    rank = 0
-    for p in range(n * (n - 1) // 2):
-        if _insert_py(slots, n, b[p]):
-            rank += 1
-    if rank != n:
+    if f2_rank(b, n) != n:
         return False
-    for seed in range(1, 1 << n):
-        slots = [0] * n
-        work = [seed]
-        rank = 1
-        slots_added = _insert_py(slots, n, seed)
-        work[0] = slots_added
-        head = 0
-        while head < len(work) and rank < n:
-            w = work[head]
-            head += 1
-            for k in range(n):
-                u = table_bracket_basis(b, n, w, k)
-                if u:
-                    red = _insert_py(slots, n, u)
-                    if red:
-                        rank += 1
-                        work.append(red)
-        if rank != n:
-            return False
-    return True
+    ad = [[b[pair_index(min(m, k), max(m, k), n)] if m != k else 0
+           for m in range(n)] for k in range(n)]
+    return all(f2_ideal_rank(ad, n, seed) == n for seed in range(1, 1 << n))
 
 
 # ---------------------------------------------------------------------------

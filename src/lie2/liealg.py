@@ -224,25 +224,92 @@ class SimplicityReport:
 
 
 def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
-    """Sweep ideal closures of every 1-dimensional seed (projective points)."""
+    """Sweep ideal closures of every 1-dimensional seed (projective points).
+
+    Over F2 a bit-packed closure decides each seed; the Subspace path runs
+    only to build the witness of a failing check.
+    """
     n, q = alg.dim, alg.gf.order
     if n < 2:
         return SimplicityReport(False, None, 0, "dimension below 2")
-    derived = subspace_bracket(alg, full_space(alg.gf, alg.dim), full_space(alg.gf, alg.dim))
-    if derived.dim < n:
-        reason = "abelian" if derived.dim == 0 else "derived subalgebra is a proper ideal"
-        witness = None if derived.dim == 0 else derived
-        return SimplicityReport(False, witness, 0, reason)
+    ad = f2_ad_columns(alg) if alg.gf.degree == 1 else None
+    if ad is None or f2_rank(map(_f2_pack, alg.table.values()), n) < n:
+        derived = subspace_bracket(alg, full_space(alg.gf, alg.dim),
+                                   full_space(alg.gf, alg.dim))
+        if derived.dim < n:
+            reason = "abelian" if derived.dim == 0 else "derived subalgebra is a proper ideal"
+            witness = None if derived.dim == 0 else derived
+            return SimplicityReport(False, witness, 0, reason)
     points = (q ** n - 1) // (q - 1)
     if points > budget:
         raise BudgetExceeded(f"{points} projective seeds exceed budget {budget}")
     checked = 0
     for v in _projective_points(alg.gf, n):
         checked += 1
+        if ad is not None and f2_ideal_rank(ad, n, _f2_pack(v)) == n:
+            continue
         cl = ideal_closure(alg, v)
         if cl.dim < n:
             return SimplicityReport(False, cl, checked, "proper ideal from seed")
     return SimplicityReport(True, None, checked, "all seeds generate the algebra")
+
+
+# ---------------------------------------------------------------------------
+# bit-packed F2 core: bit m of an int is coordinate m
+
+
+def _f2_pack(v: Sequence[int]) -> int:
+    return sum(1 << m for m, c in enumerate(v) if c)
+
+
+def f2_ad_columns(alg: LieAlgebra) -> List[List[int]]:
+    """ad[k][m] is the packed bracket [e_m, e_k] of an F2 algebra."""
+    n = alg.dim
+    ad = [[0] * n for _ in range(n)]
+    for (i, j), c in alg.table.items():
+        ad[j][i] = ad[i][j] = _f2_pack(c)
+    return ad
+
+
+def f2_reduce(slots: List[int], v: int) -> int:
+    """Reduce v against the echelon slots (slot b leads with bit b).
+
+    A nonzero remainder is stored in its slot and returned; 0 means v was
+    already in the span.
+    """
+    while v:
+        top = v.bit_length() - 1
+        if not slots[top]:
+            slots[top] = v
+            return v
+        v ^= slots[top]
+    return 0
+
+
+def f2_rank(vecs, n: int) -> int:
+    slots = [0] * n
+    return sum(1 for v in vecs if f2_reduce(slots, v))
+
+
+def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seed: int) -> int:
+    """Dimension of the ideal generated by a nonzero packed seed."""
+    slots = [0] * n
+    work = [f2_reduce(slots, seed)]
+    rank = 1
+    for w in work:
+        if rank == n:
+            break
+        for col in ad:
+            u, x = 0, w
+            while x:
+                low = x & -x
+                u ^= col[low.bit_length() - 1]
+                x ^= low
+            red = f2_reduce(slots, u)
+            if red:
+                rank += 1
+                work.append(red)
+    return rank
 
 
 def _projective_points(gf: GF, n: int):

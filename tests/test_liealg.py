@@ -15,7 +15,8 @@ from lie2 import (InvalidInput, LieAlgebra, catalog, catalog_names, center,
                   centralizer, derived_series, from_json, ideal_closure,
                   is_simple, is_subalgebra, to_json, validate_lie)
 from lie2.field import GF, GF2, Subspace, basis_vec
-from lie2.liealg import (is_ideal, is_nilpotent_algebra, is_solvable_algebra,
+from lie2.liealg import (f2_ad_columns, f2_ideal_rank, is_ideal,
+                         is_nilpotent_algebra, is_solvable_algebra,
                          jacobi_residual, lower_central_series,
                          subspace_bracket)
 
@@ -205,6 +206,19 @@ def test_ideal_closure_heis3():
     cl = ideal_closure(alg, (1, 0, 0))
     assert cl.dim == 2 and cl.contains((0, 0, 1))
     assert is_ideal(alg, cl)
+
+
+@pytest.mark.parametrize("name", ["o3", "heis3", "sl2", "gl2", "gl3",
+                                  "w11_p2", "strictly_upper(4)"])
+def test_packed_ideal_rank_matches_subspace_closure(name):
+    alg = catalog(name).algebra
+    n = alg.dim
+    ad = f2_ad_columns(alg)
+    rng = random.Random(n)
+    seeds = range(1, 1 << n) if n <= 4 else [rng.randrange(1, 1 << n) for _ in range(40)]
+    for seed in seeds:
+        v = tuple((seed >> m) & 1 for m in range(n))
+        assert f2_ideal_rank(ad, n, seed) == ideal_closure(alg, v).dim
 
 
 def test_centralizer_values():
