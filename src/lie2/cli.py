@@ -72,6 +72,32 @@ def _restricted_from(alg, two_map) -> Tuple[Optional[RestrictedAlgebra], str]:
     return None, "absent"
 
 
+def _checked_restricted(cmd: str, alg,
+                        two_map) -> Tuple[Optional[RestrictedAlgebra], str]:
+    """Restricted structure and its source, for a command that assumes both valid.
+
+    Checks Jacobi before synthesis and the 2-map identities after it; on
+    failure prints one line and returns None in place of the structure.
+    """
+    name = alg.name or "<unnamed>"
+    lie = validate_lie(alg)
+    if not lie.ok:
+        i, j, k, _ = lie.failing_triples[0]
+        print(f"{cmd}: FAILED, {name} violates the Jacobi identity "
+              f"on basis triple ({i},{j},{k})")
+        return None, "absent"
+    ra, source = _restricted_from(alg, two_map)
+    if ra is None:
+        print(f"{cmd}: FAILED, {name} is not restrictable")
+        return None, source
+    rrep = validate_restricted(ra)
+    if not rrep.ok:
+        print(f"{cmd}: FAILED, {source} two-map of {name} is not a 2-map "
+              f"at basis indices {rrep.failing_indices}")
+        return None, source
+    return ra, source
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -133,10 +159,8 @@ def _parse_torus_file(text: str, ra: RestrictedAlgebra) -> Torus:
 
 def _cmd_decompose(args) -> int:
     alg, two_map = _load_algebra(args.file)
-    ra, source = _restricted_from(alg, two_map)
-    name = alg.name or "<unnamed>"
+    ra, source = _checked_restricted("decompose", alg, two_map)
     if ra is None:
-        print(f"decompose: FAILED, {name} is not restrictable")
         return 1
     if args.torus == "auto":
         torus_rep = max_tori(ra)
@@ -182,10 +206,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_toral_rank(args) -> int:
     alg, two_map = _load_algebra(args.file)
-    ra, source = _restricted_from(alg, two_map)
-    name = alg.name or "<unnamed>"
+    ra, source = _checked_restricted("toral-rank", alg, two_map)
     if ra is None:
-        print(f"toral-rank: FAILED, {name} is not restrictable")
         return 1
     rep = max_tori(ra, sweep_budget=args.budget, node_budget=args.budget)
     basis = rep.torus.toral_basis or ()

@@ -131,14 +131,6 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x ^ y for x, y in zip(a, b))
 
 
-def vec_scale(gf: GF, c: int, a: Vec) -> Vec:
-    if c == 0:
-        return (0,) * len(a)
-    if c == 1:
-        return tuple(a)
-    return tuple(gf.mul(c, x) for x in a)
-
-
 def vec_is_zero(a: Vec) -> bool:
     return not any(a)
 

@@ -271,6 +271,16 @@ def f2_ad_columns(alg: LieAlgebra) -> List[List[int]]:
     return ad
 
 
+def f2_apply(cols: Sequence[int], x: int) -> int:
+    """Packed image of packed x under the map whose column m is cols[m]."""
+    u = 0
+    while x:
+        low = x & -x
+        u ^= cols[low.bit_length() - 1]
+        x ^= low
+    return u
+
+
 def f2_reduce(slots: List[int], v: int) -> int:
     """Reduce v against the echelon slots (slot b leads with bit b).
 
@@ -300,12 +310,7 @@ def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seed: int) -> int:
         if rank == n:
             break
         for col in ad:
-            u, x = 0, w
-            while x:
-                low = x & -x
-                u ^= col[low.bit_length() - 1]
-                x ^= low
-            red = f2_reduce(slots, u)
+            red = f2_reduce(slots, f2_apply(col, w))
             if red:
                 rank += 1
                 work.append(red)
@@ -552,8 +557,15 @@ def from_json(doc) -> Tuple[LieAlgebra, Optional[Tuple[Vec, ...]]]:
     if stated != gf.modulus:
         raise InvalidInput(
             f"modulus_bits {stated} does not match the canonical modulus {gf.modulus}")
+    bracket = doc.get("bracket", [])
+    if not isinstance(bracket, list):
+        raise InvalidInput("bracket must be a list of [i, j, vector] entries")
+    labels = doc.get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise InvalidInput("labels must be a list of strings")
     table = {}
-    for entry in doc.get("bracket", []):
+    for entry in bracket:
         try:
             i, j, pairs = entry
         except (TypeError, ValueError) as exc:
@@ -561,10 +573,11 @@ def from_json(doc) -> Tuple[LieAlgebra, Optional[Tuple[Vec, ...]]]:
         if not (isinstance(i, int) and isinstance(j, int) and i < j):
             raise InvalidInput(f"bracket entry needs i < j, got ({i!r},{j!r})")
         table[(i, j)] = _dense_vec(pairs, dim, gf)
-    alg = LieAlgebra(gf, dim, table, name=str(doc.get("name", "")),
-                     labels=doc.get("labels"))
+    alg = LieAlgebra(gf, dim, table, name=str(doc.get("name", "")), labels=labels)
     two_map = None
     if "two_map" in doc:
+        if not isinstance(doc["two_map"], list):
+            raise InvalidInput("two_map must be a list of [i, vector] entries")
         images = [zero_vec(dim)] * dim
         seen = set()
         for entry in doc["two_map"]:

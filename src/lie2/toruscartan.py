@@ -6,10 +6,14 @@ idempotent ad-operators, so joint eigenspaces over the prime field decompose
 the algebra; the four audit passes re-verify the eigenvalue equations and
 the structural facts the downstream case analysis relies on.
 
-Everything is computed over the given finite field.  Maximal torus searches
-are exhaustive over that field when they fit in the node budget, otherwise
-greedy with seeded restarts; either way the reported rank is a lower bound
-for the rank over an algebraic closure, never an upper bound.
+Everything is computed over the given finite field.  The maximal torus
+search is a branch and bound over int bitsets of the fixpoints' commutation
+graph: a branch keeps only the candidates commuting with everything chosen,
+and is cut once the chosen count plus the rank of the remaining candidates
+modulo the chosen span cannot beat the best set found.  It is exhaustive
+when it fits in the node budget, otherwise greedy with seeded restarts;
+either way the reported rank is a lower bound for the rank over an
+algebraic closure, never an upper bound.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
-from .field import (Mat, Subspace, Vec, full_space, vec_is_zero, zero_vec)
-from .liealg import centralizer, subspace_bracket
+from .field import (Mat, Subspace, Vec, full_space, pack_bits, unpack_bits,
+                    vec_is_zero, zero_vec)
+from .liealg import centralizer, f2_ad_columns, f2_apply, f2_reduce, subspace_bracket
 from .restricted import (RestrictedAlgebra, classify_element, jcs_decompose,
                          two_map_eval)
 
@@ -30,16 +35,22 @@ FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
 
 
 def toral_elements(ra: RestrictedAlgebra, budget: int = 1 << 20) -> List[Vec]:
-    """All fixpoints of the 2-map, by exhaustive sweep of the whole algebra."""
+    """All fixpoints of the 2-map, by exhaustive sweep of the whole algebra.
+
+    The fixpoints come in ascending order of sum_i v[i] q^i (over F2, the
+    packed value); the torus search breaks ties by this order.
+    """
     alg = ra.algebra
     if alg.gf.degree > 2:
         raise InvalidInput("exhaustive toral sweep supports field degree <= 2")
     total = alg.gf.order ** alg.dim
     if total > budget:
         raise BudgetExceeded(f"sweep of {total} vectors exceeds budget {budget}")
+    n = alg.dim
+    if alg.gf.degree == 1:
+        return [unpack_bits(x, n) for x in _f2_fixpoints(ra)]
     out = []
     q = alg.gf.order
-    n = alg.dim
     for idx in range(total):
         v = []
         t = idx
@@ -49,6 +60,32 @@ def toral_elements(ra: RestrictedAlgebra, budget: int = 1 << 20) -> List[Vec]:
         v = tuple(v)
         if two_map_eval(ra, v) == v:
             out.append(v)
+    return out
+
+
+def _f2_fixpoints(ra: RestrictedAlgebra) -> List[int]:
+    """Packed 2-map fixpoints over F2, ascending, by a Gray-code sweep.
+
+    Flipping coordinate k changes the square by e_k^[2] + [x, e_k].  The
+    brackets [x, e_j] for all j sit side by side in one int (n bits each),
+    and flipping k adds the packed column of [e_k, e_j] to it.
+    """
+    alg = ra.algebra
+    n = alg.dim
+    ad = f2_ad_columns(alg)
+    squares = [pack_bits(v) for v in ra.two_map]
+    flips = [sum(ad[j][k] << (j * n) for j in range(n)) for k in range(n)]
+    mask = (1 << n) - 1
+    x = square = brackets = 0
+    out = [0]
+    for step in range(1, 1 << n):
+        k = (step & -step).bit_length() - 1
+        square ^= squares[k] ^ ((brackets >> (k * n)) & mask)
+        brackets ^= flips[k]
+        x ^= 1 << k
+        if square == x:
+            out.append(x)
+    out.sort()
     return out
 
 
@@ -138,7 +175,51 @@ class MaxTorusReport:
     exhaustive: bool
     method: str
     fixpoints_seen: int
+    nodes: int
     caveat: str = FIELD_CAVEAT
+
+
+def _commutation_graph(alg, items) -> List[int]:
+    """Bit j of row i is set when fixpoints i and j commute (i != j)."""
+    m = len(items)
+    comm = [0] * m
+    ad = f2_ad_columns(alg) if alg.gf.degree == 1 else None
+    for i, x in enumerate(items):
+        if ad is not None:
+            ad_x = [f2_apply(col, x) for col in ad]
+            commutes = (not f2_apply(ad_x, y) for y in items[i + 1:])
+        else:
+            commutes = (vec_is_zero(alg.bracket(x, y)) for y in items[i + 1:])
+        for j, ok in enumerate(commutes, i + 1):
+            if ok:
+                comm[i] |= 1 << j
+                comm[j] |= 1 << i
+    return comm
+
+
+def _span_extender(alg):
+    """Empty span and extend(span, v): the span grown by v, or None if v is in it.
+
+    Over F2 a span is a list of packed echelon slots, otherwise a Subspace.
+    """
+    if alg.gf.degree == 1:
+        def extend(span, v):
+            grown = list(span)
+            return grown if f2_reduce(grown, v) else None
+        return [0] * alg.dim, extend
+
+    def extend(span, v):
+        return None if span.contains(v) else span.add_vec(v)
+    return Subspace(alg.gf, alg.dim), extend
+
+
+def _bits(x: int) -> List[int]:
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
@@ -148,42 +229,56 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
 
     The span of such a set is a torus with that set as toral basis, and every
     torus with a toral basis arises this way, so over the given field this is
-    the maximal achievable toral rank through toral bases.  Exhaustive DFS
-    under the node budget, otherwise greedy over seeded candidate orders.
+    the maximal achievable toral rank through toral bases.
+
+    Exhaustive branch and bound under the node budget: candidates are tried
+    in increasing fixpoint order, a child keeps the later candidates that
+    commute with the one taken, and a node stops once the chosen count plus
+    the rank of its remaining candidates modulo the chosen span cannot exceed
+    the best set so far.  The answer is the lexicographically first maximum
+    index set.  `nodes` counts the candidates tried.  When the budget runs
+    out, greedy over seeded candidate orders.
     """
     alg = ra.algebra
     fixpoints = [v for v in toral_elements(ra, budget=sweep_budget) if not vec_is_zero(v)]
     m = len(fixpoints)
     if m == 0:
         return MaxTorusReport(0, Torus(Subspace(alg.gf, alg.dim), ()), True,
-                              "exhaustive", 0)
-    commute = [[vec_is_zero(alg.bracket(fixpoints[i], fixpoints[j]))
-                for j in range(m)] for i in range(m)]
+                              "exhaustive", 0, 0)
+    items = [pack_bits(v) for v in fixpoints] if alg.gf.degree == 1 else fixpoints
+    comm = _commutation_graph(alg, items)
+    empty, extend = _span_extender(alg)
     best: List[int] = []
     nodes = 0
     aborted = False
 
-    def dfs(start: int, chosen: List[int], span: Subspace):
+    def search(cand: int, chosen: List[int], span) -> None:
         nonlocal best, nodes, aborted
-        if aborted:
-            return
         if len(chosen) > len(best):
             best = list(chosen)
-        for idx in range(start, m):
-            if len(chosen) + (m - idx) <= len(best):
+        order = _bits(cand)
+        # bound[t]: rank of the candidates order[t:] modulo the chosen span
+        bound = [0] * (len(order) + 1)
+        grown = span
+        for t in range(len(order) - 1, -1, -1):
+            more = extend(grown, items[order[t]])
+            bound[t] = bound[t + 1] + (more is not None)
+            grown = more or grown
+        for t, idx in enumerate(order):
+            if len(chosen) + bound[t] <= len(best):
                 return
-            nodes += 1
-            if nodes > node_budget:
+            if nodes == node_budget:
                 aborted = True
                 return
-            if span.contains(fixpoints[idx]):
+            nodes += 1
+            child = extend(span, items[idx])
+            if child is None:
                 continue
-            if all(commute[idx][c] for c in chosen):
-                chosen.append(idx)
-                dfs(idx + 1, chosen, span.add_vec(fixpoints[idx]))
-                chosen.pop()
+            chosen.append(idx)
+            search(cand >> (idx + 1) << (idx + 1) & comm[idx], chosen, child)
+            chosen.pop()
 
-    dfs(0, [], Subspace(alg.gf, alg.dim))
+    search((1 << m) - 1, [], empty)
     method = "exhaustive"
     if aborted:
         method = "greedy"
@@ -192,20 +287,23 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
             order = list(range(m))
             rng.shuffle(order)
             chosen: List[int] = []
-            span = Subspace(alg.gf, alg.dim)
+            span = empty
+            allowed = (1 << m) - 1
             for idx in order:
-                if span.contains(fixpoints[idx]):
+                if not allowed >> idx & 1:
                     continue
-                if all(commute[idx][c] for c in chosen):
+                child = extend(span, items[idx])
+                if child is not None:
                     chosen.append(idx)
-                    span = span.add_vec(fixpoints[idx])
+                    span = child
+                    allowed &= comm[idx]
             if len(chosen) > len(best):
                 best = chosen
     basis = tuple(fixpoints[i] for i in best)
     span = Subspace(alg.gf, alg.dim, basis)
     if span.dim != len(basis):
         raise InternalInconsistency("chosen fixpoints are not independent")
-    return MaxTorusReport(span.dim, Torus(span, basis), not aborted, method, m)
+    return MaxTorusReport(span.dim, Torus(span, basis), not aborted, method, m, nodes)
 
 
 @dataclass

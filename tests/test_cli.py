@@ -194,6 +194,42 @@ def test_decompose_not_restrictable_exits_one(tmp_path, capsys):
     assert "decompose: FAILED, o3 is not restrictable" in out
 
 
+@pytest.mark.parametrize("key", ["labels", "bracket", "two_map"])
+@pytest.mark.parametrize("command", ["validate", "decompose", "toral-rank"])
+def test_non_list_fields_exit_two(tmp_path, capsys, key, command):
+    doc = to_json(catalog("w11_p2").algebra, catalog("w11_p2").two_map)
+    doc[key] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["decompose", "toral-rank"])
+def test_failed_preconditions_exit_one(tmp_path, capsys, command):
+    # [e0,e1]=e2, [e1,e2]=e1 breaks Jacobi; w11_p2 with a zero 2-map breaks
+    # ad(x^[2]) = ad(x)^2 at xd
+    broken = LieAlgebra(GF2, 3, {(0, 1): (0, 0, 1), (1, 2): (0, 1, 0)}, name="broken")
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(to_json(broken, [(0, 0, 0)] * 3)), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    code, out, _ = run(capsys, command, str(path), "--out", str(tmp_path / "r.json"))
+    assert code == 1
+    assert out == (f"{command}: FAILED, broken violates the Jacobi identity "
+                   "on basis triple (0,1,2)\n")
+    assert not (tmp_path / "r.json").exists()
+
+    path = tmp_path / "zero_map.json"
+    path.write_text(json.dumps(to_json(catalog("w11_p2").algebra, [(0, 0)] * 2)),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 1
+    assert out == (f"{command}: FAILED, file two-map of w11_p2 is not a 2-map "
+                   "at basis indices [1]\n")
+
+
 # ---------------------------------------------------------------------------
 # toral-rank
 

@@ -7,6 +7,7 @@ re-verified from the bracket directly.
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -14,8 +15,9 @@ from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput,
                   NotSimultaneouslyDiagonalizable, NotTwoMapClosed,
                   RestrictedAlgebra, SplitFailed, Torus, audit_decomposition,
                   catalog, cartan_split, is_torus, max_tori, weight_decompose)
-from lie2.field import GF, GF2, Subspace
+from lie2.field import GF, GF2, Mat, Subspace
 from lie2.liealg import LieAlgebra
+from lie2.restricted import two_map_eval
 from lie2.toruscartan import toral_elements
 
 
@@ -99,6 +101,86 @@ def test_sl3_has_no_rank3_torus_over_f2():
     assert rep.exhaustive
     assert rep.rank_lb == 2
     assert rep.fixpoints_seen == 28
+
+
+def direct_sum(a: RestrictedAlgebra, b: RestrictedAlgebra) -> RestrictedAlgebra:
+    n, m = a.algebra.dim, b.algebra.dim
+    table = {k: v + (0,) * m for k, v in a.algebra.table.items()}
+    table.update({(i + n, j + n): (0,) * n + v for (i, j), v in b.algebra.table.items()})
+    two_map = tuple(v + (0,) * m for v in a.two_map) + \
+        tuple((0,) * n + v for v in b.two_map)
+    return RestrictedAlgebra(LieAlgebra(GF2, n + m, table), two_map)
+
+
+def change_basis(ra: RestrictedAlgebra, rng: random.Random) -> RestrictedAlgebra:
+    """Structure constants in a random basis of F2^n (the columns of p)."""
+    alg = ra.algebra
+    n = alg.dim
+    while True:
+        cols = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(n)]
+        if Subspace(GF2, n, cols).dim == n:
+            break
+    p = Mat(GF2, list(zip(*cols)))
+    table = {(i, j): p.solve(alg.bracket(cols[i], cols[j]))
+             for i in range(n) for j in range(i + 1, n)}
+    two_map = tuple(p.solve(two_map_eval(ra, c)) for c in cols)
+    return RestrictedAlgebra(LieAlgebra(GF2, n, table), two_map)
+
+
+def lex_first_max_torus(ra: RestrictedAlgebra):
+    """Fixpoints in ascending packed order, and the lexicographically first
+    largest index set of independent pairwise-commuting nonzero ones, by
+    plain depth-first enumeration of every such set."""
+    alg = ra.algebra
+    n = alg.dim
+    vecs = (tuple((code >> i) & 1 for i in range(n)) for code in range(1 << n))
+    fixpoints = [v for v in vecs if two_map_eval(ra, v) == v]
+    nonzero = fixpoints[1:]
+    best = []
+
+    def grow(chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        for i in range(chosen[-1] + 1 if chosen else 0, len(nonzero)):
+            v = nonzero[i]
+            basis = [nonzero[c] for c in chosen] + [v]
+            if all(not any(alg.bracket(v, b)) for b in basis) and \
+                    Subspace(GF2, n, basis).dim == len(basis):
+                grow(chosen + [i])
+
+    grow([])
+    return fixpoints, tuple(nonzero[i] for i in best)
+
+
+REFERENCE_CASES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
+                   "strictly_upper(4)", "gl2+w11_p2@1", "gl2+w11_p2@2", "gl2+w11_p2@3"]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_max_tori_matches_brute_force(case):
+    name, _, seed = case.partition("@")
+    if seed:
+        ra = change_basis(direct_sum(ra_of("gl2"), ra_of("w11_p2")),
+                          random.Random(int(seed)))
+    else:
+        ra = ra_of(name)
+    fixpoints, basis = lex_first_max_torus(ra)
+    assert toral_elements(ra) == fixpoints
+    rep = max_tori(ra)
+    assert rep.exhaustive and rep.method == "exhaustive"
+    assert rep.torus.toral_basis == basis
+    assert rep.rank_lb == len(basis)
+    assert rep.fixpoints_seen == len(fixpoints) - 1
+    assert (rep.nodes > 0) == bool(basis)
+
+
+def test_max_tori_certifies_gl3_plus_w11():
+    rep = max_tori(direct_sum(ra_of("gl3"), ra_of("w11_p2")))
+    assert rep.exhaustive and rep.method == "exhaustive"
+    assert rep.rank_lb == 4
+    assert rep.fixpoints_seen == 58 * 3 - 1
+    assert rep.nodes <= 1 << 20
 
 
 def test_max_tori_greedy_fallback():
