@@ -8,9 +8,8 @@ from .caseanalysis import (Certificate, DimPattern, ROOT_ORDER,
                            enumerate_patterns, enumerate_root_systems,
                            gl3_canonicalize_dims, kill_pattern,
                            refute_root_system, verify_paper)
-from .errors import (BudgetExceeded, DimensionTooLarge, IntractableDimension,
-                     InternalInconsistency, InvalidInput, Lie2Error,
-                     NotASubalgebra, NotCanonical, NotTwoMapClosed,
+from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
+                     InvalidInput, Lie2Error, NotCanonical, NotTwoMapClosed,
                      NotSimultaneouslyDiagonalizable, SplitFailed,
                      XiNotInSystem)
 from .field import GF, GF2, Mat, Subspace, full_space, smallest_irreducible

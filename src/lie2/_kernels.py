@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .liealg import f2_ideal_rank, f2_rank
+from .liealg import f2_apply, f2_ideal_rank, f2_rank
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -45,24 +45,19 @@ def pack_table(b, n: int) -> int:
     return t
 
 
-def table_bracket_basis(b, n: int, v: int, k: int) -> int:
-    """Bracket of the coordinate vector v with basis element k."""
-    res = 0
-    for m in range(n):
-        if m != k and (v >> m) & 1:
-            res ^= b[pair_index(min(m, k), max(m, k), n)]
-    return res
+def table_ad_columns(b, n: int) -> List[List[int]]:
+    """ad[k][m] is the packed bracket [e_m, e_k] of the table with fields b."""
+    return [[b[pair_index(min(m, k), max(m, k), n)] if m != k else 0
+             for m in range(n)] for k in range(n)]
 
 
 def table_jacobi_ok(b, n: int) -> bool:
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                r = table_bracket_basis(b, n, b[pair_index(i, j, n)], k)
-                r ^= table_bracket_basis(b, n, b[pair_index(j, k, n)], i)
-                r ^= table_bracket_basis(b, n, b[pair_index(i, k, n)], j)
-                if r:
-                    return False
+    ad = table_ad_columns(b, n)
+    for i, j, k in combinations(range(n), 3):
+        if (f2_apply(ad[k], b[pair_index(i, j, n)])
+                ^ f2_apply(ad[i], b[pair_index(j, k, n)])
+                ^ f2_apply(ad[j], b[pair_index(i, k, n)])):
+            return False
     return True
 
 
@@ -70,8 +65,7 @@ def table_is_simple(b, n: int) -> bool:
     """No proper nonzero ideal: derived algebra full, every seed generates."""
     if f2_rank(b, n) != n:
         return False
-    ad = [[b[pair_index(min(m, k), max(m, k), n)] if m != k else 0
-           for m in range(n)] for k in range(n)]
+    ad = table_ad_columns(b, n)
     return all(f2_ideal_rank(ad, n, seed) == n for seed in range(1, 1 << n))
 
 

@@ -25,6 +25,11 @@ kill rules are applied in a fixed order:
    through an assumed nonzero toral square; certificates carry soundness
    "paper_style" because the nonzero assumption is not derived.
 
+Patterns are compared up to GL3(F2), which permutes the seven roots (the
+symmetry group of the Fano plane).  The 168 matrices come from the one
+GL(n, 2) enumerator, field.gl_matrices, as row tuples; apply_root and
+act_on_dims define their action on root-space dimensions.
+
 Certificates are plain data and check_certificate recomputes them from their
 subject, so any tampering is caught.  All scans are deterministic.
 """
@@ -39,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .casedata import (PUBLISHED_ADMISSIBLE_SPANS, PUBLISHED_PATTERN_LISTS,
                        raw_pattern_string)
 from .errors import InvalidInput, NotCanonical, XiNotInSystem
-from .field import GF2, Mat, Subspace
+from .field import GF2, Mat, Subspace, gl_matrices
 from .toruscartan import FIELD_CAVEAT
 
 Root = Tuple[int, ...]
@@ -236,19 +241,8 @@ def _compositions_exact(total: int, parts: int):
 @lru_cache(maxsize=None)
 def gl3_matrices() -> Tuple[Tuple[Root, ...], ...]:
     """All 168 invertible 3x3 matrices over F2, as row tuples."""
-    out = []
-    rows3 = list(itertools.product((0, 1), repeat=3))
-    for m in itertools.product(rows3, repeat=3):
-        packed = [r[0] | (r[1] << 1) | (r[2] << 2) for r in m]
-        basis = []
-        for v in packed:
-            for b in basis:
-                v = min(v, v ^ b)
-            if v:
-                basis.append(v)
-        if len(basis) == 3:
-            out.append(m)
-    return tuple(out)
+    return tuple(tuple(tuple((row >> c) & 1 for c in range(3)) for row in rows)
+                 for rows, _inv in gl_matrices(3))
 
 
 def apply_root(m: Tuple[Root, ...], root: Sequence[int]) -> Root:

@@ -17,12 +17,12 @@ from typing import Optional, Tuple
 
 from .casedata import PUBLISHED_PATTERN_LISTS, raw_pattern_string
 from .caseanalysis import cross_check_paper_lists, verify_paper
-from .errors import (BudgetExceeded, IntractableDimension, InvalidInput,
-                     Lie2Error, NotCanonical, XiNotInSystem,
-                     DimensionTooLarge, InternalInconsistency,
-                     NotASubalgebra, NotTwoMapClosed,
-                     NotSimultaneouslyDiagonalizable, SplitFailed)
-from .liealg import catalog, catalog_names, from_json, to_json, validate_lie
+from .errors import (BudgetExceeded, InvalidInput, Lie2Error, NotCanonical,
+                     XiNotInSystem, DimensionTooLarge, InternalInconsistency,
+                     NotTwoMapClosed, NotSimultaneouslyDiagonalizable,
+                     SplitFailed)
+from .liealg import (catalog, catalog_names, from_json, is_json_int, to_json,
+                     validate_lie)
 from .restricted import (RestrictedAlgebra, synthesize_two_map,
                          validate_restricted)
 from .toruscartan import (FIELD_CAVEAT, audit_decomposition, is_torus,
@@ -30,8 +30,8 @@ from .toruscartan import (FIELD_CAVEAT, audit_decomposition, is_torus,
 from .field import Subspace
 
 _INPUT_ERRORS = (InvalidInput, XiNotInSystem, NotCanonical, DimensionTooLarge,
-                 NotASubalgebra, NotTwoMapClosed)
-_BUDGET_ERRORS = (BudgetExceeded, IntractableDimension)
+                 NotTwoMapClosed)
+_BUDGET_ERRORS = (BudgetExceeded,)
 _CHECK_ERRORS = (SplitFailed, NotSimultaneouslyDiagonalizable,
                  InternalInconsistency)
 
@@ -149,8 +149,13 @@ def _parse_torus_file(text: str, ra: RestrictedAlgebra) -> Torus:
         doc = doc.get("torus", doc.get("vectors"))
     if not isinstance(doc, list):
         raise InvalidInput("torus file must hold a list of coordinate vectors")
-    vecs = [tuple(int(x) for x in row) for row in doc]
-    space = Subspace(ra.algebra.gf, ra.algebra.dim, vecs)
+    gf, dim = ra.algebra.gf, ra.algebra.dim
+    for row in doc:
+        if not (isinstance(row, list) and len(row) == dim
+                and all(is_json_int(x) and 0 <= x < gf.order for x in row)):
+            raise InvalidInput(f"torus vector {json.dumps(row)} is not a list of "
+                               f"{dim} elements of {gf!r}")
+    space = Subspace(gf, dim, doc)
     rep = is_torus(ra, space)
     if not rep.is_torus or rep.torus is None or rep.torus.toral_basis is None:
         raise InvalidInput("supplied subspace is not a torus with toral basis")

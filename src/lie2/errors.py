@@ -11,16 +11,8 @@ class InvalidInput(Lie2Error):
     """Malformed or out-of-contract input (bad JSON, bad dimensions, bad field)."""
 
 
-class NotASubalgebra(Lie2Error):
-    """A subspace expected to be closed under the bracket is not."""
-
-
 class NotTwoMapClosed(Lie2Error):
     """A subspace expected to be closed under the 2-map is not."""
-
-
-class IntractableDimension(Lie2Error):
-    """Requested exhaustive work exceeds the supported dimension range."""
 
 
 class BudgetExceeded(Lie2Error):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvalidInput
+from .errors import DimensionTooLarge, InvalidInput
 
 Vec = Tuple[int, ...]
 
@@ -154,6 +154,41 @@ def pack_bits(vec: Sequence[int]) -> int:
 
 def unpack_bits(x: int, n: int) -> Vec:
     return tuple((x >> i) & 1 for i in range(n))
+
+
+def _invert_rows(rows: Sequence[int], n: int) -> Optional[List[int]]:
+    work = [rows[r] | (1 << (n + r)) for r in range(n)]
+    for col in range(n):
+        piv = -1
+        for r in range(col, n):
+            if (work[r] >> col) & 1:
+                piv = r
+                break
+        if piv < 0:
+            return None
+        work[col], work[piv] = work[piv], work[col]
+        for r in range(n):
+            if r != col and (work[r] >> col) & 1:
+                work[r] ^= work[col]
+    return [w >> n for w in work]
+
+
+@lru_cache(maxsize=None)
+def gl_matrices(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """All invertible n x n matrices over F2 with inverses, rows as bit ints.
+
+    Bit c of row r is entry (r, c).  The order is that of the code
+    sum(rows[r] << (n * r)), so every caller sees the same enumeration.
+    """
+    if n > 4:
+        raise DimensionTooLarge("GL sweep is limited to dimension 4")
+    out = []
+    for code in range(1 << (n * n)):
+        rows = tuple((code >> (n * r)) & ((1 << n) - 1) for r in range(n))
+        inv = _invert_rows(rows, n)
+        if inv is not None:
+            out.append((rows, tuple(inv)))
+    return tuple(out)
 
 
 def _rref_packed(rows: List[int], ncols: int) -> Tuple[List[int], List[int]]:

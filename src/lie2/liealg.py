@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidInput
 from .field import (GF, GF2, Mat, Subspace, Vec, basis_vec, full_space,
-                    vec_add, vec_is_zero, zero_vec)
+                    pack_bits, vec_add, vec_is_zero, zero_vec)
 
 
 class LieAlgebra:
@@ -233,7 +233,7 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     if n < 2:
         return SimplicityReport(False, None, 0, "dimension below 2")
     ad = f2_ad_columns(alg) if alg.gf.degree == 1 else None
-    if ad is None or f2_rank(map(_f2_pack, alg.table.values()), n) < n:
+    if ad is None or f2_rank(map(pack_bits, alg.table.values()), n) < n:
         derived = subspace_bracket(alg, full_space(alg.gf, alg.dim),
                                    full_space(alg.gf, alg.dim))
         if derived.dim < n:
@@ -246,7 +246,7 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     checked = 0
     for v in _projective_points(alg.gf, n):
         checked += 1
-        if ad is not None and f2_ideal_rank(ad, n, _f2_pack(v)) == n:
+        if ad is not None and f2_ideal_rank(ad, n, pack_bits(v)) == n:
             continue
         cl = ideal_closure(alg, v)
         if cl.dim < n:
@@ -258,16 +258,12 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
 # bit-packed F2 core: bit m of an int is coordinate m
 
 
-def _f2_pack(v: Sequence[int]) -> int:
-    return sum(1 << m for m, c in enumerate(v) if c)
-
-
 def f2_ad_columns(alg: LieAlgebra) -> List[List[int]]:
     """ad[k][m] is the packed bracket [e_m, e_k] of an F2 algebra."""
     n = alg.dim
     ad = [[0] * n for _ in range(n)]
     for (i, j), c in alg.table.items():
-        ad[j][i] = ad[i][j] = _f2_pack(c)
+        ad[j][i] = ad[i][j] = pack_bits(c)
     return ad
 
 
@@ -343,31 +339,17 @@ class CatalogEntry:
     description: str = ""
 
 
-def _mat_vec_repr(m: Sequence[Sequence[int]]) -> Vec:
-    return tuple(x for row in m for x in row)
-
-
-def _mat_mul_f2(a, b, n):
-    return tuple(tuple((sum(a[i][k] & b[k][j] for k in range(n)) & 1)
-                       for j in range(n)) for i in range(n))
-
-
-def _mat_add_f2(a, b, n):
-    return tuple(tuple(a[i][j] ^ b[i][j] for j in range(n)) for i in range(n))
-
-
-def algebra_from_matrices(name: str, mats: Sequence[Sequence[Sequence[int]]],
+def algebra_from_matrices(name: str, mats: Sequence[Mat],
                           labels: Sequence[str],
                           with_squares: bool,
                           description: str = "") -> CatalogEntry:
     """Span of n x n F2 matrices under commutator; optional squaring 2-map."""
     gf = GF2
     d = len(mats)
-    n = len(mats[0])
-    basis_mat = Mat(gf, [_mat_vec_repr(m) for m in mats]).transpose()
+    basis_mat = Mat(gf, [sum(m.rows, ()) for m in mats]).transpose()
 
-    def express(m) -> Vec:
-        v = basis_mat.solve(_mat_vec_repr(m))
+    def express(m: Mat) -> Vec:
+        v = basis_mat.solve(sum(m.rows, ()))
         if v is None:
             raise InvalidInput(f"{name}: span not closed under the required product")
         return v
@@ -375,18 +357,17 @@ def algebra_from_matrices(name: str, mats: Sequence[Sequence[Sequence[int]]],
     table = {}
     for i in range(d):
         for j in range(i + 1, d):
-            comm = _mat_add_f2(_mat_mul_f2(mats[i], mats[j], n),
-                               _mat_mul_f2(mats[j], mats[i], n), n)
-            table[(i, j)] = express(comm)
+            table[(i, j)] = express(mats[i].mul(mats[j]).add(mats[j].mul(mats[i])))
     alg = LieAlgebra(gf, d, table, name=name, labels=labels)
     two_map = None
     if with_squares:
-        two_map = tuple(express(_mat_mul_f2(m, m, n)) for m in mats)
+        two_map = tuple(express(m.mul(m)) for m in mats)
     return CatalogEntry(alg, two_map, description)
 
 
-def _unit(n, r, c):
-    return tuple(tuple(1 if (i, j) == (r, c) else 0 for j in range(n)) for i in range(n))
+def _unit(n: int, r: int, c: int) -> Mat:
+    return Mat(GF2, [[1 if (i, j) == (r, c) else 0 for j in range(n)]
+                     for i in range(n)])
 
 
 def _gl_entry(n: int) -> CatalogEntry:
@@ -405,9 +386,9 @@ def _sl3_entry() -> CatalogEntry:
     pos = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     mats = [_unit(3, r, c) for r, c in pos]
     labels = [f"E{r + 1}{c + 1}" for r, c in pos]
-    mats.append(_mat_add_f2(_unit(3, 0, 0), _unit(3, 1, 1), 3))
+    mats.append(_unit(3, 0, 0).add(_unit(3, 1, 1)))
     labels.append("h1")
-    mats.append(_mat_add_f2(_unit(3, 1, 1), _unit(3, 2, 2), 3))
+    mats.append(_unit(3, 1, 1).add(_unit(3, 2, 2)))
     labels.append("h2")
     return algebra_from_matrices(
         "sl3", mats, labels, with_squares=True,
@@ -417,7 +398,7 @@ def _sl3_entry() -> CatalogEntry:
 
 def _sl2_entry() -> CatalogEntry:
     e, f = _unit(2, 0, 1), _unit(2, 1, 0)
-    h = _mat_add_f2(_unit(2, 0, 0), _unit(2, 1, 1), 2)
+    h = _unit(2, 0, 0).add(_unit(2, 1, 1))
     return algebra_from_matrices(
         "sl2", [e, f, h], ["e", "f", "h"], with_squares=True,
         description="trace-zero 2x2 matrices over F2; not simple in "
@@ -425,9 +406,9 @@ def _sl2_entry() -> CatalogEntry:
 
 
 def _o3_entry() -> CatalogEntry:
-    e1 = _mat_add_f2(_unit(3, 1, 2), _unit(3, 2, 1), 3)
-    e2 = _mat_add_f2(_unit(3, 0, 2), _unit(3, 2, 0), 3)
-    e3 = _mat_add_f2(_unit(3, 0, 1), _unit(3, 1, 0), 3)
+    e1 = _unit(3, 1, 2).add(_unit(3, 2, 1))
+    e2 = _unit(3, 0, 2).add(_unit(3, 2, 0))
+    e3 = _unit(3, 0, 1).add(_unit(3, 1, 0))
     return algebra_from_matrices(
         "o3", [e1, e2, e3], ["e1", "e2", "e3"], with_squares=False,
         description="cross-product algebra on F2^3; simple but carries "
@@ -511,12 +492,19 @@ def _sparse_vec(v: Sequence[int]) -> List[List[int]]:
     return [[k, int(c)] for k, c in enumerate(v) if c]
 
 
+def is_json_int(x) -> bool:
+    """True for a JSON integer; JSON true and false do not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _dense_vec(pairs, dim: int, gf: GF) -> Vec:
     v = [0] * dim
     try:
         for k, c in pairs:
-            if not (isinstance(k, int) and 0 <= k < dim):
+            if not (is_json_int(k) and 0 <= k < dim):
                 raise InvalidInput(f"bad coordinate index {k!r}")
+            if not is_json_int(c):
+                raise InvalidInput(f"{c!r} is not an element of {gf!r}")
             v[k] = gf.check(c)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"bad sparse vector: {exc}") from exc
@@ -550,7 +538,7 @@ def from_json(doc) -> Tuple[LieAlgebra, Optional[Tuple[Vec, ...]]]:
         dim = doc["dim"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"missing required field: {exc}") from exc
-    if not isinstance(fdeg, int) or not isinstance(dim, int):
+    if not is_json_int(fdeg) or not is_json_int(dim):
         raise InvalidInput("field degree and dim must be integers")
     gf = GF(fdeg)
     stated = doc["field"].get("modulus_bits", gf.modulus)
@@ -570,7 +558,7 @@ def from_json(doc) -> Tuple[LieAlgebra, Optional[Tuple[Vec, ...]]]:
             i, j, pairs = entry
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"bad bracket entry {entry!r}") from exc
-        if not (isinstance(i, int) and isinstance(j, int) and i < j):
+        if not (is_json_int(i) and is_json_int(j) and i < j):
             raise InvalidInput(f"bracket entry needs i < j, got ({i!r},{j!r})")
         table[(i, j)] = _dense_vec(pairs, dim, gf)
     alg = LieAlgebra(gf, dim, table, name=str(doc.get("name", "")), labels=labels)
@@ -585,7 +573,7 @@ def from_json(doc) -> Tuple[LieAlgebra, Optional[Tuple[Vec, ...]]]:
                 i, pairs = entry
             except (TypeError, ValueError) as exc:
                 raise InvalidInput(f"bad two_map entry {entry!r}") from exc
-            if not isinstance(i, int) or not 0 <= i < dim or i in seen:
+            if not is_json_int(i) or not 0 <= i < dim or i in seen:
                 raise InvalidInput(f"bad two_map basis index {i!r}")
             seen.add(i)
             images[i] = _dense_vec(pairs, dim, gf)

@@ -8,6 +8,9 @@ the restrictable ones.  Sampled mode draws tables from a counter-based
 deterministic stream instead, so reports are reproducible from the seed
 alone.  Both modes run on one numpy engine (`_kernels`); the LIE2_BACKEND
 environment variable may name it (auto or numpy) but cannot pick another.
+Simple tables of dimension <= 4 are grouped into GL(n, 2) orbits by one
+vectorised change of basis over every matrix of field.gl_matrices, and
+iso_match reads its witness off the same array.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from ._kernels import (bytes_from_words, pack_table, pair_index,
                        splitmix64_words)
 from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput)
-from .field import GF, GF2, Mat
+from .field import GF, GF2, Mat, gl_matrices, pack_bits
 from .liealg import (LieAlgebra, center, derived_series, is_simple,
                      lower_central_series, validate_lie)
 from .restricted import RestrictedAlgebra, synthesize_two_map
@@ -133,48 +136,13 @@ def algebra_to_table(alg: LieAlgebra) -> int:
     if alg.gf.degree != 1:
         raise InvalidInput("packed tables are defined over F2 only")
     t = 0
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            c = 0
-            for m, coord in enumerate(alg.bracket_basis(i, j)):
-                c |= (coord & 1) << m
-            t |= c << (alg.dim * pair_index(i, j, alg.dim))
+    for (i, j), c in alg.table.items():
+        t |= pack_bits(c) << (alg.dim * pair_index(i, j, alg.dim))
     return t
 
 
 # ---------------------------------------------------------------------------
 # GL(n, 2) data
-
-
-def _invert_rows(rows: Sequence[int], n: int) -> Optional[List[int]]:
-    work = [rows[r] | (1 << (n + r)) for r in range(n)]
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if (work[r] >> col) & 1:
-                piv = r
-                break
-        if piv < 0:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        for r in range(n):
-            if r != col and (work[r] >> col) & 1:
-                work[r] ^= work[col]
-    return [w >> n for w in work]
-
-
-@lru_cache(maxsize=None)
-def gl_matrices(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
-    """All invertible n x n matrices over F2 with inverses, rows as bit ints."""
-    if n > 4:
-        raise DimensionTooLarge("GL sweep is limited to dimension 4")
-    out = []
-    for code in range(1 << (n * n)):
-        rows = tuple((code >> (n * r)) & ((1 << n) - 1) for r in range(n))
-        inv = _invert_rows(rows, n)
-        if inv is not None:
-            out.append((rows, tuple(inv)))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +164,12 @@ def _gl_arrays(n: int):
     return cols, invrows, parity
 
 
-def table_orbit(n: int, t: int) -> set:
-    """All tables reachable from t by a GL(n, 2) change of basis."""
+def _basis_changes(n: int, t: int) -> np.ndarray:
+    """Table t pulled back through every GL(n, 2) matrix, in gl_matrices order.
+
+    Entry g is the table s with M [x, y]_s = [M x, M y]_t for the matrix M
+    of entry g, so M is an isomorphism from s onto t.
+    """
     cols, invrows, parity = _gl_arrays(n)
     nmask = (1 << n) - 1
     g = cols.shape[0]
@@ -220,28 +192,17 @@ def table_orbit(n: int, t: int) -> set:
             for r in range(n):
                 w |= parity[invrows[:, r] & v] << r
             new |= w << (n * pair_index(i, j, n))
-    return {int(z) for z in new}
+    return new
+
+
+def table_orbit(n: int, t: int) -> set:
+    """All tables reachable from t by a GL(n, 2) change of basis."""
+    return set(_basis_changes(n, t).tolist())
 
 
 def canonical_table(n: int, t: int) -> int:
     """Least table in the GL(n, 2) orbit."""
     return min(table_orbit(n, t))
-
-
-def packed_bracket(n: int, t: int, x: int, y: int) -> int:
-    """Bracket of two coordinate vectors through a packed table."""
-    nmask = (1 << n) - 1
-    v = 0
-    for i in range(n):
-        xi = (x >> i) & 1
-        yi = (y >> i) & 1
-        if not xi and not yi:
-            continue
-        for j in range(i + 1, n):
-            s = (xi & ((y >> j) & 1)) ^ (((x >> j) & 1) & yi)
-            if s:
-                v ^= (t >> (n * pair_index(i, j, n))) & nmask
-    return v
 
 
 def _invariant_signature(alg: LieAlgebra):
@@ -251,7 +212,10 @@ def _invariant_signature(alg: LieAlgebra):
 
 
 def iso_match(a: LieAlgebra, b: LieAlgebra) -> Optional[Mat]:
-    """Bracket-preserving basis change from a to b, by exhaustive GL sweep."""
+    """Bracket-preserving basis change from a to b, by exhaustive GL sweep.
+
+    The answer is the first such matrix in gl_matrices order.
+    """
     if a.gf != b.gf or a.dim != b.dim:
         raise InvalidInput("iso_match needs matching dimension and field")
     if a.gf.degree != 1:
@@ -261,31 +225,12 @@ def iso_match(a: LieAlgebra, b: LieAlgebra) -> Optional[Mat]:
     if _invariant_signature(a) != _invariant_signature(b):
         return None
     n = a.dim
-    ta = algebra_to_table(a)
-    tb = algebra_to_table(b)
-    for rows, _inv in gl_matrices(n):
-        cols = [0] * n
-        for c in range(n):
-            for r in range(n):
-                cols[c] |= ((rows[r] >> c) & 1) << r
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                ca = (ta >> (n * pair_index(i, j, n))) & ((1 << n) - 1)
-                lhs = 0
-                for m in range(n):
-                    if (ca >> m) & 1:
-                        lhs ^= cols[m]
-                if lhs != packed_bracket(n, tb, cols[i], cols[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            mat = Mat(GF2, [[(rows[r] >> c) & 1 for c in range(n)]
-                            for r in range(n)])
-            return mat
-    return None
+    hits = np.flatnonzero(_basis_changes(n, algebra_to_table(b))
+                          == algebra_to_table(a))
+    if hits.size == 0:
+        return None
+    rows, _inv = gl_matrices(n)[int(hits[0])]
+    return Mat(GF2, [[(rows[r] >> c) & 1 for c in range(n)] for r in range(n)])
 
 
 # ---------------------------------------------------------------------------

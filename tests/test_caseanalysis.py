@@ -27,7 +27,7 @@ from lie2.caseanalysis import (DimPattern, ROOT_ORDER,
                                _kill_unchecked, act_on_dims)
 from lie2.casedata import (PUBLISHED_PATTERN_LISTS, PUBLISHED_ROOT_SYSTEMS,
                            raw_pattern_string)
-from lie2.field import GF2, Subspace
+from lie2.field import GF2, Subspace, gl_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,32 @@ def test_gl3_has_168_matrices():
     mats = gl3_matrices()
     assert len(mats) == 168
     assert len(set(mats)) == 168
+
+
+def brute_force_gl3():
+    """Every 3x3 F2 matrix with odd determinant, by cofactor expansion."""
+    out = set()
+    for code in range(512):
+        m = tuple(tuple((code >> (3 * r + c)) & 1 for c in range(3)) for r in range(3))
+        (a, b, c), (d, e, f), (g, h, i) = m
+        if (a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)) & 1:
+            out.add(m)
+    return out
+
+
+def test_gl3_matrices_are_all_invertible_matrices():
+    assert set(gl3_matrices()) == brute_force_gl3()
+    assert set(gl3_matrices()) == {
+        tuple(tuple((row >> c) & 1 for c in range(3)) for row in rows)
+        for rows, _inv in gl_matrices(3)}
+
+
+@pytest.mark.parametrize("total", [10, 11, 12, 13])
+def test_canonicalize_matches_brute_force_orbit_max(total):
+    mats = brute_force_gl3()
+    for p in enumerate_labeled_patterns(total):
+        assert gl3_canonicalize_dims(p.dims) == max(act_on_dims(m, p.dims)
+                                                    for m in mats)
 
 
 def test_gl3_permutes_roots():

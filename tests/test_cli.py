@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -187,6 +188,19 @@ def test_decompose_rejects_malformed_torus_file(tmp_path, capsys):
     assert "must hold a list" in err
 
 
+@pytest.mark.parametrize("torus", [[5], [["a"]], [[0, 1.5]], [[0, True]],
+                                   [[0, 1, 0]], [[0, 2]], [[0, -1]], [None],
+                                   {"torus": [[0, "1"]]}])
+def test_decompose_rejects_bad_torus_vectors(tmp_path, capsys, torus):
+    # w11_p2 has dim 2 and (0, 1) = xd spans a torus
+    path = write_fixture(tmp_path, "w11_p2")
+    torus_path = tmp_path / "torus.json"
+    torus_path.write_text(json.dumps(torus), encoding="utf-8")
+    code, _, err = run(capsys, "decompose", path, "--torus", str(torus_path))
+    assert code == 2
+    assert err.startswith("invalid input: torus vector ") and err.count("\n") == 1
+
+
 def test_decompose_not_restrictable_exits_one(tmp_path, capsys):
     path = write_fixture(tmp_path, "o3")
     code, out, _ = run(capsys, "decompose", path)
@@ -203,6 +217,35 @@ def test_non_list_fields_exit_two(tmp_path, capsys, key, command):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, command, str(path))
     assert code == 2
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+def w11_with(**changes):
+    doc = to_json(catalog("w11_p2").algebra, catalog("w11_p2").two_map)
+    doc.update(changes)
+    return doc
+
+
+BOOL_DOCS = {
+    "dim": {"field": {"degree": 1}, "dim": True, "bracket": [],
+            "two_map": [[0, [[0, True]]]]},
+    "degree": w11_with(field={"degree": True}),
+    "bracket_index": w11_with(bracket=[[False, 1, [[0, 1]]]]),
+    "coordinate_index": w11_with(bracket=[[0, 1, [[False, 1]]]]),
+    "coefficient": w11_with(bracket=[[0, 1, [[0, True]]]]),
+    "two_map_index": w11_with(two_map=[[True, [[1, 1]]]]),
+    "two_map_coefficient": w11_with(two_map=[[1, [[1, True]]]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_DOCS))
+@pytest.mark.parametrize("command", ["validate", "decompose", "toral-rank"])
+def test_json_booleans_are_not_integers(tmp_path, capsys, case, command):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(BOOL_DOCS[case]), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
     assert err.startswith("invalid input: ") and err.count("\n") == 1
 
 
@@ -462,3 +505,16 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "o3: dim 3" in proc.stdout
+
+
+def test_core_imports_leave_numpy_out():
+    """Only the census needs numpy; the CLI and the case analysis load without it."""
+    import lie2
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lie2.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys, lie2, lie2.cli, lie2.caseanalysis\n"
+              "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -27,7 +27,7 @@ from lie2.field import GF
 from lie2.search import (CensusSpec, _run_exhaustive, _run_sampled_packed,
                          _sample_rows, algebra_to_table, canonical_table, census,
                          census_backend, gl_matrices, iso_match,
-                         packed_bracket, table_orbit, table_to_algebra)
+                         table_orbit, table_to_algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +67,6 @@ def test_o3_is_table_84():
     assert algebra_to_table(catalog("o3").algebra) == 84
     alg = table_to_algebra(3, 84)
     assert alg.table == catalog("o3").algebra.table
-
-
-def test_packed_bracket_matches_liealg():
-    rng = random.Random(43)
-    for _ in range(40):
-        t = rng.randrange(1 << 9)
-        alg = table_to_algebra(3, t)
-        x = rng.randrange(8)
-        y = rng.randrange(8)
-        xv = tuple((x >> m) & 1 for m in range(3))
-        yv = tuple((y >> m) & 1 for m in range(3))
-        want = alg.bracket(xv, yv)
-        got = packed_bracket(3, t, x, y)
-        assert tuple((got >> m) & 1 for m in range(3)) == want
 
 
 def test_scalar_pipeline_agrees_with_liealg_on_all_dim3_tables():
@@ -164,6 +150,78 @@ def test_iso_match_finds_witness():
             lhs = m.mul_vec(a.bracket(ei, ej))
             rhs = b.bracket(m.mul_vec(ei), m.mul_vec(ej))
             assert lhs == rhs
+
+
+def loop_iso_match(a, b):
+    """The per-matrix sweep iso_match ran before it was vectorised; an oracle."""
+    n = a.dim
+    nmask = (1 << n) - 1
+    ta, tb = algebra_to_table(a), algebra_to_table(b)
+
+    def field(t, i, j):
+        return (t >> (n * pair_index(i, j, n))) & nmask
+
+    def bracket(t, x, y):
+        v = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                if ((x >> i) & (y >> j) ^ (x >> j) & (y >> i)) & 1:
+                    v ^= field(t, i, j)
+        return v
+
+    def image(cols, x):
+        v = 0
+        for m in range(n):
+            if (x >> m) & 1:
+                v ^= cols[m]
+        return v
+
+    for rows, _inv in gl_matrices(n):
+        cols = [sum(((rows[r] >> c) & 1) << r for r in range(n)) for c in range(n)]
+        if all(image(cols, field(ta, i, j)) == bracket(tb, cols[i], cols[j])
+               for i in range(n) for j in range(i + 1, n)):
+            return [[(rows[r] >> c) & 1 for c in range(n)] for r in range(n)]
+    return None
+
+
+def random_jacobi_table(rng, n):
+    fields = n * (n - 1) // 2
+    while True:
+        b = [rng.randrange(1 << n) & rng.randrange(1 << n) for _ in range(fields)]
+        if table_jacobi_ok(b, n):
+            return pack_table(b, n)
+
+
+def assert_iso_match_as_loop(a, b) -> bool:
+    got = iso_match(a, b)
+    want = loop_iso_match(a, b)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and [list(r) for r in got.rows] == want
+    return want is not None
+
+
+def test_iso_match_matches_matrix_loop_on_o3_orbit():
+    algs = [table_to_algebra(3, t) for t in sorted(table_orbit(3, 84))]
+    for a in algs:
+        for b in algs:
+            assert assert_iso_match_as_loop(a, b)
+
+
+def test_iso_match_matches_matrix_loop_on_random_tables():
+    rng = random.Random(59)
+    outcomes = set()
+    for n, pairs in ((2, 30), (3, 60), (4, 6)):
+        for _ in range(pairs):
+            ta = random_jacobi_table(rng, n)
+            if rng.random() < 0.5:
+                tb = rng.choice(sorted(table_orbit(n, ta)))
+            else:
+                tb = random_jacobi_table(rng, n)
+            outcomes.add(assert_iso_match_as_loop(table_to_algebra(n, ta),
+                                                  table_to_algebra(n, tb)))
+    assert outcomes == {True, False}
 
 
 def test_iso_match_self_and_negative():
