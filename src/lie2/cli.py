@@ -37,20 +37,25 @@ _CHECK_ERRORS = (SplitFailed, NotSimultaneouslyDiagonalizable,
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write_report(doc, path: Optional[str]) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {path}: {exc}") from exc
 
 
 def _vec_str(v) -> str:
@@ -143,7 +148,7 @@ def _cmd_validate(args) -> int:
 def _parse_torus_file(text: str, ra: RestrictedAlgebra) -> Torus:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"torus file is not valid JSON: {exc}") from exc
     if isinstance(doc, dict):
         doc = doc.get("torus", doc.get("vectors"))
@@ -325,12 +330,13 @@ def _cmd_census(args) -> int:
     print(f"caveat: {report.caveat}")
     _write_report(report.to_json(), args.out)
     if args.dump_survivors:
-        os.makedirs(args.dump_survivors, exist_ok=True)
+        try:
+            os.makedirs(args.dump_survivors, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {args.dump_survivors}: {exc}") from exc
         for idx, cls in enumerate(report.simple_iso_classes):
-            path = os.path.join(args.dump_survivors, f"class_{idx}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(cls["representative"], fh, indent=2)
-                fh.write("\n")
+            _write_report(cls["representative"],
+                          os.path.join(args.dump_survivors, f"class_{idx}.json"))
         print(f"wrote {len(report.simple_iso_classes)} class representatives "
               f"to {args.dump_survivors}")
     return 0
@@ -361,12 +367,10 @@ def _cmd_catalog(args) -> int:
     else:
         entry = catalog(args.name)
         doc = to_json(entry.algebra, entry.two_map)
-    text = json.dumps(doc, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_report(doc, args.out)
     else:
-        print(text)
+        print(json.dumps(doc, indent=2))
     return 0
 
 

@@ -11,7 +11,8 @@ equal exactly when their tuples are equal.  Everything is exact; no floats.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionTooLarge, InvalidInput
 
@@ -231,10 +232,6 @@ class Mat:
         self.ncols = ncols
 
     @staticmethod
-    def zeros(gf: GF, nrows: int, ncols: int) -> "Mat":
-        return Mat(gf, [[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @staticmethod
     def identity(gf: GF, n: int) -> "Mat":
         return Mat(gf, [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
 
@@ -438,17 +435,8 @@ class Subspace:
             return Subspace(self.gf, self.ambient)
         stacked = Mat(self.gf, list(self.rows) + list(other.rows),
                       ncols=self.ambient).transpose()
-        vecs = []
-        a = self.dim
-        for k in stacked.kernel():
-            v = [0] * self.ambient
-            for c, row in zip(k[:a], self.rows):
-                if c:
-                    for j in range(self.ambient):
-                        if row[j]:
-                            v[j] ^= self.gf.mul(c, row[j])
-            vecs.append(tuple(v))
-        return Subspace(self.gf, self.ambient, vecs)
+        return Subspace(self.gf, self.ambient,
+                        [self.combo(k[:self.dim]) for k in stacked.kernel()])
 
     def combo(self, coeffs: Sequence[int]) -> Vec:
         """Linear combination of the canonical basis rows."""
@@ -468,23 +456,12 @@ class Subspace:
 
     def vectors(self):
         """Iterate every vector in the span; feasible only for tiny spaces."""
-        gf = self.gf
-        n = self.ambient
-        dims = self.dim
-        coeffs = [0] * dims
-        total = gf.order ** dims
-        for idx in range(total):
-            t = idx
-            for i in range(dims):
-                coeffs[i] = t % gf.order
-                t //= gf.order
-            v = [0] * n
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    for j in range(n):
-                        if row[j]:
-                            v[j] ^= row[j] if c == 1 else gf.mul(c, row[j])
-            yield tuple(v)
+        return map(self.combo, coefficient_vectors(self.gf, self.dim))
+
+
+def coefficient_vectors(gf: GF, d: int) -> Iterator[Vec]:
+    """All d-tuples over gf, in ascending order of sum_i c[i] q^i."""
+    return (c[::-1] for c in product(gf.elements(), repeat=d))
 
 
 def full_space(gf: GF, n: int) -> Subspace:

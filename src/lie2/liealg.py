@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidInput
-from .field import (GF, GF2, Mat, Subspace, Vec, basis_vec, full_space,
-                    pack_bits, vec_add, vec_is_zero, zero_vec)
+from .field import (GF, GF2, Mat, Subspace, Vec, basis_vec,
+                    coefficient_vectors, full_space, pack_bits, vec_add,
+                    vec_is_zero, zero_vec)
 
 
 class LieAlgebra:
@@ -46,13 +47,6 @@ class LieAlgebra:
         self.table = clean
         self.name = name
         self.labels = tuple(labels) if labels is not None else None
-
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        if i == j:
-            return zero_vec(self.dim)
-        if i > j:
-            i, j = j, i
-        return self.table.get((i, j), zero_vec(self.dim))
 
     def bracket(self, x: Sequence[int], y: Sequence[int]) -> Vec:
         gf = self.gf
@@ -144,34 +138,29 @@ class SeriesReport:
     spaces: Tuple[Subspace, ...]
 
 
-def derived_series(alg: LieAlgebra) -> SeriesReport:
-    """g, [g,g], [[g,g],[g,g]], ... until the dimension stabilizes."""
-    cur = full_space(alg.gf, alg.dim)
-    spaces = [cur]
-    while True:
-        nxt = subspace_bracket(alg, cur, cur)
-        if nxt == cur:
-            break
-        spaces.append(nxt)
-        cur = nxt
-        if cur.dim == 0:
-            break
-    return SeriesReport("derived", tuple(s.dim for s in spaces), tuple(spaces))
-
-
-def lower_central_series(alg: LieAlgebra) -> SeriesReport:
+def _series(alg: LieAlgebra, central: bool) -> SeriesReport:
+    """Bracket each term with g (central) or with itself until it stabilizes."""
     g = full_space(alg.gf, alg.dim)
     cur = g
     spaces = [cur]
-    while True:
-        nxt = subspace_bracket(alg, g, cur)
+    while cur.dim:
+        nxt = subspace_bracket(alg, g if central else cur, cur)
         if nxt == cur:
             break
         spaces.append(nxt)
         cur = nxt
-        if cur.dim == 0:
-            break
-    return SeriesReport("lower_central", tuple(s.dim for s in spaces), tuple(spaces))
+    return SeriesReport("lower_central" if central else "derived",
+                        tuple(s.dim for s in spaces), tuple(spaces))
+
+
+def derived_series(alg: LieAlgebra) -> SeriesReport:
+    """g, [g,g], [[g,g],[g,g]], ... until the dimension stabilizes."""
+    return _series(alg, central=False)
+
+
+def lower_central_series(alg: LieAlgebra) -> SeriesReport:
+    """g, [g,g], [g,[g,g]], ... until the dimension stabilizes."""
+    return _series(alg, central=True)
 
 
 def is_nilpotent_algebra(alg: LieAlgebra) -> bool:
@@ -196,12 +185,8 @@ def ideal_closure(alg: LieAlgebra, seed: Subspace | Sequence[int]) -> Subspace:
 
 
 def center(alg: LieAlgebra) -> Subspace:
-    """Kernel of every ad(e_j), stacked: since [x, e_j] = ad(e_j) x in char 2."""
-    mats = [alg.ad_matrix(basis_vec(alg.dim, j)) for j in range(alg.dim)]
-    stacked = mats[0]
-    for m in mats[1:]:
-        stacked = stacked.vstack(m)
-    return Subspace(alg.gf, alg.dim, stacked.kernel())
+    """Elements commuting with the whole algebra."""
+    return centralizer(alg, full_space(alg.gf, alg.dim))
 
 
 def centralizer(alg: LieAlgebra, s: Subspace) -> Subspace:
@@ -315,17 +300,9 @@ def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seed: int) -> int:
 
 def _projective_points(gf: GF, n: int):
     """One representative per line: first nonzero coordinate equals 1."""
-    q = gf.order
     for lead in range(n):
-        tail = n - lead - 1
-        for idx in range(q ** tail):
-            v = [0] * n
-            v[lead] = 1
-            t = idx
-            for pos in range(lead + 1, n):
-                v[pos] = t % q
-                t //= q
-            yield tuple(v)
+        for tail in coefficient_vectors(gf, n - lead - 1):
+            yield (0,) * lead + (1,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +506,7 @@ def from_json(doc) -> Tuple[LieAlgebra, Optional[Tuple[Vec, ...]]]:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInput(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInput("algebra document must be a JSON object")

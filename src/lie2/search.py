@@ -1,16 +1,21 @@
 """Census of bracket tables: exhaustive at tiny dimensions, sampled above.
 
 Exhaustive mode enumerates every structure-constant table over F2 for
-dimensions up to 4 (at most 24 bits per table), filters by the Jacobi
-identity, tests simplicity by ideal closure from every nonzero seed, then
-attempts a two-map synthesis on the survivors and measures toral rank on
-the restrictable ones.  Sampled mode draws tables from a counter-based
-deterministic stream instead, so reports are reproducible from the seed
-alone.  Both modes run on one numpy engine (`_kernels`); the LIE2_BACKEND
-environment variable may name it (auto or numpy) but cannot pick another.
-Simple tables of dimension <= 4 are grouped into GL(n, 2) orbits by one
-vectorised change of basis over every matrix of field.gl_matrices, and
-iso_match reads its witness off the same array.
+dimensions up to 4 (at most 24 bits per table); sampled mode draws tables
+from a counter-based deterministic stream instead, so reports are
+reproducible from the seed alone.  Both modes run on one numpy engine: a
+bracket table for dimension n stores the C(n,2) basis brackets as n-bit
+fields, pair (i, j) with i < j at field index i*(2n-i-1)/2 + (j-i-1); the
+engine keeps one uint8 array per field, one candidate table per array slot,
+and evaluates the Jacobi identity for a whole chunk with in-place bitwise
+ufuncs (bit-sliced GF(2) arithmetic in the style of M4RI).  The rare
+survivors go through a vectorised derived-algebra rank filter, and
+liealg.is_simple decides the tables that pass it.  Simple tables then get a
+two-map synthesis and, when restrictable, a toral rank.  The LIE2_BACKEND
+environment variable may name the engine (auto or numpy) but cannot pick
+another.  Simple tables of dimension <= 4 are grouped into GL(n, 2) orbits
+by one vectorised change of basis over every matrix of field.gl_matrices,
+and iso_match reads its witness off the same array.
 """
 
 from __future__ import annotations
@@ -19,13 +24,11 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import (bytes_from_words, pack_table, pair_index,
-                       splitmix64_words)
 from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput)
 from .field import GF, GF2, Mat, gl_matrices, pack_bits
@@ -36,6 +39,8 @@ from .toruscartan import FIELD_CAVEAT, max_tori
 
 _EXHAUSTIVE_MAX_BITS = 24
 _BLOCK = 1 << 20
+GOLDEN = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
 
 
 def census_backend() -> str:
@@ -117,6 +122,18 @@ class CensusReport:
 
 # ---------------------------------------------------------------------------
 # table <-> algebra conversion
+
+
+def pair_index(i: int, j: int, n: int) -> int:
+    """Field index of the basis pair (i, j), i < j, in lexicographic order."""
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
+def pack_table(b, n: int) -> int:
+    t = 0
+    for p, v in enumerate(b):
+        t |= int(v) << (n * p)
+    return t
 
 
 def table_to_algebra(n: int, t: int, name: str = "") -> LieAlgebra:
@@ -234,13 +251,139 @@ def iso_match(a: LieAlgebra, b: LieAlgebra) -> Optional[Mat]:
 
 
 # ---------------------------------------------------------------------------
+# deterministic counter-based sampling stream
+
+
+def splitmix64_words(seed: int, start: int, count: int, words_per: int) -> np.ndarray:
+    """Words w of candidate i use counter i*words_per + w + 1; vectorised."""
+    s = np.uint64(seed & MASK64)
+    g = np.uint64(GOLDEN)
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    out = np.empty((count, words_per), dtype=np.uint64)
+    for w in range(words_per):
+        x = s + (idx * np.uint64(words_per) + np.uint64(w + 1)) * g
+        x = x ^ (x >> np.uint64(30))
+        x = x * np.uint64(0xBF58476D1CE4E5B9)
+        x = x ^ (x >> np.uint64(27))
+        x = x * np.uint64(0x94D049BB133111EB)
+        x = x ^ (x >> np.uint64(31))
+        out[:, w] = x
+    return out
+
+
+def bytes_from_words(words: np.ndarray, nbytes: int) -> np.ndarray:
+    """The first nbytes bytes of each row of words, least significant first."""
+    le = words.astype("<u8", copy=False).view(np.uint8)
+    return le.reshape(words.shape[0], -1)[:, :nbytes]
+
+
+# ---------------------------------------------------------------------------
+# vectorised census engine: fields are uint8 arrays, or uint8 scalars for a
+# field that is constant over the chunk
+
+
+def jacobi_mask(b: Sequence, n: int, size: int) -> np.ndarray:
+    """Jacobi verdict for each of `size` candidates with bracket fields b.
+
+    [v, e_c] is the XOR over m != c of field (m, c) masked by bit m of v;
+    the mask is (0 - bit), all ones or all zeros in uint8 arithmetic.
+    """
+    ok = np.ones(size, dtype=bool)
+    acc = np.empty(size, dtype=np.uint8)
+    term = np.empty(size, dtype=np.uint8)
+    zero = np.empty(size, dtype=bool)
+    for i, j, k in combinations(range(n), 3):
+        acc.fill(0)
+        for p, c in ((pair_index(i, j, n), k), (pair_index(j, k, n), i),
+                     (pair_index(i, k, n), j)):
+            for m in range(n):
+                if m == c:
+                    continue
+                np.right_shift(b[p], m, out=term)
+                np.bitwise_and(term, 1, out=term)
+                np.subtract(0, term, out=term)
+                np.bitwise_and(term, b[pair_index(min(m, c), max(m, c), n)],
+                               out=term)
+                np.bitwise_xor(acc, term, out=acc)
+        np.equal(acc, 0, out=zero)
+        ok &= zero
+    return ok
+
+
+def _derived_rank_numpy(b: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Rank of the span of the bracket fields, per candidate."""
+    size = b[0].shape[0]
+    slots = np.zeros((n, size), dtype=np.uint8)
+    for field in b:
+        v = field.copy()
+        for bit in range(n - 1, -1, -1):
+            has = ((v >> bit) & 1).astype(bool)
+            filled = slots[bit] != 0
+            np.bitwise_xor(v, slots[bit], out=v, where=has & filled)
+            ins = has & ~filled
+            slots[bit][ins] = v[ins]
+            v[ins] = 0
+    return np.count_nonzero(slots, axis=0)
+
+
+def _simple_positions(b: Sequence[np.ndarray], n: int) -> List[int]:
+    """Positions of the simple tables among Jacobi survivors with fields b.
+
+    A simple algebra equals its derived algebra, so only tables whose
+    brackets span the whole space reach is_simple.
+    """
+    full = np.flatnonzero(_derived_rank_numpy(b, n) == n)
+    return [int(i) for i in full
+            if is_simple(table_to_algebra(n, pack_table([f[i] for f in b], n))).simple]
+
+
+def census_exhaustive(n: int, chunk_bits: int = 20) -> Tuple[int, int, List[int]]:
+    """Scan every table of dimension n >= 2: (scanned, Jacobi passes, simple).
+
+    A chunk fixes the high fields and runs through all values of the low
+    fields, so the low field arrays are built once and each high field is a
+    scalar per chunk.
+    """
+    npairs = n * (n - 1) // 2
+    nmask = (1 << n) - 1
+    nlow = min(npairs, chunk_bits // n)
+    size = 1 << (n * nlow)
+    digits = np.arange(1 << n, dtype=np.uint8)
+    low = [np.tile(np.repeat(digits, 1 << (n * p)), 1 << (n * (nlow - 1 - p)))
+           for p in range(nlow)]
+    jacobi = 0
+    survivors: List[int] = []
+    for chunk in range(1 << (n * (npairs - nlow))):
+        high = [np.uint8((chunk >> (n * h)) & nmask) for h in range(npairs - nlow)]
+        idx = np.flatnonzero(jacobi_mask(low + high, n, size))
+        jacobi += int(idx.size)
+        if idx.size == 0:
+            continue
+        sb = [f[idx] for f in low] + [np.full(idx.size, h) for h in high]
+        lo = chunk * size
+        survivors.extend(lo + int(idx[s]) for s in _simple_positions(sb, n))
+    return size << (n * (npairs - nlow)), jacobi, survivors
+
+
+def census_sampled(n: int, rows: np.ndarray) -> Tuple[int, int, List[int]]:
+    """Scan sampled tables, one uint8 row of fields each.
+
+    Returns (scanned, Jacobi passes, indices of the simple rows).
+    """
+    fields = np.ascontiguousarray(rows.T)
+    idx = np.flatnonzero(jacobi_mask(fields, n, rows.shape[0]))
+    survivors = [int(idx[s]) for s in _simple_positions(fields[:, idx], n)]
+    return rows.shape[0], int(idx.size), survivors
+
+
+# ---------------------------------------------------------------------------
 # census driver
 
 
 def _run_exhaustive(n: int) -> Tuple[int, int, List[int]]:
     if n == 1:
         return 1, 1, []
-    return _kernels.census_exhaustive(n)
+    return census_exhaustive(n)
 
 
 def _sample_rows(n: int, seed: int, start: int, count: int) -> np.ndarray:
@@ -259,18 +402,15 @@ def _run_sampled_packed(spec: CensusSpec) -> Tuple[int, int, List[int]]:
     for start in range(0, spec.sample_count, _BLOCK):
         count = min(_BLOCK, spec.sample_count - start)
         rows = _sample_rows(n, spec.seed, start, count)
-        bscanned, bjac, idxs = _kernels.census_sampled(n, rows)
+        bscanned, bjac, idxs = census_sampled(n, rows)
         scanned += bscanned
         jac += bjac
         tables.extend(pack_table(rows[idx], n) for idx in idxs)
-    verified = []
-    for t in tables:
-        alg = table_to_algebra(n, t)
-        if validate_lie(alg, random_checks=0).ok and is_simple(alg).simple:
-            verified.append(t)
-    if len(verified) != len(tables):
-        raise InternalInconsistency("kernel survivor failed full re-validation")
-    return scanned, jac, verified
+    # is_simple decided every survivor; re-check the vectorised Jacobi mask
+    if not all(validate_lie(table_to_algebra(n, t), random_checks=0).ok
+               for t in tables):
+        raise InternalInconsistency("census survivor failed Jacobi re-validation")
+    return scanned, jac, tables
 
 
 def _sampled_field_table(gf: GF, n: int, stream: Sequence[int]) -> dict:

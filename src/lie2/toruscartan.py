@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
-from .field import (Mat, Subspace, Vec, full_space, pack_bits, unpack_bits,
-                    vec_is_zero, zero_vec)
+from .field import (Mat, Subspace, Vec, coefficient_vectors, full_space,
+                    pack_bits, unpack_bits, vec_is_zero, zero_vec)
 from .liealg import centralizer, f2_ad_columns, f2_apply, f2_reduce, subspace_bracket
 from .restricted import (RestrictedAlgebra, classify_element, jcs_decompose,
                          two_map_eval)
@@ -49,18 +49,7 @@ def toral_elements(ra: RestrictedAlgebra, budget: int = 1 << 20) -> List[Vec]:
     n = alg.dim
     if alg.gf.degree == 1:
         return [unpack_bits(x, n) for x in _f2_fixpoints(ra)]
-    out = []
-    q = alg.gf.order
-    for idx in range(total):
-        v = []
-        t = idx
-        for _ in range(n):
-            v.append(t % q)
-            t //= q
-        v = tuple(v)
-        if two_map_eval(ra, v) == v:
-            out.append(v)
-    return out
+    return [v for v in coefficient_vectors(alg.gf, n) if two_map_eval(ra, v) == v]
 
 
 def _f2_fixpoints(ra: RestrictedAlgebra) -> List[int]:

@@ -114,6 +114,50 @@ def test_validate_missing_file_exits_two(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def assert_one_line_exit_two(code, err):
+    assert code == 2
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+UNREADABLE = {
+    "deeply_nested": b"[" * 200000 + b"]" * 200000,
+    "not_utf8": b"\xff\xfe{\"dim\": 2}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+@pytest.mark.parametrize("command", ["validate", "decompose", "toral-rank",
+                                     "decompose --torus"])
+def test_unreadable_input_exits_two(tmp_path, capsys, case, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE[case])
+    if command == "decompose --torus":
+        argv = ["decompose", write_fixture(tmp_path, "w11_p2"), "--torus", str(bad)]
+    else:
+        argv = [command, str(bad)]
+    code, _, err = run(capsys, *argv)
+    assert_one_line_exit_two(code, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{fixture}", "--out", "{dir}"],
+    ["decompose", "{fixture}", "--out", "{dir}"],
+    ["toral-rank", "{fixture}", "--out", "{dir}"],
+    ["census", "--dim", "2", "--out", "{dir}"],
+    ["catalog", "emit", "o3", "--out", "{dir}"],
+    ["catalog", "emit", "o3", "--out", "{dir}/missing/x.json"],
+    ["census", "--dim", "3", "--dump-survivors", "{fixture}"],
+], ids=["validate", "decompose", "toral-rank", "census", "catalog-emit",
+        "catalog-emit-missing-dir", "dump-survivors-onto-file"])
+def test_unwritable_output_exits_two(tmp_path, capsys, argv):
+    fixture = write_fixture(tmp_path, "w11_p2")
+    argv = [a.format(fixture=fixture, dir=tmp_path) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert_one_line_exit_two(code, err)
+    assert "cannot write" in err
+
+
 def test_validate_report_file(tmp_path, capsys):
     path = write_fixture(tmp_path, "gl2")
     out_path = tmp_path / "report.json"

@@ -1,7 +1,8 @@
 """Census and isomorphism-search tests.
 
-The vectorised census engine is checked against the plain-python pipeline,
-and that pipeline against the liealg module on every dim-3 table; census
+The vectorised census engine is checked against plain-python oracles (a
+scalar Jacobi check on packed tables, liealg.is_simple), and the scalar
+Jacobi check against liealg.validate_lie on every dim-3 table; census
 counts are frozen from those oracle-verified runs.  The thread count must
 never change a report.
 """
@@ -12,22 +13,58 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
+from typing import List
 
 import numpy as np
 import pytest
 
 from lie2 import (BudgetExceeded, DimensionTooLarge, InvalidInput, catalog,
                   is_simple, validate_lie)
-from lie2._kernels import (bytes_from_words, census_exhaustive, census_sampled,
-                           jacobi_mask, pack_table, pair_index, splitmix64_one,
-                           splitmix64_words, table_is_simple, table_jacobi_ok,
-                           unpack_table)
-from lie2.liealg import LieAlgebra
+from lie2.liealg import LieAlgebra, derived_series, f2_apply
 from lie2.field import GF
-from lie2.search import (CensusSpec, _run_exhaustive, _run_sampled_packed,
-                         _sample_rows, algebra_to_table, canonical_table, census,
-                         census_backend, gl_matrices, iso_match,
-                         table_orbit, table_to_algebra)
+from lie2.search import (GOLDEN, MASK64, CensusSpec, _run_exhaustive,
+                         _run_sampled_packed, _sample_rows, algebra_to_table,
+                         bytes_from_words, canonical_table, census,
+                         census_backend, census_exhaustive, census_sampled,
+                         gl_matrices, iso_match, jacobi_mask, pack_table,
+                         pair_index, splitmix64_words, table_orbit,
+                         table_to_algebra)
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles for the vectorised census engine
+
+
+def unpack_table(t: int, n: int) -> List[int]:
+    nmask = (1 << n) - 1
+    return [(t >> (n * p)) & nmask for p in range(n * (n - 1) // 2)]
+
+
+def table_ad_columns(b, n: int) -> List[List[int]]:
+    """ad[k][m] is the packed bracket [e_m, e_k] of the table with fields b."""
+    return [[b[pair_index(min(m, k), max(m, k), n)] if m != k else 0
+             for m in range(n)] for k in range(n)]
+
+
+def table_jacobi_ok(b, n: int) -> bool:
+    ad = table_ad_columns(b, n)
+    for i, j, k in combinations(range(n), 3):
+        if (f2_apply(ad[k], b[pair_index(i, j, n)])
+                ^ f2_apply(ad[i], b[pair_index(j, k, n)])
+                ^ f2_apply(ad[j], b[pair_index(i, k, n)])):
+            return False
+    return True
+
+
+def splitmix64_one(seed: int, ctr: int) -> int:
+    x = (seed + ctr * GOLDEN) & MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & MASK64
+    x ^= x >> 31
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +107,15 @@ def test_o3_is_table_84():
 
 
 def test_scalar_pipeline_agrees_with_liealg_on_all_dim3_tables():
-    """512-table sweep: jacobi and simplicity verdicts match the slow path."""
+    """512-table sweep: the scalar Jacobi oracle matches validate_lie."""
     jac = simple = 0
     for t in range(512):
-        b = unpack_table(t, 3)
         alg = table_to_algebra(3, t)
         ok = validate_lie(alg, random_checks=0).ok
-        assert table_jacobi_ok(b, 3) == ok
+        assert table_jacobi_ok(unpack_table(t, 3), 3) == ok
         if ok:
             jac += 1
-            verdict = table_is_simple(b, 3)
-            assert verdict == is_simple(alg).simple
-            simple += int(verdict)
+            simple += int(is_simple(alg).simple)
     assert jac == 120 and simple == 28
 
 
@@ -133,8 +167,8 @@ def test_orbit_of_o3_table():
     assert canonical_table(3, 84) == 84
     for t in sorted(orbit)[:10]:
         assert canonical_table(3, t) == 84
-        b = unpack_table(t, 3)
-        assert table_jacobi_ok(b, 3) and table_is_simple(b, 3)
+        assert table_jacobi_ok(unpack_table(t, 3), 3)
+        assert is_simple(table_to_algebra(3, t)).simple
 
 
 def test_iso_match_finds_witness():
@@ -339,7 +373,8 @@ def scalar_jacobi(rows, n):
 
 def scalar_simple(rows, n):
     return [table_jacobi_ok([int(v) for v in row], n)
-            and table_is_simple([int(v) for v in row], n) for row in rows]
+            and is_simple(table_to_algebra(n, pack_table(row, n))).simple
+            for row in rows]
 
 
 def test_census_backend_agreement_dim3():
@@ -360,6 +395,22 @@ def test_census_backend_agreement_dim3():
         assert census_exhaustive(3, chunk_bits) == (512, 120, simple)
 
 
+def perfect_dim6_table(semidirect: bool) -> int:
+    """o3 + o3, or o3 extended by its adjoint module: perfect, not simple."""
+    o3 = {(0, 1): 2, (0, 2): 1, (1, 2): 0}
+    table = {}
+    for (i, j), k in o3.items():
+        table[(i, j)] = 1 << k
+        if semidirect:
+            table[(i, j + 3)] = table[(j, i + 3)] = 1 << (k + 3)
+        else:
+            table[(i + 3, j + 3)] = 1 << (k + 3)
+    alg = LieAlgebra(GF(1), 6, {p: [(v >> m) & 1 for m in range(6)]
+                                for p, v in table.items()})
+    assert derived_series(alg).dims == (6,) and not is_simple(alg).simple
+    return algebra_to_table(alg)
+
+
 def test_census_sampled_backend_agreement():
     """Sampled rows: vectorised mask and survivors against the scalar path."""
     for n in (5, 6):
@@ -374,6 +425,11 @@ def test_census_sampled_backend_agreement():
         assert sum(got) > 0
         simple = [i for i, ok in enumerate(scalar_simple(sparse, n)) if ok]
         assert census_sampled(n, sparse) == (5000, sum(got), simple)
+    # [g, g] = g but not simple: every such table reaches is_simple
+    perfect = [perfect_dim6_table(semidirect) for semidirect in (False, True)]
+    rows = np.array([unpack_table(t, 6) for t in perfect], dtype=np.uint8)
+    assert scalar_jacobi(rows, 6) == [True, True]
+    assert census_sampled(6, rows) == (2, 2, [])
     rows = _sample_rows(3, 11, 0, 2000)
     simple = [pack_table(row, 3)
               for row, ok in zip(rows, scalar_simple(rows, 3)) if ok]
