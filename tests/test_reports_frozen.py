@@ -1,0 +1,287 @@
+"""Frozen command-line reports: one SHA-256 per command and input.
+
+Each digest covers the exit code, standard output, standard error and the
+--out report of an in-process `lie2` call.  The inputs are the catalog
+fixtures over F2 and seeded GF(4) and GF(16) lifts of them, rewritten in a
+random basis with the arithmetic below, so a refactor of the algebra layers
+that changes any byte of any report fails here.  The digests were recorded
+from the scalar implementation that preceded the packed F2 core.
+"""
+from __future__ import annotations
+
+import contextlib
+import functools
+import hashlib
+import io
+import json
+import random
+
+import pytest
+
+from lie2.cli import main
+from lie2.field import GF, Mat
+from lie2.liealg import catalog, to_json
+
+F2_NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
+            "strictly_upper(4)"]
+# (degree, seed, names): lifts small enough for the exhaustive toral sweep
+LIFTS = [(2, 1, ["o3", "heis3", "sl2", "gl2", "w11_p2", "abelian(3)",
+                 "strictly_upper(3)", "sl3"]),
+         (4, 2, ["o3", "heis3", "sl2", "gl2", "w11_p2", "gl3"])]
+COMMANDS = {"validate": ["validate", "--restricted"],
+            "decompose": ["decompose"],
+            "toral-rank": ["toral-rank"]}
+
+
+def lifted_doc(name: str, degree: int, seed: int) -> dict:
+    """The catalog algebra over GF(2^degree) in the basis f_a = sum_i P[i][a] e_i.
+
+    [f_a, f_b] = sum_{i<j} (P_ia P_jb + P_ja P_ib) [e_i, e_j] and
+    f_a^[2] = sum_i P_ia^2 e_i^[2] + sum_{i<j} P_ia P_ja [e_i, e_j],
+    both written in f-coordinates by solving P y = v.
+    """
+    entry = catalog(name)
+    alg, two_map = entry.algebra, entry.two_map
+    gf, n = GF(degree), alg.dim
+    rng = random.Random(f"{name}/{degree}/{seed}")
+    while True:
+        p = Mat(gf, [[rng.randrange(gf.order) for _ in range(n)] for _ in range(n)])
+        if p.rank() == n:
+            break
+
+    def combo(coeff) -> tuple:
+        acc = [0] * n
+        for key, c in coeff:
+            if c:
+                v = two_map[key] if isinstance(key, int) else alg.table.get(key, ())
+                for k, x in enumerate(v):
+                    acc[k] ^= gf.mul(c, x)
+        return p.solve(acc)
+
+    P = p.rows
+    table = {(a, b): combo([((i, j), gf.mul(P[i][a], P[j][b]) ^ gf.mul(P[j][a], P[i][b]))
+                            for i in range(n) for j in range(i + 1, n)])
+             for a in range(n) for b in range(a + 1, n)}
+    doc = {"name": f"{name}/GF{gf.order}",
+           "field": {"degree": degree, "modulus_bits": gf.modulus},
+           "dim": n,
+           "bracket": [[a, b, [[k, c] for k, c in enumerate(v) if c]]
+                       for (a, b), v in sorted(table.items()) if any(v)]}
+    if two_map is not None:
+        images = [combo([(i, gf.mul(P[i][a], P[i][a])) for i in range(n)]
+                        + [((i, j), gf.mul(P[i][a], P[j][a]))
+                           for i in range(n) for j in range(i + 1, n)])
+                  for a in range(n)]
+        doc["two_map"] = [[a, [[k, c] for k, c in enumerate(v) if c]]
+                          for a, v in enumerate(images)]
+    return doc
+
+
+@functools.lru_cache(maxsize=None)
+def fixture_docs() -> dict:
+    docs = {}
+    for name in F2_NAMES:
+        entry = catalog(name)
+        docs[f"{name}/F2"] = to_json(entry.algebra, entry.two_map)
+    for degree, seed, names in LIFTS:
+        for name in names:
+            doc = lifted_doc(name, degree, seed)
+            docs[doc["name"]] = doc
+    return docs
+
+
+def report_digest(argv, tmp_path) -> str:
+    out_path = tmp_path / "report.json"
+    if out_path.exists():
+        out_path.unlink()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv) + ["--out", str(out_path)])
+    report = out_path.read_bytes() if out_path.exists() else b""
+    h = hashlib.sha256()
+    for part in (str(code).encode(), out.getvalue().encode(),
+                 err.getvalue().encode(), report):
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def case_digest(case: str, tmp_path) -> str:
+    cmd, _, label = case.partition(" ")
+    if cmd == "catalog-emit":
+        return report_digest(["catalog", "emit", label], tmp_path)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(fixture_docs()[label]), encoding="utf-8")
+    return report_digest(COMMANDS[cmd] + [str(path)], tmp_path)
+
+
+def all_cases():
+    labels = [f"{n}/F2" for n in F2_NAMES] + [
+        f"{n}/GF{1 << d}" for d, _, names in LIFTS for n in names]
+    cases = [f"catalog-emit {n}" for n in F2_NAMES]
+    return cases + [f"{cmd} {label}" for cmd in COMMANDS for label in labels]
+
+
+FROZEN = {
+    "catalog-emit o3":
+        "12ada63fa4c3d19face6c69ce1a5715b1770a886b9c7b3d5f10bdafd562c7ace",
+    "catalog-emit heis3":
+        "976afdad9957a1d76494df7e969ba6d4b6386bed4bd79ec9526e7684b085b13a",
+    "catalog-emit sl2":
+        "5efa9da8ad7ce07b4560022bb0819693f55394abc5aaf57cdafc3b42df046e31",
+    "catalog-emit gl2":
+        "26c316d7d3cac3540b355555bad89a2774165ed2029289a9271f7cd4aef930e3",
+    "catalog-emit sl3":
+        "443f5e735b78c6e5a2f23063953280f801816693d03a37f3c272625e55ee9ab0",
+    "catalog-emit gl3":
+        "e0baa5681520e6eb98499e0b6e399fa448b503dd0868bc9e1f972daf3be01b21",
+    "catalog-emit w11_p2":
+        "6eb8e5d85f29637e263085b0b84618902ed2c112e52d9bb7a23157771d833e66",
+    "catalog-emit abelian(3)":
+        "a9e6fc95ba2626d2c6c5f1ae6eb2f80625775a39b5abaf765367654ebc3356e1",
+    "catalog-emit strictly_upper(4)":
+        "2d2aa4ba4375f344a36f13d8e9e84a47c24e77e1df24e0ad6f8adfe6b64ce14a",
+    "validate o3/F2":
+        "af4262761a8a9854c585476e745d103f748375c2f105ee6f9e51961688118252",
+    "validate heis3/F2":
+        "8e66f97b5a7619f850e3c7c4d443b2cc12b557b99b6062e211e7edc730bc0a4a",
+    "validate sl2/F2":
+        "e2ab939d5d5bc069fa4da14c7141c0aeeede599bead6c89ed9fc90a44be57260",
+    "validate gl2/F2":
+        "49814e8e9f990a2029cbe35344fe089896cb1d75e22cff22303ac13d9de88153",
+    "validate sl3/F2":
+        "15ab06dd8384a745a7b1968201f09a0bbea6d9f7b51f57aa7b14c57430e72039",
+    "validate gl3/F2":
+        "fcb5990aae2a2497852ecd80749c6e1bf7c2ffe250504e61319789e109f0a94d",
+    "validate w11_p2/F2":
+        "169b0224b2b4451ce7d03f3b5ee2d7b14c1804791d5536f695d0b43926fb28c9",
+    "validate abelian(3)/F2":
+        "c3f99f150bb27b48b603378979765366c4a3c736a1bb28af9f3425efde296d8c",
+    "validate strictly_upper(4)/F2":
+        "9ebb872980726bdd8cf1ff8bf59cea44595cf920b0a680948e2e1b6a10b3f16c",
+    "validate o3/GF4":
+        "f715ea9b6eda86e9896ab27c7433032475c29a448e8ea4d0149cb2469b585dae",
+    "validate heis3/GF4":
+        "6a058bfe24b604f93701c994e846eae381a2faad245b31d32087c583501eb328",
+    "validate sl2/GF4":
+        "fba3ed927696b9ab5d8e63a293e2cc1dc86d0d3915dab538ec74b39c219403d5",
+    "validate gl2/GF4":
+        "5b80af3598d855d192e4bc9acabaabd42166e1668616609736fe2d9f9b89e107",
+    "validate w11_p2/GF4":
+        "61f784a1c131c1025a329aab6dab1f34b44517719ee05a69ff4dae80312a23e8",
+    "validate abelian(3)/GF4":
+        "67806c2df5d24fd2f9c55cb39b5b7ec15679e75d07e7d9f9a1775f565dd83e97",
+    "validate strictly_upper(3)/GF4":
+        "cf179e5fea6fe26d37f04f47d4730a9cccab383f0fcd79f71601939be1afd80e",
+    "validate sl3/GF4":
+        "79daafec3b952e322086fa728e4becc662d144458802568a3e06363f7aafd5b5",
+    "validate o3/GF16":
+        "0728ff758da21ab3bbb49fb888fcdcefa2bafa16acfdee1be4414bb4784cd37a",
+    "validate heis3/GF16":
+        "400bee4547de3b0317190bb8cc34fcddab57d9f9290c5555a37d6fb3d2c3087d",
+    "validate sl2/GF16":
+        "d7c6937b0465b7fa1b97cc6a6f76c71aa99f6e8f0207db0530b3d1f1bc4ffa92",
+    "validate gl2/GF16":
+        "6b7e75653700436d74a959274f41508e8371d73be25a7aa111316453f6f03ad6",
+    "validate w11_p2/GF16":
+        "43781b81f24f04f1eeb5d7df3342557c7e8efdd1d3cec3da096b9faf757fbbb7",
+    "validate gl3/GF16":
+        "e7783009f8aca3622fbb4322730e7b789603e65be13c1d062810ed76bcdf8332",
+    "decompose o3/F2":
+        "b225489cf215ffb2d2d60903213c6f9b00622ed1100cd231548d2a51938d946e",
+    "decompose heis3/F2":
+        "6df5764143508dc0e42d8a3326075e1a434b78c920f7a5941e57cebc10687fb6",
+    "decompose sl2/F2":
+        "66bcb95fcfbba9863b36a6b1289a3266ead99ce5f4be5c5ad36541ff7f788b31",
+    "decompose gl2/F2":
+        "d629683928eea48a9879f4949aed2d014b5298696c9f5c810fd377c1434f23fa",
+    "decompose sl3/F2":
+        "70653c1f8c8fa8b5d9630d695f1b1239daf4043388cc99c42f2d6a91863c2e6e",
+    "decompose gl3/F2":
+        "ff2f8b7593f09c1ef64dceaca2f3386822b9196c6eefeca3101eb17590259108",
+    "decompose w11_p2/F2":
+        "5a0b4ba17f7ddfafc0f47e367d5104c9291b95fcbe75819a9e5617b0a23137ee",
+    "decompose abelian(3)/F2":
+        "674d52e076e0351f277a47f46de82d848467058951c08cdb7f7d9830871bac5f",
+    "decompose strictly_upper(4)/F2":
+        "30712e9594e593052af27ea926baab15b31e10c326c057aa80af25b1d80d7572",
+    "decompose o3/GF4":
+        "580a07bd68d64780af675e5a12c3f5ad8c46041fbf3b0c7728483ff1ec6114dc",
+    "decompose heis3/GF4":
+        "85260e2583a1c72b33d6b8f60950154776fec45886dfa1d5d49c1745e4dd6a15",
+    "decompose sl2/GF4":
+        "66bcb95fcfbba9863b36a6b1289a3266ead99ce5f4be5c5ad36541ff7f788b31",
+    "decompose gl2/GF4":
+        "72ba2b4004cf6b2c8d868af58a351136123446020d589f1ea2f6f67172e86601",
+    "decompose w11_p2/GF4":
+        "f845553123ed23a3d70a1ad9d41578efb073b46a6c18e26ff3cf22c7210f99d7",
+    "decompose abelian(3)/GF4":
+        "938399093bb16715fdbebfe51637bd1f89aaad6a4d3ca04c93cd3c41b5b0d783",
+    "decompose strictly_upper(3)/GF4":
+        "09e893afef2bf51aa30e93e00434a384e3f282672e932e80e89b59fa57a739cf",
+    "decompose sl3/GF4":
+        "5a9050c68820abf20fd3d95af6c6a8bb02aa079db98ab2c89c8ea692ead11c8f",
+    "decompose o3/GF16":
+        "1e5baf1b0adced4507189564058dd7aae29387acc1815e81f065cd1c508c1522",
+    "decompose heis3/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "decompose sl2/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "decompose gl2/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "decompose w11_p2/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "decompose gl3/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank o3/F2":
+        "7f675fb10d10b8715beb13a9a6c58babb47c5b8dd24d5dfd8dc26cafea30a3d3",
+    "toral-rank heis3/F2":
+        "7c3b71744dbebd8193d86803ba1d0d792bec8936d5b314117f882ed17105349d",
+    "toral-rank sl2/F2":
+        "3f7a64257af219d25b678f2d3197fa10aa9678c3aa60f6594070f1c56e4635c5",
+    "toral-rank gl2/F2":
+        "0325cba0496f25650caa31706b6231153251a7c6a0bfeab8b74510c5e5fadc2e",
+    "toral-rank sl3/F2":
+        "6997a890483ece4867acf5e675bff0e09c24e13d65d01a65af87f060b16c68d6",
+    "toral-rank gl3/F2":
+        "a0a5bfbb46b58cc40172fda2596e243ad5434f68a722eb62b6628813e4391d9b",
+    "toral-rank w11_p2/F2":
+        "20e8368232b5417d7d9cc87828b7d96c694cda65a0d8410c9b1a3af91d10db5b",
+    "toral-rank abelian(3)/F2":
+        "9b9c616f09aba33dd0ed808ba205f17b141f152a043f3699f342baef5f51e7d9",
+    "toral-rank strictly_upper(4)/F2":
+        "de02588afa59cc42d35ad551bc5c6dc4a91b2135b40ebf15ea49dd16ba4e6410",
+    "toral-rank o3/GF4":
+        "6f10b67a9c80a98d7a3541fe3431b368853ceea3f78f1ee04b0eea7d333ee88a",
+    "toral-rank heis3/GF4":
+        "324b0867e17c91d7552bc9dd6de0980497327b46a8ef8a4d83f52926de69da0e",
+    "toral-rank sl2/GF4":
+        "9d05c95d928e665245768cde13627a7fede688396f99b0a1a49787b20efed938",
+    "toral-rank gl2/GF4":
+        "af61dafe821bc4dcdef1deba23f8db6d1ecac713e91c5c11f2f21b9afa643df9",
+    "toral-rank w11_p2/GF4":
+        "87682ee23a798f70161a56862a95c84224a2f929636098e95cb049794883f38b",
+    "toral-rank abelian(3)/GF4":
+        "dcdbd0cdc28de58954af6348532337526f0ae3ed7a56f246ba6e2badd9cc8b4c",
+    "toral-rank strictly_upper(3)/GF4":
+        "d890ff6cc125fcd6f68abe746e5c7be03cad05d5e662f6d3f1e862786d9c8f95",
+    "toral-rank sl3/GF4":
+        "91ae51028bbcd1d61a31754d5437ccb21e528cb4838d3dc616b56db41017200e",
+    "toral-rank o3/GF16":
+        "8c58b81042d513a1ecd9309cbe686032ca7d2c2e1c4e1b4a735707876bdcc927",
+    "toral-rank heis3/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank sl2/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank gl2/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank w11_p2/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank gl3/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+}
+
+
+@pytest.mark.parametrize("case", all_cases())
+def test_report_frozen(case, tmp_path):
+    assert case_digest(case, tmp_path) == FROZEN[case]
