@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionTooLarge, InvalidInput
 
@@ -144,17 +144,27 @@ def basis_vec(n: int, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def pack_bits(vec: Sequence[int]) -> int:
-    """Pack an F2 vector into an int, bit i = coordinate i."""
+def pack_bits(vec: Sequence[int], width: int = 1) -> int:
+    """Pack a GF(2^width) vector into an int, coordinate i in bits from i*width."""
     x = 0
     for i, v in enumerate(vec):
         if v:
-            x |= 1 << i
+            x |= v << (i * width)
     return x
 
 
-def unpack_bits(x: int, n: int) -> Vec:
-    return tuple((x >> i) & 1 for i in range(n))
+def unpack_bits(x: int, n: int, width: int = 1) -> Vec:
+    mask = (1 << width) - 1
+    return tuple((x >> (i * width)) & mask for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def alpha_map(gf: GF, n: int) -> Callable[[int], int]:
+    """Multiplication by alpha (the class of x) on packed vectors of gf^n:
+    each coordinate shifts up a bit and a carry out of it adds the modulus."""
+    k, low = gf.degree, gf.modulus ^ gf.order
+    top = sum(1 << (i * k + k - 1) for i in range(n))
+    return lambda x: ((x & ~top) << 1) ^ (((x & top) >> (k - 1)) * low)
 
 
 def _invert_rows(rows: Sequence[int], n: int) -> Optional[List[int]]:

@@ -4,6 +4,11 @@ The bracket is stored only on basis pairs i < j; characteristic 2 makes the
 bracket symmetric ([x,y] = -[y,x] = [y,x]), so the i > j values are the same
 vectors and [x,x] = 0 holds automatically.  Everything downstream (series,
 ideals, simplicity, centralizers) reduces to exact linear algebra.
+
+Every bracket runs on the packed table of the restriction of scalars to F2:
+the nk-dimensional F2 algebra with basis f_{ik+a} = alpha^a e_i, alpha the
+class of x in GF(2^k).  A vector is one int with coordinate i in bits
+ik..ik+k-1 (`field.pack_bits`); over F2 bit i is coordinate i.
 """
 
 from __future__ import annotations
@@ -15,20 +20,27 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidInput
-from .field import (GF, GF2, Mat, Subspace, Vec, basis_vec,
-                    coefficient_vectors, full_space, pack_bits, vec_add,
-                    vec_is_zero, zero_vec)
+from .field import (GF, GF2, Mat, Subspace, Vec, alpha_map, basis_vec,
+                    coefficient_vectors, full_space, pack_bits, unpack_bits,
+                    vec_add, vec_is_zero, zero_vec)
+
+MAX_DIM = 128
+
+
+def check_dim(dim: int) -> None:
+    if not 1 <= dim <= MAX_DIM:
+        raise InvalidInput("algebra dimension must be positive" if dim < 1
+                           else f"algebra dimension {dim} exceeds {MAX_DIM}")
 
 
 class LieAlgebra:
     """Finite-dimensional algebra with an alternating bracket in char 2."""
 
-    __slots__ = ("gf", "dim", "name", "labels", "table")
+    __slots__ = ("gf", "dim", "name", "labels", "table", "_ad")
 
     def __init__(self, gf: GF, dim: int, table: Dict[Tuple[int, int], Sequence[int]],
                  name: str = "", labels: Optional[Sequence[str]] = None):
-        if dim < 1:
-            raise InvalidInput("algebra dimension must be positive")
+        check_dim(dim)
         clean: Dict[Tuple[int, int], Vec] = {}
         for (i, j), v in table.items():
             if not (0 <= i < j < dim):
@@ -47,22 +59,42 @@ class LieAlgebra:
         self.table = clean
         self.name = name
         self.labels = tuple(labels) if labels is not None else None
+        self._ad = None
+
+    @property
+    def ad_columns(self) -> List[List[int]]:
+        """ad[m][l] is the packed [f_l, f_m] = alpha^(a+b) [e_i, e_j] of the
+        F2 restriction (m = ik+a, l = jk+b); built on first use."""
+        if self._ad is None:
+            k, nk = self.gf.degree, self.dim * self.gf.degree
+            times_alpha = alpha_map(self.gf, self.dim)
+            self._ad = ad = [[0] * nk for _ in range(nk)]
+            for (i, j), c in self.table.items():
+                p = pack_bits(c, k)
+                for s in range(2 * k - 1):  # p = alpha^s [e_i, e_j]
+                    for a in range(max(0, s - k + 1), min(s, k - 1) + 1):
+                        m, l = i * k + a, j * k + s - a
+                        ad[m][l] = ad[l][m] = p
+                    p = times_alpha(p)
+        return self._ad
 
     def bracket(self, x: Sequence[int], y: Sequence[int]) -> Vec:
-        gf = self.gf
-        out = [0] * self.dim
-        for (i, j), c in self.table.items():
-            s = gf.add(gf.mul(x[i], y[j]), gf.mul(x[j], y[i]))
-            if s:
-                for k in range(self.dim):
-                    if c[k]:
-                        out[k] ^= c[k] if s == 1 else gf.mul(s, c[k])
-        return tuple(out)
+        """Sum of [x, f_m] over the packed bits m of y."""
+        ad, k = self.ad_columns, self.gf.degree
+        px, py = pack_bits(x, k), pack_bits(y, k)
+        out = 0
+        while py:
+            low = py & -py
+            out ^= f2_apply(ad[low.bit_length() - 1], px)
+            py ^= low
+        return unpack_bits(out, self.dim, k)
 
     def ad_matrix(self, x: Sequence[int]) -> Mat:
-        """Matrix of [x, -] acting on column vectors."""
-        cols = [self.bracket(x, basis_vec(self.dim, j)) for j in range(self.dim)]
-        return Mat(self.gf, list(zip(*cols)), ncols=self.dim)
+        """Matrix of [x, -] acting on column vectors; column j is [x, f_jk]."""
+        ad, k, n = self.ad_columns, self.gf.degree, self.dim
+        px = pack_bits(x, k)
+        cols = [unpack_bits(f2_apply(ad[j * k], px), n, k) for j in range(n)]
+        return Mat(self.gf, list(zip(*cols)), ncols=n)
 
     def __repr__(self) -> str:
         tag = self.name or "LieAlgebra"
@@ -211,14 +243,15 @@ class SimplicityReport:
 def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     """Sweep ideal closures of every 1-dimensional seed (projective points).
 
-    Over F2 a bit-packed closure decides each seed; the Subspace path runs
-    only to build the witness of a failing check.
+    A packed closure on the F2 restriction decides the derived algebra and
+    each seed, whose line v, alpha v, ..., alpha^(k-1) v it starts from; the
+    Subspace path runs only to build the witness of a failing check.
     """
-    n, q = alg.dim, alg.gf.order
+    n, q, k = alg.dim, alg.gf.order, alg.gf.degree
     if n < 2:
         return SimplicityReport(False, None, 0, "dimension below 2")
-    ad = f2_ad_columns(alg) if alg.gf.degree == 1 else None
-    if ad is None or f2_rank(map(pack_bits, alg.table.values()), n) < n:
+    ad, nk = alg.ad_columns, n * k
+    if f2_rank((v for col in ad for v in col), nk) < nk:
         derived = subspace_bracket(alg, full_space(alg.gf, alg.dim),
                                    full_space(alg.gf, alg.dim))
         if derived.dim < n:
@@ -229,9 +262,13 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     if points > budget:
         raise BudgetExceeded(f"{points} projective seeds exceed budget {budget}")
     checked = 0
+    times_alpha = alpha_map(alg.gf, n)
     for v in _projective_points(alg.gf, n):
         checked += 1
-        if ad is not None and f2_ideal_rank(ad, n, pack_bits(v)) == n:
+        line = [pack_bits(v, k)]
+        for _ in range(k - 1):
+            line.append(times_alpha(line[-1]))
+        if f2_ideal_rank(ad, nk, line) == nk:
             continue
         cl = ideal_closure(alg, v)
         if cl.dim < n:
@@ -241,15 +278,6 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
 
 # ---------------------------------------------------------------------------
 # bit-packed F2 core: bit m of an int is coordinate m
-
-
-def f2_ad_columns(alg: LieAlgebra) -> List[List[int]]:
-    """ad[k][m] is the packed bracket [e_m, e_k] of an F2 algebra."""
-    n = alg.dim
-    ad = [[0] * n for _ in range(n)]
-    for (i, j), c in alg.table.items():
-        ad[j][i] = ad[i][j] = pack_bits(c)
-    return ad
 
 
 def f2_apply(cols: Sequence[int], x: int) -> int:
@@ -282,11 +310,11 @@ def f2_rank(vecs, n: int) -> int:
     return sum(1 for v in vecs if f2_reduce(slots, v))
 
 
-def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seed: int) -> int:
-    """Dimension of the ideal generated by a nonzero packed seed."""
+def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> int:
+    """Dimension of the ideal generated by the packed seeds."""
     slots = [0] * n
-    work = [f2_reduce(slots, seed)]
-    rank = 1
+    work = [r for r in (f2_reduce(slots, s) for s in seeds) if r]
+    rank = len(work)
     for w in work:
         if rank == n:
             break
@@ -506,7 +534,7 @@ def from_json(doc) -> Tuple[LieAlgebra, Optional[Tuple[Vec, ...]]]:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise InvalidInput(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInput("algebra document must be a JSON object")
@@ -517,6 +545,7 @@ def from_json(doc) -> Tuple[LieAlgebra, Optional[Tuple[Vec, ...]]]:
         raise InvalidInput(f"missing required field: {exc}") from exc
     if not is_json_int(fdeg) or not is_json_int(dim):
         raise InvalidInput("field degree and dim must be integers")
+    check_dim(dim)
     gf = GF(fdeg)
     stated = doc["field"].get("modulus_bits", gf.modulus)
     if stated != gf.modulus:

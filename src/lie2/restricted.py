@@ -2,22 +2,25 @@
 
 A 2-map is determined by its basis images: on a general vector it expands
 quadratically, squares of coordinates on the basis images plus the mixed
-bracket terms.  The key exact subroutines here are synthesis of a 2-map from
-the bracket alone (a linear solve per basis element, with a certified absence
-witness when no solution exists) and the semisimple/nilpotent decomposition
-obtained from the Fitting decomposition of the squaring operator on the span
-of 2-power iterates.  The squaring operator is only semilinear over GF(2^k),
+bracket terms; this runs on the F2 restriction of scalars (see `liealg`)
+with packed basis squares f_{ik+a}^[2] = alpha^(2a) e_i^[2].  The key exact
+subroutines here are synthesis of a 2-map from the bracket alone (a linear
+solve per basis element, with a certified absence witness when no solution
+exists) and the semisimple/nilpotent decomposition obtained from the Fitting
+decomposition of the squaring operator on the span of 2-power iterates.  The squaring operator is only semilinear over GF(2^k),
 so image and preimage computations carry an explicit Frobenius twist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, InvalidInput
-from .field import GF, Mat, Subspace, Vec, basis_vec, vec_add, vec_is_zero, zero_vec
-from .liealg import LieAlgebra, center
+from .field import (GF, Mat, Subspace, Vec, alpha_map, basis_vec, pack_bits,
+                    unpack_bits, vec_add, vec_is_zero, zero_vec)
+from .liealg import LieAlgebra, center, f2_apply
 
 
 @dataclass(frozen=True)
@@ -31,27 +34,34 @@ class RestrictedAlgebra:
         if len(self.two_map) != n or any(len(v) != n for v in self.two_map):
             raise InvalidInput("two_map must give one image vector per basis element")
 
+    @cached_property
+    def squares(self) -> List[int]:
+        """Packed f_{ik+a}^[2] = alpha^(2a) e_i^[2] on the F2 restriction."""
+        gf, n = self.algebra.gf, self.algebra.dim
+        k, times_alpha = gf.degree, alpha_map(gf, n)
+        out = []
+        for v in self.two_map:
+            p = pack_bits(v, k)
+            for _ in range(k):
+                out.append(p)
+                p = times_alpha(times_alpha(p))
+        return out
+
 
 def two_map_eval(ra: RestrictedAlgebra, x: Sequence[int]) -> Vec:
-    """Value of the 2-map on an arbitrary vector via quadratic expansion."""
+    """Value of the 2-map on an arbitrary vector via quadratic expansion:
+    bit by bit, x^[2] gains f_m^[2] + [y, f_m] with y the bits below m."""
     alg = ra.algebra
-    gf = alg.gf
-    n = alg.dim
-    out = [0] * n
-    for i, xi in enumerate(x):
-        if xi:
-            c = gf.mul(xi, xi)
-            img = ra.two_map[i]
-            for k in range(n):
-                if img[k]:
-                    out[k] ^= img[k] if c == 1 else gf.mul(c, img[k])
-    for (i, j), cij in alg.table.items():
-        s = gf.mul(x[i], x[j])
-        if s:
-            for k in range(n):
-                if cij[k]:
-                    out[k] ^= cij[k] if s == 1 else gf.mul(s, cij[k])
-    return tuple(out)
+    ad, squares, k = alg.ad_columns, ra.squares, alg.gf.degree
+    rest = pack_bits(x, k)
+    out = seen = 0
+    while rest:
+        low = rest & -rest
+        m = low.bit_length() - 1
+        out ^= squares[m] ^ f2_apply(ad[m], seen)
+        seen |= low
+        rest ^= low
+    return unpack_bits(out, alg.dim, k)
 
 
 def two_power(ra: RestrictedAlgebra, x: Sequence[int], m: int) -> Vec:

@@ -6,14 +6,17 @@ idempotent ad-operators, so joint eigenspaces over the prime field decompose
 the algebra; the four audit passes re-verify the eigenvalue equations and
 the structural facts the downstream case analysis relies on.
 
-Everything is computed over the given finite field.  The maximal torus
-search is a branch and bound over int bitsets of the fixpoints' commutation
-graph: a branch keeps only the candidates commuting with everything chosen,
-and is cut once the chosen count plus the rank of the remaining candidates
-modulo the chosen span cannot beat the best set found.  It is exhaustive
-when it fits in the node budget, otherwise greedy with seeded restarts;
-either way the reported rank is a lower bound for the rank over an
-algebraic closure, never an upper bound.
+Everything is computed over the given finite field.  The fixpoint sweep,
+the commutation graph and the chosen spans run on packed vectors of the F2
+restriction of scalars (see `liealg`); a span is kept as F2 echelon slots
+holding every alpha^a v.  The maximal torus search is a branch and bound
+over int bitsets of the fixpoints' commutation graph: a branch keeps only
+the candidates commuting with everything chosen, and is cut once the chosen
+count plus the rank of the remaining candidates modulo the chosen span
+cannot beat the best set found.  It is exhaustive when it fits in the node
+budget, otherwise greedy with seeded restarts; either way the reported rank
+is a lower bound for the rank over an algebraic closure, never an upper
+bound.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
-from .field import (Mat, Subspace, Vec, coefficient_vectors, full_space,
-                    pack_bits, unpack_bits, vec_is_zero, zero_vec)
-from .liealg import centralizer, f2_ad_columns, f2_apply, f2_reduce, subspace_bracket
+from .field import (Mat, Subspace, Vec, alpha_map, full_space, pack_bits,
+                    unpack_bits, vec_is_zero, zero_vec)
+from .liealg import centralizer, f2_apply, f2_reduce, subspace_bracket
 from .restricted import (RestrictedAlgebra, classify_element, jcs_decompose,
                          two_map_eval)
 
@@ -35,10 +38,13 @@ FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
 
 
 def toral_elements(ra: RestrictedAlgebra, budget: int = 1 << 20) -> List[Vec]:
-    """All fixpoints of the 2-map, by exhaustive sweep of the whole algebra.
+    """All fixpoints of the 2-map, by a Gray-code sweep of the 2^(nk) packed
+    vectors of the F2 restriction, ascending in the packed value (the order
+    of sum_i v[i] q^i, by which the torus search breaks ties).
 
-    The fixpoints come in ascending order of sum_i v[i] q^i (over F2, the
-    packed value); the torus search breaks ties by this order.
+    Flipping bit m changes the square by f_m^[2] + [x, f_m].  The brackets
+    [x, f_j] for all j sit side by side in one int (nk bits each), and
+    flipping m adds the packed column of [f_m, f_j] to it.
     """
     alg = ra.algebra
     if alg.gf.degree > 2:
@@ -46,36 +52,21 @@ def toral_elements(ra: RestrictedAlgebra, budget: int = 1 << 20) -> List[Vec]:
     total = alg.gf.order ** alg.dim
     if total > budget:
         raise BudgetExceeded(f"sweep of {total} vectors exceeds budget {budget}")
-    n = alg.dim
-    if alg.gf.degree == 1:
-        return [unpack_bits(x, n) for x in _f2_fixpoints(ra)]
-    return [v for v in coefficient_vectors(alg.gf, n) if two_map_eval(ra, v) == v]
-
-
-def _f2_fixpoints(ra: RestrictedAlgebra) -> List[int]:
-    """Packed 2-map fixpoints over F2, ascending, by a Gray-code sweep.
-
-    Flipping coordinate k changes the square by e_k^[2] + [x, e_k].  The
-    brackets [x, e_j] for all j sit side by side in one int (n bits each),
-    and flipping k adds the packed column of [e_k, e_j] to it.
-    """
-    alg = ra.algebra
-    n = alg.dim
-    ad = f2_ad_columns(alg)
-    squares = [pack_bits(v) for v in ra.two_map]
-    flips = [sum(ad[j][k] << (j * n) for j in range(n)) for k in range(n)]
-    mask = (1 << n) - 1
+    k, ad, squares = alg.gf.degree, alg.ad_columns, ra.squares
+    nk = alg.dim * k
+    flips = [sum(ad[j][m] << (j * nk) for j in range(nk)) for m in range(nk)]
+    mask = (1 << nk) - 1
     x = square = brackets = 0
     out = [0]
-    for step in range(1, 1 << n):
-        k = (step & -step).bit_length() - 1
-        square ^= squares[k] ^ ((brackets >> (k * n)) & mask)
-        brackets ^= flips[k]
-        x ^= 1 << k
+    for step in range(1, 1 << nk):
+        m = (step & -step).bit_length() - 1
+        square ^= squares[m] ^ ((brackets >> (m * nk)) & mask)
+        brackets ^= flips[m]
+        x ^= 1 << m
         if square == x:
             out.append(x)
     out.sort()
-    return out
+    return [unpack_bits(x, alg.dim, k) for x in out]
 
 
 @dataclass
@@ -169,37 +160,16 @@ class MaxTorusReport:
 
 
 def _commutation_graph(alg, items) -> List[int]:
-    """Bit j of row i is set when fixpoints i and j commute (i != j)."""
+    """Bit j of row i is set when packed fixpoints i and j commute (i != j)."""
     m = len(items)
     comm = [0] * m
-    ad = f2_ad_columns(alg) if alg.gf.degree == 1 else None
     for i, x in enumerate(items):
-        if ad is not None:
-            ad_x = [f2_apply(col, x) for col in ad]
-            commutes = (not f2_apply(ad_x, y) for y in items[i + 1:])
-        else:
-            commutes = (vec_is_zero(alg.bracket(x, y)) for y in items[i + 1:])
-        for j, ok in enumerate(commutes, i + 1):
-            if ok:
+        ad_x = [f2_apply(col, x) for col in alg.ad_columns]
+        for j, y in enumerate(items[i + 1:], i + 1):
+            if not f2_apply(ad_x, y):
                 comm[i] |= 1 << j
                 comm[j] |= 1 << i
     return comm
-
-
-def _span_extender(alg):
-    """Empty span and extend(span, v): the span grown by v, or None if v is in it.
-
-    Over F2 a span is a list of packed echelon slots, otherwise a Subspace.
-    """
-    if alg.gf.degree == 1:
-        def extend(span, v):
-            grown = list(span)
-            return grown if f2_reduce(grown, v) else None
-        return [0] * alg.dim, extend
-
-    def extend(span, v):
-        return None if span.contains(v) else span.add_vec(v)
-    return Subspace(alg.gf, alg.dim), extend
 
 
 def _bits(x: int) -> List[int]:
@@ -234,9 +204,22 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
     if m == 0:
         return MaxTorusReport(0, Torus(Subspace(alg.gf, alg.dim), ()), True,
                               "exhaustive", 0, 0)
-    items = [pack_bits(v) for v in fixpoints] if alg.gf.degree == 1 else fixpoints
+    k = alg.gf.degree
+    items = [pack_bits(v, k) for v in fixpoints]
     comm = _commutation_graph(alg, items)
-    empty, extend = _span_extender(alg)
+    times_alpha = alpha_map(alg.gf, alg.dim)
+
+    def extend(span: List[int], v: int) -> Optional[List[int]]:
+        """Echelon slots of span + GF(2^k) v, or None if v is in the span."""
+        grown = list(span)
+        if not f2_reduce(grown, v):
+            return None
+        for _ in range(k - 1):
+            v = times_alpha(v)
+            f2_reduce(grown, v)
+        return grown
+
+    empty = [0] * (alg.dim * k)
     best: List[int] = []
     nodes = 0
     aborted = False

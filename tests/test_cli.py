@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -291,6 +292,27 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, case, command):
     assert code == 2
     assert out == ""
     assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+
+HUGE_DIM_DOCS = {
+    "dim_1e30": {"field": {"degree": 1}, "dim": 10 ** 30, "two_map": []},
+    "dim_300": {"field": {"degree": 1}, "dim": 300, "bracket": []},
+    "dim_129": {"field": {"degree": 1}, "dim": 129, "bracket": [[0, 1, [[2, 1]]]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_DIM_DOCS))
+@pytest.mark.parametrize("command", ["validate", "decompose", "toral-rank"])
+def test_declared_dimension_is_bounded(tmp_path, capsys, case, command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_DIM_DOCS[case]), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: algebra dimension ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["decompose", "toral-rank"])

@@ -15,7 +15,7 @@ from lie2 import (InvalidInput, LieAlgebra, catalog, catalog_names, center,
                   centralizer, derived_series, from_json, ideal_closure,
                   is_simple, is_subalgebra, to_json, validate_lie)
 from lie2.field import GF, GF2, Subspace, basis_vec
-from lie2.liealg import (f2_ad_columns, f2_ideal_rank, is_ideal,
+from lie2.liealg import (MAX_DIM, f2_ideal_rank, is_ideal,
                          is_nilpotent_algebra, is_solvable_algebra,
                          jacobi_residual, lower_central_series,
                          subspace_bracket)
@@ -213,12 +213,12 @@ def test_ideal_closure_heis3():
 def test_packed_ideal_rank_matches_subspace_closure(name):
     alg = catalog(name).algebra
     n = alg.dim
-    ad = f2_ad_columns(alg)
+    ad = alg.ad_columns
     rng = random.Random(n)
     seeds = range(1, 1 << n) if n <= 4 else [rng.randrange(1, 1 << n) for _ in range(40)]
     for seed in seeds:
         v = tuple((seed >> m) & 1 for m in range(n))
-        assert f2_ideal_rank(ad, n, seed) == ideal_closure(alg, v).dim
+        assert f2_ideal_rank(ad, n, [seed]) == ideal_closure(alg, v).dim
 
 
 def test_centralizer_values():
@@ -287,9 +287,19 @@ def test_from_json_rejects_bad_documents():
         from_json(bad)
 
 
+@pytest.mark.parametrize("raw", [b"\xff", b"\xff\xfe{"])
+def test_from_json_rejects_undecodable_bytes(raw):
+    with pytest.raises(InvalidInput, match="not valid JSON"):
+        from_json(raw)
+
+
 def test_constructor_rejects_bad_tables():
     with pytest.raises(InvalidInput):
         LieAlgebra(GF2, 0, {})
+    # the largest catalog algebra, strictly_upper(12), has dimension 66
+    assert LieAlgebra(GF2, MAX_DIM, {}).dim == MAX_DIM == 128
+    with pytest.raises(InvalidInput):
+        LieAlgebra(GF2, MAX_DIM + 1, {})
     with pytest.raises(InvalidInput):
         LieAlgebra(GF2, 3, {(1, 1): (0, 0, 1)})
     with pytest.raises(InvalidInput):

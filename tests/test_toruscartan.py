@@ -15,10 +15,11 @@ from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput,
                   NotSimultaneouslyDiagonalizable, NotTwoMapClosed,
                   RestrictedAlgebra, SplitFailed, Torus, audit_decomposition,
                   catalog, cartan_split, is_torus, max_tori, weight_decompose)
-from lie2.field import GF, GF2, Mat, Subspace
-from lie2.liealg import LieAlgebra
+from lie2.field import GF, GF2, Mat, Subspace, coefficient_vectors
+from lie2.liealg import LieAlgebra, from_json
 from lie2.restricted import two_map_eval
 from lie2.toruscartan import toral_elements
+from test_reports_frozen import lifted_doc
 
 
 def ra_of(name: str) -> RestrictedAlgebra:
@@ -109,7 +110,7 @@ def direct_sum(a: RestrictedAlgebra, b: RestrictedAlgebra) -> RestrictedAlgebra:
     table.update({(i + n, j + n): (0,) * n + v for (i, j), v in b.algebra.table.items()})
     two_map = tuple(v + (0,) * m for v in a.two_map) + \
         tuple((0,) * n + v for v in b.two_map)
-    return RestrictedAlgebra(LieAlgebra(GF2, n + m, table), two_map)
+    return RestrictedAlgebra(LieAlgebra(a.algebra.gf, n + m, table), two_map)
 
 
 def change_basis(ra: RestrictedAlgebra, rng: random.Random) -> RestrictedAlgebra:
@@ -128,13 +129,13 @@ def change_basis(ra: RestrictedAlgebra, rng: random.Random) -> RestrictedAlgebra
 
 
 def lex_first_max_torus(ra: RestrictedAlgebra):
-    """Fixpoints in ascending packed order, and the lexicographically first
-    largest index set of independent pairwise-commuting nonzero ones, by
-    plain depth-first enumeration of every such set."""
+    """Fixpoints in ascending order of sum_i v[i] q^i, and the
+    lexicographically first largest index set of independent
+    pairwise-commuting nonzero ones, by plain depth-first enumeration of
+    every such set."""
     alg = ra.algebra
     n = alg.dim
-    vecs = (tuple((code >> i) & 1 for i in range(n)) for code in range(1 << n))
-    fixpoints = [v for v in vecs if two_map_eval(ra, v) == v]
+    fixpoints = [v for v in coefficient_vectors(alg.gf, n) if two_map_eval(ra, v) == v]
     nonzero = fixpoints[1:]
     best = []
 
@@ -146,7 +147,7 @@ def lex_first_max_torus(ra: RestrictedAlgebra):
             v = nonzero[i]
             basis = [nonzero[c] for c in chosen] + [v]
             if all(not any(alg.bracket(v, b)) for b in basis) and \
-                    Subspace(GF2, n, basis).dim == len(basis):
+                    Subspace(alg.gf, n, basis).dim == len(basis):
                 grow(chosen + [i])
 
     grow([])
@@ -154,7 +155,9 @@ def lex_first_max_torus(ra: RestrictedAlgebra):
 
 
 REFERENCE_CASES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
-                   "strictly_upper(4)", "gl2+w11_p2@1", "gl2+w11_p2@2", "gl2+w11_p2@3"]
+                   "strictly_upper(4)", "gl2+w11_p2@1", "gl2+w11_p2@2", "gl2+w11_p2@3",
+                   "gl2/GF4", "sl2/GF4", "w11_p2/GF4", "heis3/GF4", "strictly_upper(3)/GF4",
+                   "gl2+w11_p2/GF4"]
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
@@ -163,6 +166,10 @@ def test_max_tori_matches_brute_force(case):
     if seed:
         ra = change_basis(direct_sum(ra_of("gl2"), ra_of("w11_p2")),
                           random.Random(int(seed)))
+    elif name.endswith("/GF4"):
+        parts = [RestrictedAlgebra(*from_json(lifted_doc(part, 2, 3)))
+                 for part in name[:-4].split("+")]
+        ra = parts[0] if len(parts) == 1 else direct_sum(*parts)
     else:
         ra = ra_of(name)
     fixpoints, basis = lex_first_max_torus(ra)
