@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidInput
 from .field import (GF, GF2, Mat, Subspace, Vec, alpha_map, basis_vec,
-                    coefficient_vectors, full_space, pack_bits, unpack_bits,
-                    vec_add, vec_is_zero, zero_vec)
+                    full_space, pack_bits, unpack_bits, vec_add, vec_is_zero,
+                    zero_vec)
 
 MAX_DIM = 128
 
@@ -251,7 +251,8 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     if n < 2:
         return SimplicityReport(False, None, 0, "dimension below 2")
     ad, nk = alg.ad_columns, n * k
-    if f2_rank((v for col in ad for v in col), nk) < nk:
+    # the derived algebra is the ideal that all brackets generate
+    if f2_ideal_rank(ad, nk, [v for col in ad for v in col]) < nk:
         derived = subspace_bracket(alg, full_space(alg.gf, alg.dim),
                                    full_space(alg.gf, alg.dim))
         if derived.dim < n:
@@ -263,16 +264,19 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
         raise BudgetExceeded(f"{points} projective seeds exceed budget {budget}")
     checked = 0
     times_alpha = alpha_map(alg.gf, n)
-    for v in _projective_points(alg.gf, n):
-        checked += 1
-        line = [pack_bits(v, k)]
-        for _ in range(k - 1):
-            line.append(times_alpha(line[-1]))
-        if f2_ideal_rank(ad, nk, line) == nk:
-            continue
-        cl = ideal_closure(alg, v)
-        if cl.dim < n:
-            return SimplicityReport(False, cl, checked, "proper ideal from seed")
+    for lead in range(n):
+        # one seed per line: coordinate lead is 1 and the packed tail after
+        # it runs up through sum_i v[i] q^i
+        for tail in range(q ** (n - lead - 1)):
+            checked += 1
+            line = [(1 | tail << k) << (lead * k)]
+            for _ in range(k - 1):
+                line.append(times_alpha(line[-1]))
+            if f2_ideal_rank(ad, nk, line) == nk:
+                continue
+            cl = ideal_closure(alg, unpack_bits(line[0], n, k))
+            if cl.dim < n:
+                return SimplicityReport(False, cl, checked, "proper ideal from seed")
     return SimplicityReport(True, None, checked, "all seeds generate the algebra")
 
 
@@ -305,11 +309,6 @@ def f2_reduce(slots: List[int], v: int) -> int:
     return 0
 
 
-def f2_rank(vecs, n: int) -> int:
-    slots = [0] * n
-    return sum(1 for v in vecs if f2_reduce(slots, v))
-
-
 def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> int:
     """Dimension of the ideal generated by the packed seeds."""
     slots = [0] * n
@@ -324,13 +323,6 @@ def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> 
                 rank += 1
                 work.append(red)
     return rank
-
-
-def _projective_points(gf: GF, n: int):
-    """One representative per line: first nonzero coordinate equals 1."""
-    for lead in range(n):
-        for tail in coefficient_vectors(gf, n - lead - 1):
-            yield (0,) * lead + (1,) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from lie2 import GF, GF2, InvalidInput, Mat, Subspace, full_space
-from lie2.field import (basis_vec, is_irreducible, pack_bits,
+from lie2.field import (alpha_map, basis_vec, is_irreducible, pack_bits,
                         smallest_irreducible, unpack_bits, vec_add, zero_vec)
 
 
@@ -136,6 +136,18 @@ def test_pack_unpack_roundtrip():
     assert basis_vec(4, 2) == (0, 0, 1, 0)
     assert vec_add((1, 1, 0), (0, 1, 1)) == (1, 0, 1)
     assert zero_vec(3) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 8, 16])
+def test_alpha_map_multiplies_every_packed_coordinate_by_x(degree):
+    gf = GF(degree)
+    times_alpha = alpha_map(gf, 5)
+    rng = random.Random(degree)
+    for _ in range(100):
+        v = tuple(rng.randrange(gf.order) for _ in range(5))
+        packed = pack_bits(v, degree)
+        assert unpack_bits(packed, 5, degree) == v
+        assert unpack_bits(times_alpha(packed), 5, degree) == tuple(gf.mul(2, c) for c in v)
 
 
 # frozen rank-2 example over F2: rows (1,1,0),(0,1,1),(1,0,1) sum to zero
