@@ -6,6 +6,10 @@ fixtures over F2 and seeded GF(4) and GF(16) lifts of them, rewritten in a
 random basis with the arithmetic below, so a refactor of the algebra layers
 that changes any byte of any report fails here.  The digests were recorded
 from the scalar implementation that preceded the packed F2 core.
+
+Sampled GF(2^k) census reports are pinned the same way, as the digest of
+the report without its `runtime_ms`; those digests were recorded from the
+per-sample engine that preceded the vectorised GF(2^k) Jacobi mask.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ import pytest
 from lie2.cli import main
 from lie2.field import GF, Mat
 from lie2.liealg import catalog, to_json
+from lie2.search import CensusSpec, census
 
 F2_NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
             "strictly_upper(4)"]
@@ -285,3 +290,35 @@ FROZEN = {
 @pytest.mark.parametrize("case", all_cases())
 def test_report_frozen(case, tmp_path):
     assert case_digest(case, tmp_path) == FROZEN[case]
+
+
+# (dim, field degree, sample count, seed): GF(16) seeds 1 and 2 have Jacobi
+# survivors, GF(4) dim 3 has simple ones
+CENSUS_FROZEN = {
+    (3, 2, 20000, 0):
+        "5b5b59d7a9b132f388491f5a6b4079769ea43a097d5d2a7fecf7bd58dbf864a0",
+    (3, 2, 20000, 1):
+        "fc44babd61de21e109e4827dcf3daf1106034bd6692815e403f4d1b4aee6fe89",
+    (3, 2, 20000, 2):
+        "03b6a23129b70022bc99444bed438fe5d7c03db8da9f903a086184084a78c33a",
+    (3, 2, 20000, 3):
+        "88ff822af03d88b26e59a43f41e6e06cf27dbfee53cbffb1c2b8aeced15b8566",
+    (4, 2, 2000, 0):
+        "1fc0e3e68391e3343011d8d3947d84ea2811855c413c38dd1c3d46b340dfe31f",
+    (3, 4, 3000, 1):
+        "3a396b468c9d4dd6582d7936a3fb12157f24414947c005543d7d2fcb8b07e726",
+    (3, 4, 3000, 2):
+        "4ca7cff77ed94400518ec322ef46ab855662eae6b16e16cb5a1cb336f9d9441e",
+    (3, 16, 1000, 0):
+        "39b1c6b7df5ecfc2e5405d7c47a7ecd6b9c2df16b60d0cd48389135667935885",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENSUS_FROZEN))
+def test_census_report_frozen(case):
+    dim, degree, count, seed = case
+    doc = census(CensusSpec(dim=dim, field_degree=degree, sample_count=count,
+                            seed=seed)).to_json()
+    doc.pop("runtime_ms")
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == CENSUS_FROZEN[case]
