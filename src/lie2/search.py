@@ -10,12 +10,16 @@ engine keeps one uint8 array per field, one candidate table per array slot,
 and evaluates the Jacobi identity for a whole chunk with in-place bitwise
 ufuncs (bit-sliced GF(2) arithmetic in the style of M4RI).  The rare
 survivors go through a vectorised derived-algebra rank filter, and
-liealg.is_simple decides the tables that pass it.  Simple tables then get a
-two-map synthesis and, when restrictable, a toral rank.  The LIE2_BACKEND
-environment variable may name the engine (auto or numpy) but cannot pick
-another.  Simple tables of dimension <= 4 are grouped into GL(n, 2) orbits
-by one vectorised change of basis over every matrix of field.gl_matrices,
-and iso_match reads its witness off the same array.
+liealg.is_simple decides the tables that pass it.  Sampled tables over
+GF(2^k), k >= 2, keep one uint8 (k <= 8) or uint16 array per structure
+constant and get the same whole-block Jacobi mask, with products taken
+elementwise by shift-and-add; only its survivors become LieAlgebras.
+Simple tables then get a two-map synthesis and, when restrictable, a toral
+rank.  The LIE2_BACKEND environment variable may name the engine (auto or
+numpy) but cannot pick another.  Simple tables of dimension <= 4 are
+grouped into GL(n, 2) orbits by one vectorised change of basis over every
+matrix of field.gl_matrices, and iso_match reads its witness off the same
+array.
 """
 
 from __future__ import annotations
@@ -332,6 +336,8 @@ def _simple_positions(b: Sequence[np.ndarray], n: int) -> List[int]:
     A simple algebra equals its derived algebra, so only tables whose
     brackets span the whole space reach is_simple.
     """
+    if n < 2:  # no bracket fields, and nothing simple
+        return []
     full = np.flatnonzero(_derived_rank_numpy(b, n) == n)
     return [int(i) for i in full
             if is_simple(table_to_algebra(n, pack_table([f[i] for f in b], n))).simple]
@@ -413,44 +419,80 @@ def _run_sampled_packed(spec: CensusSpec) -> Tuple[int, int, List[int]]:
     return scanned, jac, tables
 
 
-def _sampled_field_table(gf: GF, n: int, stream: Sequence[int]) -> dict:
+def gf_mul_arrays(a: np.ndarray, b: np.ndarray, gf: GF) -> np.ndarray:
+    """Elementwise product in gf of two unsigned arrays, by shift-and-add.
+
+    Bit t of b adds alpha^t a; the step to the next power of alpha is the
+    one field.alpha_map takes: shift up a bit and add the modulus (minus
+    its leading term) on carry-out.
+    """
+    k, low = gf.degree, gf.modulus ^ gf.order
+    keep = (gf.order >> 1) - 1
+    out = np.zeros_like(a)
+    for t in range(k):
+        out ^= a * ((b >> t) & 1)
+        if t < k - 1:
+            a = ((a & keep) << 1) ^ ((a >> (k - 1)) * low)
+    return out
+
+
+def gf_jacobi_mask(c: np.ndarray, n: int, gf: GF) -> np.ndarray:
+    """Jacobi verdict per candidate; c[p, m] holds coordinate m of the bracket
+    of pair p over gf, one array slot per candidate.
+
+    For every basis triple and output coordinate o the residual is the XOR
+    of c_ij^m c_mk^o over m, summed over the three cyclic terms.
+    """
+    ok = np.ones(c.shape[2], dtype=bool)
+    for i, j, k in combinations(range(n), 3):
+        terms = ((pair_index(i, j, n), k), (pair_index(j, k, n), i),
+                 (pair_index(i, k, n), j))
+        for o in range(n):
+            acc = np.zeros(c.shape[2], dtype=c.dtype)
+            for p, r in terms:
+                for m in range(n):
+                    if m != r:
+                        q = pair_index(min(m, r), max(m, r), n)
+                        acc ^= gf_mul_arrays(c[p, m], c[q, o], gf)
+            ok &= acc == 0
+    return ok
+
+
+def _sample_coefficients(gf: GF, n: int, seed: int, start: int,
+                         count: int) -> np.ndarray:
+    """Bracket coefficients of sampled tables over gf, shape (pairs, n, count).
+
+    Each coefficient takes one byte of the stream (two, little end first,
+    above degree 8) and keeps its low k bits.
+    """
+    npairs = n * (n - 1) // 2
     per = 1 if gf.degree <= 8 else 2
-    kmask = gf.order - 1
-    table = {}
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = []
-            for _ in range(n):
-                val = stream[pos]
-                if per == 2:
-                    val |= stream[pos + 1] << 8
-                pos += per
-                vec.append(val & kmask)
-            if any(vec):
-                table[(i, j)] = tuple(vec)
-    return table
+    nbytes = npairs * n * per
+    words = splitmix64_words(seed, start, count, (nbytes + 7) // 8)
+    rows = bytes_from_words(words, nbytes)
+    vals = (rows if per == 1 else rows.view("<u2")) & (gf.order - 1)
+    return np.ascontiguousarray(vals.T).reshape(npairs, n, count)
 
 
 def _run_sampled_generic(spec: CensusSpec) -> Tuple[int, int, List[LieAlgebra]]:
     n = spec.dim
     gf = GF(spec.field_degree)
-    npairs = n * (n - 1) // 2
-    per = 1 if spec.field_degree <= 8 else 2
-    nbytes = npairs * n * per
-    words_per = (nbytes + 7) // 8
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # a block holds at most _BLOCK structure constants
+    block = _BLOCK // max(1, len(pairs) * n)
     jac = 0
     survivors: List[LieAlgebra] = []
-    for start in range(0, spec.sample_count, _BLOCK):
-        count = min(_BLOCK, spec.sample_count - start)
-        words = splitmix64_words(spec.seed, start, count, words_per)
-        rows = bytes_from_words(words, nbytes)
-        for local in range(count):
-            stream = [int(v) for v in rows[local]]
-            alg = LieAlgebra(gf, n, _sampled_field_table(gf, n, stream))
+    for start in range(0, spec.sample_count, block):
+        count = min(block, spec.sample_count - start)
+        c = _sample_coefficients(gf, n, spec.seed, start, count)
+        idx = np.flatnonzero(gf_jacobi_mask(c, n, gf))
+        jac += int(idx.size)
+        for s in idx:
+            coeffs = c[:, :, s].tolist()
+            alg = LieAlgebra(gf, n, {pq: v for pq, v in zip(pairs, coeffs) if any(v)})
+            # only survivors reach here; re-check the vectorised mask
             if not validate_lie(alg, random_checks=0).ok:
-                continue
-            jac += 1
+                raise InternalInconsistency("census survivor failed Jacobi re-validation")
             if is_simple(alg).simple:
                 survivors.append(alg)
     return spec.sample_count, jac, survivors
@@ -522,7 +564,7 @@ def census(spec: CensusSpec) -> CensusReport:
         mode = "exhaustive"
         classes = _classify_packed(spec.dim, tables)
         simple_count = len(tables)
-    elif spec.field_degree == 1 and spec.dim <= 6:
+    elif spec.field_degree == 1:
         scanned, jac, tables = _run_sampled_packed(spec)
         mode = "sampled"
         simple_count = len(tables)

@@ -315,6 +315,18 @@ def test_declared_dimension_is_bounded(tmp_path, capsys, case, command):
     assert err.count("\n") == 1
 
 
+def test_validate_dim128_abelian_is_fast(tmp_path, capsys):
+    """341,376 basis triples of an empty table, plus the 200 spot checks."""
+    path = tmp_path / "abelian128.json"
+    path.write_text(json.dumps({"field": {"degree": 1}, "dim": 128, "bracket": []}),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert "jacobi on 341376 basis triples: ok" in out
+
+
 @pytest.mark.parametrize("command", ["decompose", "toral-rank"])
 def test_failed_preconditions_exit_one(tmp_path, capsys, command):
     # [e0,e1]=e2, [e1,e2]=e1 breaks Jacobi; w11_p2 with a zero 2-map breaks

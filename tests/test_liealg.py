@@ -72,6 +72,32 @@ def test_validate_catches_broken_jacobi():
     assert rep.random_checked == 0
 
 
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_validate_triples_match_basis_residuals(degree):
+    """failing_triples, in order, are the nonzero residuals on basis vectors."""
+    gf = GF(degree)
+    rng = random.Random(degree)
+    for n in (3, 4, 5):
+        for _ in range(20):
+            # sparse tables, so that some satisfy Jacobi and some do not
+            table = {(i, j): [rng.randrange(gf.order) if rng.random() < 0.2 else 0
+                              for _ in range(n)]
+                     for i in range(n) for j in range(i + 1, n)}
+            alg = LieAlgebra(gf, n, table)
+            want = []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    for k in range(j + 1, n):
+                        r = jacobi_residual(alg, basis_vec(n, i), basis_vec(n, j),
+                                            basis_vec(n, k))
+                        if any(r):
+                            want.append((i, j, k, r))
+            rep = validate_lie(alg, random_checks=0)
+            assert rep.failing_triples == want
+            assert rep.ok == (not want)
+            assert rep.triples_checked == n * (n - 1) * (n - 2) // 6
+
+
 def test_jacobi_residual_zero_on_o3():
     alg = catalog("o3").algebra
     rng = random.Random(7)

@@ -4,7 +4,8 @@ The vectorised census engine is checked against plain-python oracles (a
 scalar Jacobi check on packed tables, liealg.is_simple), and the scalar
 Jacobi check against liealg.validate_lie on every dim-3 table; census
 counts are frozen from those oracle-verified runs.  The thread count must
-never change a report.
+never change a report.  The GF(2^k) mask and its shift-and-add multiply are
+checked against validate_lie and GF.mul.
 """
 from __future__ import annotations
 
@@ -23,12 +24,15 @@ from lie2 import (BudgetExceeded, DimensionTooLarge, InvalidInput, catalog,
                   is_simple, validate_lie)
 from lie2.liealg import LieAlgebra, derived_series, f2_apply
 from lie2.field import GF
-from lie2.search import (GOLDEN, MASK64, CensusSpec, _run_exhaustive,
-                         _run_sampled_packed, _sample_rows, algebra_to_table,
-                         bytes_from_words, canonical_table, census,
-                         census_backend, census_exhaustive, census_sampled,
-                         gl_matrices, iso_match, jacobi_mask, pack_table,
-                         pair_index, splitmix64_words, table_orbit,
+from lie2.errors import InternalInconsistency
+from lie2.search import (GOLDEN, MASK64, CensusSpec, _invariant_signature,
+                         _run_exhaustive, _run_sampled_generic,
+                         _run_sampled_packed, _sample_coefficients,
+                         _sample_rows, algebra_to_table, bytes_from_words,
+                         canonical_table, census, census_backend,
+                         census_exhaustive, census_sampled, gf_jacobi_mask,
+                         gf_mul_arrays, gl_matrices, iso_match, jacobi_mask,
+                         pack_table, pair_index, splitmix64_words, table_orbit,
                          table_to_algebra)
 
 
@@ -333,6 +337,12 @@ def test_census_dim1_and_dim2():
     r2 = census(CensusSpec(dim=2))
     assert (r2.candidates_scanned, r2.jacobi_pass, r2.simple_count) == (4, 4, 0)
     assert r2.mode == "exhaustive" and r2.seed is None and r2.sample_count is None
+    # sampled tables without a bracket field, over F2 and GF(4)
+    for degree in (1, 2):
+        r = census(CensusSpec(dim=1, field_degree=degree, sample_count=5))
+        assert (r.candidates_scanned, r.jacobi_pass, r.simple_count) == (5, 5, 0)
+        r = census(CensusSpec(dim=2, field_degree=degree, sample_count=5))
+        assert (r.candidates_scanned, r.jacobi_pass, r.simple_count) == (5, 5, 0)
 
 
 def test_census_dim3_frozen_and_class_structure():
@@ -438,6 +448,88 @@ def test_census_sampled_backend_agreement():
     assert _run_sampled_packed(spec) == (2000, sum(scalar_jacobi(rows, 3)), simple)
 
 
+# ---------------------------------------------------------------------------
+# GF(2^k) census kernel
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_gf_mul_arrays_matches_field_mul_on_every_pair(degree):
+    gf = GF(degree)
+    a, b = np.divmod(np.arange(gf.order * gf.order), gf.order)
+    got = gf_mul_arrays(a.astype(np.uint8), b.astype(np.uint8), gf)
+    assert got.dtype == np.uint8
+    want = [gf.mul(x, y) for x in range(gf.order) for y in range(gf.order)]
+    assert got.tolist() == want
+
+
+def test_gf_mul_arrays_matches_field_mul_gf65536():
+    gf = GF(16)
+    rng = random.Random(16)
+    pairs = [(rng.randrange(gf.order), rng.randrange(gf.order)) for _ in range(5000)]
+    pairs += [(gf.order - 1, gf.order - 1), (1 << 15, 1 << 15), (0, gf.order - 1)]
+    a, b = (np.array(col, dtype=np.uint16) for col in zip(*pairs))
+    got = gf_mul_arrays(a, b, gf)
+    assert got.dtype == np.uint16
+    assert got.tolist() == [gf.mul(x, y) for x, y in pairs]
+
+
+def coefficient_algebra(gf, n, c, s):
+    """LieAlgebra of slot s of coefficient arrays c[p, m]."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return LieAlgebra(gf, n, dict(zip(pairs, c[:, :, s].tolist())))
+
+
+@pytest.mark.parametrize("degree,n,count", [(2, 3, 1500), (2, 4, 600), (4, 3, 600)])
+def test_gf_jacobi_mask_matches_validate_lie(degree, n, count):
+    gf = GF(degree)
+    dense = _sample_coefficients(gf, n, 5, 0, count)
+    # AND of four streams leaves few set bits, so many tables satisfy Jacobi
+    sparse = dense.copy()
+    for seed in (6, 7, 8):
+        sparse &= _sample_coefficients(gf, n, seed, 0, count)
+    survivors = 0
+    for c in (dense, sparse):
+        got = gf_jacobi_mask(c, n, gf).tolist()
+        want = [validate_lie(coefficient_algebra(gf, n, c, s), random_checks=0).ok
+                for s in range(count)]
+        assert got == want
+        survivors += sum(got)
+    assert 0 < survivors < 2 * count
+
+
+def test_sample_coefficients_read_the_census_stream():
+    """One byte per coefficient up to degree 8, two little-endian bytes above."""
+    for degree, per in ((2, 1), (8, 1), (9, 2), (16, 2)):
+        gf, n = GF(degree), 3
+        c = _sample_coefficients(gf, n, 4, 10, 7)
+        rows = bytes_from_words(splitmix64_words(4, 10, 7, (9 * per + 7) // 8), 9 * per)
+        for s in range(7):
+            for p in range(3):
+                for m in range(n):
+                    pos = (p * n + m) * per
+                    val = int(rows[s, pos]) | (int(rows[s, pos + 1]) << 8 if per == 2 else 0)
+                    assert int(c[p, m, s]) == val & (gf.order - 1)
+
+
+def test_generic_census_revalidates_survivors(monkeypatch):
+    import lie2.search as search
+    monkeypatch.setattr(search, "gf_jacobi_mask",
+                        lambda c, n, gf: np.ones(c.shape[2], dtype=bool))
+    with pytest.raises(InternalInconsistency, match="re-validation"):
+        _run_sampled_generic(CensusSpec(dim=3, field_degree=2, sample_count=50))
+
+
+def test_invariant_signature_uses_lower_central_series():
+    """heis3 and w11_p2 + F2 share derived series (3, 1, 0) and a 1-dim
+    centre; only their lower central series, (3, 1, 0) and (3, 1), differ."""
+    heis3 = catalog("heis3").algebra
+    w11_plus_centre = LieAlgebra(GF(1), 3, {(0, 1): (1, 0, 0)})
+    a, b = _invariant_signature(heis3), _invariant_signature(w11_plus_centre)
+    assert a == ((3, 1, 0), (3, 1, 0), 1)
+    assert b == ((3, 1, 0), (3, 1), 1)
+    assert a != b
+
+
 def test_census_never_imports_numba():
     """The census engine is plain numpy: numba is not even looked up."""
     import lie2
@@ -484,8 +576,8 @@ def test_census_gf4_sampled_frozen():
     cls = rep.simple_iso_classes[0]
     assert cls["class_size"] == 5
     assert cls["grouping"] == "invariant_signature"
-    # sampled survivors here were validated the slow way inside the census;
-    # re-check the exported representative anyway
+    # mask survivors were re-validated inside the census; re-check the
+    # exported representative anyway
     from lie2 import from_json
     alg, _ = from_json(cls["representative"])
     assert validate_lie(alg, random_checks=20).ok
