@@ -31,7 +31,7 @@ F2_NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
             "strictly_upper(4)"]
 # (degree, seed, names): lifts small enough for the exhaustive toral sweep
 LIFTS = [(2, 1, ["o3", "heis3", "sl2", "gl2", "w11_p2", "abelian(3)",
-                 "strictly_upper(3)", "sl3"]),
+                 "strictly_upper(3)", "sl3", "strictly_upper(4)", "gl3"]),
          (4, 2, ["o3", "heis3", "sl2", "gl2", "w11_p2", "gl3"])]
 COMMANDS = {"validate": ["validate", "--restricted"],
             "decompose": ["decompose"],
@@ -180,6 +180,10 @@ FROZEN = {
         "cf179e5fea6fe26d37f04f47d4730a9cccab383f0fcd79f71601939be1afd80e",
     "validate sl3/GF4":
         "79daafec3b952e322086fa728e4becc662d144458802568a3e06363f7aafd5b5",
+    "validate strictly_upper(4)/GF4":
+        "85e561a9cbbe45212f871bc1e4860ecaf12e9f9de60ffcc60ea9f56101a92753",
+    "validate gl3/GF4":
+        "ecaec80cc11816d7c492a265a667228a408953f7de86d9ffa29f007f6d2fcaf0",
     "validate o3/GF16":
         "0728ff758da21ab3bbb49fb888fcdcefa2bafa16acfdee1be4414bb4784cd37a",
     "validate heis3/GF16":
@@ -226,6 +230,10 @@ FROZEN = {
         "09e893afef2bf51aa30e93e00434a384e3f282672e932e80e89b59fa57a739cf",
     "decompose sl3/GF4":
         "5a9050c68820abf20fd3d95af6c6a8bb02aa079db98ab2c89c8ea692ead11c8f",
+    "decompose strictly_upper(4)/GF4":
+        "b0f5f6856d1e1725feee66e9812d69a471d9e40399e5533061453838af922c5d",
+    "decompose gl3/GF4":
+        "db2f4e262e33d084d68515ad514e3f3f33f41b9a36fa4a712d8cf642298dc9c2",
     "decompose o3/GF16":
         "1e5baf1b0adced4507189564058dd7aae29387acc1815e81f065cd1c508c1522",
     "decompose heis3/GF16":
@@ -272,6 +280,10 @@ FROZEN = {
         "d890ff6cc125fcd6f68abe746e5c7be03cad05d5e662f6d3f1e862786d9c8f95",
     "toral-rank sl3/GF4":
         "91ae51028bbcd1d61a31754d5437ccb21e528cb4838d3dc616b56db41017200e",
+    "toral-rank strictly_upper(4)/GF4":
+        "0b4b7544efec3087ec89dd6cc649769484e92c94875384ee7ad63aa9c08e67b7",
+    "toral-rank gl3/GF4":
+        "9ae1caadbc5d386617751b9ef29373d80b509e9a06e912b1ca7a8d9a8d933ab8",
     "toral-rank o3/GF16":
         "8c58b81042d513a1ecd9309cbe686032ca7d2c2e1c4e1b4a735707876bdcc927",
     "toral-rank heis3/GF16":
