@@ -6,6 +6,13 @@ as an integer among bit encodings, e.g. degree 2 uses x^2+x+1 = 7, degree 3
 uses x^3+x+1 = 11).  Matrices are dense tuples of row tuples.  Subspaces are
 kept canonical (reduced row echelon form, zero rows dropped) so two spans are
 equal exactly when their tuples are equal.  Everything is exact; no floats.
+
+Products, inverses, powers and square roots in GF(2^k), k >= 2, are table
+lookups: a generator g of the multiplicative group is found by search, and
+the tables exp[i] = g^i (doubled to length 2(q-1), so a sum of two logs
+needs no reduction) and log[g^i] = i are built with `_poly_mul`/`_poly_mod`
+on first use per degree (at most 2 x 65,536 entries at k = 16).  GF(2)
+multiplies with `a & b`.
 """
 
 from __future__ import annotations
@@ -65,15 +72,45 @@ def smallest_irreducible(degree: int) -> int:
     raise InvalidInput(f"no irreducible polynomial of degree {degree}")  # unreachable
 
 
+@lru_cache(maxsize=None)
+def field_tables(degree: int) -> Tuple[List[int], List[int]]:
+    """exp and log tables of GF(2^degree) for its first generator g > 0.
+
+    exp[i] = g^i for 0 <= i < 2(q-1); log[a] = i with g^i = a for a != 0
+    (log[0] is unused).
+    """
+    modulus, q = smallest_irreducible(degree), 1 << degree
+    for g in range(1, q):
+        exp = [1]
+        x = _poly_mod(_poly_mul(1, g), modulus)
+        while x != 1:
+            exp.append(x)
+            x = _poly_mod(_poly_mul(x, g), modulus)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    return exp + exp, log
+
+
 class GF:
     """The field GF(2^k) with k <= 16; elements are ints below 2^k."""
 
-    __slots__ = ("degree", "modulus", "order")
+    __slots__ = ("degree", "modulus", "order", "_tables")
 
     def __init__(self, degree: int):
         self.degree = degree
         self.modulus = smallest_irreducible(degree)
         self.order = 1 << degree
+        self._tables: Optional[Tuple[List[int], List[int]]] = None
+
+    @property
+    def tables(self) -> Tuple[List[int], List[int]]:
+        """(exp, log) of `field_tables`, fetched on first use."""
+        if self._tables is None:
+            self._tables = field_tables(self.degree)
+        return self._tables
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GF) and other.degree == self.degree
@@ -95,28 +132,44 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return a & b
-        return _poly_mod(_poly_mul(a, b), self.modulus)
+        if not (a and b):
+            return 0
+        exp, log = self._tables or self.tables
+        return exp[log[a] + log[b]]
+
+    def scale(self, c: int, v: Sequence[int]) -> List[int]:
+        """c times every entry of v, one table lookup per nonzero entry."""
+        if c == 1:
+            return list(v)
+        if c == 0:
+            return [0] * len(v)
+        exp, log = self.tables
+        lc = log[c]
+        return [exp[lc + log[x]] if x else 0 for x in v]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a = self.inv(a)
             e = -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        if a == 0:
+            return 0 if e else 1
+        exp, log = self.tables
+        return exp[log[a] * e % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.order - 2)
+        exp, log = self.tables
+        return exp[self.order - 1 - log[a]]
 
     def sqrt(self, a: int) -> int:
         """Unique square root; Frobenius is bijective in characteristic 2."""
-        return self.pow(a, 1 << (self.degree - 1))
+        if a == 0:
+            return 0
+        exp, log = self.tables
+        i = log[a]
+        # q - 1 is odd, so one of i and i + q - 1 is even
+        return exp[(i if i % 2 == 0 else i + self.order - 1) // 2]
 
     def frob(self, a: int) -> int:
         return self.mul(a, a)
@@ -270,15 +323,8 @@ class Mat:
         for row in self.rows:
             acc = [0] * cols
             for a, orow in zip(row, other.rows):
-                if a == 0:
-                    continue
-                if a == 1:
-                    for j in range(cols):
-                        acc[j] ^= orow[j]
-                else:
-                    for j in range(cols):
-                        if orow[j]:
-                            acc[j] ^= gf.mul(a, orow[j])
+                if a:
+                    acc = [x ^ y for x, y in zip(acc, orow if a == 1 else gf.scale(a, orow))]
             out.append(acc)
         return Mat(gf, out, ncols=cols)
 
@@ -326,13 +372,11 @@ class Mat:
             if sel is None:
                 continue
             rows[rix], rows[sel] = rows[sel], rows[rix]
-            c = gf.inv(rows[rix][col])
-            if c != 1:
-                rows[rix] = [gf.mul(c, x) for x in rows[rix]]
+            rows[rix] = gf.scale(gf.inv(rows[rix][col]), rows[rix])
             for i in range(len(rows)):
                 if i != rix and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [x ^ gf.mul(f, y) for x, y in zip(rows[i], rows[rix])]
+                    rows[i] = [x ^ y for x, y in
+                               zip(rows[i], gf.scale(rows[i][col], rows[rix]))]
             pivots.append(col)
             rix += 1
             if rix == len(rows):
@@ -414,13 +458,7 @@ class Subspace:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                if c == 1:
-                    for j in range(self.ambient):
-                        v[j] ^= row[j]
-                else:
-                    for j in range(self.ambient):
-                        if row[j]:
-                            v[j] ^= gf.mul(c, row[j])
+                v = [x ^ y for x, y in zip(v, row if c == 1 else gf.scale(c, row))]
         return tuple(v)
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -454,9 +492,7 @@ class Subspace:
         v = [0] * self.ambient
         for c, row in zip(coeffs, self.rows):
             if c:
-                for j in range(self.ambient):
-                    if row[j]:
-                        v[j] ^= row[j] if c == 1 else gf.mul(c, row[j])
+                v = [x ^ y for x, y in zip(v, row if c == 1 else gf.scale(c, row))]
         return tuple(v)
 
     def coords(self, vec: Sequence[int]) -> Optional[Vec]:

@@ -9,6 +9,16 @@ Every bracket runs on the packed table of the restriction of scalars to F2:
 the nk-dimensional F2 algebra with basis f_{ik+a} = alpha^a e_i, alpha the
 class of x in GF(2^k).  A vector is one int with coordinate i in bits
 ik..ik+k-1 (`field.pack_bits`); over F2 bit i is coordinate i.
+
+ad(f_m) is applied through nibble tables (the Method of Four Russians): for
+each 4-bit chunk of the input whose four columns are not all zero, a table
+of the 16 images of that chunk, so [x, f_m] costs one lookup per such chunk
+instead of one column per set bit of x.  An all-zero chunk stores nothing
+and costs nothing, so an abelian table brackets at the cost of its packing.
+The tables are built on first use.  `validate_lie` checks the basis
+triples with `f2_apply`, one column per set bit, so a table that is only
+checked there (as the census checks its survivors) never pays for them;
+`f2_apply` also serves the ideal closure and the toral sweeps.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ def check_dim(dim: int) -> None:
 class LieAlgebra:
     """Finite-dimensional algebra with an alternating bracket in char 2."""
 
-    __slots__ = ("gf", "dim", "name", "labels", "table", "_ad")
+    __slots__ = ("gf", "dim", "name", "labels", "table", "_ad", "_nib")
 
     def __init__(self, gf: GF, dim: int, table: Dict[Tuple[int, int], Sequence[int]],
                  name: str = "", labels: Optional[Sequence[str]] = None):
@@ -60,6 +70,7 @@ class LieAlgebra:
         self.name = name
         self.labels = tuple(labels) if labels is not None else None
         self._ad = None
+        self._nib = None
 
     @property
     def ad_columns(self) -> List[List[int]]:
@@ -78,22 +89,35 @@ class LieAlgebra:
                     p = times_alpha(p)
         return self._ad
 
-    def bracket(self, x: Sequence[int], y: Sequence[int]) -> Vec:
-        """Sum of [x, f_m] over the packed bits m of y."""
-        ad, k = self.ad_columns, self.gf.degree
-        px, py = pack_bits(x, k), pack_bits(y, k)
+    @property
+    def ad_nibbles(self) -> List[List[Tuple[int, List[int]]]]:
+        """nibble_tables(ad_columns[m]) for every m; built on first use."""
+        if self._nib is None:
+            self._nib = [nibble_tables(col) for col in self.ad_columns]
+        return self._nib
+
+    def packed_bracket(self, px: int, py: int) -> int:
+        """[x, y] of packed vectors: the sum of [x, f_m] over the bits m of y."""
+        nib = self.ad_nibbles
         out = 0
         while py:
             low = py & -py
-            out ^= f2_apply(ad[low.bit_length() - 1], px)
+            for shift, table in nib[low.bit_length() - 1]:
+                out ^= table[px >> shift & 15]
             py ^= low
-        return unpack_bits(out, self.dim, k)
+        return out
+
+    def bracket(self, x: Sequence[int], y: Sequence[int]) -> Vec:
+        """[x, y] of coordinate vectors, through the packed bracket."""
+        k = self.gf.degree
+        return unpack_bits(self.packed_bracket(pack_bits(x, k), pack_bits(y, k)),
+                           self.dim, k)
 
     def ad_matrix(self, x: Sequence[int]) -> Mat:
         """Matrix of [x, -] acting on column vectors; column j is [x, f_jk]."""
-        ad, k, n = self.ad_columns, self.gf.degree, self.dim
+        nib, k, n = self.ad_nibbles, self.gf.degree, self.dim
         px = pack_bits(x, k)
-        cols = [unpack_bits(f2_apply(ad[j * k], px), n, k) for j in range(n)]
+        cols = [unpack_bits(nibble_apply(nib[j * k], px), n, k) for j in range(n)]
         return Mat(self.gf, list(zip(*cols)), ncols=n)
 
     def __repr__(self) -> str:
@@ -295,6 +319,30 @@ def f2_apply(cols: Sequence[int], x: int) -> int:
         low = x & -x
         u ^= cols[low.bit_length() - 1]
         x ^= low
+    return u
+
+
+def nibble_tables(cols: Sequence[int]) -> List[Tuple[int, List[int]]]:
+    """Four-Russians form of the packed map with columns cols: one (shift,
+    table) per 4-bit input chunk with a nonzero column, table[v] being the
+    image of v << shift (a last chunk of c < 4 columns has 2^c entries);
+    chunks whose columns are all zero are left out."""
+    out = []
+    for shift in range(0, len(cols), 4):
+        four = cols[shift:shift + 4]
+        if any(four):
+            table = [0]
+            for c in four:
+                table += [t ^ c for t in table]
+            out.append((shift, table))
+    return out
+
+
+def nibble_apply(chunks: Sequence[Tuple[int, Sequence[int]]], x: int) -> int:
+    """Packed image of packed x under the map whose nibble tables are chunks."""
+    u = 0
+    for shift, table in chunks:
+        u ^= table[x >> shift & 15]
     return u
 
 

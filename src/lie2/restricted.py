@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InternalInconsistency, InvalidInput
 from .field import (GF, Mat, Subspace, Vec, alpha_map, basis_vec, pack_bits,
                     unpack_bits, vec_add, vec_is_zero, zero_vec)
-from .liealg import LieAlgebra, center, f2_apply
+from .liealg import LieAlgebra, center
 
 
 @dataclass(frozen=True)
@@ -48,20 +48,27 @@ class RestrictedAlgebra:
         return out
 
 
-def two_map_eval(ra: RestrictedAlgebra, x: Sequence[int]) -> Vec:
-    """Value of the 2-map on an arbitrary vector via quadratic expansion:
-    bit by bit, x^[2] gains f_m^[2] + [y, f_m] with y the bits below m."""
-    alg = ra.algebra
-    ad, squares, k = alg.ad_columns, ra.squares, alg.gf.degree
-    rest = pack_bits(x, k)
+def packed_square(ra: RestrictedAlgebra, x: int) -> int:
+    """x^[2] of a packed vector via quadratic expansion: bit by bit, x^[2]
+    gains f_m^[2] + [y, f_m] with y the bits below m."""
+    nib, squares = ra.algebra.ad_nibbles, ra.squares
     out = seen = 0
-    while rest:
-        low = rest & -rest
+    while x:
+        low = x & -x
         m = low.bit_length() - 1
-        out ^= squares[m] ^ f2_apply(ad[m], seen)
+        out ^= squares[m]
+        for shift, table in nib[m]:
+            out ^= table[seen >> shift & 15]
         seen |= low
-        rest ^= low
-    return unpack_bits(out, alg.dim, k)
+        x ^= low
+    return out
+
+
+def two_map_eval(ra: RestrictedAlgebra, x: Sequence[int]) -> Vec:
+    """Value of the 2-map on an arbitrary vector."""
+    alg = ra.algebra
+    k = alg.gf.degree
+    return unpack_bits(packed_square(ra, pack_bits(x, k)), alg.dim, k)
 
 
 def two_power(ra: RestrictedAlgebra, x: Sequence[int], m: int) -> Vec:

@@ -31,7 +31,7 @@ from .field import (Mat, Subspace, Vec, alpha_map, full_space, pack_bits,
                     unpack_bits, vec_is_zero, zero_vec)
 from .liealg import centralizer, f2_apply, f2_reduce, subspace_bracket
 from .restricted import (RestrictedAlgebra, classify_element, jcs_decompose,
-                         two_map_eval)
+                         packed_square, two_map_eval)
 
 FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
                 "toral ranks are lower bounds and maximality is relative to this field")
@@ -285,8 +285,54 @@ class CartanSplit:
     nil: Subspace
 
 
+def _all_two_nilpotent(ra: RestrictedAlgebra, nil: Subspace) -> bool:
+    """Whether every element of the 2-map closed subalgebra nil is 2-nilpotent.
+
+    x -> x^[2] is tabulated in the F2 coordinates of nil, basis b_{ik+a} =
+    alpha^a r_i for the canonical rows r_i (the code of a vector is its
+    pivot coordinates, packed), by a Gray-code sweep: flipping b_m changes
+    the square by b_m^[2] + [x, b_m], and the coordinates of [x, b_j] for
+    every j ride side by side in one int, to which flipping m adds those of
+    [b_m, b_j].  Every element is 2-nilpotent iff 0 is the only cycle of the
+    table, i.e. iff its 2^d-th power (d = dim_F2 nil) is zero everywhere.
+    """
+    alg = ra.algebra
+    k, times_alpha = alg.gf.degree, alpha_map(alg.gf, alg.dim)
+    kmask, d = (1 << k) - 1, nil.dim * k
+    basis = []
+    for r in nil.rows:
+        v = pack_bits(r, k)
+        for _ in range(k):
+            basis.append(v)
+            v = times_alpha(v)
+
+    def code(v: int) -> int:
+        return sum(((v >> (p * k)) & kmask) << (i * k) for i, p in enumerate(nil.pivots))
+
+    squares = [code(packed_square(ra, b)) for b in basis]
+    flips = [sum(code(alg.packed_bracket(b, c)) << (j * d) for j, c in enumerate(basis))
+             for b in basis]
+    mask = (1 << d) - 1
+    image = [0] * (1 << d)
+    x = square = brackets = 0
+    for step in range(1, 1 << d):
+        m = (step & -step).bit_length() - 1
+        square ^= squares[m] ^ ((brackets >> (m * d)) & mask)
+        brackets ^= flips[m]
+        x ^= 1 << m
+        image[x] = square
+    for _ in range(d):
+        image = [image[v] for v in image]
+    return not any(image)
+
+
 def cartan_split(ra: RestrictedAlgebra, torus: Torus) -> CartanSplit:
-    """Centralizer of the torus split as torus plus 2-nilpotent part."""
+    """Centralizer of the torus split as torus plus 2-nilpotent part.
+
+    The nil part must be 2-nilpotent: when it has at most 2^12 elements every
+    one is checked by one Gray-code sweep (`_all_two_nilpotent`), otherwise
+    its basis rows and 64 seeded combinations by `classify_element`.
+    """
     alg = ra.algebra
     h = centralizer(alg, torus.space)
     if not h.contains_subspace(torus.space):
@@ -311,16 +357,16 @@ def cartan_split(ra: RestrictedAlgebra, torus: Torus) -> CartanSplit:
             raise SplitFailed("nilpotent part is not 2-map closed")
     limit = 1 << 12
     if alg.gf.order ** nil.dim <= limit:
-        elems = list(nil.vectors())
+        nilpotent = _all_two_nilpotent(ra, nil)
     else:
         rng = random.Random(0)
         elems = list(nil.rows)
         for _ in range(64):
             elems.append(nil.combo(tuple(rng.randrange(alg.gf.order)
                                          for _ in range(nil.dim))))
-    for v in elems:
-        if not classify_element(ra, v).two_nilpotent:
-            raise SplitFailed("nilpotent part contains a non-2-nilpotent element")
+        nilpotent = all(classify_element(ra, v).two_nilpotent for v in elems)
+    if not nilpotent:
+        raise SplitFailed("nilpotent part contains a non-2-nilpotent element")
     return CartanSplit(torus, h, nil)
 
 

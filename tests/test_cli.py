@@ -327,6 +327,21 @@ def test_validate_dim128_abelian_is_fast(tmp_path, capsys):
     assert "jacobi on 341376 basis triples: ok" in out
 
 
+def test_validate_dim128_abelian_over_gf16_is_fast(tmp_path, capsys):
+    """The 512 packed columns of an empty GF(16) table are all zero, so the
+    nibble tables store nothing and the spot-check brackets cost nothing."""
+    path = tmp_path / "abelian128.json"
+    path.write_text(json.dumps({"field": {"degree": 4}, "dim": 128, "bracket": []}),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert "jacobi on 341376 basis triples: ok" in out
+    alg, _ = from_json(path.read_text(encoding="utf-8"))
+    assert not any(alg.ad_nibbles)
+
+
 @pytest.mark.parametrize("command", ["decompose", "toral-rank"])
 def test_failed_preconditions_exit_one(tmp_path, capsys, command):
     # [e0,e1]=e2, [e1,e2]=e1 breaks Jacobi; w11_p2 with a zero 2-map breaks

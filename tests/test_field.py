@@ -3,7 +3,9 @@
 The modulus table is cross-checked against an in-test irreducibility
 oracle (trial division over F2[x] written independently here), and the
 field axioms are checked exhaustively for small degrees and by seeded
-sampling for larger ones.
+sampling for larger ones.  The exp/log tables behind mul, inv, pow, sqrt
+and scale are checked against the carry-less product and reduction they
+were built from: on every pair for degrees 1..8, on a seeded sample at 16.
 """
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ import random
 import pytest
 
 from lie2 import GF, GF2, InvalidInput, Mat, Subspace, full_space
-from lie2.field import (alpha_map, basis_vec, is_irreducible, pack_bits,
-                        smallest_irreducible, unpack_bits, vec_add, zero_vec)
+from lie2.field import (_poly_mod, _poly_mul, alpha_map, basis_vec, is_irreducible,
+                        pack_bits, smallest_irreducible, unpack_bits, vec_add, zero_vec)
 
 
 def poly_divides(d: int, m: int) -> bool:
@@ -108,6 +110,68 @@ def test_pow_and_inv_match_fermat():
     for a in range(1, q):
         assert gf.pow(a, q - 1) == 1
         assert gf.inv(a) == gf.pow(a, q - 2)
+
+
+def poly_mul_mod(gf: GF, a: int, b: int) -> int:
+    return a & b if gf.degree == 1 else _poly_mod(_poly_mul(a, b), gf.modulus)
+
+
+def poly_pow(gf: GF, a: int, e: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = poly_mul_mod(gf, r, a)
+        a = poly_mul_mod(gf, a, a)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_field_tables_match_polynomial_arithmetic_on_every_pair(degree):
+    gf = GF(degree)
+    q = gf.order
+    for a in range(q):
+        power = 1
+        for b in range(q):
+            assert gf.mul(a, b) == poly_mul_mod(gf, a, b)
+            assert gf.pow(a, b) == power
+            power = poly_mul_mod(gf, power, a)
+        assert gf.pow(a, q) == power
+        root = gf.sqrt(a)
+        assert poly_mul_mod(gf, root, root) == a
+        if a:
+            inv = gf.inv(a)
+            assert poly_mul_mod(gf, a, inv) == 1
+            assert gf.pow(a, -3) == poly_pow(gf, inv, 3)
+        c = (5 * a + 3) % q
+        assert gf.scale(c, range(q)) == [poly_mul_mod(gf, c, b) for b in range(q)]
+
+
+def test_field_tables_match_polynomial_arithmetic_sampled_degree_16():
+    gf = GF(16)
+    rng = random.Random(16)
+    q = gf.order
+    for _ in range(5000):
+        a, b, e = rng.randrange(q), rng.randrange(q), rng.randrange(1 << 20)
+        assert gf.mul(a, b) == poly_mul_mod(gf, a, b)
+        assert gf.pow(a, e) == poly_pow(gf, a, e)
+        root = gf.sqrt(a)
+        assert poly_mul_mod(gf, root, root) == a
+        if a:
+            assert poly_mul_mod(gf, a, gf.inv(a)) == 1
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8, 16])
+def test_zero_powers_and_inverse(degree):
+    gf = GF(degree)
+    assert gf.pow(0, 0) == 1
+    assert gf.pow(0, 1) == gf.pow(0, 5) == gf.pow(0, gf.order - 1) == 0
+    assert gf.pow(1, 0) == gf.pow(gf.order - 1, 0) == 1
+    assert gf.sqrt(0) == 0 and gf.mul(0, gf.order - 1) == 0
+    with pytest.raises(ZeroDivisionError):
+        gf.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        gf.pow(0, -1)
 
 
 def test_element_range_check():

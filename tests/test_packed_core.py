@@ -6,7 +6,8 @@ the packed bracket table of the restriction of scalars to F2.  They stay
 here as oracles for `bracket`, `ad_matrix` and `two_map_eval` on every
 catalog algebra over F2 and lifted to GF(4), GF(16) and GF(2^16) in a
 seeded basis, and the GF(4) verdicts of `is_simple` and `toral_elements`
-are rechecked against plain sweeps built on them.
+are rechecked against plain sweeps built on them.  The nibble tables that
+apply ad are checked against `f2_apply`, the one-column-per-bit map.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ import random
 import pytest
 
 from lie2.field import GF, Mat, Subspace, basis_vec, coefficient_vectors
-from lie2.liealg import LieAlgebra, catalog, from_json, is_simple
+from lie2.liealg import (LieAlgebra, catalog, f2_apply, from_json, is_simple,
+                         nibble_apply, nibble_tables)
 from lie2.restricted import RestrictedAlgebra, two_map_eval
 from lie2.toruscartan import toral_elements
 from test_reports_frozen import lifted_doc
@@ -92,6 +94,22 @@ def test_packed_bracket_and_square_match_table_scans(name, degree):
         for e in basis:
             v = tuple(alg.gf.mul(lam, c) for c in e)
             assert two_map_eval(ra, v) == table_two_map_eval(ra, v)
+
+
+@pytest.mark.parametrize("width", [1, 3, 4, 6, 13])
+def test_nibble_tables_match_column_sums(width):
+    """One table per 4-bit chunk with a nonzero column, a short last chunk
+    included; zero chunks are left out and the image is unchanged."""
+    rng = random.Random(width)
+    for density in (0.0, 0.2, 1.0):
+        cols = [rng.getrandbits(width) if rng.random() < density else 0
+                for _ in range(width)]
+        chunks = nibble_tables(cols)
+        assert [shift for shift, _ in chunks] == [
+            s for s in range(0, width, 4) if any(cols[s:s + 4])]
+        for x in range(1 << width) if width <= 6 else \
+                (rng.getrandbits(width) for _ in range(200)):
+            assert nibble_apply(chunks, x) == f2_apply(cols, x)
 
 
 # ---------------------------------------------------------------------------

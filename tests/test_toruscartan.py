@@ -14,11 +14,12 @@ import pytest
 from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput,
                   NotSimultaneouslyDiagonalizable, NotTwoMapClosed,
                   RestrictedAlgebra, SplitFailed, Torus, audit_decomposition,
-                  catalog, cartan_split, is_torus, max_tori, weight_decompose)
-from lie2.field import GF, GF2, Mat, Subspace, coefficient_vectors
+                  catalog, cartan_split, is_torus, max_tori, toruscartan,
+                  weight_decompose)
+from lie2.field import GF, GF2, Mat, Subspace, coefficient_vectors, full_space, zero_vec
 from lie2.liealg import LieAlgebra, from_json
-from lie2.restricted import two_map_eval
-from lie2.toruscartan import toral_elements
+from lie2.restricted import JcsParts, classify_element, two_map_eval
+from lie2.toruscartan import _all_two_nilpotent, toral_elements
 from test_reports_frozen import lifted_doc
 
 
@@ -245,6 +246,67 @@ def test_cartan_split_sl2_fails():
     assert torus.rank == 1
     with pytest.raises(SplitFailed):
         cartan_split(ra, torus)
+
+
+def per_element_nilpotent(ra: RestrictedAlgebra, space: Subspace) -> bool:
+    """The check the nil sweep replaced: classify every element of the span."""
+    return all(classify_element(ra, v).two_nilpotent for v in space.vectors())
+
+
+# catalog algebras whose GF(4) lifts fit the exhaustive toral sweep
+GF4_LIFTS = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
+             "strictly_upper(3)", "strictly_upper(4)"]
+
+
+@pytest.mark.parametrize("name", GF4_LIFTS)
+def test_nil_sweep_agrees_with_per_element_check_over_gf4(name):
+    """On each accepted split both checks pass on the nil part, and on the
+    centralizer (torus plus nil, also a 2-map closed subalgebra) they agree,
+    failing exactly when the torus is nonzero."""
+    alg, two_map = from_json(lifted_doc(name, 2, 3))
+    ra = RestrictedAlgebra(alg, two_map)
+    torus = max_tori(ra).torus
+    try:
+        split = cartan_split(ra, torus)
+    except SplitFailed:
+        assert name == "sl2"
+        return
+    q = alg.gf.order
+    assert q ** split.nil.dim <= 1 << 12
+    assert _all_two_nilpotent(ra, split.nil) and per_element_nilpotent(ra, split.nil)
+    assert q ** split.h.dim <= 1 << 12
+    assert _all_two_nilpotent(ra, split.h) == per_element_nilpotent(ra, split.h) \
+        == (torus.rank == 0)
+
+
+def test_nil_sweep_follows_long_nil_chains():
+    """In strictly_upper(5) over F2, E12 + E23 + E34 + E45 squares three
+    times before it reaches 0, and all 1,024 elements are 2-nilpotent."""
+    ra = ra_of("strictly_upper(5)")
+    split = cartan_split(ra, max_tori(ra).torus)
+    assert split.nil.dim == 10
+    assert _all_two_nilpotent(ra, split.nil) and per_element_nilpotent(ra, split.nil)
+    chain = tuple(int(label in ("E12", "E23", "E34", "E45"))
+                  for label in ra.algebra.labels)
+    assert classify_element(ra, chain).nil_steps == 3
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_nil_sweep_rejects_non_nilpotent_span(monkeypatch, degree):
+    """span(e, f, h) of sl2 is a 2-map closed subalgebra, but h^[2] = h and
+    (e + f)^[2] = h.  With every centralizer row passed off as nilpotent,
+    cartan_split reaches the nil check and fails it."""
+    alg, two_map = from_json(lifted_doc("sl2", degree, 3)) if degree > 1 else \
+        (catalog("sl2").algebra, catalog("sl2").two_map)
+    ra = RestrictedAlgebra(alg, two_map)
+    whole = full_space(alg.gf, alg.dim)
+    assert not _all_two_nilpotent(ra, whole)
+    assert not per_element_nilpotent(ra, whole)
+    monkeypatch.setattr(toruscartan, "jcs_decompose",
+                        lambda ra, b: JcsParts(zero_vec(alg.dim), tuple(b)))
+    with pytest.raises(SplitFailed) as err:
+        cartan_split(ra, Torus(Subspace(alg.gf, alg.dim), ()))
+    assert str(err.value) == "nilpotent part contains a non-2-nilpotent element"
 
 
 DIM_PATTERN_EXPECT = {
