@@ -11,7 +11,7 @@ Products, inverses, powers and square roots in GF(2^k), k >= 2, are table
 lookups: a generator g of the multiplicative group is found by search, and
 the tables exp[i] = g^i (doubled to length 2(q-1), so a sum of two logs
 needs no reduction) and log[g^i] = i are built with `_poly_mul`/`_poly_mod`
-on first use per degree (at most 2 x 65,536 entries at k = 16).  GF(2)
+on first use per degree (3q - 2 entries, under 200,000 at k = 16).  GF(2)
 multiplies with `a & b`.
 """
 
