@@ -5,7 +5,11 @@ Each digest covers the exit code, standard output, standard error and the
 fixtures over F2 and seeded GF(4) and GF(16) lifts of them, rewritten in a
 random basis with the arithmetic below, so a refactor of the algebra layers
 that changes any byte of any report fails here.  The digests were recorded
-from the scalar implementation that preceded the packed F2 core.
+from the scalar implementation that preceded the packed F2 core.  Every
+fixture with a 2-map is also run with its `two_map` removed (label suffix
+`/synthesized`), so the commands synthesize one; those digests were recorded
+from the dense `ad` matrix synthesis that preceded the packed elimination,
+and they pin the centre reduction of non-unique images.
 
 Sampled GF(2^k) census reports are pinned the same way, as the digest of
 the report without its `runtime_ms`; those digests were recorded from the
@@ -33,6 +37,7 @@ F2_NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
 LIFTS = [(2, 1, ["o3", "heis3", "sl2", "gl2", "w11_p2", "abelian(3)",
                  "strictly_upper(3)", "sl3", "strictly_upper(4)", "gl3"]),
          (4, 2, ["o3", "heis3", "sl2", "gl2", "w11_p2", "gl3"])]
+SYNTHESIZED = "/synthesized"
 COMMANDS = {"validate": ["validate", "--restricted"],
             "decompose": ["decompose"],
             "toral-rank": ["toral-rank"]}
@@ -92,6 +97,9 @@ def fixture_docs() -> dict:
         for name in names:
             doc = lifted_doc(name, degree, seed)
             docs[doc["name"]] = doc
+    for label, doc in list(docs.items()):
+        if "two_map" in doc:
+            docs[label + SYNTHESIZED] = {k: v for k, v in doc.items() if k != "two_map"}
     return docs
 
 
@@ -123,6 +131,8 @@ def case_digest(case: str, tmp_path) -> str:
 def all_cases():
     labels = [f"{n}/F2" for n in F2_NAMES] + [
         f"{n}/GF{1 << d}" for d, _, names in LIFTS for n in names]
+    labels += [label + SYNTHESIZED for label in labels
+               if label + SYNTHESIZED in fixture_docs()]
     cases = [f"catalog-emit {n}" for n in F2_NAMES]
     return cases + [f"{cmd} {label}" for cmd in COMMANDS for label in labels]
 
@@ -295,6 +305,138 @@ FROZEN = {
     "toral-rank w11_p2/GF16":
         "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
     "toral-rank gl3/GF16":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "validate heis3/F2/synthesized":
+        "8e3f87960778c83e05c10eb543477b0621657c1754e3fb86d1ad1a946975c12d",
+    "validate sl2/F2/synthesized":
+        "7f57295efbbdc71daf153a73d1b85243a371b83eb23b8092bedb0466499d2d10",
+    "validate gl2/F2/synthesized":
+        "9f404acc714c2e6ce69d1920e42138105bd1b0e89b16a05621dac87b769e00d4",
+    "validate sl3/F2/synthesized":
+        "2cab51de50399ca68311e05479f17cd436ff63bec5fa8ef619cedf1c1a998378",
+    "validate gl3/F2/synthesized":
+        "8b8bbc415d7192cc0ab74d9069986fb4fd9ef16b46a7be0d481f08a032db133e",
+    "validate w11_p2/F2/synthesized":
+        "4e378926f4277913df1e15addcbaf89525e94d2efa008e5bff17fbcafcb51c6e",
+    "validate abelian(3)/F2/synthesized":
+        "8fbb5305952d2afb755a5a2414dd8b8be81b631c41dd7404e5aeb292a634d317",
+    "validate strictly_upper(4)/F2/synthesized":
+        "4073d78d34988452efa98f273b50b763081a847257acf668aa059ff9ff348433",
+    "validate heis3/GF4/synthesized":
+        "a31276dd40010ed1ff0338a5f227826386b24ab56663d33a0d4cd5eb1d6648bf",
+    "validate sl2/GF4/synthesized":
+        "402ed2523e04ea41095a8fcc001cf8cc0a41ac0973dd5df2a91ea11abb8b92f0",
+    "validate gl2/GF4/synthesized":
+        "f2292ede5e952720f20ecc0c8ecbbb6285b34de4030fbb524ef397d307607f6f",
+    "validate w11_p2/GF4/synthesized":
+        "b7ebc29070121c8d7c2e147ae9b5b9f53cc519fa833602f60c8c9dec5763a3af",
+    "validate abelian(3)/GF4/synthesized":
+        "b4060c9dce516602a58e795c8f9ddb441e27539d10bb5c292808ed3e04629013",
+    "validate strictly_upper(3)/GF4/synthesized":
+        "b2159135107419080a4b580ee27e793bbea91ce00a57c55ad1c9bc06afe27834",
+    "validate sl3/GF4/synthesized":
+        "8f5f672a48edf41089406c13bdf31d473f74c3448c6ae388cd3f3f74d11ab481",
+    "validate strictly_upper(4)/GF4/synthesized":
+        "844147cb24cd9dc152a5ff0599802c9c63d52dadc632d1c7751f6c039db21e14",
+    "validate gl3/GF4/synthesized":
+        "3e402a17313cea0d176ad9fa7d12eb52d3c7345b082059daadcc708ee1019ab9",
+    "validate heis3/GF16/synthesized":
+        "ab957cc37ec02a68c7ceaa3dd08847a8d6e0c9a16d02d06d50a07483f9f7ef5b",
+    "validate sl2/GF16/synthesized":
+        "a2462d92c258ddb497ead2245c93f1e38a2e61892f750ad5615328fe9fc84eaf",
+    "validate gl2/GF16/synthesized":
+        "5369d9eccf146bed0e957c4f717f54032ae9f760229f4f2f2c56e675edf6a470",
+    "validate w11_p2/GF16/synthesized":
+        "1dbe33f79474ecbb6de97c45e32a9337a0fe3364c0be81d227ca3879cc151442",
+    "validate gl3/GF16/synthesized":
+        "63386a64bb86ea7409a7e9f067c26b0342dfc8d169a1dad757a456d23f61d375",
+    "decompose heis3/F2/synthesized":
+        "5244981f0f51e441a214724c595fff77105491aee9d25be44dacba298edc3ff4",
+    "decompose sl2/F2/synthesized":
+        "3eba6c4ad382031956ae3dabe43371b119b689627a9f319f7e3b829d01aafd64",
+    "decompose gl2/F2/synthesized":
+        "21b20ad51e868367f93351a2de68b59656d2cfb725ed5e0dc4a88a53af4f1672",
+    "decompose sl3/F2/synthesized":
+        "5f5208d7f2cb85643258ab6bc6439b5898219876e93911fb1df764ed588c1919",
+    "decompose gl3/F2/synthesized":
+        "1f2ef63baab209c9077ec6905d06bb50b0bc5355b2c3f993f4109c1f6851e73d",
+    "decompose w11_p2/F2/synthesized":
+        "3c491d3b2dce562559384d4654d03c5c8f96c5c56dae9915b856fe40942d84ad",
+    "decompose abelian(3)/F2/synthesized":
+        "981914c7591947e64c8e197a7f446974613d4022ac233f1c204a0f65ed2676d6",
+    "decompose strictly_upper(4)/F2/synthesized":
+        "2455d5066761b62bbb198fade11bd2723ba73bad95435542f937f33ad7d7ae23",
+    "decompose heis3/GF4/synthesized":
+        "c57b214e2ad6e238b28431649a42c38735973b2a3cf658b7279e418d58dd7935",
+    "decompose sl2/GF4/synthesized":
+        "03f6e7696c40d3914800767eaa5d658ba92756b07db2d7d8eb0e47a5c3578ff9",
+    "decompose gl2/GF4/synthesized":
+        "63fec4c7a00e1cce39fac3ca2a6f3ec8d2dd3c5b84a8613782ab10c788f7782a",
+    "decompose w11_p2/GF4/synthesized":
+        "22a3b55437d435d7538d731654d9a24db743406f1474c9b27345aa14283948c6",
+    "decompose abelian(3)/GF4/synthesized":
+        "db17b8f83d2225b78dcf502d2fa8e2e3a7e1622ecedfef674687e64bf2c12623",
+    "decompose strictly_upper(3)/GF4/synthesized":
+        "ad0f0585e679468a848ea7123efa05deb71073d745c3a6355e768eb0793e5b02",
+    "decompose sl3/GF4/synthesized":
+        "0a6f0b7920299547fe826ce0b8357c51c47067d2c406d02e0aafbe8ff42351c4",
+    "decompose strictly_upper(4)/GF4/synthesized":
+        "06f58d40dacd70ed49c803db2f1bc4174f0f5a7774be61b3418068b3de13a51f",
+    "decompose gl3/GF4/synthesized":
+        "ba75afaab8e7914c999b9057abbbc40a506ecd3c918b5dcdb4c39e78d76467ea",
+    "decompose heis3/GF16/synthesized":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "decompose sl2/GF16/synthesized":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "decompose gl2/GF16/synthesized":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "decompose w11_p2/GF16/synthesized":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "decompose gl3/GF16/synthesized":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank heis3/F2/synthesized":
+        "4292eae6d20e4249efaaaaa161f40128ac4f5c4c2fd438871500b560b8c37a8a",
+    "toral-rank sl2/F2/synthesized":
+        "a34b8fb1c2f6b47955c1c348c3d66a1fc7388001f9d3c1bcf7f95c3c99cbbe5b",
+    "toral-rank gl2/F2/synthesized":
+        "e54577a9f5d3bedda8af730e30a554ffc5facb98f0c17e3c3d69795ac21093d5",
+    "toral-rank sl3/F2/synthesized":
+        "5f789ad30d727499005d13f890ae671c27ceb05973fc1fed6f1f9353833b3551",
+    "toral-rank gl3/F2/synthesized":
+        "42ff58357367093256d282891263fcdc200f14e97908d960f1a0c358e31a3ace",
+    "toral-rank w11_p2/F2/synthesized":
+        "ff46c731870340b96b73c7289d26c547d17d1f6140e2b9221baf0c462ed9e700",
+    "toral-rank abelian(3)/F2/synthesized":
+        "d6c9274d44919e7da5a9b8a89e7b8773da81aafa18cf56400f5b4b0d687c33ae",
+    "toral-rank strictly_upper(4)/F2/synthesized":
+        "e7201701d66e6ea98a01e6060a4d785e0c11cd229ed2df27faacecb4d616da29",
+    "toral-rank heis3/GF4/synthesized":
+        "7b152b4dccde489a93eebe6e933211381bd48ac105e6822a635f2752c5e008c0",
+    "toral-rank sl2/GF4/synthesized":
+        "9d39b218d043d1596efdf558c40a179dfc5e42e722c43f63321026daed9a1a21",
+    "toral-rank gl2/GF4/synthesized":
+        "c478fcf8ed16c10806dcdb648112466258843d86ac33c05b7663f2edac58e4ff",
+    "toral-rank w11_p2/GF4/synthesized":
+        "ca035078a8dd64dd3aa735cdb00ea940d2f1d578689ed63365997c06ebeeb69b",
+    "toral-rank abelian(3)/GF4/synthesized":
+        "1a532cd6d72740bd8b5a400e6436565ea2fc84a572b70f5f32cdbe34f4ae5b65",
+    "toral-rank strictly_upper(3)/GF4/synthesized":
+        "21e614e8b626a5b90c425434cc380198169dd53a0129bfc0129b5e878ab5081c",
+    "toral-rank sl3/GF4/synthesized":
+        "fc1d23db00f2823120e3e19b147d05f26796dabb9ab5c8d7ea72c805dfc47a83",
+    "toral-rank strictly_upper(4)/GF4/synthesized":
+        "548d388e688504a1e0fb9cdac76c4d0da5e677cbab4f24dafa3545b58e8ba9b6",
+    "toral-rank gl3/GF4/synthesized":
+        "34b08258e975c9fe9b14d50d72e70a535a7f9b5f6e3e4eb0b53c980b450e0d82",
+    "toral-rank heis3/GF16/synthesized":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank sl2/GF16/synthesized":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank gl2/GF16/synthesized":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank w11_p2/GF16/synthesized":
+        "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "toral-rank gl3/GF16/synthesized":
         "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
 }
 
