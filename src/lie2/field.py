@@ -347,11 +347,6 @@ class Mat:
             return Mat(self.gf, [[] for _ in range(self.ncols)], ncols=0)
         return Mat(self.gf, list(zip(*self.rows)), ncols=self.nrows)
 
-    def vstack(self, other: "Mat") -> "Mat":
-        if other.ncols != self.ncols:
-            raise InvalidInput("column mismatch in vstack")
-        return Mat(self.gf, self.rows + other.rows, ncols=self.ncols)
-
     def rref(self) -> Tuple["Mat", Tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns; zero rows dropped."""
         gf = self.gf

@@ -18,7 +18,8 @@ and costs nothing, so an abelian table brackets at the cost of its packing.
 The tables are built on first use.  `validate_lie` checks the basis
 triples with `f2_apply`, one column per set bit, so a table that is only
 checked there (as the census checks its survivors) never pays for them;
-`f2_apply` also serves the ideal closure and the toral sweeps.
+`f2_apply` also serves the ideal closure, the toral sweeps and `ad_kernel`
+(centralizers, root spaces and 2-map synthesis).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, InvalidInput
+from .errors import BudgetExceeded, InternalInconsistency, InvalidInput
 from .field import (GF, GF2, Mat, Subspace, Vec, alpha_map,
                     full_space, pack_bits, unpack_bits, vec_add, vec_is_zero,
                     zero_vec)
@@ -113,13 +114,6 @@ class LieAlgebra:
         return unpack_bits(self.packed_bracket(pack_bits(x, k), pack_bits(y, k)),
                            self.dim, k)
 
-    def ad_matrix(self, x: Sequence[int]) -> Mat:
-        """Matrix of [x, -] acting on column vectors; column j is [x, f_jk]."""
-        nib, k, n = self.ad_nibbles, self.gf.degree, self.dim
-        px = pack_bits(x, k)
-        cols = [unpack_bits(nibble_apply(nib[j * k], px), n, k) for j in range(n)]
-        return Mat(self.gf, list(zip(*cols)), ncols=n)
-
     def __repr__(self) -> str:
         tag = self.name or "LieAlgebra"
         return f"{tag}(dim={self.dim}, {self.gf!r})"
@@ -167,13 +161,13 @@ def validate_lie(alg: LieAlgebra, random_checks: int = 200, seed: int = 0) -> Va
             y = tuple(rng.randrange(alg.gf.order) for _ in range(n))
             z = tuple(rng.randrange(alg.gf.order) for _ in range(n))
             if not vec_is_zero(jacobi_residual(alg, x, y, z)):
-                raise AssertionError("random Jacobi failed after basis Jacobi passed")
+                raise InternalInconsistency("random Jacobi failed after basis Jacobi passed")
             if not vec_is_zero(alg.bracket(x, x)):
-                raise AssertionError("bracket is not alternating")
+                raise InternalInconsistency("bracket is not alternating")
             lhs = alg.bracket(vec_add(x, y), z)
             rhs = vec_add(alg.bracket(x, z), alg.bracket(y, z))
             if lhs != rhs:
-                raise AssertionError("bracket is not bilinear")
+                raise InternalInconsistency("bracket is not bilinear")
             done += 1
     return ValidationReport(not failures, failures, count, done)
 
@@ -251,13 +245,21 @@ def center(alg: LieAlgebra) -> Subspace:
 
 def centralizer(alg: LieAlgebra, s: Subspace) -> Subspace:
     """Elements commuting with every vector of the subspace."""
-    if s.dim == 0:
-        return full_space(alg.gf, alg.dim)
-    mats = [alg.ad_matrix(r) for r in s.rows]
-    stacked = mats[0]
-    for m in mats[1:]:
-        stacked = stacked.vstack(m)
-    return Subspace(alg.gf, alg.dim, stacked.kernel())
+    return ad_kernel(alg, s.rows)[0]
+
+
+def ad_kernel(alg: LieAlgebra, rows: Sequence[Sequence[int]], lam: Sequence[int] = (),
+              rhs: Sequence[int] = ()) -> Tuple[Subspace, List[Optional[int]]]:
+    """Kernel of x -> ([r_j, x] + lam_j x)_j, lam_j in F2 (default 0), as a
+    subspace, and a packed solution or None for each rhs (block j at bit j nk)."""
+    n, k = alg.dim, alg.gf.degree
+    lam = lam or [0] * len(rows)
+    packed = [pack_bits(r, k) for r in rows]
+    cols = [sum((f2_apply(col, p) ^ c << m) << (j * n * k)
+                for j, (p, c) in enumerate(zip(packed, lam)))
+            for m, col in enumerate(alg.ad_columns)]
+    kernel, solutions = f2_eliminate(cols, n * k, rhs)
+    return Subspace(alg.gf, n, [unpack_bits(v, n, k) for v in kernel]), solutions
 
 
 @dataclass
@@ -359,6 +361,27 @@ def f2_reduce(slots: List[int], v: int) -> int:
             return v
         v ^= slots[top]
     return 0
+
+
+def f2_eliminate(cols: Sequence[int], n: int, rhs: Sequence[int] = ()
+                 ) -> Tuple[List[int], List[Optional[int]]]:
+    """Kernel basis of the packed map A with columns cols[0..n-1], and a
+    solution y of A y = b (None if there is none) for each b in rhs.
+
+    Column m enters the echelon slots tagged, cols[m] << n | 1 << m, so the
+    slots below bit n span the kernel by their tags, and reducing b << n on
+    the slots from n up leaves the tag of a solution."""
+    width = n + max((c.bit_length() for c in cols), default=0)
+    slots = [0] * width
+    for m, c in enumerate(cols):
+        f2_reduce(slots, c << n | 1 << m)
+    solutions = []
+    for b in rhs:
+        v = b << n
+        while v >> n and v.bit_length() <= width and slots[v.bit_length() - 1]:
+            v ^= slots[v.bit_length() - 1]
+        solutions.append(None if v >> n else v)
+    return [v for v in slots[:n] if v], solutions
 
 
 def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> int:

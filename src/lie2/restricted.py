@@ -4,23 +4,26 @@ A 2-map is determined by its basis images: on a general vector it expands
 quadratically, squares of coordinates on the basis images plus the mixed
 bracket terms; this runs on the F2 restriction of scalars (see `liealg`)
 with packed basis squares f_{ik+a}^[2] = alpha^(2a) e_i^[2].  The key exact
-subroutines here are synthesis of a 2-map from the bracket alone (a linear
-solve per basis element, with a certified absence witness when no solution
-exists) and the semisimple/nilpotent decomposition obtained from the Fitting
-decomposition of the squaring operator on the span of 2-power iterates.  The squaring operator is only semilinear over GF(2^k),
-so image and preimage computations carry an explicit Frobenius twist.
+subroutines here are synthesis of a 2-map from the bracket alone (one
+elimination of y -> ([y, e_l])_l gives the centre and solves every
+ad(y) = ad(e_i)^2, or names the first basis element with no solution) and
+the semisimple/nilpotent decomposition obtained from the Fitting
+decomposition of the squaring operator on the span of 2-power iterates.
+The squaring operator is only semilinear over GF(2^k), so image and
+preimage computations carry an explicit Frobenius twist.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, InvalidInput
-from .field import (GF, Mat, Subspace, Vec, alpha_map, basis_vec, pack_bits,
+from .field import (GF, Mat, Subspace, Vec, alpha_map, full_space, pack_bits,
                     unpack_bits, vec_add, vec_is_zero, zero_vec)
-from .liealg import LieAlgebra, center
+from .liealg import LieAlgebra, ad_kernel, f2_apply, nibble_apply
 
 
 @dataclass(frozen=True)
@@ -88,27 +91,35 @@ class RestrictedReport:
 
 def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
                         seed: int = 0) -> RestrictedReport:
-    """Check ad(b_i) = ad(e_i)^2 on the basis, then randomized identities."""
-    import random as _random
+    """Check ad(b_i) = ad(e_i)^2 on the basis, then randomized identities.
 
+    ad(x^[2]) = ad(x)^2 is checked as [x^[2], e_l] = [x, [x, e_l]] on packed
+    vectors, with ad(x) built once: [x, alpha^a e_l] = alpha^a [x, e_l].
+    """
     alg = ra.algebra
-    n = alg.dim
-    bad = []
-    for i in range(n):
-        adi = alg.ad_matrix(basis_vec(n, i))
-        if alg.ad_matrix(ra.two_map[i]) != adi.mul(adi):
-            bad.append(i)
+    n, k = alg.dim, alg.gf.degree
+    nib, basis, times_alpha = alg.ad_nibbles, range(0, n * k, k), alpha_map(alg.gf, n)
+
+    def squares_to(x: int, sq: int) -> bool:
+        adx = []
+        for l in basis:
+            v = nibble_apply(nib[l], x)
+            for _ in range(k):
+                adx.append(v)
+                v = times_alpha(v)
+        return all(nibble_apply(nib[l], sq) == f2_apply(adx, adx[l]) for l in basis)
+
+    bad = [i for i in range(n) if not squares_to(1 << (i * k), ra.squares[i * k])]
     done = 0
     if not bad:
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         q = alg.gf.order
         for _ in range(random_checks):
             x = tuple(rng.randrange(q) for _ in range(n))
             y = tuple(rng.randrange(q) for _ in range(n))
             lam = rng.randrange(q)
             sq = two_map_eval(ra, x)
-            adx = alg.ad_matrix(x)
-            if alg.ad_matrix(sq) != adx.mul(adx):
+            if not squares_to(pack_bits(x, k), pack_bits(sq, k)):
                 raise InternalInconsistency("derived 2-map identity failed on a vector")
             lx = tuple(alg.gf.mul(lam, c) for c in x)
             lam2 = alg.gf.mul(lam, lam)
@@ -138,28 +149,20 @@ class SynthesisReport:
 def synthesize_two_map(alg: LieAlgebra) -> SynthesisReport:
     """Recover a 2-map from the bracket, or certify that none exists.
 
-    For each basis element the condition is linear in the unknown image:
-    y must satisfy ad(y) = ad(e_i)^2, and y -> ad(y) is linear.  Solutions
-    are unique exactly when the center vanishes; otherwise each image is
-    reduced modulo the center, which picks the lexicographically least
-    representative of its coset.
+    The image y of e_i solves [y, e_l] = [e_i, [e_i, e_l]] for every l.  One
+    elimination of y -> ([e_l, y])_l gives the center (its kernel) and every
+    solution.  Images are unique exactly when the center vanishes; otherwise
+    each is reduced modulo the center to the least representative of its coset.
     """
-    n = alg.dim
-    cols = []
-    for j in range(n):
-        adj = alg.ad_matrix(basis_vec(n, j))
-        cols.append([x for row in adj.rows for x in row])
-    lin = Mat(alg.gf, list(zip(*cols)), ncols=n)
-    cen = center(alg)
+    n, k = alg.dim, alg.gf.degree
+    ad, basis = alg.ad_columns, range(0, n * k, k)
+    rhs = [sum(f2_apply(ad[i], ad[i][l]) << (l * n) for l in basis) for i in basis]
+    cen, solutions = ad_kernel(alg, full_space(alg.gf, n).rows, rhs=rhs)
     images = []
-    for i in range(n):
-        adi = alg.ad_matrix(basis_vec(n, i))
-        sq = adi.mul(adi)
-        rhs = [x for row in sq.rows for x in row]
-        y = lin.solve(rhs)
+    for i, y in enumerate(solutions):
         if y is None:
             return SynthesisReport(None, False, cen.dim, missing_index=i)
-        images.append(cen.reduce(y))
+        images.append(cen.reduce(unpack_bits(y, n, k)))
     return SynthesisReport(tuple(images), cen.dim == 0, cen.dim)
 
 
@@ -227,8 +230,6 @@ def _sqrt_coords(gf: GF, v: Sequence[int]) -> Vec:
 
 def _annihilator(sub: Subspace) -> Mat:
     """Matrix whose kernel is exactly the subspace (standard bilinear form)."""
-    if sub.dim == 0:
-        return Mat.identity(sub.gf, sub.ambient)
     rows = Mat(sub.gf, list(sub.rows), ncols=sub.ambient).kernel()
     return Mat(sub.gf, rows, ncols=sub.ambient)
 
@@ -273,8 +274,7 @@ def jcs_decompose(ra: RestrictedAlgebra, x: Sequence[int]) -> JcsParts:
         lin_pre = Subspace(gf, d, ann.mul(m_sq).kernel())
         return Subspace(gf, d, [_sqrt_coords(gf, b) for b in lin_pre.rows])
 
-    w_inf = Subspace(gf, d, [tuple(1 if i == j else 0 for j in range(d))
-                             for i in range(d)])
+    w_inf = full_space(gf, d)
     for _ in range(d + 1):
         nxt = sigma_image(w_inf)
         if nxt == w_inf:

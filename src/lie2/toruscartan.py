@@ -27,9 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
-from .field import (Mat, Subspace, Vec, alpha_map, full_space, pack_bits,
+from .field import (Mat, Subspace, Vec, alpha_map, pack_bits,
                     unpack_bits, vec_is_zero, zero_vec)
-from .liealg import centralizer, f2_apply, f2_reduce, subspace_bracket
+from .liealg import ad_kernel, centralizer, f2_apply, f2_reduce, subspace_bracket
 from .restricted import (RestrictedAlgebra, classify_element, jcs_decompose,
                          packed_square, two_map_eval)
 
@@ -435,42 +435,22 @@ def weight_decompose(ra: RestrictedAlgebra, torus: Torus) -> CartanDecomposition
     the prime-field eigenvalue tuples must account for the whole algebra;
     anything else raises NotSimultaneouslyDiagonalizable.
     """
-    alg = ra.algebra
-    gf = alg.gf
-    n = alg.dim
-    if torus.toral_basis is None:
+    alg, basis = ra.algebra, torus.toral_basis
+    if basis is None:
         raise InvalidInput("torus has no toral basis over this field")
-    basis = torus.toral_basis
-    r = len(basis)
-    ads = [alg.ad_matrix(t) for t in basis]
-    ident = Mat.identity(gf, n)
-    spaces: Dict[Tuple[int, ...], Subspace] = {}
-    total = 0
-    for code in range(1 << r):
-        lam = tuple((code >> i) & 1 for i in range(r))
-        stacked = None
-        for i in range(r):
-            m = ads[i].add(ident) if lam[i] else ads[i]
-            stacked = m if stacked is None else stacked.vstack(m)
-        if stacked is None:
-            space = full_space(gf, n)
-        else:
-            space = Subspace(gf, n, stacked.kernel())
-        if space.dim:
-            spaces[lam] = space
-        total += space.dim
+    r, n = len(basis), alg.dim
+    lams = [tuple((code >> i) & 1 for i in range(r)) for code in range(1 << r)]
+    spaces = {lam: ad_kernel(alg, basis, lam)[0] for lam in lams}
+    total = sum(s.dim for s in spaces.values())
     if total != n:
         raise NotSimultaneouslyDiagonalizable(
             f"joint eigenspaces cover {total} of {n} dimensions")
-    zero = (0,) * r
-    h = spaces.pop(zero, Subspace(gf, n))
-    expect_h = centralizer(alg, torus.space)
-    if r and h != expect_h:
+    h = spaces.pop((0,) * r)
+    if r and h != centralizer(alg, torus.space):
         raise InternalInconsistency("weight-zero space differs from the centralizer")
     split = cartan_split(ra, torus)
-    if split.h != h and r:
-        raise InternalInconsistency("centralizer mismatch between split and weights")
-    return CartanDecomposition(ra, torus, h, split.nil, spaces)
+    return CartanDecomposition(ra, torus, h, split.nil,
+                               {lam: s for lam, s in spaces.items() if s.dim})
 
 
 # ---------------------------------------------------------------------------

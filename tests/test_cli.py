@@ -95,6 +95,22 @@ def test_validate_broken_jacobi_exits_one(tmp_path, capsys):
     assert "FAILED" in out
 
 
+def test_validate_spot_check_failure_exits_one(tmp_path, monkeypatch, capsys):
+    """A bracket that is alternating and passes Jacobi (every value brackets
+    to zero) but is cubic in x fails the bilinearity spot check: exit 1 with
+    one line, as the 2-map spot checks do."""
+    def cubic(self, px, py):
+        x0, x1, x2, y0, y1 = px & 1, px >> 1 & 1, px >> 2 & 1, py & 1, py >> 1 & 1
+        return ((x0 & y1) ^ (x1 & y0)) & x2 and 0b100
+
+    monkeypatch.setattr(LieAlgebra, "packed_bracket", cubic)
+    path = write_fixture(tmp_path, "abelian(3)")
+    code, _, err = run(capsys, "validate", path)
+    assert code == 1
+    assert err.splitlines() == ["check failed: bracket is not bilinear"]
+    assert "Traceback" not in err
+
+
 def test_validate_malformed_stdin_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("this is not json"))
     code, _, err = run(capsys, "validate", "-")

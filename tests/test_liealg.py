@@ -336,15 +336,6 @@ def test_constructor_rejects_bad_tables():
         LieAlgebra(GF2, 2, {}, labels=["just one"])
 
 
-def test_ad_matrix_action():
-    o3 = catalog("o3").algebra
-    rng = random.Random(13)
-    for _ in range(20):
-        x = tuple(rng.randrange(2) for _ in range(3))
-        y = tuple(rng.randrange(2) for _ in range(3))
-        assert o3.ad_matrix(x).mul_vec(y) == o3.bracket(x, y)
-
-
 def test_families_scale():
     ab = catalog("abelian(5)").algebra
     assert ab.dim == 5 and not ab.table

@@ -3,11 +3,15 @@
 `table_bracket` and `table_two_map_eval` are the structure-constant scans
 that computed every bracket and 2-map over GF(2^k) before both moved onto
 the packed bracket table of the restriction of scalars to F2.  They stay
-here as oracles for `bracket`, `ad_matrix` and `two_map_eval` on every
-catalog algebra over F2 and lifted to GF(4), GF(16) and GF(2^16) in a
-seeded basis, and the GF(4) verdicts of `is_simple` and `toral_elements`
-are rechecked against plain sweeps built on them.  The nibble tables that
-apply ad are checked against `f2_apply`, the one-column-per-bit map.
+here as oracles for `bracket` and `two_map_eval` on every catalog algebra
+over F2 and lifted to GF(4), GF(16) and GF(2^16) in a seeded basis, and
+the GF(4) verdicts of `is_simple` and `toral_elements` are rechecked
+against plain sweeps built on them.  The nibble tables that apply ad are
+checked against `f2_apply`, the one-column-per-bit map.
+
+Dense ad matrices built from `table_bracket` are the oracles for the packed
+eliminations: centralizers, the centre, joint eigenspaces of a torus,
+2-map synthesis and the basis check of `validate_restricted`.
 """
 from __future__ import annotations
 
@@ -16,11 +20,15 @@ import random
 
 import pytest
 
-from lie2.field import GF, Mat, Subspace, basis_vec, coefficient_vectors
-from lie2.liealg import (LieAlgebra, catalog, f2_apply, from_json, is_simple,
-                         nibble_apply, nibble_tables)
-from lie2.restricted import RestrictedAlgebra, two_map_eval
-from lie2.toruscartan import toral_elements
+from lie2.errors import Lie2Error
+from lie2.field import (GF, Mat, Subspace, basis_vec, coefficient_vectors,
+                        full_space, vec_add)
+from lie2.liealg import (LieAlgebra, catalog, center, centralizer, f2_apply,
+                         f2_eliminate, from_json, is_simple, nibble_apply,
+                         nibble_tables)
+from lie2.restricted import (RestrictedAlgebra, synthesize_two_map,
+                             two_map_eval, validate_restricted)
+from lie2.toruscartan import Torus, max_tori, toral_elements, weight_decompose
 from test_reports_frozen import lifted_doc
 
 NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
@@ -85,8 +93,6 @@ def test_packed_bracket_and_square_match_table_scans(name, degree):
     for _ in range(20):
         x, y = rand_vec(rng, alg), rand_vec(rng, alg)
         assert alg.bracket(x, y) == table_bracket(alg, x, y)
-        cols = [table_bracket(alg, x, e) for e in basis]
-        assert alg.ad_matrix(x).rows == tuple(zip(*cols))
         if ra is not None:
             assert two_map_eval(ra, x) == table_two_map_eval(ra, x)
     if ra is not None:
@@ -110,6 +116,149 @@ def test_nibble_tables_match_column_sums(width):
         for x in range(1 << width) if width <= 6 else \
                 (rng.getrandbits(width) for _ in range(200)):
             assert nibble_apply(chunks, x) == f2_apply(cols, x)
+
+
+# ---------------------------------------------------------------------------
+# packed eliminations against dense ad matrices
+
+
+def dense_ad(alg: LieAlgebra, x) -> Mat:
+    """Matrix of [x, -] on column vectors, column j being [x, e_j]."""
+    n = alg.dim
+    cols = [table_bracket(alg, x, basis_vec(n, j)) for j in range(n)]
+    return Mat(alg.gf, list(zip(*cols)), ncols=n)
+
+
+def dense_kernel(alg: LieAlgebra, mats) -> Subspace:
+    """Common kernel of the matrices, rows stacked."""
+    rows = [r for m in mats for r in m.rows]
+    return Subspace(alg.gf, alg.dim, Mat(alg.gf, rows, ncols=alg.dim).kernel())
+
+
+def flat(m: Mat) -> tuple:
+    return tuple(x for row in m.rows for x in row)
+
+
+def test_f2_eliminate_kernel_and_solutions():
+    rng = random.Random(5)
+    for n in (1, 3, 8, 13):
+        for _ in range(30):
+            cols = [rng.getrandbits(rng.randrange(1, 10)) for _ in range(n)]
+            images = {f2_apply(cols, y) for y in range(1 << n)}
+            rhs = [f2_apply(cols, rng.getrandbits(n)), rng.getrandbits(12)]
+            kernel, sols = f2_eliminate(cols, n, rhs)
+            null = [y for y in range(1 << n) if not f2_apply(cols, y)]
+            assert len(kernel) == (len(null).bit_length() - 1)
+            assert all(not f2_apply(cols, v) for v in kernel)
+            for b, y in zip(rhs, sols):
+                assert (y is not None) == (b in images)
+                assert y is None or f2_apply(cols, y) == b
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 16])
+@pytest.mark.parametrize("name", NAMES)
+def test_centralizer_and_center_match_dense_kernels(name, degree):
+    alg, _ = algebra_over(name, degree)
+    gf, n = alg.gf, alg.dim
+    full = full_space(gf, n)
+    expect = dense_kernel(alg, [dense_ad(alg, r) for r in full.rows])
+    assert centralizer(alg, full) == expect == center(alg)
+    rng = random.Random(f"{name}/{degree}/centralizer")
+    for r in range(n + 1):
+        s = Subspace(gf, n, [rand_vec(rng, alg) for _ in range(r)])
+        assert centralizer(alg, s) == dense_kernel(alg, [dense_ad(alg, v) for v in s.rows])
+
+
+def restricted_with_torus(name: str, degree: int):
+    """A restricted algebra over GF(2^degree) and a torus of it: a maximal
+    torus of the seeded lift for degrees 1 and 2, and over GF(16) and
+    GF(2^16) the F2 algebra with scalars extended and its F2 maximal torus,
+    whose toral basis stays a basis of fixpoints."""
+    alg, two_map = algebra_over(name, degree if degree <= 2 else 1)
+    ra = RestrictedAlgebra(alg, two_map)
+    torus = max_tori(ra).torus
+    if degree <= 2:
+        return ra, torus
+    gf = GF(degree)
+    ext = RestrictedAlgebra(LieAlgebra(gf, alg.dim, alg.table), two_map)
+    basis = torus.toral_basis
+    return ext, Torus(Subspace(gf, alg.dim, basis), basis)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 16])
+def test_weight_spaces_match_dense_joint_eigenspaces(degree):
+    decomposed = set()
+    for name in NAMES:
+        if name == "o3":
+            continue
+        ra, torus = restricted_with_torus(name, degree)
+        alg, basis = ra.algebra, torus.toral_basis
+        ident = Mat.identity(alg.gf, alg.dim)
+        ads = [dense_ad(alg, t) for t in basis]
+        expect = {}
+        for code in range(1 << len(basis)):
+            lam = tuple((code >> i) & 1 for i in range(len(basis)))
+            space = dense_kernel(alg, [a.add(ident) if c else a for a, c in zip(ads, lam)])
+            if space.dim:
+                expect[lam] = space
+        try:
+            dec = weight_decompose(ra, torus)
+        except Lie2Error:
+            continue
+        decomposed.add(name)
+        assert dec.h == expect.pop((0,) * len(basis), Subspace(alg.gf, alg.dim))
+        assert dec.weights == expect
+    # sl2 has no Cartan split over any field; the others decompose
+    assert decomposed == set(NAMES) - {"o3", "sl2"}
+
+
+def dense_synthesis(alg: LieAlgebra):
+    """(images, unique, center_dim, missing_index) from one dense solve per
+    basis element of ad(y) = ad(e_i)^2, images reduced modulo the centre."""
+    n = alg.dim
+    ads = [dense_ad(alg, basis_vec(n, j)) for j in range(n)]
+    lin = Mat(alg.gf, list(zip(*[flat(a) for a in ads])), ncols=n)
+    cen = dense_kernel(alg, ads)
+    images = []
+    for i, a in enumerate(ads):
+        y = lin.solve(flat(a.mul(a)))
+        if y is None:
+            return None, False, cen.dim, i
+        images.append(cen.reduce(y))
+    return tuple(images), cen.dim == 0, cen.dim, None
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 16])
+@pytest.mark.parametrize("name", NAMES)
+def test_synthesized_two_map_matches_dense_solve(name, degree):
+    alg, _ = algebra_over(name, degree)
+    rep = synthesize_two_map(alg)
+    expect = dense_synthesis(alg)
+    assert (rep.two_map, rep.unique, rep.center_dim, rep.missing_index) == expect
+    if name == "o3":
+        assert expect[0] is None and expect[3] is not None
+    else:
+        assert validate_restricted(RestrictedAlgebra(alg, rep.two_map)).ok
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 16])
+@pytest.mark.parametrize("name", [n for n in NAMES if n != "o3"])
+def test_restricted_basis_check_matches_dense_squares(name, degree):
+    """Image i plus c e_j for every i and j: the failing indices are those
+    where the dense ad(b_i) differs from ad(e_i)^2."""
+    alg, two_map = algebra_over(name, degree)
+    n = alg.dim
+    ads = [dense_ad(alg, basis_vec(n, i)) for i in range(n)]
+    rng = random.Random(f"{name}/{degree}/corrupt")
+    for i in range(n):
+        for j in range(n):
+            c = rng.randrange(1, alg.gf.order)
+            bad = list(two_map)
+            bad[i] = vec_add(bad[i], tuple(c * (m == j) for m in range(n)))
+            expect = [m for m in range(n) if dense_ad(alg, bad[m]) != ads[m].mul(ads[m])]
+            rep = validate_restricted(RestrictedAlgebra(alg, tuple(bad)), random_checks=0)
+            assert rep.failing_indices == expect
+            assert expect in ([], [i])
 
 
 # ---------------------------------------------------------------------------
