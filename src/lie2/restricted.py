@@ -5,7 +5,7 @@ quadratically, squares of coordinates on the basis images plus the mixed
 bracket terms; this runs on the F2 restriction of scalars (see `liealg`)
 with packed basis squares f_{ik+a}^[2] = alpha^(2a) e_i^[2].  The key exact
 subroutines here are synthesis of a 2-map from the bracket alone (one
-elimination of y -> ([y, e_l])_l gives the centre and solves every
+elimination of y -> ([y, e_l])_l gives the center and solves every
 ad(y) = ad(e_i)^2, or names the first basis element with no solution) and
 the semisimple/nilpotent decomposition obtained from the Fitting
 decomposition of the squaring operator on the span of 2-power iterates.
@@ -150,7 +150,7 @@ def synthesize_two_map(alg: LieAlgebra) -> SynthesisReport:
     """Recover a 2-map from the bracket, or certify that none exists.
 
     The image y of e_i solves [y, e_l] = [e_i, [e_i, e_l]] for every l.  One
-    elimination of y -> ([e_l, y])_l gives the center (its kernel) and every
+    elimination of y -> ([y, e_l])_l gives the center (its kernel) and every
     solution.  Images are unique exactly when the center vanishes; otherwise
     each is reduced modulo the center to the least representative of its coset.
     """
