@@ -70,7 +70,10 @@ def normalize_system(system: Iterable[Sequence[int]]) -> Tuple[Root, ...]:
     roots = []
     length = None
     for r in system:
-        t = tuple(int(x) for x in r)
+        try:
+            t = tuple(int(x) for x in r)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput("roots must be equal-length 0/1 vectors") from exc
         if length is None:
             length = len(t)
         if len(t) != length or not t or any(x not in (0, 1) for x in t):

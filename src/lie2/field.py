@@ -3,9 +3,7 @@
 Field elements are plain ints: bit i holds the coefficient of x^i, reduced
 modulo the smallest irreducible polynomial of the requested degree (smallest
 as an integer among bit encodings, e.g. degree 2 uses x^2+x+1 = 7, degree 3
-uses x^3+x+1 = 11).  Matrices are dense tuples of row tuples.  Subspaces are
-kept canonical (reduced row echelon form, zero rows dropped) so two spans are
-equal exactly when their tuples are equal.  Everything is exact; no floats.
+uses x^3+x+1 = 11).  Everything is exact; no floats.
 
 Products, inverses, powers and square roots in GF(2^k), k >= 2, are table
 lookups: a generator g of the multiplicative group is found by search, and
@@ -13,6 +11,16 @@ the tables exp[i] = g^i (doubled to length 2(q-1), so a sum of two logs
 needs no reduction) and log[g^i] = i are built with `_poly_mul`/`_poly_mod`
 on first use per degree (3q - 2 entries, under 200,000 at k = 16).  GF(2)
 multiplies with `a & b`.
+
+Linear algebra runs on the restriction of scalars to F2: a vector of
+GF(2^k)^n is one int with coordinate i in bits ik..ik+k-1 (`pack_bits`),
+and multiplication by alpha, the class of x, is the F2-linear `alpha_map`.
+A `Subspace` is the fully reduced F2 echelon of its restriction, canonical,
+so two spans are equal exactly when their echelons are; its GF rows are
+read off that echelon (see `Subspace`).  `Mat` keeps dense row tuples, and
+its products and row reductions run on the same packed form for every
+degree.  The packed core (`f2_apply`, `f2_reduce`, `f2_eliminate`) also
+serves the bracket tables of `liealg`.
 """
 
 from __future__ import annotations
@@ -137,16 +145,6 @@ class GF:
         exp, log = self._tables or self.tables
         return exp[log[a] + log[b]]
 
-    def scale(self, c: int, v: Sequence[int]) -> List[int]:
-        """c times every entry of v, one table lookup per nonzero entry."""
-        if c == 1:
-            return list(v)
-        if c == 0:
-            return [0] * len(v)
-        exp, log = self.tables
-        lc = log[c]
-        return [exp[lc + log[x]] if x else 0 for x in v]
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a = self.inv(a)
@@ -255,28 +253,94 @@ def gl_matrices(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def _rref_packed(rows: List[int], ncols: int) -> Tuple[List[int], List[int]]:
-    """RREF of F2 rows packed as ints; returns reduced rows and pivot columns."""
-    basis: List[int] = []
-    pivots: List[int] = []
-    for r in rows:
-        for b, p in zip(basis, pivots):
-            if (r >> p) & 1:
-                r ^= b
-        if r == 0:
-            continue
-        p = (r & -r).bit_length() - 1
-        for i, b in enumerate(basis):
-            if (b >> p) & 1:
-                basis[i] = b ^ r
-        basis.append(r)
-        pivots.append(p)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], sorted(pivots)
+# ---------------------------------------------------------------------------
+# bit-packed F2 core: bit m of an int is coordinate m
+
+
+def f2_apply(cols: Sequence[int], x: int) -> int:
+    """Packed image of packed x under the map whose column m is cols[m]."""
+    u = 0
+    while x:
+        low = x & -x
+        u ^= cols[low.bit_length() - 1]
+        x ^= low
+    return u
+
+
+def f2_reduce(slots: List[int], v: int) -> int:
+    """Reduce v against the echelon slots (slot b leads with bit b).
+
+    A nonzero remainder is stored in its slot and returned; 0 means v was
+    already in the span.
+    """
+    while v:
+        top = v.bit_length() - 1
+        if not slots[top]:
+            slots[top] = v
+            return v
+        v ^= slots[top]
+    return 0
+
+
+def f2_eliminate(cols: Sequence[int], n: int, rhs: Sequence[int] = ()
+                 ) -> Tuple[List[int], List[Optional[int]]]:
+    """Kernel basis of the packed map A with columns cols[0..n-1], and a
+    solution y of A y = b (None if there is none) for each b in rhs.
+
+    Column m enters the echelon slots tagged, cols[m] << n | 1 << m, so the
+    slots below bit n span the kernel by their tags, and reducing b << n on
+    the slots from n up leaves the tag of a solution."""
+    width = n + max((c.bit_length() for c in cols), default=0)
+    slots = [0] * width
+    for m, c in enumerate(cols):
+        f2_reduce(slots, c << n | 1 << m)
+    solutions = []
+    for b in rhs:
+        v = b << n
+        while v >> n and v.bit_length() <= width and slots[v.bit_length() - 1]:
+            v ^= slots[v.bit_length() - 1]
+        solutions.append(None if v >> n else v)
+    return [v for v in slots[:n] if v], solutions
+
+
+def _f2_rref(vectors: Iterable[int], rows: Sequence[int] = (), lows: Sequence[int] = ()
+             ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Fully reduced F2 echelon (rows, pivots) of the span of the echelon
+    (rows, lows) and the vectors.  A row's pivot is its lowest set bit, kept
+    as the mask 1 << bit, which no other row has; rows are sorted by pivot."""
+    rows, lows = list(rows), list(lows)
+    for v in vectors:
+        for r, m in zip(rows, lows):
+            if v & m:
+                v ^= r
+        if v:
+            low = v & -v
+            for i, r in enumerate(rows):
+                if r & low:
+                    rows[i] = r ^ v
+            rows.append(v)
+            lows.append(low)
+    order = sorted(range(len(rows)), key=lows.__getitem__)
+    return tuple(rows[i] for i in order), tuple(lows[i] for i in order)
+
+
+def alpha_multiples(gf: GF, n: int, vectors: Iterable[int]) -> List[int]:
+    """v, alpha v, ..., alpha^(k-1) v for each packed v of gf^n: an F2 basis
+    of the line GF(2^k) v when v != 0."""
+    if gf.degree == 1:
+        return list(vectors)
+    times_alpha = alpha_map(gf, n)
+    out = []
+    for v in vectors:
+        for _ in range(gf.degree):
+            out.append(v)
+            v = times_alpha(v)
+    return out
 
 
 class Mat:
-    """Dense matrix over a GF field."""
+    """Dense matrix over a GF field; products and row reduction run on the
+    packed F2 restriction (see `Subspace`)."""
 
     __slots__ = ("gf", "nrows", "ncols", "rows")
 
@@ -285,8 +349,8 @@ class Mat:
         if rws:
             ncols = len(rws[0])
             for r in rws:
-                if len(r) != ncols:
-                    raise InvalidInput("ragged matrix rows")
+                if len(r) != ncols or (r and not 0 <= min(r) <= max(r) < gf.order):
+                    raise InvalidInput(f"matrix row {r!r} is ragged or leaves {gf!r}")
         elif ncols is None:
             raise InvalidInput("empty matrix needs an explicit column count")
         self.gf = gf
@@ -317,16 +381,10 @@ class Mat:
     def mul(self, other: "Mat") -> "Mat":
         if other.nrows != self.ncols:
             raise InvalidInput("shape mismatch in matrix mul")
-        gf = self.gf
-        cols = other.ncols
-        out = []
-        for row in self.rows:
-            acc = [0] * cols
-            for a, orow in zip(row, other.rows):
-                if a:
-                    acc = [x ^ y for x, y in zip(acc, orow if a == 1 else gf.scale(a, orow))]
-            out.append(acc)
-        return Mat(gf, out, ncols=cols)
+        gf, k, cols = self.gf, self.gf.degree, other.ncols
+        packed = alpha_multiples(gf, cols, [pack_bits(r, k) for r in other.rows])
+        return Mat(gf, [unpack_bits(f2_apply(packed, pack_bits(row, k)), cols, k)
+                        for row in self.rows], ncols=cols)
 
     def mul_vec(self, v: Sequence[int]) -> Vec:
         """Matrix times column vector."""
@@ -349,49 +407,21 @@ class Mat:
 
     def rref(self) -> Tuple["Mat", Tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns; zero rows dropped."""
-        gf = self.gf
-        if gf.degree == 1:
-            packed = [pack_bits(r) for r in self.rows]
-            red, piv = _rref_packed(packed, self.ncols)
-            rows = [unpack_bits(r, self.ncols) for r in red]
-            return Mat(gf, rows, ncols=self.ncols), tuple(piv)
-        rows = [list(r) for r in self.rows]
-        pivots: List[int] = []
-        rix = 0
-        for col in range(self.ncols):
-            sel = None
-            for i in range(rix, len(rows)):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[rix], rows[sel] = rows[sel], rows[rix]
-            rows[rix] = gf.scale(gf.inv(rows[rix][col]), rows[rix])
-            for i in range(len(rows)):
-                if i != rix and rows[i][col]:
-                    rows[i] = [x ^ y for x, y in
-                               zip(rows[i], gf.scale(rows[i][col], rows[rix]))]
-            pivots.append(col)
-            rix += 1
-            if rix == len(rows):
-                break
-        return Mat(gf, rows[:rix], ncols=self.ncols), tuple(pivots)
+        span = Subspace(self.gf, self.ncols, self.rows)
+        return Mat(self.gf, span.rows, ncols=self.ncols), span.pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> List[Vec]:
         """Basis of the right null space {x : self @ x = 0}."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
+        span = Subspace(self.gf, self.ncols, self.rows)
         out = []
-        for f in free:
+        for f in sorted(set(range(self.ncols)) - set(span.pivots)):
             v = [0] * self.ncols
             v[f] = 1
-            for r, p in enumerate(pivots):
-                v[p] = red.rows[r][f]
+            for row, p in zip(span.rows, span.pivots):
+                v[p] = row[f]
             out.append(tuple(v))
         return out
 
@@ -399,101 +429,141 @@ class Mat:
         """One solution x of self @ x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise InvalidInput("rhs length mismatch in solve")
-        aug = Mat(self.gf, [list(r) + [bb] for r, bb in zip(self.rows, b)],
-                  ncols=self.ncols + 1)
-        if self.nrows == 0:
-            return (0,) * self.ncols
-        red, pivots = aug.rref()
-        if pivots and pivots[-1] == self.ncols:
+        aug = Subspace(self.gf, self.ncols + 1, [r + (bb,) for r, bb in zip(self.rows, b)])
+        if aug.pivots and aug.pivots[-1] == self.ncols:
             return None
         x = [0] * self.ncols
-        for r, p in enumerate(pivots):
-            x[p] = red.rows[r][self.ncols]
+        for row, p in zip(aug.rows, aug.pivots):
+            x[p] = row[-1]
         return tuple(x)
 
 
 class Subspace:
-    """Row span in canonical form: RREF basis rows, compared by tuple equality."""
+    """A subspace of GF(2^k)^ambient, kept as the fully reduced F2 echelon
+    of its restriction of scalars.
 
-    __slots__ = ("gf", "ambient", "rows", "pivots")
+    `echelon` holds packed vectors (`pack_bits` with width k) sorted by
+    pivot bit, the lowest set bit of a row; no row has a bit set at another
+    row's pivot.  It is the RREF over F2 of the span of alpha^a v, v in the
+    subspace, which is unique, so two spans are equal exactly when their
+    echelons are.
+
+    The GF rows are read off it.  Let r_0, ..., r_{d-1} be the RREF over
+    GF(2^k), r_i with pivot column p_i.  The vectors alpha^a r_i (a < k)
+    span the restriction, and the block of alpha^a r_i at coordinate p_i is
+    alpha^a, the single bit a, with zero blocks at the other p_j.  So they
+    are the F2 RREF: its pivots are whole blocks, echelon[ik + a] =
+    alpha^a r_i, and each block's bit-0 row echelon[ik] is the GF row r_i.
+    `rows` and `pivots` are those rows, unpacked, and GF coordinates c in
+    the basis `rows` are the F2 coordinates pack_bits(c, k) in the basis
+    `echelon`.
+    """
+
+    __slots__ = ("gf", "ambient", "echelon", "_lows", "_rows")
 
     def __init__(self, gf: GF, ambient: int, vectors: Iterable[Sequence[int]] = ()):
-        vecs = [tuple(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient:
-                raise InvalidInput("vector length does not match ambient dimension")
-        if vecs:
-            red, piv = Mat(gf, vecs, ncols=ambient).rref()
-            self.rows = red.rows
-            self.pivots = piv
-        else:
-            self.rows = ()
-            self.pivots = ()
-        self.gf = gf
-        self.ambient = ambient
+        k = gf.degree
+        packed = []
+        for v in vectors:
+            if len(v) != ambient or (v and not 0 <= min(v) <= max(v) < gf.order):
+                raise InvalidInput(f"{v!r} is not a vector of {ambient} elements of {gf!r}")
+            packed.append(pack_bits(v, k))
+        self.gf, self.ambient, self._rows = gf, ambient, None
+        self.echelon, self._lows = _f2_rref(alpha_multiples(gf, ambient, packed))
+
+    @classmethod
+    def restriction(cls, gf: GF, ambient: int, vectors: Iterable[int]) -> "Subspace":
+        """The subspace whose restriction of scalars is the F2 span of the
+        packed vectors.  That span must be closed under alpha, as kernels of
+        GF-linear maps, ideals and intersections of subspaces are."""
+        return cls(gf, ambient)._extended(vectors)
+
+    def _extended(self, vectors: Iterable[int]) -> "Subspace":
+        out = Subspace(self.gf, self.ambient)
+        out.echelon, out._lows = _f2_rref(vectors, self.echelon, self._lows)
+        return out
+
+    @property
+    def rows(self) -> Tuple[Vec, ...]:
+        if self._rows is None:
+            n, k = self.ambient, self.gf.degree
+            self._rows = tuple(unpack_bits(r, n, k) for r in self.echelon[::k])
+        return self._rows
+
+    @property
+    def pivots(self) -> Tuple[int, ...]:
+        k = self.gf.degree
+        return tuple((m.bit_length() - 1) // k for m in self._lows[::k])
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.echelon) // self.gf.degree
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Subspace) and other.gf == self.gf \
-            and other.ambient == self.ambient and other.rows == self.rows
+            and other.ambient == self.ambient and other.echelon == self.echelon
 
     def __hash__(self) -> int:
-        return hash((self.gf, self.ambient, self.rows))
+        return hash((self.gf, self.ambient, self.echelon))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
+    def reduce_packed(self, v: int) -> int:
+        """Packed v with its pivot blocks cleared; 0 iff v is in the span."""
+        for r, m in zip(self.echelon, self._lows):
+            if v & m:
+                v ^= r
+        return v
+
+    def coords_packed(self, v: int) -> int:
+        """F2 coordinates of packed v in the basis `echelon` (its pivot
+        bits, gathered); meaningful for v in the span."""
+        k = self.gf.degree
+        return sum(((v >> (m.bit_length() - 1)) & ((1 << k) - 1)) << (i * k)
+                   for i, m in enumerate(self._lows[::k]))
+
+    def add_packed(self, v: int) -> "Subspace":
+        return self._extended(alpha_multiples(self.gf, self.ambient, [v]))
+
     def reduce(self, vec: Sequence[int]) -> Vec:
         """Canonical representative of vec modulo this subspace."""
-        gf = self.gf
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [x ^ y for x, y in zip(v, row if c == 1 else gf.scale(c, row))]
-        return tuple(v)
+        k = self.gf.degree
+        return unpack_bits(self.reduce_packed(pack_bits(vec, k)), self.ambient, k)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return vec_is_zero(self.reduce(vec))
+        return not self.reduce_packed(pack_bits(vec, self.gf.degree))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return not any(map(self.reduce_packed, other.echelon[::other.gf.degree]))
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient or other.gf != self.gf:
             raise InvalidInput("subspace mismatch in sum")
-        return Subspace(self.gf, self.ambient, self.rows + other.rows)
-
-    def add_vec(self, vec: Sequence[int]) -> "Subspace":
-        return Subspace(self.gf, self.ambient, self.rows + (tuple(vec),))
+        return self._extended(other.echelon)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked basis matrix."""
+        """Intersection from the kernel of (y, z) -> sum y_m u_m + sum z_m w_m
+        over the two echelons: the vectors sum y_m u_m."""
         if other.ambient != self.ambient or other.gf != self.gf:
             raise InvalidInput("subspace mismatch in intersection")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.gf, self.ambient)
-        stacked = Mat(self.gf, list(self.rows) + list(other.rows),
-                      ncols=self.ambient).transpose()
-        return Subspace(self.gf, self.ambient,
-                        [self.combo(k[:self.dim]) for k in stacked.kernel()])
+        mine = self.echelon
+        kernel, _ = f2_eliminate(mine + other.echelon, len(mine) + len(other.echelon))
+        low = (1 << len(mine)) - 1
+        return Subspace.restriction(self.gf, self.ambient,
+                                    [f2_apply(mine, y & low) for y in kernel])
 
     def combo(self, coeffs: Sequence[int]) -> Vec:
         """Linear combination of the canonical basis rows."""
-        gf = self.gf
-        v = [0] * self.ambient
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                v = [x ^ y for x, y in zip(v, row if c == 1 else gf.scale(c, row))]
-        return tuple(v)
+        k = self.gf.degree
+        return unpack_bits(f2_apply(self.echelon, pack_bits(coeffs, k)), self.ambient, k)
 
     def coords(self, vec: Sequence[int]) -> Optional[Vec]:
         """Coordinates of vec in the canonical basis, or None if outside."""
-        c = tuple(vec[p] for p in self.pivots)
-        return c if self.combo(c) == tuple(vec) else None
+        k = self.gf.degree
+        v = pack_bits(vec, k)
+        c = self.coords_packed(v)
+        return unpack_bits(c, self.dim, k) if f2_apply(self.echelon, c) == v else None
 
     def vectors(self):
         """Iterate every vector in the span; feasible only for tiny spaces."""
@@ -506,4 +576,4 @@ def coefficient_vectors(gf: GF, d: int) -> Iterator[Vec]:
 
 
 def full_space(gf: GF, n: int) -> Subspace:
-    return Subspace(gf, n, [basis_vec(n, i) for i in range(n)])
+    return Subspace.restriction(gf, n, [1 << m for m in range(n * gf.degree)])

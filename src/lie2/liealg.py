@@ -16,10 +16,12 @@ of the 16 images of that chunk, so [x, f_m] costs one lookup per such chunk
 instead of one column per set bit of x.  An all-zero chunk stores nothing
 and costs nothing, so an abelian table brackets at the cost of its packing.
 The tables are built on first use.  `validate_lie` checks the basis
-triples with `f2_apply`, one column per set bit, so a table that is only
-checked there (as the census checks its survivors) never pays for them;
-`f2_apply` also serves the ideal closure, the toral sweeps and `ad_kernel`
-(centralizers, root spaces and 2-map synthesis).
+triples with `field.f2_apply`, one column per set bit, so a table that is
+only checked there (as the census checks its survivors) never pays for
+them; `f2_apply` also serves the ideal closure, the toral sweeps and
+`ad_kernel` (centralizers, root spaces and 2-map synthesis), whose kernels
+and closures are `Subspace`s directly.  The packed F2 core (`f2_apply`,
+`f2_reduce`, `f2_eliminate`) lives in `field`, and is imported here.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidInput
-from .field import (GF, GF2, Mat, Subspace, Vec, alpha_map,
-                    full_space, pack_bits, unpack_bits, vec_add, vec_is_zero,
-                    zero_vec)
+from .field import (GF, GF2, Mat, Subspace, Vec, alpha_map, alpha_multiples,
+                    f2_apply, f2_eliminate, f2_reduce, full_space, pack_bits,
+                    unpack_bits, vec_add, vec_is_zero, zero_vec)
 
 MAX_DIM = 128
 
@@ -173,8 +175,10 @@ def validate_lie(alg: LieAlgebra, random_checks: int = 200, seed: int = 0) -> Va
 
 
 def subspace_bracket(alg: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    vecs = [alg.bracket(a, b) for a in u.rows for b in v.rows]
-    return Subspace(alg.gf, alg.dim, vecs)
+    """Span of the brackets of the packed GF rows of u and v."""
+    gf, n, k = alg.gf, alg.dim, alg.gf.degree
+    brackets = [alg.packed_bracket(a, b) for a in u.echelon[::k] for b in v.echelon[::k]]
+    return Subspace.restriction(gf, n, alpha_multiples(gf, n, brackets))
 
 
 def is_subalgebra(alg: LieAlgebra, s: Subspace) -> bool:
@@ -226,16 +230,11 @@ def is_solvable_algebra(alg: LieAlgebra) -> bool:
 
 
 def ideal_closure(alg: LieAlgebra, seed: Subspace | Sequence[int]) -> Subspace:
-    """Smallest ideal containing the seed; grows by [g, -] until stable."""
+    """Smallest ideal containing the seed, by the packed closure `f2_ideal`."""
     if not isinstance(seed, Subspace):
-        seed = Subspace(alg.gf, alg.dim, [tuple(seed)])
-    cur = seed
-    g = full_space(alg.gf, alg.dim)
-    while True:
-        nxt = cur.add(subspace_bracket(alg, g, cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
+        seed = Subspace(alg.gf, alg.dim, [seed])
+    nk = alg.dim * alg.gf.degree
+    return Subspace.restriction(alg.gf, alg.dim, f2_ideal(alg.ad_columns, nk, seed.echelon))
 
 
 def center(alg: LieAlgebra) -> Subspace:
@@ -245,21 +244,22 @@ def center(alg: LieAlgebra) -> Subspace:
 
 def centralizer(alg: LieAlgebra, s: Subspace) -> Subspace:
     """Elements commuting with every vector of the subspace."""
-    return ad_kernel(alg, s.rows)[0]
+    return ad_kernel(alg, s.echelon[::alg.gf.degree])[0]
 
 
-def ad_kernel(alg: LieAlgebra, rows: Sequence[Sequence[int]], lam: Sequence[int] = (),
+def ad_kernel(alg: LieAlgebra, rows: Sequence[int], lam: Sequence[int] = (),
               rhs: Sequence[int] = ()) -> Tuple[Subspace, List[Optional[int]]]:
-    """Kernel of x -> ([r_j, x] + lam_j x)_j, lam_j in F2 (default 0), as a
-    subspace, and a packed solution or None for each rhs (block j at bit j nk)."""
+    """Kernel of x -> ([r_j, x] + lam_j x)_j for packed r_j and lam_j in F2
+    (default 0), and a packed solution or None for each rhs (block j at bit
+    j nk).  The map is GF-linear, so its F2 kernel is the restriction of
+    the kernel subspace."""
     n, k = alg.dim, alg.gf.degree
     lam = lam or [0] * len(rows)
-    packed = [pack_bits(r, k) for r in rows]
     cols = [sum((f2_apply(col, p) ^ c << m) << (j * n * k)
-                for j, (p, c) in enumerate(zip(packed, lam)))
+                for j, (p, c) in enumerate(zip(rows, lam)))
             for m, col in enumerate(alg.ad_columns)]
     kernel, solutions = f2_eliminate(cols, n * k, rhs)
-    return Subspace(alg.gf, n, [unpack_bits(v, n, k) for v in kernel]), solutions
+    return Subspace.restriction(alg.gf, n, kernel), solutions
 
 
 @dataclass
@@ -273,55 +273,39 @@ class SimplicityReport:
 def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     """Sweep ideal closures of every 1-dimensional seed (projective points).
 
-    A packed closure on the F2 restriction decides the derived algebra and
-    each seed, whose line v, alpha v, ..., alpha^(k-1) v it starts from; the
-    Subspace path runs only to build the witness of a failing check.
+    One packed closure (`f2_ideal`) on the F2 restriction decides the
+    derived algebra and each seed, whose line v, alpha v, ..., alpha^(k-1) v
+    it starts from, and spans the witness of a failing check.
     """
-    n, q, k = alg.dim, alg.gf.order, alg.gf.degree
+    gf, n, q, k = alg.gf, alg.dim, alg.gf.order, alg.gf.degree
     if n < 2:
         return SimplicityReport(False, None, 0, "dimension below 2")
     ad, nk = alg.ad_columns, n * k
     # the derived algebra is the ideal that all brackets generate
-    if f2_ideal_rank(ad, nk, [v for col in ad for v in col]) < nk:
-        derived = subspace_bracket(alg, full_space(alg.gf, alg.dim),
-                                   full_space(alg.gf, alg.dim))
-        if derived.dim < n:
-            reason = "abelian" if derived.dim == 0 else "derived subalgebra is a proper ideal"
-            witness = None if derived.dim == 0 else derived
-            return SimplicityReport(False, witness, 0, reason)
+    derived = f2_ideal(ad, nk, [v for col in ad for v in col])
+    if not derived:
+        return SimplicityReport(False, None, 0, "abelian")
+    if len(derived) < nk:
+        return SimplicityReport(False, Subspace.restriction(gf, n, derived), 0,
+                                "derived subalgebra is a proper ideal")
     points = (q ** n - 1) // (q - 1)
     if points > budget:
         raise BudgetExceeded(f"{points} projective seeds exceed budget {budget}")
     checked = 0
-    times_alpha = alpha_map(alg.gf, n)
     for lead in range(n):
         # one seed per line: coordinate lead is 1 and the packed tail after
         # it runs up through sum_i v[i] q^i
         for tail in range(q ** (n - lead - 1)):
             checked += 1
-            line = [(1 | tail << k) << (lead * k)]
-            for _ in range(k - 1):
-                line.append(times_alpha(line[-1]))
-            if f2_ideal_rank(ad, nk, line) == nk:
-                continue
-            cl = ideal_closure(alg, unpack_bits(line[0], n, k))
-            if cl.dim < n:
-                return SimplicityReport(False, cl, checked, "proper ideal from seed")
+            ideal = f2_ideal(ad, nk, alpha_multiples(gf, n, [(1 | tail << k) << (lead * k)]))
+            if len(ideal) < nk:
+                return SimplicityReport(False, Subspace.restriction(gf, n, ideal), checked,
+                                        "proper ideal from seed")
     return SimplicityReport(True, None, checked, "all seeds generate the algebra")
 
 
 # ---------------------------------------------------------------------------
-# bit-packed F2 core: bit m of an int is coordinate m
-
-
-def f2_apply(cols: Sequence[int], x: int) -> int:
-    """Packed image of packed x under the map whose column m is cols[m]."""
-    u = 0
-    while x:
-        low = x & -x
-        u ^= cols[low.bit_length() - 1]
-        x ^= low
-    return u
+# packed F2 maps: bit m of an int is coordinate m
 
 
 def nibble_tables(cols: Sequence[int]) -> List[Tuple[int, List[int]]]:
@@ -348,56 +332,24 @@ def nibble_apply(chunks: Sequence[Tuple[int, Sequence[int]]], x: int) -> int:
     return u
 
 
-def f2_reduce(slots: List[int], v: int) -> int:
-    """Reduce v against the echelon slots (slot b leads with bit b).
-
-    A nonzero remainder is stored in its slot and returned; 0 means v was
-    already in the span.
-    """
-    while v:
-        top = v.bit_length() - 1
-        if not slots[top]:
-            slots[top] = v
-            return v
-        v ^= slots[top]
-    return 0
-
-
-def f2_eliminate(cols: Sequence[int], n: int, rhs: Sequence[int] = ()
-                 ) -> Tuple[List[int], List[Optional[int]]]:
-    """Kernel basis of the packed map A with columns cols[0..n-1], and a
-    solution y of A y = b (None if there is none) for each b in rhs.
-
-    Column m enters the echelon slots tagged, cols[m] << n | 1 << m, so the
-    slots below bit n span the kernel by their tags, and reducing b << n on
-    the slots from n up leaves the tag of a solution."""
-    width = n + max((c.bit_length() for c in cols), default=0)
-    slots = [0] * width
-    for m, c in enumerate(cols):
-        f2_reduce(slots, c << n | 1 << m)
-    solutions = []
-    for b in rhs:
-        v = b << n
-        while v >> n and v.bit_length() <= width and slots[v.bit_length() - 1]:
-            v ^= slots[v.bit_length() - 1]
-        solutions.append(None if v >> n else v)
-    return [v for v in slots[:n] if v], solutions
-
-
-def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> int:
-    """Dimension of the ideal generated by the packed seeds."""
+def f2_ideal(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> List[int]:
+    """F2 basis of the ideal generated by the packed seeds: each new basis
+    vector is bracketed with every f_m, and what `f2_reduce` keeps joins it."""
     slots = [0] * n
     work = [r for r in (f2_reduce(slots, s) for s in seeds) if r]
-    rank = len(work)
     for w in work:
-        if rank == n:
+        if len(work) == n:
             break
         for col in ad:
             red = f2_reduce(slots, f2_apply(col, w))
             if red:
-                rank += 1
                 work.append(red)
-    return rank
+    return work
+
+
+def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> int:
+    """Dimension of the ideal generated by the packed seeds."""
+    return len(f2_ideal(ad, n, seeds))
 
 
 # ---------------------------------------------------------------------------

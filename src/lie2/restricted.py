@@ -9,8 +9,9 @@ elimination of y -> ([y, e_l])_l gives the center and solves every
 ad(y) = ad(e_i)^2, or names the first basis element with no solution) and
 the semisimple/nilpotent decomposition obtained from the Fitting
 decomposition of the squaring operator on the span of 2-power iterates.
-The squaring operator is only semilinear over GF(2^k), so image and
-preimage computations carry an explicit Frobenius twist.
+Squaring is only semilinear over GF(2^k), but it is additive on that
+abelian span, so on its F2 restriction it is an F2-linear map, and the
+decomposition is computed there with the packed core of `field`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, InvalidInput
-from .field import (GF, Mat, Subspace, Vec, alpha_map, full_space, pack_bits,
-                    unpack_bits, vec_add, vec_is_zero, zero_vec)
-from .liealg import LieAlgebra, ad_kernel, f2_apply, nibble_apply
+from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply, f2_eliminate,
+                    pack_bits, unpack_bits, vec_add, vec_is_zero, zero_vec)
+from .liealg import LieAlgebra, ad_kernel, nibble_apply
 
 
 @dataclass(frozen=True)
@@ -98,15 +99,10 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
     """
     alg = ra.algebra
     n, k = alg.dim, alg.gf.degree
-    nib, basis, times_alpha = alg.ad_nibbles, range(0, n * k, k), alpha_map(alg.gf, n)
+    nib, basis = alg.ad_nibbles, range(0, n * k, k)
 
     def squares_to(x: int, sq: int) -> bool:
-        adx = []
-        for l in basis:
-            v = nibble_apply(nib[l], x)
-            for _ in range(k):
-                adx.append(v)
-                v = times_alpha(v)
+        adx = alpha_multiples(alg.gf, n, [nibble_apply(nib[l], x) for l in basis])
         return all(nibble_apply(nib[l], sq) == f2_apply(adx, adx[l]) for l in basis)
 
     bad = [i for i in range(n) if not squares_to(1 << (i * k), ra.squares[i * k])]
@@ -157,12 +153,12 @@ def synthesize_two_map(alg: LieAlgebra) -> SynthesisReport:
     n, k = alg.dim, alg.gf.degree
     ad, basis = alg.ad_columns, range(0, n * k, k)
     rhs = [sum(f2_apply(ad[i], ad[i][l]) << (l * n) for l in basis) for i in basis]
-    cen, solutions = ad_kernel(alg, full_space(alg.gf, n).rows, rhs=rhs)
+    cen, solutions = ad_kernel(alg, [1 << l for l in basis], rhs=rhs)
     images = []
     for i, y in enumerate(solutions):
         if y is None:
             return SynthesisReport(None, False, cen.dim, missing_index=i)
-        images.append(cen.reduce(unpack_bits(y, n, k)))
+        images.append(unpack_bits(cen.reduce_packed(y), n, k))
     return SynthesisReport(tuple(images), cen.dim == 0, cen.dim)
 
 
@@ -170,22 +166,19 @@ def synthesize_two_map(alg: LieAlgebra) -> SynthesisReport:
 # element classification and semisimple/nilpotent splitting
 
 
-def _iterate_span(ra: RestrictedAlgebra, x: Sequence[int], start_power: int) -> Subspace:
-    """Span of the 2-power iterates of x starting at the given power.
+def _iterate_span(ra: RestrictedAlgebra, x: int) -> Subspace:
+    """Span of packed x and its 2-power iterates.
 
     Iterates pairwise commute, so once an iterate lands in the span of the
     earlier ones the span is invariant under the 2-map and the chain stops.
     """
     alg = ra.algebra
-    v = two_power(ra, x, start_power)
     span = Subspace(alg.gf, alg.dim)
-    for _ in range(alg.dim + 1):
-        if span.contains(v):
+    for _ in range(alg.dim + 2):
+        if not span.reduce_packed(x):
             return span
-        span = span.add_vec(v)
-        v = two_map_eval(ra, v)
-    if span.contains(v):
-        return span
+        span = span.add_packed(x)
+        x = packed_square(ra, x)
     raise InternalInconsistency("2-power iterate span failed to stabilize")
 
 
@@ -200,17 +193,17 @@ class ElementClass:
 def classify_element(ra: RestrictedAlgebra, x: Sequence[int]) -> ElementClass:
     """Semisimple means x lies in the span of its own higher 2-powers."""
     alg = ra.algebra
-    x = tuple(x)
-    if vec_is_zero(x):
+    x = pack_bits(x, alg.gf.degree)
+    if not x:
         return ElementClass("semisimple", True, True, nil_steps=0)
     nil_steps = None
     v = x
     for m in range(1, alg.dim + 2):
-        v = two_map_eval(ra, v)
-        if vec_is_zero(v):
+        v = packed_square(ra, v)
+        if not v:
             nil_steps = m
             break
-    semisimple = _iterate_span(ra, x, 1).contains(x)
+    semisimple = not _iterate_span(ra, packed_square(ra, x)).reduce_packed(x)
     if semisimple and nil_steps is not None:
         raise InternalInconsistency("nonzero element both semisimple and 2-nilpotent")
     if semisimple:
@@ -218,20 +211,6 @@ def classify_element(ra: RestrictedAlgebra, x: Sequence[int]) -> ElementClass:
     if nil_steps is not None:
         return ElementClass("two_nilpotent", False, True, nil_steps=nil_steps)
     return ElementClass("mixed", False, False)
-
-
-def _frob_coords(gf: GF, v: Sequence[int]) -> Vec:
-    return tuple(gf.mul(c, c) for c in v)
-
-
-def _sqrt_coords(gf: GF, v: Sequence[int]) -> Vec:
-    return tuple(gf.sqrt(c) for c in v)
-
-
-def _annihilator(sub: Subspace) -> Mat:
-    """Matrix whose kernel is exactly the subspace (standard bilinear form)."""
-    rows = Mat(sub.gf, list(sub.rows), ncols=sub.ambient).kernel()
-    return Mat(sub.gf, rows, ncols=sub.ambient)
 
 
 @dataclass
@@ -243,64 +222,35 @@ class JcsParts:
 def jcs_decompose(ra: RestrictedAlgebra, x: Sequence[int]) -> JcsParts:
     """Split x into commuting semisimple and 2-nilpotent parts.
 
-    Works inside W, the span of all 2-power iterates of x.  The squaring
-    operator restricted to W is additive (Frobenius-semilinear over the
-    field), so its stabilized image and kernel give a Fitting decomposition
-    W = W_inf + N_inf; projecting x onto the two summands yields the parts.
-    All claimed properties are re-verified before returning.
+    Works inside W, the span of all 2-power iterates of x.  Iterates
+    commute, so squaring is additive on W: in the F2 coordinates of W's
+    echelon it is an F2-linear map A.  For N >= dim_F2 W the image and the
+    kernel of A^N are the Fitting decomposition W = W_inf + N_inf, and
+    projecting x onto the two summands yields the parts.  All claimed
+    properties are re-verified before returning.
     """
     alg = ra.algebra
-    gf = alg.gf
-    x = tuple(x)
-    w = _iterate_span(ra, x, 0)
-    d = w.dim
+    n, k = alg.dim, alg.gf.degree
+    px = pack_bits(x, k)
+    w = _iterate_span(ra, px)
+    d = len(w.echelon)
     if d == 0:
-        return JcsParts(zero_vec(alg.dim), zero_vec(alg.dim))
-    # squaring in w-coordinates: sigma(c) = m_sq @ frob(c)
-    img_cols = []
-    for r in w.rows:
-        c = w.coords(two_map_eval(ra, r))
-        if c is None:
+        return JcsParts(zero_vec(n), zero_vec(n))
+    cols = []
+    for b in w.echelon:
+        sq = packed_square(ra, b)
+        if w.reduce_packed(sq):
             raise InternalInconsistency("iterate span is not 2-map invariant")
-        img_cols.append(c)
-    m_sq = Mat(gf, list(zip(*img_cols)), ncols=d)
-
-    def sigma_image(sub: Subspace) -> Subspace:
-        vecs = [m_sq.mul_vec(_frob_coords(gf, b)) for b in sub.rows]
-        return Subspace(gf, d, vecs)
-
-    def sigma_preimage(sub: Subspace) -> Subspace:
-        ann = _annihilator(sub)
-        lin_pre = Subspace(gf, d, ann.mul(m_sq).kernel())
-        return Subspace(gf, d, [_sqrt_coords(gf, b) for b in lin_pre.rows])
-
-    w_inf = full_space(gf, d)
-    for _ in range(d + 1):
-        nxt = sigma_image(w_inf)
-        if nxt == w_inf:
-            break
-        w_inf = nxt
-    n_inf = Subspace(gf, d)
-    for _ in range(d + 1):
-        nxt = sigma_preimage(n_inf)
-        if nxt == n_inf:
-            break
-        n_inf = nxt
-    if w_inf.dim + n_inf.dim != d or w_inf.intersect(n_inf).dim != 0:
+        cols.append(w.coords_packed(sq))
+    for _ in range(d.bit_length()):  # A^(2^t) with 2^t > d
+        cols = [f2_apply(cols, c) for c in cols]
+    # W = image + kernel of A^N exactly when the two together have rank d
+    kernel = f2_eliminate(cols, d)[0]
+    overlap, (tag,) = f2_eliminate(cols + kernel, d + len(kernel), [w.coords_packed(px)])
+    if len(overlap) != len(kernel) or tag is None:
         raise InternalInconsistency("Fitting decomposition of squaring failed")
-    cx = w.coords(x)
-    if cx is None:
-        raise InternalInconsistency("x escaped its own iterate span")
-    stacked = Mat(gf, list(w_inf.rows) + list(n_inf.rows), ncols=d).transpose()
-    sol = stacked.solve(cx)
-    if sol is None:
-        raise InternalInconsistency("could not project onto Fitting summands")
-    s_coords = w_inf.combo(sol[:w_inf.dim])
-    n_coords = n_inf.combo(sol[w_inf.dim:])
-    s = w.combo(s_coords)
-    nl = w.combo(n_coords)
-    if vec_add(s, nl) != x:
-        raise InternalInconsistency("semisimple + nilpotent parts do not sum to x")
+    ps = f2_apply(w.echelon, f2_apply(cols, tag & ((1 << d) - 1)))
+    s, nl = unpack_bits(ps, n, k), unpack_bits(ps ^ px, n, k)
     if not classify_element(ra, s).semisimple:
         raise InternalInconsistency("claimed semisimple part is not semisimple")
     if not classify_element(ra, nl).two_nilpotent:

@@ -27,9 +27,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
-from .field import (Mat, Subspace, Vec, alpha_map, pack_bits,
-                    unpack_bits, vec_is_zero, zero_vec)
-from .liealg import ad_kernel, centralizer, f2_apply, f2_reduce, subspace_bracket
+from .field import (Mat, Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
+                    f2_eliminate, f2_reduce, pack_bits, unpack_bits, vec_is_zero,
+                    zero_vec)
+from .liealg import ad_kernel, centralizer, subspace_bracket
 from .restricted import (RestrictedAlgebra, classify_element, jcs_decompose,
                          packed_square, two_map_eval)
 
@@ -142,7 +143,7 @@ def _toral_basis(ra: RestrictedAlgebra, s: Subspace, m: Mat) -> Optional[Tuple[V
             continue
         if two_map_eval(ra, v) == v:
             chosen.append(v)
-            span = span.add_vec(v)
+            span = span.add_packed(pack_bits(v, gf.degree))
             if span.dim == d:
                 return tuple(chosen)
     return None
@@ -288,27 +289,15 @@ class CartanSplit:
 def _all_two_nilpotent(ra: RestrictedAlgebra, nil: Subspace) -> bool:
     """Whether every element of the 2-map closed subalgebra nil is 2-nilpotent.
 
-    x -> x^[2] is tabulated in the F2 coordinates of nil, basis b_{ik+a} =
-    alpha^a r_i for the canonical rows r_i (the code of a vector is its
-    pivot coordinates, packed), by a Gray-code sweep: flipping b_m changes
-    the square by b_m^[2] + [x, b_m], and the coordinates of [x, b_j] for
-    every j ride side by side in one int, to which flipping m adds those of
-    [b_m, b_j].  Every element is 2-nilpotent iff 0 is the only cycle of the
+    x -> x^[2] is tabulated in the F2 coordinates of nil in the basis of
+    its echelon, b_{ik+a} = alpha^a r_i, by a Gray-code sweep: flipping b_m
+    changes the square by b_m^[2] + [x, b_m], and the coordinates of
+    [x, b_j] for every j ride side by side in one int, to which flipping m
+    adds those of [b_m, b_j].  Every element is 2-nilpotent iff 0 is the only cycle of the
     table, i.e. iff its 2^d-th power (d = dim_F2 nil) is zero everywhere.
     """
-    alg = ra.algebra
-    k, times_alpha = alg.gf.degree, alpha_map(alg.gf, alg.dim)
-    kmask, d = (1 << k) - 1, nil.dim * k
-    basis = []
-    for r in nil.rows:
-        v = pack_bits(r, k)
-        for _ in range(k):
-            basis.append(v)
-            v = times_alpha(v)
-
-    def code(v: int) -> int:
-        return sum(((v >> (p * k)) & kmask) << (i * k) for i, p in enumerate(nil.pivots))
-
+    alg, basis, code = ra.algebra, nil.echelon, nil.coords_packed
+    d = len(basis)
     squares = [code(packed_square(ra, b)) for b in basis]
     flips = [sum(code(alg.packed_bracket(b, c)) << (j * d) for j, c in enumerate(basis))
              for b in basis]
@@ -387,16 +376,13 @@ class CartanDecomposition:
 
     def toral_coords(self, t: Sequence[int]) -> Vec:
         """Coordinates of a torus element in the toral basis."""
-        basis = self.torus.toral_basis
-        if not basis:
-            if vec_is_zero(tuple(t)):
-                return ()
-            raise InvalidInput("vector is not in the torus")
-        mat = Mat(self.ra.algebra.gf, list(zip(*basis)), ncols=len(basis))
-        c = mat.solve(tuple(t))
+        basis = self.torus.toral_basis or ()
+        gf, n = self.ra.algebra.gf, self.ra.algebra.dim
+        cols = alpha_multiples(gf, n, [pack_bits(b, gf.degree) for b in basis])
+        _, (c,) = f2_eliminate(cols, len(cols), [pack_bits(t, gf.degree)])
         if c is None:
             raise InvalidInput("vector is not in the torus")
-        return c
+        return unpack_bits(c, len(basis), gf.degree)
 
     def root_value(self, root: Sequence[int], t: Sequence[int]) -> int:
         """Evaluate a root (toral-basis functional) on a torus element."""
@@ -409,15 +395,13 @@ class CartanDecomposition:
 
     def toral_part(self, x: Sequence[int]) -> Tuple[Vec, Vec]:
         """Split an element of the centralizer as torus part plus nil part."""
-        gf = self.ra.algebra.gf
-        n = self.ra.algebra.dim
-        stacked = Mat(gf, list(self.torus.space.rows) + list(self.nil.rows),
-                      ncols=n).transpose()
-        sol = stacked.solve(tuple(x))
-        if sol is None:
+        n, k = self.ra.algebra.dim, self.ra.algebra.gf.degree
+        t, nil = self.torus.space.echelon, self.nil.echelon
+        _, (c,) = f2_eliminate(t + nil, len(t) + len(nil), [pack_bits(x, k)])
+        if c is None:
             raise InvalidInput("element is not in the centralizer of the torus")
-        td = self.torus.space.dim
-        return self.torus.space.combo(sol[:td]), self.nil.combo(sol[td:])
+        return (unpack_bits(f2_apply(t, c & ((1 << len(t)) - 1)), n, k),
+                unpack_bits(f2_apply(nil, c >> len(t)), n, k))
 
     def dim_pattern(self) -> Dict[str, object]:
         return {
@@ -440,7 +424,8 @@ def weight_decompose(ra: RestrictedAlgebra, torus: Torus) -> CartanDecomposition
         raise InvalidInput("torus has no toral basis over this field")
     r, n = len(basis), alg.dim
     lams = [tuple((code >> i) & 1 for i in range(r)) for code in range(1 << r)]
-    spaces = {lam: ad_kernel(alg, basis, lam)[0] for lam in lams}
+    packed = [pack_bits(t, alg.gf.degree) for t in basis]
+    spaces = {lam: ad_kernel(alg, packed, lam)[0] for lam in lams}
     total = sum(s.dim for s in spaces.values())
     if total != n:
         raise NotSimultaneouslyDiagonalizable(
@@ -578,23 +563,12 @@ def _audit_iso_rule(dec: CartanDecomposition, combo_limit: int = 1 << 10) -> Aud
                         f"{target} has {tgt_space.dim}")
                     continue
                 for space, other in ((src_space, tgt_space), (tgt_space, src_space)):
-                    cols = []
-                    bad = False
-                    for v in space.rows:
-                        w = alg.bracket(e, v)
-                        cw = other.coords(w)
-                        if cw is None:
-                            fails.append(f"ad(e) image left the target root space "
-                                         f"({eta} vs {target})")
-                            bad = True
-                            break
-                        cols.append(cw)
-                    if bad:
-                        continue
-                    if space.dim:
-                        mat = Mat(gf, list(zip(*cols)), ncols=space.dim)
-                        if len(mat.kernel()) != 0:
-                            fails.append(f"ad(e) not injective between {eta} and {target}")
+                    images = [alg.bracket(e, v) for v in space.rows]
+                    if not all(map(other.contains, images)):
+                        fails.append(f"ad(e) image left the target root space "
+                                     f"({eta} vs {target})")
+                    elif Subspace(gf, alg.dim, images).dim < space.dim:
+                        fails.append(f"ad(e) not injective between {eta} and {target}")
     return AuditCheck("iso_rule_transport", not fails, checked, triggered, fails)
 
 

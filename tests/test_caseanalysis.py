@@ -118,6 +118,12 @@ def test_certificate_tampering_detected():
     assert not check_certificate({"subject": {"type": "dim_pattern"}})
 
 
+def test_certificate_with_non_integer_root_is_rejected():
+    assert not check_certificate({"subject": {"type": "root_system", "roots": ["ab"]}})
+    with pytest.raises(InvalidInput):
+        refute_root_system([("a", "b")])
+
+
 def test_span_divergences_frozen():
     comp = compare_published_spans()
     assert len(comp) == 73

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import subprocess
 import sys
 import time
@@ -609,21 +608,17 @@ def test_catalog_emit_unknown_exits_two(capsys):
 # module entry point
 
 
-def test_module_entry_point_runs():
-    proc = subprocess.run([sys.executable, "-m", "lie2.cli", "catalog", "list"],
+def test_module_entry_point_runs(src_env):
+    proc = subprocess.run([sys.executable, "-m", "lie2.cli", "catalog", "list"], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "o3: dim 3" in proc.stdout
 
 
-def test_core_imports_leave_numpy_out():
+def test_core_imports_leave_numpy_out(src_env):
     """Only the census needs numpy; the CLI and the case analysis load without it."""
-    import lie2
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lie2.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = ("import sys, lie2, lie2.cli, lie2.caseanalysis\n"
               "assert 'numpy' not in sys.modules\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

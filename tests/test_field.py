@@ -3,9 +3,9 @@
 The modulus table is cross-checked against an in-test irreducibility
 oracle (trial division over F2[x] written independently here), and the
 field axioms are checked exhaustively for small degrees and by seeded
-sampling for larger ones.  The exp/log tables behind mul, inv, pow, sqrt
-and scale are checked against the carry-less product and reduction they
-were built from: on every pair for degrees 1..8, on a seeded sample at 16.
+sampling for larger ones.  The exp/log tables behind mul, inv, pow and
+sqrt are checked against the carry-less product and reduction they were
+built from: on every pair for degrees 1..8, on a seeded sample at 16.
 """
 from __future__ import annotations
 
@@ -143,8 +143,6 @@ def test_field_tables_match_polynomial_arithmetic_on_every_pair(degree):
             inv = gf.inv(a)
             assert poly_mul_mod(gf, a, inv) == 1
             assert gf.pow(a, -3) == poly_pow(gf, inv, 3)
-        c = (5 * a + 3) % q
-        assert gf.scale(c, range(q)) == [poly_mul_mod(gf, c, b) for b in range(q)]
 
 
 def test_field_tables_match_polynomial_arithmetic_sampled_degree_16():
@@ -313,6 +311,21 @@ def test_subspace_coords_roundtrip():
         v = s.combo(coeffs)
         assert s.coords(v) == coeffs
     assert s.coords((1, 1, 1)) is None or s.contains((1, 1, 1))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 16])
+def test_entries_outside_the_field_are_rejected(degree):
+    """Packing would carry such an entry into the next coordinate."""
+    gf = GF(degree)
+    for bad in [(gf.order, 0), (0, -1)]:
+        with pytest.raises(InvalidInput):
+            Subspace(gf, 2, [(1, 0), bad])
+        with pytest.raises(InvalidInput):
+            Mat(gf, [(1, 0), bad])
+    with pytest.raises(InvalidInput):
+        Subspace(gf, 3, [(1, 0)])
+    with pytest.raises(InvalidInput):
+        Mat(gf, [(1, 0), (1,)])
 
 
 def test_full_space():

@@ -12,6 +12,9 @@ checked against `f2_apply`, the one-column-per-bit map.
 Dense ad matrices built from `table_bracket` are the oracles for the packed
 eliminations: centralizers, the centre, joint eigenspaces of a torus,
 2-map synthesis and the basis check of `validate_restricted`.
+
+Dense Gauss-Jordan over GF(2^k) is the oracle for `Subspace` and `Mat`,
+whose row reductions and products run on the F2 restriction.
 """
 from __future__ import annotations
 
@@ -358,3 +361,167 @@ def test_gf4_toral_elements_match_vector_sweep(name):
     expect = [v for v in coefficient_vectors(alg.gf, alg.dim)
               if table_two_map_eval(ra, v) == v]
     assert toral_elements(ra) == expect
+
+
+# ---------------------------------------------------------------------------
+# the packed Subspace and Mat against dense GF(2^k) Gauss-Jordan
+
+
+def gf_scale(gf: GF, c: int, row) -> list:
+    return [gf.mul(c, x) for x in row]
+
+
+def dense_rref(gf: GF, rows, ncols: int):
+    """Gauss-Jordan over GF(2^k) on row lists, as `Mat.rref` ran it for
+    k >= 2 before row reduction moved onto the F2 restriction: the reduced
+    rows (zero rows dropped) and their pivot columns."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    rix = 0
+    for col in range(ncols):
+        sel = next((i for i in range(rix, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[rix], rows[sel] = rows[sel], rows[rix]
+        rows[rix] = gf_scale(gf, gf.inv(rows[rix][col]), rows[rix])
+        for i in range(len(rows)):
+            if i != rix and rows[i][col]:
+                rows[i] = [x ^ y for x, y in zip(rows[i], gf_scale(gf, rows[i][col], rows[rix]))]
+        pivots.append(col)
+        rix += 1
+    return tuple(tuple(r) for r in rows[:rix]), tuple(pivots)
+
+
+def dense_combo(gf: GF, rows, coeffs, ncols: int) -> tuple:
+    out = [0] * ncols
+    for c, row in zip(coeffs, rows):
+        out = [x ^ y for x, y in zip(out, gf_scale(gf, c, row))]
+    return tuple(out)
+
+
+def dense_reduce(gf: GF, rows, pivots, v) -> tuple:
+    v = list(v)
+    for row, p in zip(rows, pivots):
+        if v[p]:
+            v = [x ^ y for x, y in zip(v, gf_scale(gf, v[p], row))]
+    return tuple(v)
+
+
+def dense_null_space(gf: GF, rows, ncols: int) -> list:
+    """Free-column basis of the null space of the matrix with these rows."""
+    red, pivots = dense_rref(gf, rows, ncols)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for row, p in zip(red, pivots):
+            v[p] = row[f]
+        out.append(tuple(v))
+    return out
+
+
+def dense_solve(gf: GF, rows, ncols: int, b):
+    """The solution of M x = b with every free variable 0, or None."""
+    red, pivots = dense_rref(gf, [tuple(r) + (c,) for r, c in zip(rows, b)], ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [0] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+def dense_mul(gf: GF, a, b, ncols: int) -> tuple:
+    return tuple(dense_combo(gf, b, row, ncols) for row in a)
+
+
+def random_rows(rng: random.Random, gf: GF, nrows: int, ncols: int) -> list:
+    """Dense, sparse, rank-deficient (later rows combine earlier ones) or
+    zero-row matrices, chosen at random."""
+    style = rng.randrange(4)
+    rows = []
+    for i in range(nrows):
+        if style == 2 and i >= 2:
+            cs = [rng.randrange(gf.order) for _ in rows]
+            rows.append(dense_combo(gf, rows, cs, ncols))
+        elif style == 3 and rng.random() < 0.4:
+            rows.append((0,) * ncols)
+        else:
+            density = 0.3 if style == 1 else 1.0
+            rows.append(tuple(rng.randrange(gf.order) if rng.random() < density else 0
+                              for _ in range(ncols)))
+    return rows
+
+
+def random_vec(rng: random.Random, gf: GF, n: int) -> tuple:
+    return tuple(rng.randrange(gf.order) for _ in range(n))
+
+
+SUBSPACE_DEGREES = [1, 2, 3, 4, 8, 16]
+
+
+@pytest.mark.parametrize("degree", SUBSPACE_DEGREES)
+def test_subspace_matches_dense_gauss_jordan(degree):
+    gf = GF(degree)
+    rng = random.Random(f"subspace/{degree}")
+    for trial in range(60):
+        ncols = rng.randrange(0, 7)
+        rows = random_rows(rng, gf, rng.randrange(0, 6), ncols)
+        red, pivots = dense_rref(gf, rows, ncols)
+        s = Subspace(gf, ncols, rows)
+        assert (s.rows, s.pivots, s.dim) == (red, pivots, len(red))
+        coeffs = random_vec(rng, gf, s.dim)
+        inside = dense_combo(gf, red, coeffs, ncols)
+        assert s.combo(coeffs) == inside
+        assert s.coords(inside) == coeffs
+        for v in (inside, random_vec(rng, gf, ncols)):
+            rem = dense_reduce(gf, red, pivots, v)
+            assert s.reduce(v) == rem
+            assert s.contains(v) == (not any(rem))
+            assert s.coords(v) == (tuple(v[p] for p in pivots) if not any(rem) else None)
+        other = random_rows(rng, gf, rng.randrange(0, 6), ncols)
+        t = Subspace(gf, ncols, other)
+        assert s.add(t).rows == dense_rref(gf, rows + other, ncols)[0]
+        both = dense_null_space(gf, list(zip(*(red + t.rows))), s.dim + t.dim)
+        meet = [dense_combo(gf, red, y[:s.dim], ncols) for y in both]
+        assert s.intersect(t).rows == dense_rref(gf, meet, ncols)[0]
+        assert s.intersect(t).dim == s.dim + t.dim - s.add(t).dim
+
+
+@pytest.mark.parametrize("degree", SUBSPACE_DEGREES)
+def test_mat_matches_dense_gauss_jordan(degree):
+    gf = GF(degree)
+    rng = random.Random(f"mat/{degree}")
+    for trial in range(60):
+        nrows, ncols = rng.randrange(0, 6), rng.randrange(1, 7)
+        rows = random_rows(rng, gf, nrows, ncols)
+        m = Mat(gf, rows, ncols=ncols)
+        red, pivots = dense_rref(gf, rows, ncols)
+        assert m.rref() == (Mat(gf, red, ncols=ncols), pivots)
+        assert m.rank() == len(pivots)
+        assert m.kernel() == dense_null_space(gf, rows, ncols)
+        # M x for a random x, then a random right-hand side
+        consistent = dense_mul(gf, [random_vec(rng, gf, ncols)], list(zip(*rows)), nrows)[0]
+        for b in (consistent, random_vec(rng, gf, nrows)):
+            assert m.solve(b) == dense_solve(gf, rows, ncols, b)
+        width = rng.randrange(0, 5)
+        other = random_rows(rng, gf, ncols, width)
+        assert m.mul(Mat(gf, other, ncols=width)).rows == dense_mul(gf, rows, other, width)
+
+
+@pytest.mark.parametrize("degree", SUBSPACE_DEGREES)
+def test_spanning_sets_of_one_span_give_equal_subspaces(degree):
+    gf = GF(degree)
+    rng = random.Random(f"spans/{degree}")
+    for trial in range(30):
+        n = rng.randrange(1, 7)
+        rows = random_rows(rng, gf, rng.randrange(1, 5), n)
+        # a shuffled set of nonzero multiples plus combinations of the rows
+        again = [tuple(gf_scale(gf, rng.randrange(1, gf.order), r)) for r in rows]
+        again += [dense_combo(gf, rows, random_vec(rng, gf, len(rows)), n)
+                  for _ in range(rng.randrange(3))]
+        rng.shuffle(again)
+        s, t = Subspace(gf, n, rows), Subspace(gf, n, again)
+        assert s == t and hash(s) == hash(t)
+        assert s.echelon == t.echelon
+        assert Subspace(gf, n, s.rows) == s

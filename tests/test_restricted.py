@@ -2,7 +2,9 @@
 
 The evaluation oracle below expands the square of a sum term by term with
 the addition rule, independently of the quadratic-form shortcut used by
-the library, and the two are compared on random vectors.
+the library, and the two are compared on random vectors.  The Fitting
+decomposition behind `jcs_decompose` is checked against the same
+decomposition taken on GF(2^k) coordinates with a Frobenius twist.
 """
 from __future__ import annotations
 
@@ -13,8 +15,12 @@ import pytest
 from lie2 import (InvalidInput, LieAlgebra, RestrictedAlgebra, catalog,
                   classify_element, jcs_decompose, synthesize_two_map,
                   two_map_eval, validate_restricted)
-from lie2.field import GF, vec_add, vec_is_zero, zero_vec
+from lie2.errors import Lie2Error
+from lie2.field import (GF, Mat, Subspace, basis_vec, full_space, vec_add, vec_is_zero,
+                        zero_vec)
 from lie2.restricted import two_power
+from lie2.toruscartan import weight_decompose
+from test_packed_core import algebra_over, rand_vec, restricted_with_torus
 
 RESTRICTED_NAMES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2",
                     "abelian(4)", "strictly_upper(3)"]
@@ -230,3 +236,98 @@ def test_nil_steps_counts_strictly_upper():
     # (E12 + E23)^[2] = E13, then 0: two steps
     cls = classify_element(ra, tuple(x))
     assert cls.label == "two_nilpotent" and cls.nil_steps == 2
+
+
+# ---------------------------------------------------------------------------
+# the packed Fitting decomposition against the Frobenius-twisted one
+
+
+def twisted_fitting_parts(ra: RestrictedAlgebra, x) -> tuple:
+    """(semisimple, nilpotent) parts of x as `jcs_decompose` computed them
+    on GF(2^k) coordinates before it moved onto the F2 restriction.
+
+    In the coordinates of the iterate span W, squaring is c -> M frob(c)
+    with frob squaring each coordinate, so the image chain maps the rows of
+    a subspace by Frobenius then M, and the preimage chain takes the kernel
+    of ann(sub) M and untwists it with coordinatewise square roots.
+    """
+    alg = ra.algebra
+    gf, n = alg.gf, alg.dim
+    w, v = Subspace(gf, n), tuple(x)
+    while not w.contains(v):
+        w = Subspace(gf, n, w.rows + (v,))
+        v = two_map_eval(ra, v)
+    d = w.dim
+    if d == 0:
+        return zero_vec(n), zero_vec(n)
+    m_sq = Mat(gf, list(zip(*[w.coords(two_map_eval(ra, r)) for r in w.rows])), ncols=d)
+
+    def image(sub: Subspace) -> Subspace:
+        return Subspace(gf, d, [m_sq.mul_vec(tuple(gf.mul(c, c) for c in b)) for b in sub.rows])
+
+    def preimage(sub: Subspace) -> Subspace:
+        ann = Mat(gf, Mat(gf, list(sub.rows), ncols=d).kernel(), ncols=d)
+        linear = Subspace(gf, d, ann.mul(m_sq).kernel())
+        return Subspace(gf, d, [tuple(gf.sqrt(c) for c in b) for b in linear.rows])
+
+    w_inf, n_inf = full_space(gf, d), Subspace(gf, d)
+    for _ in range(d + 1):
+        w_inf, n_inf = image(w_inf), preimage(n_inf)
+    assert w_inf.dim + n_inf.dim == d and w_inf.intersect(n_inf).dim == 0
+    sol = Mat(gf, w_inf.rows + n_inf.rows, ncols=d).transpose().solve(w.coords(tuple(x)))
+    return (w.combo(w_inf.combo(sol[:w_inf.dim])), w.combo(n_inf.combo(sol[w_inf.dim:])))
+
+
+JCS_NAMES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
+             "strictly_upper(4)"]
+
+
+def toral_split_reference(dec, x) -> tuple:
+    """Torus and nil parts of x by one dense solve on the stacked rows."""
+    gf, n, td = dec.ra.algebra.gf, dec.ra.algebra.dim, dec.torus.space.dim
+    sol = Mat(gf, dec.torus.space.rows + dec.nil.rows, ncols=n).transpose().solve(x)
+    return None if sol is None else (dec.torus.space.combo(sol[:td]), dec.nil.combo(sol[td:]))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4])
+@pytest.mark.parametrize("name", JCS_NAMES)
+def test_jcs_and_toral_split_match_dense_oracles(name, degree):
+    """Basis vectors and seeded random elements of the lift of each catalog
+    algebra to GF(2^degree), and random elements of the centralizer of a
+    maximal torus (mixed when both of its summands are nonzero); then the
+    torus/nil split and toral coordinates of that decomposition."""
+    alg, two_map = algebra_over(name, degree)
+    ra = RestrictedAlgebra(alg, two_map)
+    rng = random.Random(f"jcs/{name}/{degree}")
+    cases = [(ra, basis_vec(alg.dim, i)) for i in range(alg.dim)]
+    cases += [(ra, rand_vec(rng, alg)) for _ in range(20)]
+    dec_ra, torus = restricted_with_torus(name, degree)
+    try:
+        dec = weight_decompose(dec_ra, torus)
+    except Lie2Error:
+        dec = None
+    if dec is not None:
+        cases += [(dec_ra, dec.h.combo(rand_vec(rng, dec.h))) for _ in range(20)]
+    mixed = 0
+    for r, x in cases:
+        expect = twisted_fitting_parts(r, x)
+        parts = jcs_decompose(r, x)
+        assert (parts.semisimple, parts.nilpotent) == expect
+        mixed += all(map(any, expect))
+    assert (mixed > 0) == (name in ("sl2", "gl2", "sl3", "gl3"))
+    if dec is None:
+        assert name == "sl2"
+        return
+    basis = dec.torus.toral_basis
+    gf = dec_ra.algebra.gf
+    for _ in range(10):
+        x = dec.h.combo(rand_vec(rng, dec.h))
+        t, nl = dec.toral_part(x)
+        assert (t, nl) == toral_split_reference(dec, x)
+        want = Mat(gf, list(zip(*basis)), ncols=len(basis)).solve(t) if basis else ()
+        assert dec.toral_coords(t) == want
+    for space in dec.weights.values():
+        v = space.rows[0]
+        assert toral_split_reference(dec, v) is None
+        with pytest.raises(InvalidInput):
+            dec.toral_part(v)

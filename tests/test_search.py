@@ -9,7 +9,6 @@ checked against validate_lie and GF.mul.
 """
 from __future__ import annotations
 
-import os
 import random
 import subprocess
 import sys
@@ -530,10 +529,8 @@ def test_invariant_signature_uses_lower_central_series():
     assert a != b
 
 
-def test_census_never_imports_numba():
+def test_census_never_imports_numba(src_env):
     """The census engine is plain numpy: numba is not even looked up."""
-    import lie2
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lie2.__file__)))
     script = textwrap.dedent("""
         import sys
         looked_up = []
@@ -550,9 +547,7 @@ def test_census_never_imports_numba():
         numba = [m for m in looked_up if m.split(".")[0] == "numba"]
         assert not numba, numba
     """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
