@@ -11,6 +11,12 @@ fixture with a 2-map is also run with its `two_map` removed (label suffix
 from the dense `ad` matrix synthesis that preceded the packed elimination,
 and they pin the centre reduction of non-unique images.
 
+The case-analysis reports (`paper verify` in its default, strict and
+10..20 forms, `paper cross-check`), the emitted `strictly_upper(n)` tables
+for n = 5, 8 and 12, and `decompose --torus` on a torus file written in a
+basis that is not in echelon form were recorded from the dense `Mat`
+elimination that computed their ranks, kernels and catalog tables.
+
 Sampled GF(2^k) census reports are pinned the same way, as the digest of
 the report without its `runtime_ms`; those digests were recorded from the
 per-sample engine that preceded the vectorised GF(2^k) Jacobi mask.
@@ -43,6 +49,22 @@ COMMANDS = {"validate": ["validate", "--restricted"],
             "toral-rank": ["toral-rank"]}
 
 
+def lift_matrix(name: str, degree: int, seed: int) -> tuple:
+    """The rows of the seeded invertible matrix P of `lifted_doc`."""
+    gf, n = GF(degree), catalog(name).algebra.dim
+    rng = random.Random(f"{name}/{degree}/{seed}")
+    while True:
+        rows = tuple(tuple(rng.randrange(gf.order) for _ in range(n)) for _ in range(n))
+        if Mat(gf, rows).rank() == n:
+            return rows
+
+
+def lifted_coords(name: str, degree: int, seed: int, v) -> tuple:
+    """Coordinates in the basis of `lifted_doc` of v, given in the catalog
+    basis: the solution y of P y = v."""
+    return Mat(GF(degree), lift_matrix(name, degree, seed)).solve(v)
+
+
 def lifted_doc(name: str, degree: int, seed: int) -> dict:
     """The catalog algebra over GF(2^degree) in the basis f_a = sum_i P[i][a] e_i.
 
@@ -53,11 +75,7 @@ def lifted_doc(name: str, degree: int, seed: int) -> dict:
     entry = catalog(name)
     alg, two_map = entry.algebra, entry.two_map
     gf, n = GF(degree), alg.dim
-    rng = random.Random(f"{name}/{degree}/{seed}")
-    while True:
-        p = Mat(gf, [[rng.randrange(gf.order) for _ in range(n)] for _ in range(n)])
-        if p.rank() == n:
-            break
+    p = Mat(gf, lift_matrix(name, degree, seed))
 
     def combo(coeff) -> tuple:
         acc = [0] * n
@@ -119,12 +137,47 @@ def report_digest(argv, tmp_path) -> str:
     return h.hexdigest()
 
 
+def _unit(n: int, i: int) -> tuple:
+    return tuple(int(j == i) for j in range(n))
+
+
+def _partial_sums(vectors) -> list:
+    """b0, b0+b1, b0+b1+b2, ...: a basis of the same span, not in echelon form."""
+    out, acc = [], None
+    for v in vectors:
+        acc = v if acc is None else tuple(a ^ b for a, b in zip(acc, v))
+        out.append(list(acc))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def torus_files() -> dict:
+    """The diagonal torus of each fixture, in a mixed basis: E11, E22, E33
+    of gl3 over F2, and E11, E22 of gl2 in the GF(4) basis of `lifted_doc`."""
+    gl2 = [lifted_coords("gl2", 2, 1, _unit(4, i)) for i in (0, 3)]
+    return {"gl3/F2": _partial_sums([_unit(9, i) for i in (0, 4, 8)]),
+            "gl2/GF4": _partial_sums(gl2)}
+
+
+# catalog tables too large for the fixture sweeps, pinned as emitted
+EMIT_ONLY = ["strictly_upper(5)", "strictly_upper(8)", "strictly_upper(12)"]
+# case-analysis reports, which take no algebra file
+PAPER_CASES = ["paper verify", "paper verify --rule-mode strict",
+               "paper verify --dims 10..20", "paper cross-check"]
+
+
 def case_digest(case: str, tmp_path) -> str:
     cmd, _, label = case.partition(" ")
     if cmd == "catalog-emit":
         return report_digest(["catalog", "emit", label], tmp_path)
+    if cmd == "paper":
+        return report_digest(case.split(), tmp_path)
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(fixture_docs()[label]), encoding="utf-8")
+    if cmd == "decompose-torus":
+        torus = tmp_path / "torus.json"
+        torus.write_text(json.dumps(torus_files()[label]), encoding="utf-8")
+        return report_digest(["decompose", str(path), "--torus", str(torus)], tmp_path)
     return report_digest(COMMANDS[cmd] + [str(path)], tmp_path)
 
 
@@ -133,8 +186,9 @@ def all_cases():
         f"{n}/GF{1 << d}" for d, _, names in LIFTS for n in names]
     labels += [label + SYNTHESIZED for label in labels
                if label + SYNTHESIZED in fixture_docs()]
-    cases = [f"catalog-emit {n}" for n in F2_NAMES]
-    return cases + [f"{cmd} {label}" for cmd in COMMANDS for label in labels]
+    cases = [f"catalog-emit {n}" for n in F2_NAMES + EMIT_ONLY]
+    cases += [f"{cmd} {label}" for cmd in COMMANDS for label in labels]
+    return cases + PAPER_CASES + [f"decompose-torus {label}" for label in torus_files()]
 
 
 FROZEN = {
@@ -438,6 +492,24 @@ FROZEN = {
         "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
     "toral-rank gl3/GF16/synthesized":
         "a8b1efe42db8cfd7dae57a3de0c9b1555a5efd17f4089012cbc4d1509455546f",
+    "catalog-emit strictly_upper(5)":
+        "f374011a698f8910d1f067b9b7f0546c7265c4e653ddc14f9165d4b12b4156b9",
+    "catalog-emit strictly_upper(8)":
+        "467d1a8c7d8415d64f3c11e5ba7d2a94c8d064daf6f828a34b63e7fcdb640ee4",
+    "catalog-emit strictly_upper(12)":
+        "219a87aa5c66844ee1ce0a6d78e041c088231fe191fb8b830e01b0aabadc1309",
+    "paper verify":
+        "99177a4ecb857fe3e4dddacce91ed094882c68e174a75a85d6f591c6713c7335",
+    "paper verify --rule-mode strict":
+        "137c84ff7c474afc3094d5d82ffbb896e8f53423ebec77040081b23ccdd1dd2e",
+    "paper verify --dims 10..20":
+        "db93f0084b4854b18eae429721bca33b5b442ae96d93fd6f19a41e8985433b27",
+    "paper cross-check":
+        "1afd27b1f953612bcdf016d7b74b069426fac2da5490fdafd0cd8d3eb1f7b4b1",
+    "decompose-torus gl3/F2":
+        "2555e1f26141377519e249613fa824a2af4796e22dfeab1a973c880293bad420",
+    "decompose-torus gl2/GF4":
+        "5a5a8e5af2d591c8da32c3a0102edc51e23bf7efd91ef05efac5f38668a8c379",
 }
 
 

@@ -20,7 +20,7 @@ from lie2.field import GF, GF2, Mat, Subspace, coefficient_vectors, full_space, 
 from lie2.liealg import LieAlgebra, from_json
 from lie2.restricted import JcsParts, classify_element, two_map_eval
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
-from test_reports_frozen import lifted_doc
+from test_reports_frozen import lifted_coords, lifted_doc
 
 
 def ra_of(name: str) -> RestrictedAlgebra:
@@ -217,6 +217,27 @@ def test_is_torus_verdicts_gl2():
     # E12 + E21 squares to the identity, outside its own line
     with pytest.raises(NotTwoMapClosed):
         is_torus(ra, Subspace(GF2, 4, [(0, 1, 1, 0)]))
+
+
+def test_is_torus_verdicts_gl2_over_gf4():
+    """The same verdicts on gl2 in the seeded GF(4) basis of `lifted_doc`,
+    where squaring is only semilinear and the canonical rows of a torus are
+    not its own squares."""
+    ra = RestrictedAlgebra(*from_json(lifted_doc("gl2", 2, 1)))
+    gf = ra.algebra.gf
+
+    def unit(r, c):
+        return lifted_coords("gl2", 2, 1, gl_basis_vec(2, r, c))
+    diag = Subspace(gf, 4, [unit(0, 0), unit(1, 1)])
+    assert any(two_map_eval(ra, r) != r for r in diag.rows)
+    rep = is_torus(ra, diag)
+    assert rep.is_torus and rep.abelian and rep.injective
+    basis = rep.torus.toral_basis
+    assert len(basis) == 2 and Subspace(gf, 4, basis) == diag
+    assert all(two_map_eval(ra, v) == v for v in basis)
+
+    rep = is_torus(ra, Subspace(gf, 4, [unit(0, 1)]))
+    assert not rep.is_torus and rep.abelian and not rep.injective
 
 
 def test_zero_torus_is_torus():
