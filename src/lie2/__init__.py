@@ -12,7 +12,7 @@ from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput, Lie2Error, NotCanonical, NotTwoMapClosed,
                      NotSimultaneouslyDiagonalizable, SplitFailed,
                      XiNotInSystem)
-from .field import GF, GF2, Mat, Subspace, full_space, smallest_irreducible
+from .field import GF, GF2, Subspace, full_space, smallest_irreducible
 from .liealg import (CatalogEntry, LieAlgebra, SimplicityReport, catalog,
                      catalog_names, center, centralizer, derived_series,
                      from_json, ideal_closure, is_ideal, is_simple,

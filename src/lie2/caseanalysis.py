@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .casedata import (PUBLISHED_ADMISSIBLE_SPANS, PUBLISHED_PATTERN_LISTS,
                        raw_pattern_string)
 from .errors import InvalidInput, NotCanonical, XiNotInSystem
-from .field import GF2, Mat, Subspace, gl_matrices
+from .field import GF2, Subspace, gl_matrices
 from .toruscartan import FIELD_CAVEAT
 
 Root = Tuple[int, ...]
@@ -124,7 +124,7 @@ def admissible_toral_space(system: Iterable[Sequence[int]], xi: Sequence[int]) -
         s = tuple(a ^ b for a, b in zip(xi, eta))
         if any(s) and s not in roots:
             rows.append(eta)
-    return Subspace(GF2, r, Mat(GF2, rows, ncols=r).kernel())
+    return Subspace(GF2, r, Subspace(GF2, r, rows).null_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def refute_root_system(system: Iterable[Sequence[int]]) -> Certificate:
     r = len(roots[0])
     spans = {xi: admissible_toral_space(roots, xi) for xi in roots}
     gens = sorted({row for sp in spans.values() for row in sp.rows})
-    rank = Mat(GF2, gens, ncols=r).rank() if gens else 0
+    rank = Subspace(GF2, r, gens).dim
     subject = {"type": "root_system", "roots": [list(x) for x in roots]}
     witnesses = {"admissible": {root_key(xi): [list(v) for v in spans[xi].rows]
                                 for xi in roots}}
@@ -281,10 +281,6 @@ def enumerate_gl_orbit_patterns(total: int) -> List[DimPattern]:
 # kill rules
 
 
-def _root_kernel_rows(root: Root) -> List[Root]:
-    return [tuple(v) for v in Mat(GF2, [root], ncols=3).kernel()]
-
-
 def _kill_unchecked(p: DimPattern, mode: str) -> Certificate:
     if mode not in ("paper", "strict"):
         raise InvalidInput("rule mode must be 'paper' or 'strict'")
@@ -299,9 +295,9 @@ def _kill_unchecked(p: DimPattern, mode: str) -> Certificate:
         return Certificate("CountRule", "sound", subject,
                            {"bracket_capacity": capacity, "required": required}, [])
     heavy = [ROOT_ORDER[i] for i, d in enumerate(p.dims) if d >= 2]
-    kernels = {root_key(xi): _root_kernel_rows(xi) for xi in heavy}
-    gens = sorted({tuple(v) for rows in kernels.values() for v in rows})
-    rank = Mat(GF2, gens, ncols=3).rank() if gens else 0
+    kernels = {root_key(xi): Subspace(GF2, 3, [xi]).null_basis() for xi in heavy}
+    gens = sorted({v for rows in kernels.values() for v in rows})
+    rank = Subspace(GF2, 3, gens).dim
     if rank < TORUS_RANK:
         return Certificate("RankDeficiency", "sound", subject,
                            {"heavy_roots": [root_key(x) for x in heavy],

@@ -17,10 +17,10 @@ GF(2^k)^n is one int with coordinate i in bits ik..ik+k-1 (`pack_bits`),
 and multiplication by alpha, the class of x, is the F2-linear `alpha_map`.
 A `Subspace` is the fully reduced F2 echelon of its restriction, canonical,
 so two spans are equal exactly when their echelons are; its GF rows are
-read off that echelon (see `Subspace`).  `Mat` keeps dense row tuples, and
-its products and row reductions run on the same packed form for every
-degree.  The packed core (`f2_apply`, `f2_reduce`, `f2_eliminate`) also
-serves the bracket tables of `liealg`.
+read off that echelon (see `Subspace`).  A matrix is its rows: ranks are
+`Subspace.dim` and null spaces `Subspace.null_basis`.  The packed core
+(`f2_apply`, `f2_reduce`, `f2_eliminate`) also serves the bracket tables
+of `liealg`.
 """
 
 from __future__ import annotations
@@ -338,106 +338,6 @@ def alpha_multiples(gf: GF, n: int, vectors: Iterable[int]) -> List[int]:
     return out
 
 
-class Mat:
-    """Dense matrix over a GF field; products and row reduction run on the
-    packed F2 restriction (see `Subspace`)."""
-
-    __slots__ = ("gf", "nrows", "ncols", "rows")
-
-    def __init__(self, gf: GF, rows: Iterable[Iterable[int]], ncols: Optional[int] = None):
-        rws = tuple(tuple(r) for r in rows)
-        if rws:
-            ncols = len(rws[0])
-            for r in rws:
-                if len(r) != ncols or (r and not 0 <= min(r) <= max(r) < gf.order):
-                    raise InvalidInput(f"matrix row {r!r} is ragged or leaves {gf!r}")
-        elif ncols is None:
-            raise InvalidInput("empty matrix needs an explicit column count")
-        self.gf = gf
-        self.rows = rws
-        self.nrows = len(rws)
-        self.ncols = ncols
-
-    @staticmethod
-    def identity(gf: GF, n: int) -> "Mat":
-        return Mat(gf, [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mat) and other.gf == self.gf and other.rows == self.rows \
-            and other.ncols == self.ncols
-
-    def __hash__(self) -> int:
-        return hash((self.gf, self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Mat({self.gf!r}, {self.nrows}x{self.ncols})"
-
-    def add(self, other: "Mat") -> "Mat":
-        if (other.nrows, other.ncols) != (self.nrows, self.ncols):
-            raise InvalidInput("shape mismatch in matrix add")
-        return Mat(self.gf, [vec_add(a, b) for a, b in zip(self.rows, other.rows)],
-                   ncols=self.ncols)
-
-    def mul(self, other: "Mat") -> "Mat":
-        if other.nrows != self.ncols:
-            raise InvalidInput("shape mismatch in matrix mul")
-        gf, k, cols = self.gf, self.gf.degree, other.ncols
-        packed = alpha_multiples(gf, cols, [pack_bits(r, k) for r in other.rows])
-        return Mat(gf, [unpack_bits(f2_apply(packed, pack_bits(row, k)), cols, k)
-                        for row in self.rows], ncols=cols)
-
-    def mul_vec(self, v: Sequence[int]) -> Vec:
-        """Matrix times column vector."""
-        if len(v) != self.ncols:
-            raise InvalidInput("length mismatch in mat-vec")
-        gf = self.gf
-        out = []
-        for row in self.rows:
-            s = 0
-            for a, x in zip(row, v):
-                if a and x:
-                    s ^= a if x == 1 else gf.mul(a, x)
-            out.append(s)
-        return tuple(out)
-
-    def transpose(self) -> "Mat":
-        if not self.rows:
-            return Mat(self.gf, [[] for _ in range(self.ncols)], ncols=0)
-        return Mat(self.gf, list(zip(*self.rows)), ncols=self.nrows)
-
-    def rref(self) -> Tuple["Mat", Tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns; zero rows dropped."""
-        span = Subspace(self.gf, self.ncols, self.rows)
-        return Mat(self.gf, span.rows, ncols=self.ncols), span.pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel(self) -> List[Vec]:
-        """Basis of the right null space {x : self @ x = 0}."""
-        span = Subspace(self.gf, self.ncols, self.rows)
-        out = []
-        for f in sorted(set(range(self.ncols)) - set(span.pivots)):
-            v = [0] * self.ncols
-            v[f] = 1
-            for row, p in zip(span.rows, span.pivots):
-                v[p] = row[f]
-            out.append(tuple(v))
-        return out
-
-    def solve(self, b: Sequence[int]) -> Optional[Vec]:
-        """One solution x of self @ x = b, or None if inconsistent."""
-        if len(b) != self.nrows:
-            raise InvalidInput("rhs length mismatch in solve")
-        aug = Subspace(self.gf, self.ncols + 1, [r + (bb,) for r, bb in zip(self.rows, b)])
-        if aug.pivots and aug.pivots[-1] == self.ncols:
-            return None
-        x = [0] * self.ncols
-        for row, p in zip(aug.rows, aug.pivots):
-            x[p] = row[-1]
-        return tuple(x)
-
-
 class Subspace:
     """A subspace of GF(2^k)^ambient, kept as the fully reduced F2 echelon
     of its restriction of scalars.
@@ -564,6 +464,20 @@ class Subspace:
         v = pack_bits(vec, k)
         c = self.coords_packed(v)
         return unpack_bits(c, self.dim, k) if f2_apply(self.echelon, c) == v else None
+
+    def null_basis(self) -> Tuple[Vec, ...]:
+        """Basis of {x : r . x = 0 for every row r}, one vector per free
+        column f in ascending order: x_f = 1, and x_p = r[f] at the pivot p
+        of each row r."""
+        pivots, n = self.pivots, self.ambient
+        out = []
+        for f in sorted(set(range(n)) - set(pivots)):
+            x = [0] * n
+            x[f] = 1
+            for row, p in zip(self.rows, pivots):
+                x[p] = row[f]
+            out.append(tuple(x))
+        return tuple(out)
 
     def vectors(self):
         """Iterate every vector in the span; feasible only for tiny spaces."""

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidInput
-from .field import (GF, GF2, Mat, Subspace, Vec, alpha_map, alpha_multiples,
+from .field import (GF, GF2, Subspace, Vec, alpha_map, alpha_multiples,
                     f2_apply, f2_eliminate, f2_reduce, full_space, pack_bits,
                     unpack_bits, vec_add, vec_is_zero, zero_vec)
 
@@ -363,35 +363,38 @@ class CatalogEntry:
     description: str = ""
 
 
-def algebra_from_matrices(name: str, mats: Sequence[Mat],
+def _mat_mul(n: int, a: int, b: int) -> int:
+    """Product of n x n F2 matrices packed with entry (r, c) at bit r*n + c:
+    row r of ab sums the rows of b picked by row r of a."""
+    mask = (1 << n) - 1
+    rows = [(b >> (r * n)) & mask for r in range(n)]
+    return sum(f2_apply(rows, (a >> (r * n)) & mask) << (r * n) for r in range(n))
+
+
+def algebra_from_matrices(name: str, n: int, mats: Sequence[int],
                           labels: Sequence[str],
                           with_squares: bool,
                           description: str = "") -> CatalogEntry:
-    """Span of n x n F2 matrices under commutator; optional squaring 2-map."""
-    gf = GF2
+    """Span of packed n x n F2 matrices (see `_mat_mul`) under commutator;
+    optional squaring 2-map.  Every commutator and square is solved against
+    the matrices in one elimination."""
     d = len(mats)
-    basis_mat = Mat(gf, [sum(m.rows, ()) for m in mats]).transpose()
-
-    def express(m: Mat) -> Vec:
-        v = basis_mat.solve(sum(m.rows, ()))
-        if v is None:
-            raise InvalidInput(f"{name}: span not closed under the required product")
-        return v
-
-    table = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            table[(i, j)] = express(mats[i].mul(mats[j]).add(mats[j].mul(mats[i])))
-    alg = LieAlgebra(gf, d, table, name=name, labels=labels)
-    two_map = None
+    products = [_mat_mul(n, a, b) ^ _mat_mul(n, b, a)
+                for i, a in enumerate(mats) for b in mats[i + 1:]]
     if with_squares:
-        two_map = tuple(express(m.mul(m)) for m in mats)
+        products += [_mat_mul(n, m, m) for m in mats]
+    _, solutions = f2_eliminate(mats, d, products)
+    if None in solutions:
+        raise InvalidInput(f"{name}: span not closed under the required product")
+    coords = [unpack_bits(y, d) for y in solutions]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    alg = LieAlgebra(GF2, d, dict(zip(pairs, coords)), name=name, labels=labels)
+    two_map = tuple(coords[len(pairs):]) if with_squares else None
     return CatalogEntry(alg, two_map, description)
 
 
-def _unit(n: int, r: int, c: int) -> Mat:
-    return Mat(GF2, [[1 if (i, j) == (r, c) else 0 for j in range(n)]
-                     for i in range(n)])
+def _unit(n: int, r: int, c: int) -> int:
+    return 1 << (r * n + c)
 
 
 def _gl_entry(n: int) -> CatalogEntry:
@@ -401,7 +404,7 @@ def _gl_entry(n: int) -> CatalogEntry:
             mats.append(_unit(n, r, c))
             labels.append(f"E{r + 1}{c + 1}")
     return algebra_from_matrices(
-        f"gl{n}", mats, labels, with_squares=True,
+        f"gl{n}", n, mats, labels, with_squares=True,
         description=f"all {n}x{n} matrices over F2 with commutator bracket "
                     "and matrix squaring as 2-map")
 
@@ -410,31 +413,31 @@ def _sl3_entry() -> CatalogEntry:
     pos = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     mats = [_unit(3, r, c) for r, c in pos]
     labels = [f"E{r + 1}{c + 1}" for r, c in pos]
-    mats.append(_unit(3, 0, 0).add(_unit(3, 1, 1)))
+    mats.append(_unit(3, 0, 0) ^ _unit(3, 1, 1))
     labels.append("h1")
-    mats.append(_unit(3, 1, 1).add(_unit(3, 2, 2)))
+    mats.append(_unit(3, 1, 1) ^ _unit(3, 2, 2))
     labels.append("h2")
     return algebra_from_matrices(
-        "sl3", mats, labels, with_squares=True,
+        "sl3", 3, mats, labels, with_squares=True,
         description="trace-zero 3x3 matrices over F2; simple, "
                     "restrictable, toral rank 2 over the prime field")
 
 
 def _sl2_entry() -> CatalogEntry:
     e, f = _unit(2, 0, 1), _unit(2, 1, 0)
-    h = _unit(2, 0, 0).add(_unit(2, 1, 1))
+    h = _unit(2, 0, 0) ^ _unit(2, 1, 1)
     return algebra_from_matrices(
-        "sl2", [e, f, h], ["e", "f", "h"], with_squares=True,
+        "sl2", 2, [e, f, h], ["e", "f", "h"], with_squares=True,
         description="trace-zero 2x2 matrices over F2; not simple in "
                     "characteristic 2 (the identity spans a central ideal)")
 
 
 def _o3_entry() -> CatalogEntry:
-    e1 = _unit(3, 1, 2).add(_unit(3, 2, 1))
-    e2 = _unit(3, 0, 2).add(_unit(3, 2, 0))
-    e3 = _unit(3, 0, 1).add(_unit(3, 1, 0))
+    e1 = _unit(3, 1, 2) ^ _unit(3, 2, 1)
+    e2 = _unit(3, 0, 2) ^ _unit(3, 2, 0)
+    e3 = _unit(3, 0, 1) ^ _unit(3, 1, 0)
     return algebra_from_matrices(
-        "o3", [e1, e2, e3], ["e1", "e2", "e3"], with_squares=False,
+        "o3", 3, [e1, e2, e3], ["e1", "e2", "e3"], with_squares=False,
         description="cross-product algebra on F2^3; simple but carries "
                     "no 2-map (squares leave the span)")
 
@@ -466,7 +469,7 @@ def _strictly_upper_entry(n: int) -> CatalogEntry:
     mats = [_unit(n, r, c) for r, c in pos]
     labels = [f"E{r + 1}{c + 1}" for r, c in pos]
     return algebra_from_matrices(
-        f"strictly_upper({n})", mats, labels, with_squares=True,
+        f"strictly_upper({n})", n, mats, labels, with_squares=True,
         description=f"strictly upper triangular {n}x{n} matrices; "
                     "nilpotent, closed under squaring")
 

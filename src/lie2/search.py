@@ -19,7 +19,7 @@ rank.  The LIE2_BACKEND environment variable may name the engine (auto or
 numpy) but cannot pick another.  Simple tables of dimension <= 4 are
 grouped into GL(n, 2) orbits by one vectorised change of basis over every
 matrix of field.gl_matrices, and iso_match reads its witness off the same
-array.
+array, as the 0/1 rows of the basis change.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput)
-from .field import GF, GF2, Mat, gl_matrices, pack_bits
+from .field import GF, GF2, gl_matrices, pack_bits
 from .liealg import (LieAlgebra, center, derived_series, is_simple,
                      lower_central_series, validate_lie)
 from .restricted import RestrictedAlgebra, synthesize_two_map
@@ -232,10 +232,11 @@ def _invariant_signature(alg: LieAlgebra):
             center(alg).dim)
 
 
-def iso_match(a: LieAlgebra, b: LieAlgebra) -> Optional[Mat]:
+def iso_match(a: LieAlgebra, b: LieAlgebra) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """Bracket-preserving basis change from a to b, by exhaustive GL sweep.
 
-    The answer is the first such matrix in gl_matrices order.
+    The answer is the first such matrix in gl_matrices order, as a tuple of
+    0/1 row tuples.
     """
     if a.gf != b.gf or a.dim != b.dim:
         raise InvalidInput("iso_match needs matching dimension and field")
@@ -251,7 +252,7 @@ def iso_match(a: LieAlgebra, b: LieAlgebra) -> Optional[Mat]:
     if hits.size == 0:
         return None
     rows, _inv = gl_matrices(n)[int(hits[0])]
-    return Mat(GF2, [[(rows[r] >> c) & 1 for c in range(n)] for r in range(n)])
+    return tuple(tuple((row >> c) & 1 for c in range(n)) for row in rows)
 
 
 # ---------------------------------------------------------------------------

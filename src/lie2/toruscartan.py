@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
-from .field import (Mat, Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
+from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
                     f2_eliminate, f2_reduce, pack_bits, unpack_bits, vec_is_zero,
                     zero_vec)
 from .liealg import ad_kernel, centralizer, subspace_bracket
@@ -88,23 +88,15 @@ class TorusReport:
     torus: Optional[Torus]
 
 
-def _squaring_matrix(ra: RestrictedAlgebra, s: Subspace) -> Mat:
-    """Matrix of the squaring operator in s-coordinates (Frobenius-twisted)."""
-    cols = []
-    for r in s.rows:
-        c = s.coords(two_map_eval(ra, r))
-        if c is None:
-            raise NotTwoMapClosed("subspace is not closed under the 2-map")
-        cols.append(c)
-    return Mat(ra.algebra.gf, list(zip(*cols)), ncols=s.dim) if s.dim else \
-        Mat(ra.algebra.gf, [], ncols=0)
-
-
 def is_torus(ra: RestrictedAlgebra, s: Subspace) -> TorusReport:
-    """Closure is a precondition (raises NotTwoMapClosed); the rest is reported."""
+    """Closure is a precondition (raises NotTwoMapClosed); the rest is reported.
+
+    On an abelian s squaring is additive and sigma-semilinear, so it is
+    injective exactly when the squares of a basis are independent."""
     alg = ra.algebra
+    squares = [two_map_eval(ra, a) for a in s.rows]
     for i, a in enumerate(s.rows):
-        if not s.contains(two_map_eval(ra, a)):
+        if not s.contains(squares[i]):
             raise NotTwoMapClosed(f"square of basis row {i} leaves the subspace")
         for b in s.rows[i + 1:]:
             if not s.contains(alg.bracket(a, b)):
@@ -115,25 +107,21 @@ def is_torus(ra: RestrictedAlgebra, s: Subspace) -> TorusReport:
         return TorusReport(False, False, False, None)
     if s.dim == 0:
         return TorusReport(True, True, True, Torus(s, ()))
-    m = _squaring_matrix(ra, s)
-    injective = len(m.kernel()) == 0
-    if not injective:
+    if Subspace(alg.gf, s.ambient, squares).dim < s.dim:
         return TorusReport(False, True, False, None)
-    return TorusReport(True, True, True, Torus(s, _toral_basis(ra, s, m)))
+    return TorusReport(True, True, True, Torus(s, _toral_basis(ra, s, squares)))
 
 
-def _toral_basis(ra: RestrictedAlgebra, s: Subspace, m: Mat) -> Optional[Tuple[Vec, ...]]:
-    """Basis of fixpoints spanning s, or None when fixpoints span less."""
+def _toral_basis(ra: RestrictedAlgebra, s: Subspace, squares: List[Vec]
+                 ) -> Optional[Tuple[Vec, ...]]:
+    """Basis of fixpoints spanning s, or None when fixpoints span less.
+
+    Over F2 squaring is linear on s, so its fixpoints span s only when it
+    is the identity, and then the canonical rows are that basis."""
     gf = ra.algebra.gf
-    d = s.dim
-    if d == 0:
-        return ()
     if gf.degree == 1:
-        fx = Mat(gf, [tuple(m.rows[i][j] ^ (1 if i == j else 0) for j in range(d))
-                      for i in range(d)], ncols=d).kernel()
-        if len(fx) < d:
-            return None
-        return tuple(s.combo(c) for c in fx)
+        return s.rows if tuple(squares) == s.rows else None
+    d = s.dim
     if gf.order ** d > 1 << 16:
         raise BudgetExceeded("fixpoint sweep of the subspace is too large")
     chosen: List[Vec] = []

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -15,8 +16,8 @@ from lie2 import (InvalidInput, LieAlgebra, catalog, catalog_names, center,
                   centralizer, derived_series, from_json, ideal_closure,
                   is_simple, is_subalgebra, to_json, validate_lie)
 from lie2.field import GF, GF2, Subspace, basis_vec
-from lie2.liealg import (MAX_DIM, f2_ideal_rank, is_ideal,
-                         is_nilpotent_algebra, is_solvable_algebra,
+from lie2.liealg import (MAX_DIM, _unit, algebra_from_matrices, f2_ideal_rank,
+                         is_ideal, is_nilpotent_algebra, is_solvable_algebra,
                          jacobi_residual, lower_central_series,
                          subspace_bracket)
 
@@ -343,3 +344,22 @@ def test_families_scale():
     assert up.dim == 6
     assert is_nilpotent_algebra(up)
     assert lower_central_series(up).dims == (6, 3, 1, 0)
+
+
+def test_largest_catalog_algebra_builds_in_half_a_second():
+    """strictly_upper(12), dim 66: every commutator and square solved in
+    one elimination against the packed matrices."""
+    t0 = time.perf_counter()
+    entry = catalog("strictly_upper(12)")
+    elapsed = time.perf_counter() - t0
+    assert entry.algebra.dim == 66 and len(entry.two_map) == 66
+    assert elapsed < 0.5
+
+
+def test_catalog_rejects_a_span_not_closed_under_the_product():
+    e, f = _unit(2, 0, 1), _unit(2, 1, 0)
+    with pytest.raises(InvalidInput, match="span not closed under the required product"):
+        algebra_from_matrices("ef", 2, [e, f], ["e", "f"], with_squares=False)
+    algebra_from_matrices("e", 2, [e], ["e"], with_squares=True)   # e^2 = 0
+    with pytest.raises(InvalidInput, match="span not closed"):
+        algebra_from_matrices("ef", 2, [e ^ f], ["s"], with_squares=True)

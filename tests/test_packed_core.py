@@ -13,8 +13,8 @@ Dense ad matrices built from `table_bracket` are the oracles for the packed
 eliminations: centralizers, the centre, joint eigenspaces of a torus,
 2-map synthesis and the basis check of `validate_restricted`.
 
-Dense Gauss-Jordan over GF(2^k) is the oracle for `Subspace` and `Mat`,
-whose row reductions and products run on the F2 restriction.
+Dense Gauss-Jordan over GF(2^k) (`dense_oracles`) is the oracle for
+`Subspace`, whose row reductions run on the F2 restriction.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import random
 import pytest
 
 from lie2.errors import Lie2Error
-from lie2.field import (GF, Mat, Subspace, basis_vec, coefficient_vectors,
+from lie2.field import (GF, Subspace, basis_vec, coefficient_vectors,
                         full_space, vec_add)
 from lie2.liealg import (LieAlgebra, catalog, center, centralizer, f2_apply,
                          f2_eliminate, from_json, is_simple, nibble_apply,
@@ -32,6 +32,8 @@ from lie2.liealg import (LieAlgebra, catalog, center, centralizer, f2_apply,
 from lie2.restricted import (RestrictedAlgebra, synthesize_two_map,
                              two_map_eval, validate_restricted)
 from lie2.toruscartan import Torus, max_tori, toral_elements, weight_decompose
+from dense_oracles import (dense_combo, dense_express, dense_mul, dense_null_space,
+                           dense_reduce, dense_rref, gf_scale)
 from test_reports_frozen import lifted_doc
 
 NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
@@ -125,21 +127,20 @@ def test_nibble_tables_match_column_sums(width):
 # packed eliminations against dense ad matrices
 
 
-def dense_ad(alg: LieAlgebra, x) -> Mat:
-    """Matrix of [x, -] on column vectors, column j being [x, e_j]."""
+def dense_ad(alg: LieAlgebra, x) -> tuple:
+    """Rows of the matrix of [x, -] on column vectors, column j being [x, e_j]."""
     n = alg.dim
-    cols = [table_bracket(alg, x, basis_vec(n, j)) for j in range(n)]
-    return Mat(alg.gf, list(zip(*cols)), ncols=n)
+    return tuple(zip(*[table_bracket(alg, x, basis_vec(n, j)) for j in range(n)]))
 
 
 def dense_kernel(alg: LieAlgebra, mats) -> Subspace:
     """Common kernel of the matrices, rows stacked."""
-    rows = [r for m in mats for r in m.rows]
-    return Subspace(alg.gf, alg.dim, Mat(alg.gf, rows, ncols=alg.dim).kernel())
+    rows = [r for m in mats for r in m]
+    return Subspace(alg.gf, alg.dim, dense_null_space(alg.gf, rows, alg.dim))
 
 
-def flat(m: Mat) -> tuple:
-    return tuple(x for row in m.rows for x in row)
+def flat(m) -> tuple:
+    return tuple(x for row in m for x in row)
 
 
 def test_f2_eliminate_kernel_and_solutions():
@@ -196,12 +197,13 @@ def test_weight_spaces_match_dense_joint_eigenspaces(degree):
             continue
         ra, torus = restricted_with_torus(name, degree)
         alg, basis = ra.algebra, torus.toral_basis
-        ident = Mat.identity(alg.gf, alg.dim)
         ads = [dense_ad(alg, t) for t in basis]
+        shifted = [tuple(vec_add(row, basis_vec(alg.dim, i)) for i, row in enumerate(a))
+                   for a in ads]
         expect = {}
         for code in range(1 << len(basis)):
             lam = tuple((code >> i) & 1 for i in range(len(basis)))
-            space = dense_kernel(alg, [a.add(ident) if c else a for a, c in zip(ads, lam)])
+            space = dense_kernel(alg, [b if c else a for a, b, c in zip(ads, shifted, lam)])
             if space.dim:
                 expect[lam] = space
         try:
@@ -220,11 +222,10 @@ def dense_synthesis(alg: LieAlgebra):
     basis element of ad(y) = ad(e_i)^2, images reduced modulo the centre."""
     n = alg.dim
     ads = [dense_ad(alg, basis_vec(n, j)) for j in range(n)]
-    lin = Mat(alg.gf, list(zip(*[flat(a) for a in ads])), ncols=n)
     cen = dense_kernel(alg, ads)
     images = []
     for i, a in enumerate(ads):
-        y = lin.solve(flat(a.mul(a)))
+        y = dense_express(alg.gf, [flat(b) for b in ads], flat(dense_mul(alg.gf, a, a, n)))
         if y is None:
             return None, False, cen.dim, i
         images.append(cen.reduce(y))
@@ -258,7 +259,8 @@ def test_restricted_basis_check_matches_dense_squares(name, degree):
             c = rng.randrange(1, alg.gf.order)
             bad = list(two_map)
             bad[i] = vec_add(bad[i], tuple(c * (m == j) for m in range(n)))
-            expect = [m for m in range(n) if dense_ad(alg, bad[m]) != ads[m].mul(ads[m])]
+            expect = [m for m in range(n)
+                      if dense_ad(alg, bad[m]) != dense_mul(alg.gf, ads[m], ads[m], n)]
             rep = validate_restricted(RestrictedAlgebra(alg, tuple(bad)), random_checks=0)
             assert rep.failing_indices == expect
             assert expect in ([], [i])
@@ -324,8 +326,7 @@ def twisted_o3_pair() -> LieAlgebra:
                               **{(i + 3, j + 3): (0,) * 3 + v for (i, j), v in o3.items()}})
     cols = [basis_vec(6, i)[:3] + tuple(2 * c for c in basis_vec(3, i)) for i in range(3)]
     cols += [basis_vec(6, 3 + i) for i in range(3)]
-    p = Mat(gf, list(zip(*cols)))
-    table = {(i, j): p.solve(table_bracket(pair, cols[i], cols[j]))
+    table = {(i, j): dense_express(gf, cols, table_bracket(pair, cols[i], cols[j]))
              for i in range(6) for j in range(i + 1, 6)}
     return LieAlgebra(gf, 6, table)
 
@@ -364,75 +365,7 @@ def test_gf4_toral_elements_match_vector_sweep(name):
 
 
 # ---------------------------------------------------------------------------
-# the packed Subspace and Mat against dense GF(2^k) Gauss-Jordan
-
-
-def gf_scale(gf: GF, c: int, row) -> list:
-    return [gf.mul(c, x) for x in row]
-
-
-def dense_rref(gf: GF, rows, ncols: int):
-    """Gauss-Jordan over GF(2^k) on row lists, as `Mat.rref` ran it for
-    k >= 2 before row reduction moved onto the F2 restriction: the reduced
-    rows (zero rows dropped) and their pivot columns."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rix = 0
-    for col in range(ncols):
-        sel = next((i for i in range(rix, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[rix], rows[sel] = rows[sel], rows[rix]
-        rows[rix] = gf_scale(gf, gf.inv(rows[rix][col]), rows[rix])
-        for i in range(len(rows)):
-            if i != rix and rows[i][col]:
-                rows[i] = [x ^ y for x, y in zip(rows[i], gf_scale(gf, rows[i][col], rows[rix]))]
-        pivots.append(col)
-        rix += 1
-    return tuple(tuple(r) for r in rows[:rix]), tuple(pivots)
-
-
-def dense_combo(gf: GF, rows, coeffs, ncols: int) -> tuple:
-    out = [0] * ncols
-    for c, row in zip(coeffs, rows):
-        out = [x ^ y for x, y in zip(out, gf_scale(gf, c, row))]
-    return tuple(out)
-
-
-def dense_reduce(gf: GF, rows, pivots, v) -> tuple:
-    v = list(v)
-    for row, p in zip(rows, pivots):
-        if v[p]:
-            v = [x ^ y for x, y in zip(v, gf_scale(gf, v[p], row))]
-    return tuple(v)
-
-
-def dense_null_space(gf: GF, rows, ncols: int) -> list:
-    """Free-column basis of the null space of the matrix with these rows."""
-    red, pivots = dense_rref(gf, rows, ncols)
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [0] * ncols
-        v[f] = 1
-        for row, p in zip(red, pivots):
-            v[p] = row[f]
-        out.append(tuple(v))
-    return out
-
-
-def dense_solve(gf: GF, rows, ncols: int, b):
-    """The solution of M x = b with every free variable 0, or None."""
-    red, pivots = dense_rref(gf, [tuple(r) + (c,) for r, c in zip(rows, b)], ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [0] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[ncols]
-    return tuple(x)
-
-
-def dense_mul(gf: GF, a, b, ncols: int) -> tuple:
-    return tuple(dense_combo(gf, b, row, ncols) for row in a)
+# the packed Subspace against dense GF(2^k) Gauss-Jordan
 
 
 def random_rows(rng: random.Random, gf: GF, nrows: int, ncols: int) -> list:
@@ -489,24 +422,21 @@ def test_subspace_matches_dense_gauss_jordan(degree):
 
 
 @pytest.mark.parametrize("degree", SUBSPACE_DEGREES)
-def test_mat_matches_dense_gauss_jordan(degree):
+def test_null_basis_matches_dense_null_space(degree):
+    """Free-column null space bases, same vectors in the same order, with
+    no rows, zero rows and full rank among the trials."""
     gf = GF(degree)
-    rng = random.Random(f"mat/{degree}")
+    rng = random.Random(f"null/{degree}")
     for trial in range(60):
-        nrows, ncols = rng.randrange(0, 6), rng.randrange(1, 7)
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
         rows = random_rows(rng, gf, nrows, ncols)
-        m = Mat(gf, rows, ncols=ncols)
-        red, pivots = dense_rref(gf, rows, ncols)
-        assert m.rref() == (Mat(gf, red, ncols=ncols), pivots)
-        assert m.rank() == len(pivots)
-        assert m.kernel() == dense_null_space(gf, rows, ncols)
-        # M x for a random x, then a random right-hand side
-        consistent = dense_mul(gf, [random_vec(rng, gf, ncols)], list(zip(*rows)), nrows)[0]
-        for b in (consistent, random_vec(rng, gf, nrows)):
-            assert m.solve(b) == dense_solve(gf, rows, ncols, b)
-        width = rng.randrange(0, 5)
-        other = random_rows(rng, gf, ncols, width)
-        assert m.mul(Mat(gf, other, ncols=width)).rows == dense_mul(gf, rows, other, width)
+        if trial < 3:
+            rows = [[], [(0,) * ncols] * nrows,
+                    [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]][trial]
+        got = Subspace(gf, ncols, rows).null_basis()
+        assert got == tuple(dense_null_space(gf, rows, ncols))
+        for v in got:
+            assert dense_mul(gf, rows, [(x,) for x in v], 1) == ((0,),) * len(rows)
 
 
 @pytest.mark.parametrize("degree", SUBSPACE_DEGREES)

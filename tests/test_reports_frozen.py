@@ -33,9 +33,10 @@ import random
 import pytest
 
 from lie2.cli import main
-from lie2.field import GF, Mat
+from lie2.field import GF
 from lie2.liealg import catalog, to_json
 from lie2.search import CensusSpec, census
+from dense_oracles import dense_rref, dense_solve
 
 F2_NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
             "strictly_upper(4)"]
@@ -55,14 +56,14 @@ def lift_matrix(name: str, degree: int, seed: int) -> tuple:
     rng = random.Random(f"{name}/{degree}/{seed}")
     while True:
         rows = tuple(tuple(rng.randrange(gf.order) for _ in range(n)) for _ in range(n))
-        if Mat(gf, rows).rank() == n:
+        if len(dense_rref(gf, rows, n)[1]) == n:
             return rows
 
 
 def lifted_coords(name: str, degree: int, seed: int, v) -> tuple:
     """Coordinates in the basis of `lifted_doc` of v, given in the catalog
     basis: the solution y of P y = v."""
-    return Mat(GF(degree), lift_matrix(name, degree, seed)).solve(v)
+    return dense_solve(GF(degree), lift_matrix(name, degree, seed), len(v), v)
 
 
 def lifted_doc(name: str, degree: int, seed: int) -> dict:
@@ -75,7 +76,7 @@ def lifted_doc(name: str, degree: int, seed: int) -> dict:
     entry = catalog(name)
     alg, two_map = entry.algebra, entry.two_map
     gf, n = GF(degree), alg.dim
-    p = Mat(gf, lift_matrix(name, degree, seed))
+    P = lift_matrix(name, degree, seed)
 
     def combo(coeff) -> tuple:
         acc = [0] * n
@@ -84,9 +85,8 @@ def lifted_doc(name: str, degree: int, seed: int) -> dict:
                 v = two_map[key] if isinstance(key, int) else alg.table.get(key, ())
                 for k, x in enumerate(v):
                     acc[k] ^= gf.mul(c, x)
-        return p.solve(acc)
+        return dense_solve(gf, P, n, acc)
 
-    P = p.rows
     table = {(a, b): combo([((i, j), gf.mul(P[i][a], P[j][b]) ^ gf.mul(P[j][a], P[i][b]))
                             for i in range(n) for j in range(i + 1, n)])
              for a in range(n) for b in range(a + 1, n)}

@@ -16,10 +16,11 @@ from lie2 import (InvalidInput, LieAlgebra, RestrictedAlgebra, catalog,
                   classify_element, jcs_decompose, synthesize_two_map,
                   two_map_eval, validate_restricted)
 from lie2.errors import Lie2Error
-from lie2.field import (GF, Mat, Subspace, basis_vec, full_space, vec_add, vec_is_zero,
+from lie2.field import (GF, Subspace, basis_vec, full_space, vec_add, vec_is_zero,
                         zero_vec)
 from lie2.restricted import two_power
 from lie2.toruscartan import weight_decompose
+from dense_oracles import dense_combo, dense_express, dense_mul, dense_null_space
 from test_packed_core import algebra_over, rand_vec, restricted_with_torus
 
 RESTRICTED_NAMES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2",
@@ -260,21 +261,23 @@ def twisted_fitting_parts(ra: RestrictedAlgebra, x) -> tuple:
     d = w.dim
     if d == 0:
         return zero_vec(n), zero_vec(n)
-    m_sq = Mat(gf, list(zip(*[w.coords(two_map_eval(ra, r)) for r in w.rows])), ncols=d)
+    sq_cols = [w.coords(two_map_eval(ra, r)) for r in w.rows]
+    m_sq = tuple(zip(*sq_cols))
 
     def image(sub: Subspace) -> Subspace:
-        return Subspace(gf, d, [m_sq.mul_vec(tuple(gf.mul(c, c) for c in b)) for b in sub.rows])
+        return Subspace(gf, d, [dense_combo(gf, sq_cols, [gf.mul(c, c) for c in b], d)
+                                for b in sub.rows])
 
     def preimage(sub: Subspace) -> Subspace:
-        ann = Mat(gf, Mat(gf, list(sub.rows), ncols=d).kernel(), ncols=d)
-        linear = Subspace(gf, d, ann.mul(m_sq).kernel())
+        ann = dense_null_space(gf, sub.rows, d)
+        linear = Subspace(gf, d, dense_null_space(gf, dense_mul(gf, ann, m_sq, d), d))
         return Subspace(gf, d, [tuple(gf.sqrt(c) for c in b) for b in linear.rows])
 
     w_inf, n_inf = full_space(gf, d), Subspace(gf, d)
     for _ in range(d + 1):
         w_inf, n_inf = image(w_inf), preimage(n_inf)
     assert w_inf.dim + n_inf.dim == d and w_inf.intersect(n_inf).dim == 0
-    sol = Mat(gf, w_inf.rows + n_inf.rows, ncols=d).transpose().solve(w.coords(tuple(x)))
+    sol = dense_express(gf, w_inf.rows + n_inf.rows, w.coords(tuple(x)))
     return (w.combo(w_inf.combo(sol[:w_inf.dim])), w.combo(n_inf.combo(sol[w_inf.dim:])))
 
 
@@ -284,8 +287,8 @@ JCS_NAMES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
 
 def toral_split_reference(dec, x) -> tuple:
     """Torus and nil parts of x by one dense solve on the stacked rows."""
-    gf, n, td = dec.ra.algebra.gf, dec.ra.algebra.dim, dec.torus.space.dim
-    sol = Mat(gf, dec.torus.space.rows + dec.nil.rows, ncols=n).transpose().solve(x)
+    gf, td = dec.ra.algebra.gf, dec.torus.space.dim
+    sol = dense_express(gf, dec.torus.space.rows + dec.nil.rows, x)
     return None if sol is None else (dec.torus.space.combo(sol[:td]), dec.nil.combo(sol[td:]))
 
 
@@ -324,7 +327,7 @@ def test_jcs_and_toral_split_match_dense_oracles(name, degree):
         x = dec.h.combo(rand_vec(rng, dec.h))
         t, nl = dec.toral_part(x)
         assert (t, nl) == toral_split_reference(dec, x)
-        want = Mat(gf, list(zip(*basis)), ncols=len(basis)).solve(t) if basis else ()
+        want = dense_express(gf, basis, t)
         assert dec.toral_coords(t) == want
     for space in dec.weights.values():
         v = space.rows[0]

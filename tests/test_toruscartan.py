@@ -16,10 +16,11 @@ from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput,
                   RestrictedAlgebra, SplitFailed, Torus, audit_decomposition,
                   catalog, cartan_split, is_torus, max_tori, toruscartan,
                   weight_decompose)
-from lie2.field import GF, GF2, Mat, Subspace, coefficient_vectors, full_space, zero_vec
+from lie2.field import GF, GF2, Subspace, coefficient_vectors, full_space, zero_vec
 from lie2.liealg import LieAlgebra, from_json
 from lie2.restricted import JcsParts, classify_element, two_map_eval
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
+from dense_oracles import dense_express
 from test_reports_frozen import lifted_coords, lifted_doc
 
 
@@ -122,10 +123,9 @@ def change_basis(ra: RestrictedAlgebra, rng: random.Random) -> RestrictedAlgebra
         cols = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(n)]
         if Subspace(GF2, n, cols).dim == n:
             break
-    p = Mat(GF2, list(zip(*cols)))
-    table = {(i, j): p.solve(alg.bracket(cols[i], cols[j]))
+    table = {(i, j): dense_express(GF2, cols, alg.bracket(cols[i], cols[j]))
              for i in range(n) for j in range(i + 1, n)}
-    two_map = tuple(p.solve(two_map_eval(ra, c)) for c in cols)
+    two_map = tuple(dense_express(GF2, cols, two_map_eval(ra, c)) for c in cols)
     return RestrictedAlgebra(LieAlgebra(GF2, n, table), two_map)
 
 
