@@ -9,9 +9,10 @@ elimination of y -> ([y, e_l])_l gives the center and solves every
 ad(y) = ad(e_i)^2, or names the first basis element with no solution) and
 the semisimple/nilpotent decomposition obtained from the Fitting
 decomposition of the squaring operator on the span of 2-power iterates.
-Squaring is only semilinear over GF(2^k), but it is additive on that
-abelian span, so on its F2 restriction it is an F2-linear map, and the
-decomposition is computed there with the packed core of `field`.
+Squaring is only semilinear over GF(2^k), but by Jacobson's formula
+(x + y)^[2] = x^[2] + y^[2] + [x, y] it is additive on an abelian span, an
+F2-linear map on its restriction: `square_columns`.  `square_sweep`
+tabulates x -> x^[2] on a closed subalgebra by one Gray-code sweep.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InternalInconsistency, InvalidInput
+from .errors import InternalInconsistency, InvalidInput, NotTwoMapClosed
 from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply, f2_eliminate,
-                    pack_bits, unpack_bits, vec_add, vec_is_zero, zero_vec)
+                    pack_bits, unpack_bits)
 from .liealg import LieAlgebra, ad_kernel, nibble_apply
 
 
@@ -68,6 +69,50 @@ def packed_square(ra: RestrictedAlgebra, x: int) -> int:
     return out
 
 
+def square_columns(ra: RestrictedAlgebra, span: Subspace) -> Optional[List[int]]:
+    """F2 coordinates, in the basis `span.echelon`, of the square of each
+    echelon row, or None when a square leaves the span.
+
+    echelon[ik + a] = alpha^a r_i and (alpha^a r)^[2] = alpha^(2a) r^[2], so
+    one packed square per GF row r_i gives its whole block."""
+    times_alpha = alpha_map(span.gf, span.ambient)
+    cols = []
+    for r in span.echelon[::span.gf.degree]:
+        sq = packed_square(ra, r)
+        if span.reduce_packed(sq):
+            return None
+        for _ in range(span.gf.degree):
+            cols.append(span.coords_packed(sq))
+            sq = times_alpha(times_alpha(sq))
+    return cols
+
+
+def square_sweep(ra: RestrictedAlgebra, span: Subspace) -> Iterator[Tuple[int, int]]:
+    """(x, coordinates of x^[2]) for every F2 coordinate vector x of span in
+    the basis `span.echelon`, by a Gray-code sweep from x = 0.
+
+    span must be a subalgebra closed under the 2-map.  Flipping b_m changes
+    the square by b_m^[2] + [x, b_m] (Jacobson's formula).  The coordinates
+    of [x, b_j] for every j ride side by side in one int, d bits each, to
+    which flipping m adds those of [b_m, b_j]."""
+    alg, basis, code = ra.algebra, span.echelon, span.coords_packed
+    squares = square_columns(ra, span)
+    if squares is None:
+        raise NotTwoMapClosed("swept span is not closed under the 2-map")
+    d = len(basis)
+    flips = [sum(code(alg.packed_bracket(b, c)) << (j * d) for j, c in enumerate(basis))
+             for b in basis]
+    mask = (1 << d) - 1
+    x = square = brackets = 0
+    yield x, square
+    for step in range(1, 1 << d):
+        m = (step & -step).bit_length() - 1
+        square ^= squares[m] ^ ((brackets >> (m * d)) & mask)
+        brackets ^= flips[m]
+        x ^= 1 << m
+        yield x, square
+
+
 def two_map_eval(ra: RestrictedAlgebra, x: Sequence[int]) -> Vec:
     """Value of the 2-map on an arbitrary vector."""
     alg = ra.algebra
@@ -109,21 +154,17 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
     done = 0
     if not bad:
         rng = random.Random(seed)
-        q = alg.gf.order
+        gf, nk = alg.gf, n * k
         for _ in range(random_checks):
-            x = tuple(rng.randrange(q) for _ in range(n))
-            y = tuple(rng.randrange(q) for _ in range(n))
-            lam = rng.randrange(q)
-            sq = two_map_eval(ra, x)
-            if not squares_to(pack_bits(x, k), pack_bits(sq, k)):
+            x, y, lam = rng.getrandbits(nk), rng.getrandbits(nk), rng.getrandbits(k)
+            sq = packed_square(ra, x)
+            if not squares_to(x, sq):
                 raise InternalInconsistency("derived 2-map identity failed on a vector")
-            lx = tuple(alg.gf.mul(lam, c) for c in x)
-            lam2 = alg.gf.mul(lam, lam)
-            if two_map_eval(ra, lx) != tuple(alg.gf.mul(lam2, c) for c in sq):
+            # lam v is f2_apply(alpha_multiples(v), lam): sum of lam_a alpha^a v
+            lx = f2_apply(alpha_multiples(gf, n, [x]), lam)
+            if packed_square(ra, lx) != f2_apply(alpha_multiples(gf, n, [sq]), gf.mul(lam, lam)):
                 raise InternalInconsistency("2-map is not Frobenius-homogeneous")
-            lhs = two_map_eval(ra, vec_add(x, y))
-            rhs = vec_add(vec_add(sq, two_map_eval(ra, y)), alg.bracket(x, y))
-            if lhs != rhs:
+            if packed_square(ra, x ^ y) != sq ^ packed_square(ra, y) ^ alg.packed_bracket(x, y):
                 raise InternalInconsistency("2-map addition rule failed")
             done += 1
     return RestrictedReport(not bad, bad, done)
@@ -224,7 +265,7 @@ def jcs_decompose(ra: RestrictedAlgebra, x: Sequence[int]) -> JcsParts:
 
     Works inside W, the span of all 2-power iterates of x.  Iterates
     commute, so squaring is additive on W: in the F2 coordinates of W's
-    echelon it is an F2-linear map A.  For N >= dim_F2 W the image and the
+    echelon it is the F2-linear map A of `square_columns`.  For N >= dim_F2 W the image and the
     kernel of A^N are the Fitting decomposition W = W_inf + N_inf, and
     projecting x onto the two summands yields the parts.  All claimed
     properties are re-verified before returning.
@@ -234,14 +275,9 @@ def jcs_decompose(ra: RestrictedAlgebra, x: Sequence[int]) -> JcsParts:
     px = pack_bits(x, k)
     w = _iterate_span(ra, px)
     d = len(w.echelon)
-    if d == 0:
-        return JcsParts(zero_vec(n), zero_vec(n))
-    cols = []
-    for b in w.echelon:
-        sq = packed_square(ra, b)
-        if w.reduce_packed(sq):
-            raise InternalInconsistency("iterate span is not 2-map invariant")
-        cols.append(w.coords_packed(sq))
+    cols = square_columns(ra, w)
+    if cols is None:
+        raise InternalInconsistency("iterate span is not 2-map invariant")
     for _ in range(d.bit_length()):  # A^(2^t) with 2^t > d
         cols = [f2_apply(cols, c) for c in cols]
     # W = image + kernel of A^N exactly when the two together have rank d
@@ -255,6 +291,6 @@ def jcs_decompose(ra: RestrictedAlgebra, x: Sequence[int]) -> JcsParts:
         raise InternalInconsistency("claimed semisimple part is not semisimple")
     if not classify_element(ra, nl).two_nilpotent:
         raise InternalInconsistency("claimed nilpotent part is not 2-nilpotent")
-    if not vec_is_zero(alg.bracket(s, nl)):
+    if alg.packed_bracket(ps, ps ^ px):
         raise InternalInconsistency("semisimple and nilpotent parts do not commute")
     return JcsParts(s, nl)

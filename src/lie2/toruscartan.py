@@ -6,10 +6,12 @@ idempotent ad-operators, so joint eigenspaces over the prime field decompose
 the algebra; the four audit passes re-verify the eigenvalue equations and
 the structural facts the downstream case analysis relies on.
 
-Everything is computed over the given finite field.  The fixpoint sweep,
-the commutation graph and the chosen spans run on packed vectors of the F2
-restriction of scalars (see `liealg`); a span is kept as F2 echelon slots
-holding every alpha^a v.  The maximal torus search is a branch and bound
+Everything is computed over the given finite field, of any degree, on
+packed vectors of the F2 restriction of scalars (see `liealg`); a span is
+kept as F2 echelon slots holding every alpha^a v.  The fixpoint sweep and
+the nil check are `restricted.square_sweep`s, and a torus is injective and
+has a toral basis by the kernels of A and A + I, A its squaring map from
+`restricted.square_columns`.  The maximal torus search is a branch and bound
 over int bitsets of the fixpoints' commutation graph: a branch keeps only
 the candidates commuting with everything chosen, and is cut once the chosen
 count plus the rank of the remaining candidates modulo the chosen span
@@ -28,46 +30,31 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
 from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
-                    f2_eliminate, f2_reduce, pack_bits, unpack_bits, vec_is_zero,
-                    zero_vec)
+                    f2_eliminate, f2_reduce, full_space, pack_bits, unpack_bits,
+                    vec_is_zero, zero_vec)
 from .liealg import ad_kernel, centralizer, subspace_bracket
 from .restricted import (RestrictedAlgebra, classify_element, jcs_decompose,
-                         packed_square, two_map_eval)
+                         packed_square, square_columns, square_sweep, two_map_eval)
 
 FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
                 "toral ranks are lower bounds and maximality is relative to this field")
 
 
-def toral_elements(ra: RestrictedAlgebra, budget: int = 1 << 20) -> List[Vec]:
-    """All fixpoints of the 2-map, by a Gray-code sweep of the 2^(nk) packed
-    vectors of the F2 restriction, ascending in the packed value (the order
-    of sum_i v[i] q^i, by which the torus search breaks ties).
-
-    Flipping bit m changes the square by f_m^[2] + [x, f_m].  The brackets
-    [x, f_j] for all j sit side by side in one int (nk bits each), and
-    flipping m adds the packed column of [f_m, f_j] to it.
-    """
+def _fixpoints(ra: RestrictedAlgebra, budget: int) -> List[int]:
+    """Packed 2-map fixpoints in ascending order, by `square_sweep` of the
+    whole space, whose coordinates are the packed vectors themselves."""
     alg = ra.algebra
-    if alg.gf.degree > 2:
-        raise InvalidInput("exhaustive toral sweep supports field degree <= 2")
     total = alg.gf.order ** alg.dim
     if total > budget:
         raise BudgetExceeded(f"sweep of {total} vectors exceeds budget {budget}")
-    k, ad, squares = alg.gf.degree, alg.ad_columns, ra.squares
-    nk = alg.dim * k
-    flips = [sum(ad[j][m] << (j * nk) for j in range(nk)) for m in range(nk)]
-    mask = (1 << nk) - 1
-    x = square = brackets = 0
-    out = [0]
-    for step in range(1, 1 << nk):
-        m = (step & -step).bit_length() - 1
-        square ^= squares[m] ^ ((brackets >> (m * nk)) & mask)
-        brackets ^= flips[m]
-        x ^= 1 << m
-        if square == x:
-            out.append(x)
-    out.sort()
-    return [unpack_bits(x, alg.dim, k) for x in out]
+    return sorted(x for x, sq in square_sweep(ra, full_space(alg.gf, alg.dim)) if x == sq)
+
+
+def toral_elements(ra: RestrictedAlgebra, budget: int = 1 << 20) -> List[Vec]:
+    """All fixpoints of the 2-map, ascending in the packed value (the order
+    of sum_i v[i] q^i, by which the torus search breaks ties)."""
+    alg = ra.algebra
+    return [unpack_bits(x, alg.dim, alg.gf.degree) for x in _fixpoints(ra, budget)]
 
 
 @dataclass
@@ -91,50 +78,44 @@ class TorusReport:
 def is_torus(ra: RestrictedAlgebra, s: Subspace) -> TorusReport:
     """Closure is a precondition (raises NotTwoMapClosed); the rest is reported.
 
-    On an abelian s squaring is additive and sigma-semilinear, so it is
-    injective exactly when the squares of a basis are independent."""
-    alg = ra.algebra
-    squares = [two_map_eval(ra, a) for a in s.rows]
-    for i, a in enumerate(s.rows):
-        if not s.contains(squares[i]):
+    On an abelian s squaring is additive and sigma-semilinear, so on the F2
+    coordinates of `s.echelon` it is the F2-linear map A of
+    `square_columns`, and it is injective exactly when ker A = 0."""
+    alg, rows = ra.algebra, s.echelon[::s.gf.degree]
+    pairs = [(i, alg.packed_bracket(a, b)) for i, a in enumerate(rows) for b in rows[i + 1:]]
+    outside = min((i for i, w in pairs if s.reduce_packed(w)), default=len(rows))
+    cols = square_columns(ra, s)
+    if cols is None:
+        # row i's square is checked before its brackets with the later rows
+        i = next(i for i, r in enumerate(rows) if s.reduce_packed(packed_square(ra, r)))
+        if i <= outside:
             raise NotTwoMapClosed(f"square of basis row {i} leaves the subspace")
-        for b in s.rows[i + 1:]:
-            if not s.contains(alg.bracket(a, b)):
-                raise NotTwoMapClosed("bracket of basis rows leaves the subspace")
-    abelian = all(vec_is_zero(alg.bracket(a, b))
-                  for i, a in enumerate(s.rows) for b in s.rows[i + 1:])
-    if not abelian:
+    if outside < len(rows):
+        raise NotTwoMapClosed("bracket of basis rows leaves the subspace")
+    if any(w for _, w in pairs):
         return TorusReport(False, False, False, None)
-    if s.dim == 0:
-        return TorusReport(True, True, True, Torus(s, ()))
-    if Subspace(alg.gf, s.ambient, squares).dim < s.dim:
+    if f2_eliminate(cols, len(cols))[0]:
         return TorusReport(False, True, False, None)
-    return TorusReport(True, True, True, Torus(s, _toral_basis(ra, s, squares)))
+    return TorusReport(True, True, True, Torus(s, _toral_basis(s, cols)))
 
 
-def _toral_basis(ra: RestrictedAlgebra, s: Subspace, squares: List[Vec]
-                 ) -> Optional[Tuple[Vec, ...]]:
-    """Basis of fixpoints spanning s, or None when fixpoints span less.
+def _toral_basis(s: Subspace, cols: List[int]) -> Optional[Tuple[Vec, ...]]:
+    """Basis of fixpoints spanning the torus s, or None when fixpoints span less.
 
-    Over F2 squaring is linear on s, so its fixpoints span s only when it
-    is the identity, and then the canonical rows are that basis."""
-    gf = ra.algebra.gf
-    if gf.degree == 1:
-        return s.rows if tuple(squares) == s.rows else None
-    d = s.dim
-    if gf.order ** d > 1 << 16:
-        raise BudgetExceeded("fixpoint sweep of the subspace is too large")
-    chosen: List[Vec] = []
-    span = Subspace(gf, s.ambient)
-    for v in s.vectors():
-        if vec_is_zero(v) or span.contains(v):
-            continue
-        if two_map_eval(ra, v) == v:
-            chosen.append(v)
-            span = span.add_packed(pack_bits(v, gf.degree))
-            if span.dim == d:
-                return tuple(chosen)
-    return None
+    The fixpoints are ker(A + I) for the squaring map A of `square_columns`.
+    F2-independent fixpoints are GF-independent (a fixed GF combination of
+    fixpoints has coefficients c = c^2, in F2), so they span s exactly when
+    that kernel has F2 dimension dim s.  The basis is then the kernel's
+    fully reduced echelon with top-bit pivots, in ascending order: the
+    greedy pick of fixpoints in the ascending coordinate order of
+    `Subspace.vectors`."""
+    kernel = f2_eliminate([c ^ 1 << i for i, c in enumerate(cols)], len(cols))[0]
+    if len(kernel) != s.dim:
+        return None
+    for i, r in enumerate(kernel):  # clear each row's top bit from the later rows
+        top = r.bit_length() - 1
+        kernel[i + 1:] = [v ^ r if v >> top & 1 else v for v in kernel[i + 1:]]
+    return tuple(unpack_bits(f2_apply(s.echelon, c), s.ambient, s.gf.degree) for c in kernel)
 
 
 @dataclass
@@ -187,14 +168,12 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
     index set.  `nodes` counts the candidates tried.  When the budget runs
     out, greedy over seeded candidate orders.
     """
-    alg = ra.algebra
-    fixpoints = [v for v in toral_elements(ra, budget=sweep_budget) if not vec_is_zero(v)]
-    m = len(fixpoints)
+    alg, k = ra.algebra, ra.algebra.gf.degree
+    items = [x for x in _fixpoints(ra, sweep_budget) if x]
+    m = len(items)
     if m == 0:
         return MaxTorusReport(0, Torus(Subspace(alg.gf, alg.dim), ()), True,
                               "exhaustive", 0, 0)
-    k = alg.gf.degree
-    items = [pack_bits(v, k) for v in fixpoints]
     comm = _commutation_graph(alg, items)
     times_alpha = alpha_map(alg.gf, alg.dim)
 
@@ -260,7 +239,7 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
                     allowed &= comm[idx]
             if len(chosen) > len(best):
                 best = chosen
-    basis = tuple(fixpoints[i] for i in best)
+    basis = tuple(unpack_bits(items[i], alg.dim, k) for i in best)
     span = Subspace(alg.gf, alg.dim, basis)
     if span.dim != len(basis):
         raise InternalInconsistency("chosen fixpoints are not independent")
@@ -277,26 +256,13 @@ class CartanSplit:
 def _all_two_nilpotent(ra: RestrictedAlgebra, nil: Subspace) -> bool:
     """Whether every element of the 2-map closed subalgebra nil is 2-nilpotent.
 
-    x -> x^[2] is tabulated in the F2 coordinates of nil in the basis of
-    its echelon, b_{ik+a} = alpha^a r_i, by a Gray-code sweep: flipping b_m
-    changes the square by b_m^[2] + [x, b_m], and the coordinates of
-    [x, b_j] for every j ride side by side in one int, to which flipping m
-    adds those of [b_m, b_j].  Every element is 2-nilpotent iff 0 is the only cycle of the
-    table, i.e. iff its 2^d-th power (d = dim_F2 nil) is zero everywhere.
+    `square_sweep` tabulates x -> x^[2] in the F2 coordinates of nil.  Every
+    element is 2-nilpotent iff 0 is the only cycle of the table, i.e. iff
+    its 2^d-th power (d = dim_F2 nil) is zero everywhere.
     """
-    alg, basis, code = ra.algebra, nil.echelon, nil.coords_packed
-    d = len(basis)
-    squares = [code(packed_square(ra, b)) for b in basis]
-    flips = [sum(code(alg.packed_bracket(b, c)) << (j * d) for j, c in enumerate(basis))
-             for b in basis]
-    mask = (1 << d) - 1
+    d = len(nil.echelon)
     image = [0] * (1 << d)
-    x = square = brackets = 0
-    for step in range(1, 1 << d):
-        m = (step & -step).bit_length() - 1
-        square ^= squares[m] ^ ((brackets >> (m * d)) & mask)
-        brackets ^= flips[m]
-        x ^= 1 << m
+    for x, square in square_sweep(ra, nil):
         image[x] = square
     for _ in range(d):
         image = [image[v] for v in image]
@@ -329,9 +295,8 @@ def cartan_split(ra: RestrictedAlgebra, torus: Torus) -> CartanSplit:
         raise SplitFailed("torus plus nilpotent part does not fill the centralizer")
     if not nil.contains_subspace(subspace_bracket(alg, nil, nil)):
         raise SplitFailed("nilpotent part is not a subalgebra")
-    for b in nil.rows:
-        if not nil.contains(two_map_eval(ra, b)):
-            raise SplitFailed("nilpotent part is not 2-map closed")
+    if square_columns(ra, nil) is None:
+        raise SplitFailed("nilpotent part is not 2-map closed")
     limit = 1 << 12
     if alg.gf.order ** nil.dim <= limit:
         nilpotent = _all_two_nilpotent(ra, nil)

@@ -5,10 +5,18 @@ written entry by entry with `GF.mul` and `GF.inv`.  They are the dense
 algorithms that the packed F2 restriction of scalars replaced (`Subspace`,
 `f2_eliminate`, the packed catalog matrices), and they stay here as the
 reference those are checked against.  A matrix is a sequence of row tuples.
+
+`sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
+it squares each basis row with `two_map_eval`, checks injectivity by the
+GF rank of those squares, and picks a toral basis by sweeping every vector
+of the subspace.
 """
 from __future__ import annotations
 
-from lie2.field import GF
+from lie2.errors import BudgetExceeded, NotTwoMapClosed
+from lie2.field import GF, Subspace, pack_bits, vec_is_zero
+from lie2.restricted import two_map_eval
+from lie2.toruscartan import Torus, TorusReport
 
 
 def gf_scale(gf: GF, c: int, row) -> list:
@@ -84,3 +92,48 @@ def dense_express(gf: GF, cols, v):
 def dense_mul(gf: GF, a, b, ncols: int) -> tuple:
     """The product of a and b, whose rows have ncols entries."""
     return tuple(dense_combo(gf, b, row, ncols) for row in a)
+
+
+def sweep_is_torus(ra, s: Subspace) -> TorusReport:
+    """The verdicts of `is_torus`, from the squares and brackets of the rows."""
+    alg = ra.algebra
+    squares = [two_map_eval(ra, a) for a in s.rows]
+    for i, a in enumerate(s.rows):
+        if not s.contains(squares[i]):
+            raise NotTwoMapClosed(f"square of basis row {i} leaves the subspace")
+        for b in s.rows[i + 1:]:
+            if not s.contains(alg.bracket(a, b)):
+                raise NotTwoMapClosed("bracket of basis rows leaves the subspace")
+    abelian = all(vec_is_zero(alg.bracket(a, b))
+                  for i, a in enumerate(s.rows) for b in s.rows[i + 1:])
+    if not abelian:
+        return TorusReport(False, False, False, None)
+    if s.dim == 0:
+        return TorusReport(True, True, True, Torus(s, ()))
+    if Subspace(alg.gf, s.ambient, squares).dim < s.dim:
+        return TorusReport(False, True, False, None)
+    return TorusReport(True, True, True, Torus(s, sweep_toral_basis(ra, s, squares)))
+
+
+def sweep_toral_basis(ra, s: Subspace, squares):
+    """Fixpoints of s taken greedily in the order of `Subspace.vectors`,
+    each one outside the span of those before; None when they span less
+    than s.  Over F2 squaring is linear on s, so its fixpoints span s only
+    when it is the identity.  Raises BudgetExceeded above 2^16 vectors."""
+    gf = ra.algebra.gf
+    if gf.degree == 1:
+        return s.rows if tuple(squares) == s.rows else None
+    d = s.dim
+    if gf.order ** d > 1 << 16:
+        raise BudgetExceeded("fixpoint sweep of the subspace is too large")
+    chosen = []
+    span = Subspace(gf, s.ambient)
+    for v in s.vectors():
+        if vec_is_zero(v) or span.contains(v):
+            continue
+        if two_map_eval(ra, v) == v:
+            chosen.append(v)
+            span = span.add_packed(pack_bits(v, gf.degree))
+            if span.dim == d:
+                return tuple(chosen)
+    return None

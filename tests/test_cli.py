@@ -20,6 +20,7 @@ from lie2.cli import main
 from lie2.field import GF2
 from lie2.liealg import LieAlgebra, catalog, from_json, to_json
 from lie2.toruscartan import FIELD_CAVEAT
+from test_reports_frozen import lifted_doc
 
 
 def run(capsys, *argv):
@@ -355,6 +356,20 @@ def test_validate_dim128_abelian_over_gf16_is_fast(tmp_path, capsys):
     assert "jacobi on 341376 basis triples: ok" in out
     alg, _ = from_json(path.read_text(encoding="utf-8"))
     assert not any(alg.ad_nibbles)
+
+
+@pytest.mark.parametrize("command", ["decompose", "toral-rank"])
+def test_gl2_over_gf16_toral_commands_are_fast(tmp_path, capsys, command):
+    """The 2^16-vector fixpoint sweep of gl2 lifted to GF(16), once refused
+    for its field degree, finds the diagonal torus of rank 2."""
+    path = tmp_path / "gl2_gf16.json"
+    path.write_text(json.dumps(lifted_doc("gl2", 4, 2)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert ("torus: rank 2 (exhaustive)" if command == "decompose"
+            else "toral rank lower bound: 2 (exhaustive, 273 fixpoints seen)") in out
 
 
 @pytest.mark.parametrize("command", ["decompose", "toral-rank"])

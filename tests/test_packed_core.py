@@ -24,11 +24,10 @@ import random
 import pytest
 
 from lie2.errors import Lie2Error
-from lie2.field import (GF, Subspace, basis_vec, coefficient_vectors,
-                        full_space, vec_add)
-from lie2.liealg import (LieAlgebra, catalog, center, centralizer, f2_apply,
-                         f2_eliminate, from_json, is_simple, nibble_apply,
-                         nibble_tables)
+from lie2.field import (GF, Subspace, basis_vec, coefficient_vectors, f2_apply,
+                        f2_eliminate, full_space, vec_add)
+from lie2.liealg import (LieAlgebra, catalog, center, centralizer, from_json,
+                         is_simple, nibble_apply, nibble_tables)
 from lie2.restricted import (RestrictedAlgebra, synthesize_two_map,
                              two_map_eval, validate_restricted)
 from lie2.toruscartan import Torus, max_tori, toral_elements, weight_decompose

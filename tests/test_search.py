@@ -21,8 +21,8 @@ import pytest
 
 from lie2 import (BudgetExceeded, DimensionTooLarge, InvalidInput, catalog,
                   is_simple, validate_lie)
-from lie2.liealg import LieAlgebra, derived_series, f2_apply
-from lie2.field import GF
+from lie2.liealg import LieAlgebra, derived_series
+from lie2.field import GF, f2_apply
 from lie2.errors import InternalInconsistency
 from lie2.search import (GOLDEN, MASK64, CensusSpec, _invariant_signature,
                          _run_exhaustive, _run_sampled_generic,

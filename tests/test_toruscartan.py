@@ -8,19 +8,22 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
-from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput,
+from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput, Lie2Error,
                   NotSimultaneouslyDiagonalizable, NotTwoMapClosed,
                   RestrictedAlgebra, SplitFailed, Torus, audit_decomposition,
                   catalog, cartan_split, is_torus, max_tori, toruscartan,
                   weight_decompose)
-from lie2.field import GF, GF2, Subspace, coefficient_vectors, full_space, zero_vec
+from lie2.field import (GF, GF2, Subspace, coefficient_vectors, full_space, pack_bits,
+                        zero_vec)
 from lie2.liealg import LieAlgebra, from_json
-from lie2.restricted import JcsParts, classify_element, two_map_eval
+from lie2.restricted import (JcsParts, _iterate_span, classify_element, jcs_decompose,
+                             two_map_eval)
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
-from dense_oracles import dense_express
+from dense_oracles import dense_express, sweep_is_torus
 from test_reports_frozen import lifted_coords, lifted_doc
 
 
@@ -65,12 +68,14 @@ def test_gl_fixpoints_match_idempotent_oracle(n):
 
 
 def test_toral_elements_budget_and_field_guards():
+    """The budget bounds the sweep at every field degree; GF(8) and above
+    are swept like GF(4), so the zero 2-map on GF(8) has 0 as its only
+    fixpoint."""
     with pytest.raises(BudgetExceeded):
         toral_elements(ra_of("gl2"), budget=8)
     alg = LieAlgebra(GF(3), 1, {})
     ra = RestrictedAlgebra(alg, ((0,),))
-    with pytest.raises(InvalidInput):
-        toral_elements(ra)
+    assert toral_elements(ra) == [(0,)]
 
 
 MAX_TORUS_EXPECT = {
@@ -238,6 +243,105 @@ def test_is_torus_verdicts_gl2_over_gf4():
 
     rep = is_torus(ra, Subspace(gf, 4, [unit(0, 1)]))
     assert not rep.is_torus and rep.abelian and not rep.injective
+
+
+TORUS_ORACLE_NAMES = ["gl2", "gl3", "sl3", "w11_p2", "heis3", "abelian(3)"]
+
+
+def seeded_subspaces(ra: RestrictedAlgebra, basis, rng: random.Random, count: int):
+    """The span of every pair of catalog basis vectors and random spans of
+    up to three vectors, which mostly fail closure or commutativity, and the
+    2-power iterate spans of random elements and of their semisimple parts,
+    which are closed and abelian and often tori."""
+    alg = ra.algebra
+    gf, n = alg.gf, alg.dim
+    for i, j in combinations(range(n), 2):
+        yield Subspace(gf, n, [basis[i], basis[j]])
+    for t in range(count):
+        x = tuple(rng.randrange(gf.order) for _ in range(n))
+        if t % 3 == 0:
+            yield Subspace(gf, n, [x] + [tuple(rng.randrange(gf.order) for _ in range(n))
+                                         for _ in range(rng.randrange(3))])
+        else:
+            if t % 3 == 2:
+                x = jcs_decompose(ra, x).semisimple
+            yield _iterate_span(ra, pack_bits(x, gf.degree))
+
+
+def verdict(fn, ra, s):
+    try:
+        return fn(ra, s)
+    except Lie2Error as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_is_torus_matches_sweep_oracle(degree):
+    """is_torus against the per-row squares and the toral basis sweep it
+    replaced: the same verdicts, toral bases, exception types and messages.
+    Every subspace here has at most 2^16 vectors, so the sweep finishes."""
+    outcomes = set()
+    for name in TORUS_ORACLE_NAMES:
+        n = catalog(name).algebra.dim
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        if degree == 1:
+            ra, basis = ra_of(name), units
+        else:
+            ra = RestrictedAlgebra(*from_json(lifted_doc(name, degree, 11)))
+            basis = [lifted_coords(name, degree, 11, u) for u in units]
+        rng = random.Random(f"{name}/{degree}/is_torus")
+        for s in seeded_subspaces(ra, basis, rng, 24):
+            got = verdict(is_torus, ra, s)
+            assert got == verdict(sweep_is_torus, ra, s)
+            outcomes.add(got[1] if isinstance(got, tuple) else
+                         (got.is_torus, got.abelian, got.torus is not None
+                          and got.torus.toral_basis is not None))
+    assert {(True, True, True), (False, True, False), (False, False, False),
+            "square of basis row 0 leaves the subspace",
+            (True, True, False), "bracket of basis rows leaves the subspace"} <= outcomes
+
+
+def test_is_torus_matches_sweep_oracle_on_every_gl2_plane():
+    """All 35 planes of gl2 over F2, which reach every order of the closure
+    failures: row 0 or row 1 squaring out of the plane, and a bracket
+    leaving it before the square of row 1 does."""
+    ra = ra_of("gl2")
+    vecs = [tuple((c >> i) & 1 for i in range(4)) for c in range(1, 16)]
+    planes = {Subspace(GF2, 4, pair) for pair in combinations(vecs, 2)}
+    assert len(planes) == 35
+    messages = set()
+    for s in planes:
+        got = verdict(is_torus, ra, s)
+        assert got == verdict(sweep_is_torus, ra, s)
+        if isinstance(got, tuple):
+            messages.add((got[1], s.contains(two_map_eval(ra, s.rows[1]))))
+    assert messages == {("square of basis row 0 leaves the subspace", False),
+                        ("square of basis row 0 leaves the subspace", True),
+                        ("square of basis row 1 leaves the subspace", False),
+                        ("bracket of basis rows leaves the subspace", False),
+                        ("bracket of basis rows leaves the subspace", True)}
+
+
+def test_wide_torus_gets_toral_basis_without_a_sweep():
+    """abelian(3) over GF(2^8) with the identity 2-map: all of it is a torus
+    of 2^24 vectors, beyond the sweep's budget, and its toral basis is the
+    standard one."""
+    gf = GF(8)
+    ra = RestrictedAlgebra(LieAlgebra(gf, 3, {}), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    whole = full_space(gf, 3)
+    with pytest.raises(BudgetExceeded):
+        sweep_is_torus(ra, whole)
+    rep = is_torus(ra, whole)
+    assert rep.is_torus and rep.torus.rank == 3
+    assert rep.torus.toral_basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("name", ["heis3", "sl2", "gl2", "w11_p2", "abelian(3)"])
+def test_toral_elements_over_gf8_match_two_map_scan(name):
+    ra = RestrictedAlgebra(*from_json(lifted_doc(name, 3, 5)))
+    alg = ra.algebra
+    expect = [v for v in coefficient_vectors(alg.gf, alg.dim) if two_map_eval(ra, v) == v]
+    assert toral_elements(ra) == expect
 
 
 def test_zero_torus_is_torus():
