@@ -26,8 +26,7 @@ of `liealg`.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionTooLarge, InvalidInput
 
@@ -478,15 +477,6 @@ class Subspace:
                 x[p] = row[f]
             out.append(tuple(x))
         return tuple(out)
-
-    def vectors(self):
-        """Iterate every vector in the span; feasible only for tiny spaces."""
-        return map(self.combo, coefficient_vectors(self.gf, self.dim))
-
-
-def coefficient_vectors(gf: GF, d: int) -> Iterator[Vec]:
-    """All d-tuples over gf, in ascending order of sum_i c[i] q^i."""
-    return (c[::-1] for c in product(gf.elements(), repeat=d))
 
 
 def full_space(gf: GF, n: int) -> Subspace:

@@ -7,9 +7,14 @@ reproducible from the seed alone.  Both modes run on one numpy engine: a
 bracket table for dimension n stores the C(n,2) basis brackets as n-bit
 fields, pair (i, j) with i < j at field index i*(2n-i-1)/2 + (j-i-1); the
 engine keeps one uint8 array per field, one candidate table per array slot,
-and evaluates the Jacobi identity for a whole chunk with in-place bitwise
-ufuncs (bit-sliced GF(2) arithmetic in the style of M4RI).  The rare
-survivors go through a vectorised derived-algebra rank filter, and
+and evaluates the Jacobi identity with in-place bitwise ufuncs, one basis
+triple at a time.  After each triple only the surviving slots are kept:
+the array fields are gathered down to them, so later triples run on the
+few tables left (a random table rarely passes even the first triple).  An
+exhaustive chunk fixes its high fields as scalars over the same low field
+arrays, so the first triple's terms on low fields alone are summed once
+per census and each chunk adds only the terms that read its scalars.  The
+rare survivors go through a vectorised derived-algebra rank filter, and
 liealg.is_simple decides the tables that pass it.  Sampled tables over
 GF(2^k), k >= 2, keep one uint8 (k <= 8) or uint16 array per structure
 constant and get the same whole-block Jacobi mask, with products taken
@@ -43,6 +48,7 @@ from .toruscartan import FIELD_CAVEAT, max_tori
 
 _EXHAUSTIVE_MAX_BITS = 24
 _BLOCK = 1 << 20
+_MIX_BLOCK = 1 << 14
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
 
@@ -260,19 +266,30 @@ def iso_match(a: LieAlgebra, b: LieAlgebra) -> Optional[Tuple[Tuple[int, ...], .
 
 
 def splitmix64_words(seed: int, start: int, count: int, words_per: int) -> np.ndarray:
-    """Words w of candidate i use counter i*words_per + w + 1; vectorised."""
-    s = np.uint64(seed & MASK64)
-    g = np.uint64(GOLDEN)
-    idx = np.arange(start, start + count, dtype=np.uint64)
+    """Words w of candidate i use counter i*words_per + w + 1; vectorised.
+
+    The state seed + counter * GOLDEN is base_i + (w + 1) * GOLDEN with
+    base_i = seed + i * words_per * GOLDEN (mod 2^64).  Candidates go in
+    blocks of _MIX_BLOCK, and every mixing step runs in place on two reused
+    block-length buffers, which stay in cache.
+    """
     out = np.empty((count, words_per), dtype=np.uint64)
-    for w in range(words_per):
-        x = s + (idx * np.uint64(words_per) + np.uint64(w + 1)) * g
-        x = x ^ (x >> np.uint64(30))
-        x = x * np.uint64(0xBF58476D1CE4E5B9)
-        x = x ^ (x >> np.uint64(27))
-        x = x * np.uint64(0x94D049BB133111EB)
-        x = x ^ (x >> np.uint64(31))
-        out[:, w] = x
+    x = np.empty(min(count, _MIX_BLOCK), dtype=np.uint64)
+    t = np.empty_like(x)
+    for lo in range(0, count, _MIX_BLOCK):
+        hi = min(count, lo + _MIX_BLOCK)
+        base = np.arange(start + lo, start + hi, dtype=np.uint64)
+        np.multiply(base, np.uint64(words_per * GOLDEN & MASK64), out=base)
+        np.add(base, np.uint64(seed & MASK64), out=base)
+        xb, tb = x[:hi - lo], t[:hi - lo]
+        for w in range(words_per):
+            np.add(base, np.uint64((w + 1) * GOLDEN & MASK64), out=xb)
+            for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+                np.right_shift(xb, np.uint64(shift), out=tb)
+                np.bitwise_xor(xb, tb, out=xb)
+                np.multiply(xb, np.uint64(mul), out=xb)
+            np.right_shift(xb, np.uint64(31), out=tb)
+            np.bitwise_xor(xb, tb, out=out[lo:hi, w])
     return out
 
 
@@ -287,31 +304,82 @@ def bytes_from_words(words: np.ndarray, nbytes: int) -> np.ndarray:
 # field that is constant over the chunk
 
 
-def jacobi_mask(b: Sequence, n: int, size: int) -> np.ndarray:
-    """Jacobi verdict for each of `size` candidates with bracket fields b.
+def _triple_terms(n: int, i: int, j: int, k: int) -> List[Tuple[int, int, int]]:
+    """Terms (p, m, q) of the Jacobi residual of the basis triple i < j < k.
 
-    [v, e_c] is the XOR over m != c of field (m, c) masked by bit m of v;
-    the mask is (0 - bit), all ones or all zeros in uint8 arithmetic.
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_i, e_k], e_j] is the XOR of
+    field q masked by bit m of field p, where [v, e_c] is the XOR over
+    m != c of field (m, c) masked by bit m of v.
     """
-    ok = np.ones(size, dtype=bool)
-    acc = np.empty(size, dtype=np.uint8)
-    term = np.empty(size, dtype=np.uint8)
-    zero = np.empty(size, dtype=bool)
-    for i, j, k in combinations(range(n), 3):
-        acc.fill(0)
-        for p, c in ((pair_index(i, j, n), k), (pair_index(j, k, n), i),
-                     (pair_index(i, k, n), j)):
-            for m in range(n):
-                if m == c:
-                    continue
-                np.right_shift(b[p], m, out=term)
-                np.bitwise_and(term, 1, out=term)
-                np.subtract(0, term, out=term)
-                np.bitwise_and(term, b[pair_index(min(m, c), max(m, c), n)],
-                               out=term)
-                np.bitwise_xor(acc, term, out=acc)
-        np.equal(acc, 0, out=zero)
-        ok &= zero
+    out = []
+    for p, c in ((pair_index(i, j, n), k), (pair_index(j, k, n), i),
+                 (pair_index(i, k, n), j)):
+        out.extend((p, m, pair_index(min(m, c), max(m, c), n))
+                   for m in range(n) if m != c)
+    return out
+
+
+def _add_terms(acc: np.ndarray, b: Sequence, terms, term: np.ndarray) -> None:
+    """XOR the residual terms over the fields b into acc, in place.
+
+    A scalar field whose bit m is clear, or a zero scalar field q, makes its
+    term zero; a scalar field with bit m set adds field q unmasked.
+    """
+    for p, m, q in terms:
+        fp, fq = b[p], b[q]
+        if np.ndim(fq) == 0 and not fq:
+            continue
+        if np.ndim(fp) == 0:
+            if (int(fp) >> m) & 1:
+                np.bitwise_xor(acc, fq, out=acc)
+            continue
+        np.right_shift(fp, m, out=term)
+        np.bitwise_and(term, 1, out=term)
+        np.multiply(term, fq, out=term)
+        np.bitwise_xor(acc, term, out=acc)
+
+
+def _jacobi_positions(b: Sequence, n: int, size: int,
+                      first: Optional[Tuple[np.ndarray, list]] = None) -> np.ndarray:
+    """Positions of the candidates with bracket fields b that pass Jacobi.
+
+    Basis triples run one at a time, and after each only the surviving
+    positions are kept: the array fields are gathered down to them (scalar
+    fields stay scalars), so the next triple runs on the few candidates
+    left.  `first`, when given, is (partial residual, remaining terms) of
+    the first triple, its other terms already summed by the caller.
+    """
+    if n < 3:
+        return np.arange(size)
+    pos = None
+    acc_buf = np.empty(size, dtype=np.uint8)
+    term_buf = np.empty(size, dtype=np.uint8)
+    fields = list(b)
+    for t, triple in enumerate(combinations(range(n), 3)):
+        if t:
+            fields = [f[keep] if np.ndim(f) else f for f in fields]
+        live = size if pos is None else pos.size
+        acc, term = acc_buf[:live], term_buf[:live]
+        if t == 0 and first is not None:
+            partial, terms = first
+            acc[:] = partial
+        else:
+            acc.fill(0)
+            terms = _triple_terms(n, *triple)
+        _add_terms(acc, fields, terms, term)
+        keep = np.flatnonzero(acc == 0)
+        pos = keep if pos is None else pos[keep]
+        if pos.size == 0:
+            break
+    return pos
+
+
+def jacobi_mask(b: Sequence, n: int, size: int) -> np.ndarray:
+    """Jacobi verdict for each of `size` candidates with bracket fields b;
+    each field is a uint8 array, or a uint8 scalar shared by every
+    candidate."""
+    ok = np.zeros(size, dtype=bool)
+    ok[_jacobi_positions(b, n, size)] = True
     return ok
 
 
@@ -358,11 +426,18 @@ def census_exhaustive(n: int, chunk_bits: int = 20) -> Tuple[int, int, List[int]
     digits = np.arange(1 << n, dtype=np.uint8)
     low = [np.tile(np.repeat(digits, 1 << (n * p)), 1 << (n * (nlow - 1 - p)))
            for p in range(nlow)]
+    first = None
+    if n >= 3:  # the first triple's terms on low fields alone, summed once
+        terms = _triple_terms(n, 0, 1, 2)
+        partial = np.zeros(size, dtype=np.uint8)
+        _add_terms(partial, low, [t for t in terms if max(t[0], t[2]) < nlow],
+                   np.empty(size, dtype=np.uint8))
+        first = (partial, [t for t in terms if max(t[0], t[2]) >= nlow])
     jacobi = 0
     survivors: List[int] = []
     for chunk in range(1 << (n * (npairs - nlow))):
         high = [np.uint8((chunk >> (n * h)) & nmask) for h in range(npairs - nlow)]
-        idx = np.flatnonzero(jacobi_mask(low + high, n, size))
+        idx = _jacobi_positions(low + high, n, size, first)
         jacobi += int(idx.size)
         if idx.size == 0:
             continue
@@ -378,7 +453,7 @@ def census_sampled(n: int, rows: np.ndarray) -> Tuple[int, int, List[int]]:
     Returns (scanned, Jacobi passes, indices of the simple rows).
     """
     fields = np.ascontiguousarray(rows.T)
-    idx = np.flatnonzero(jacobi_mask(fields, n, rows.shape[0]))
+    idx = _jacobi_positions(fields, n, rows.shape[0])
     survivors = [int(idx[s]) for s in _simple_positions(fields[:, idx], n)]
     return rows.shape[0], int(idx.size), survivors
 

@@ -6,6 +6,9 @@ algorithms that the packed F2 restriction of scalars replaced (`Subspace`,
 `f2_eliminate`, the packed catalog matrices), and they stay here as the
 reference those are checked against.  A matrix is a sequence of row tuples.
 
+`coefficient_vectors` and `subspace_vectors` enumerate every coordinate
+tuple and every vector of a span, for sweeps over tiny spaces.
+
 `sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
 it squares each basis row with `two_map_eval`, checks injectivity by the
 GF rank of those squares, and picks a toral basis by sweeping every vector
@@ -13,10 +16,22 @@ of the subspace.
 """
 from __future__ import annotations
 
+from itertools import product
+
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
 from lie2.field import GF, Subspace, pack_bits, vec_is_zero
 from lie2.restricted import two_map_eval
 from lie2.toruscartan import Torus, TorusReport
+
+
+def coefficient_vectors(gf: GF, d: int):
+    """All d-tuples over gf, in ascending order of sum_i c[i] q^i."""
+    return (c[::-1] for c in product(gf.elements(), repeat=d))
+
+
+def subspace_vectors(s: Subspace):
+    """Every vector in the span of s; feasible only for tiny spaces."""
+    return map(s.combo, coefficient_vectors(s.gf, s.dim))
 
 
 def gf_scale(gf: GF, c: int, row) -> list:
@@ -128,7 +143,7 @@ def sweep_toral_basis(ra, s: Subspace, squares):
         raise BudgetExceeded("fixpoint sweep of the subspace is too large")
     chosen = []
     span = Subspace(gf, s.ambient)
-    for v in s.vectors():
+    for v in subspace_vectors(s):
         if vec_is_zero(v) or span.contains(v):
             continue
         if two_map_eval(ra, v) == v:

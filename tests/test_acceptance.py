@@ -236,6 +236,7 @@ def test_acceptance_6_census(capsys):
         assert four.jacobi_pass == 34336
         assert four.simple_count == 0
         assert four.restrictable_simple_count == 0  # hence none of toral rank 3
+        # the engine ignores threads: the report must not change with it
         single = census(CensusSpec(dim=4, threads=1))
         assert _census_doc(four) == _census_doc(single)
     criterion(capsys, 6, body)

@@ -28,6 +28,7 @@ from lie2.caseanalysis import (DimPattern, ROOT_ORDER,
 from lie2.casedata import (PUBLISHED_PATTERN_LISTS, PUBLISHED_ROOT_SYSTEMS,
                            raw_pattern_string)
 from lie2.field import GF2, Subspace, gl_matrices
+from dense_oracles import subspace_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def test_full_system_spans_are_root_kernels():
     for xi in full:
         sp = admissible_toral_space(full, xi)
         assert sp.dim == 2
-        for v in sp.vectors():
+        for v in subspace_vectors(sp):
             assert dot2(v, xi) == 0
 
 

@@ -400,6 +400,8 @@ def test_census_backend_agreement_dim3():
     # chunks with one or two high fields held as scalars
     for chunk_bits in (3, 6):
         assert census_exhaustive(3, chunk_bits) == (512, 120, simple)
+    for chunk_bits in (16, 20):
+        assert census_exhaustive(4, chunk_bits) == (16777216, 34336, [])
 
 
 def perfect_dim6_table(semidirect: bool) -> int:

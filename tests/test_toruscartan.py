@@ -17,13 +17,13 @@ from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput, Lie2Error,
                   RestrictedAlgebra, SplitFailed, Torus, audit_decomposition,
                   catalog, cartan_split, is_torus, max_tori, toruscartan,
                   weight_decompose)
-from lie2.field import (GF, GF2, Subspace, coefficient_vectors, full_space, pack_bits,
-                        zero_vec)
+from lie2.field import GF, GF2, Subspace, full_space, pack_bits, zero_vec
 from lie2.liealg import LieAlgebra, from_json
 from lie2.restricted import (JcsParts, _iterate_span, classify_element, jcs_decompose,
                              two_map_eval)
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
-from dense_oracles import dense_express, sweep_is_torus
+from dense_oracles import (coefficient_vectors, dense_express, subspace_vectors,
+                           sweep_is_torus)
 from test_reports_frozen import lifted_coords, lifted_doc
 
 
@@ -375,7 +375,7 @@ def test_cartan_split_sl2_fails():
 
 def per_element_nilpotent(ra: RestrictedAlgebra, space: Subspace) -> bool:
     """The check the nil sweep replaced: classify every element of the span."""
-    return all(classify_element(ra, v).two_nilpotent for v in space.vectors())
+    return all(classify_element(ra, v).two_nilpotent for v in subspace_vectors(space))
 
 
 # catalog algebras whose GF(4) lifts fit the exhaustive toral sweep
