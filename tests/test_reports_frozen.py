@@ -527,7 +527,11 @@ def test_report_frozen(case, tmp_path):
 # (dim, field degree, sample count, seed): GF(16) seeds 1 and 2 have Jacobi
 # survivors, GF(4) dim 3 has simple ones; over F2 a sample count of None is
 # the exhaustive scan, F2 dim 3 seed 11 has 472 Jacobi passes and 100 simple
-# tables, F2 dim 4 seed 0 has 388 passes
+# tables, F2 dim 4 seed 0 has 388 passes; GF(8) dim 3 seed 2 has 18 passes
+# and 8 simple tables, GF(32) dim 3 seed 1 has 2 and 2, every dim-2 table
+# passes, and GF(2^13) dim 5 and GF(2^16) dim 6 have n*k > 64 bits per
+# bracket.  Cases run in insertion order, so each keeps its test id; add new
+# ones at the end.
 CENSUS_FROZEN = {
     (3, 2, 20000, 0):
         "5b5b59d7a9b132f388491f5a6b4079769ea43a097d5d2a7fecf7bd58dbf864a0",
@@ -537,41 +541,44 @@ CENSUS_FROZEN = {
         "03b6a23129b70022bc99444bed438fe5d7c03db8da9f903a086184084a78c33a",
     (3, 2, 20000, 3):
         "88ff822af03d88b26e59a43f41e6e06cf27dbfee53cbffb1c2b8aeced15b8566",
-    (4, 2, 2000, 0):
-        "1fc0e3e68391e3343011d8d3947d84ea2811855c413c38dd1c3d46b340dfe31f",
     (3, 4, 3000, 1):
         "3a396b468c9d4dd6582d7936a3fb12157f24414947c005543d7d2fcb8b07e726",
     (3, 4, 3000, 2):
         "4ca7cff77ed94400518ec322ef46ab855662eae6b16e16cb5a1cb336f9d9441e",
     (3, 16, 1000, 0):
         "39b1c6b7df5ecfc2e5405d7c47a7ecd6b9c2df16b60d0cd48389135667935885",
+    (4, 2, 2000, 0):
+        "1fc0e3e68391e3343011d8d3947d84ea2811855c413c38dd1c3d46b340dfe31f",
     (1, 1, None, 0):
         "04a7875e81a4884db418353f0ba89dc6d172991d93fd382fa69086a447c3f274",
     (2, 1, None, 0):
         "80f384bd46bb8aa61f1c3d4e7bd3644ebc69ce76dffcb93e9825ce998cd21766",
     (3, 1, None, 0):
         "d0cf62734d9c853d5a78e2da8646d97faa2352aa5d90947813a21cb6a7864527",
-    (4, 1, None, 0):
-        "a8cd0a5a6e5a7b591ee3748fa680d0708e3a669b35847a86633c9c266a9009fe",
     (3, 1, 2000, 11):
         "099e2ce28928fb2beca7c0c5418112841ea8de283aad002d06eb88371d8d170d",
+    (4, 1, None, 0):
+        "a8cd0a5a6e5a7b591ee3748fa680d0708e3a669b35847a86633c9c266a9009fe",
     (4, 1, 200000, 0):
         "00efc74500d57184e2f093163009b335945973a2f0d9892d5998b2589cefff91",
     (5, 1, 1048576, 3):
         "cf4a0d4d481e8ca4e568f355a37d06eb75043dd32813eecf3642f596ea3ac2c9",
     (6, 1, 262144, 3):
         "4835df1547455608f923147c3c4108a5439ef6ca37efebb961cef06eb4a67232",
+    (3, 3, 3000, 2):
+        "988ab968f38dc09498e5b4e92a3ba304cc714f48372acbea4a6700e226144de2",
+    (3, 5, 5000, 1):
+        "bdc26dd397eefaddfb47c417bdad47f5b13e3a2377a7c2d188bb979b10c39029",
+    (2, 4, 500, 0):
+        "6b504b9355cafc949f138cd2ae96ee5c02a42ec093ace4c41a857a123383b69f",
+    (5, 13, 2000, 1):
+        "97db38d26c385b77732d93117db119c05b743cabbbbbf81009bf5198d7f3bcbe",
+    (6, 16, 2000, 0):
+        "ca0ef6ab53a91424615d38cf25f94effb5041930e9e2b6ba0d55f46a30a8fe33",
 }
 
 
-def _census_case_order(case):
-    # F2 cases after the GF(2^k) ones, so the earlier cases keep their ids;
-    # None (exhaustive) sorts as 0 instead of being compared with an int
-    dim, degree, count, seed = case
-    return degree == 1, dim, degree, count or 0, seed
-
-
-@pytest.mark.parametrize("case", sorted(CENSUS_FROZEN, key=_census_case_order))
+@pytest.mark.parametrize("case", list(CENSUS_FROZEN))
 def test_census_report_frozen(case):
     dim, degree, count, seed = case
     doc = census(CensusSpec(dim=dim, field_degree=degree, sample_count=count,
