@@ -2,29 +2,33 @@
 
 Exhaustive mode enumerates every structure-constant table over F2 for
 dimensions up to 4 (at most 24 bits per table); sampled mode draws tables
-from a counter-based deterministic stream instead, so reports are
-reproducible from the seed alone.  Both modes run on one numpy engine: a
-bracket table for dimension n stores the C(n,2) basis brackets as n-bit
-fields, pair (i, j) with i < j at field index i*(2n-i-1)/2 + (j-i-1); the
-engine keeps one uint8 array per field, one candidate table per array slot,
-and evaluates the Jacobi identity with in-place bitwise ufuncs, one basis
-triple at a time.  After each triple only the surviving slots are kept:
-the array fields are gathered down to them, so later triples run on the
-few tables left (a random table rarely passes even the first triple).  An
+over GF(2^k) from a counter-based deterministic stream instead, so reports
+are reproducible from the seed alone.  Both modes run on one numpy engine
+for every field.  The C(n,2) basis brackets of a table are indexed by pair,
+(i, j) with i < j at index i*(2n-i-1)/2 + (j-i-1), and each bracket is k
+bit-planes: plane t is an n-bit field whose bit m is bit t of coordinate m,
+so over F2 a bracket is its single n-bit field.  The engine keeps one uint8
+array per plane, one candidate table per array slot, and evaluates the
+Jacobi identity with in-place bitwise ufuncs, one basis triple at a time:
+a term adds bit m of plane t of one bracket times plane s of another to
+accumulator plane t + s, and the 2k - 1 accumulator planes are reduced once
+per triple by the modulus taps, after which a table passes when all k
+planes are zero.  After each triple only the surviving slots are kept: the
+plane arrays are gathered down to them, so later triples run on the few
+tables left (a random table rarely passes even the first triple).  An
 exhaustive chunk fixes its high fields as scalars over the same low field
 arrays, so the first triple's terms on low fields alone are summed once
 per census and each chunk adds only the terms that read its scalars.  The
-rare survivors go through a vectorised derived-algebra rank filter, and
-liealg.is_simple decides the tables that pass it.  Sampled tables over
-GF(2^k), k >= 2, keep one uint8 (k <= 8) or uint16 array per structure
-constant and get the same whole-block Jacobi mask, with products taken
-elementwise by shift-and-add; only its survivors become LieAlgebras.
-Simple tables then get a two-map synthesis and, when restrictable, a toral
-rank.  The LIE2_BACKEND environment variable may name the engine (auto or
-numpy) but cannot pick another.  Simple tables of dimension <= 4 are
-grouped into GL(n, 2) orbits by one vectorised change of basis over every
-matrix of field.gl_matrices, and iso_match reads its witness off the same
-array, as the 0/1 rows of the basis change.
+rare survivors go through a vectorised derived-algebra rank filter on their
+planes, and liealg.is_simple decides the tables that pass it.  Every
+sampled Jacobi survivor, over any field, becomes a LieAlgebra and is
+re-checked by validate_lie.  Simple tables then get a two-map synthesis
+and, when restrictable, a toral rank.  The LIE2_BACKEND environment
+variable may name the engine (auto or numpy) but cannot pick another.
+Simple tables of dimension <= 4 are grouped into GL(n, 2) orbits by one
+vectorised change of basis over every matrix of field.gl_matrices, and
+iso_match reads its witness off the same array, as the 0/1 rows of the
+basis change.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,13 +141,6 @@ class CensusReport:
 def pair_index(i: int, j: int, n: int) -> int:
     """Field index of the basis pair (i, j), i < j, in lexicographic order."""
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
-def pack_table(b, n: int) -> int:
-    t = 0
-    for p, v in enumerate(b):
-        t |= int(v) << (n * p)
-    return t
 
 
 def table_to_algebra(n: int, t: int, name: str = "") -> LieAlgebra:
@@ -300,16 +297,16 @@ def bytes_from_words(words: np.ndarray, nbytes: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vectorised census engine: fields are uint8 arrays, or uint8 scalars for a
-# field that is constant over the chunk
+# vectorised census engine: a bracket over GF(2^k) is k bit-planes, each a
+# uint8 array, or a uint8 scalar for a plane that is constant over the chunk
 
 
 def _triple_terms(n: int, i: int, j: int, k: int) -> List[Tuple[int, int, int]]:
     """Terms (p, m, q) of the Jacobi residual of the basis triple i < j < k.
 
-    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_i, e_k], e_j] is the XOR of
-    field q masked by bit m of field p, where [v, e_c] is the XOR over
-    m != c of field (m, c) masked by bit m of v.
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_i, e_k], e_j] is the sum of
+    field q times coordinate m of field p, where [v, e_c] is the sum over
+    m != c of field (m, c) times coordinate m of v.
     """
     out = []
     for p, c in ((pair_index(i, j, n), k), (pair_index(j, k, n), i),
@@ -319,55 +316,71 @@ def _triple_terms(n: int, i: int, j: int, k: int) -> List[Tuple[int, int, int]]:
     return out
 
 
-def _add_terms(acc: np.ndarray, b: Sequence, terms, term: np.ndarray) -> None:
-    """XOR the residual terms over the fields b into acc, in place.
+def _add_terms(acc: np.ndarray, b: Sequence, terms, term: np.ndarray,
+               k: int = 1) -> None:
+    """XOR the residual terms over the bit-planes b into acc, in place.
 
-    A scalar field whose bit m is clear, or a zero scalar field q, makes its
-    term zero; a scalar field with bit m set adds field q unmasked.
+    Plane t of field p is b[p*k + t], and term (p, m, q) adds bit m of plane
+    t of field p times plane s of field q to accumulator plane acc[t + s].
+    A scalar plane whose bit m is clear, or a zero scalar plane of q, makes
+    its product zero; a scalar plane with bit m set adds plane s unmasked.
     """
     for p, m, q in terms:
-        fp, fq = b[p], b[q]
-        if np.ndim(fq) == 0 and not fq:
-            continue
-        if np.ndim(fp) == 0:
-            if (int(fp) >> m) & 1:
-                np.bitwise_xor(acc, fq, out=acc)
-            continue
-        np.right_shift(fp, m, out=term)
-        np.bitwise_and(term, 1, out=term)
-        np.multiply(term, fq, out=term)
-        np.bitwise_xor(acc, term, out=acc)
+        for s, fq in enumerate(b[q * k:(q + 1) * k]):
+            if np.ndim(fq) == 0 and not fq:
+                continue
+            for t, fp in enumerate(b[p * k:(p + 1) * k]):
+                if np.ndim(fp) == 0:
+                    if (int(fp) >> m) & 1:
+                        np.bitwise_xor(acc[t + s], fq, out=acc[t + s])
+                    continue
+                np.right_shift(fp, m, out=term)
+                np.bitwise_and(term, 1, out=term)
+                np.multiply(term, fq, out=term)
+                np.bitwise_xor(acc[t + s], term, out=acc[t + s])
 
 
 def _jacobi_positions(b: Sequence, n: int, size: int,
-                      first: Optional[Tuple[np.ndarray, list]] = None) -> np.ndarray:
-    """Positions of the candidates with bracket fields b that pass Jacobi.
+                      first: Optional[Tuple[np.ndarray, list]] = None,
+                      gf: GF = GF2) -> np.ndarray:
+    """Positions of the candidates with bit-planes b over gf that pass Jacobi.
 
-    Basis triples run one at a time, and after each only the surviving
-    positions are kept: the array fields are gathered down to them (scalar
-    fields stay scalars), so the next triple runs on the few candidates
-    left.  `first`, when given, is (partial residual, remaining terms) of
-    the first triple, its other terms already summed by the caller.
+    A triple's residual is summed into the 2k - 1 planes of a polynomial
+    product, reduced once by the modulus taps (plane d >= k is alpha^(d-k)
+    times the taps), and a candidate passes when its k reduced planes are
+    zero.  Basis triples run one at a time, and after each only the
+    surviving positions are kept: the array planes are gathered down to
+    them (scalar planes stay scalars), so the next triple runs on the few
+    candidates left.  `first`, when given, is (partial residual, remaining
+    terms) of the first triple, its other terms already summed by the
+    caller.
     """
     if n < 3:
         return np.arange(size)
+    k, taps = gf.degree, gf.modulus ^ gf.order
     pos = None
-    acc_buf = np.empty(size, dtype=np.uint8)
+    acc_buf = np.empty((2 * k - 1, size), dtype=np.uint8)
     term_buf = np.empty(size, dtype=np.uint8)
-    fields = list(b)
+    planes = list(b)
     for t, triple in enumerate(combinations(range(n), 3)):
         if t:
-            fields = [f[keep] if np.ndim(f) else f for f in fields]
+            planes = [f[keep] if np.ndim(f) else f for f in planes]
         live = size if pos is None else pos.size
-        acc, term = acc_buf[:live], term_buf[:live]
+        acc = acc_buf[:, :live]
         if t == 0 and first is not None:
             partial, terms = first
             acc[:] = partial
         else:
             acc.fill(0)
             terms = _triple_terms(n, *triple)
-        _add_terms(acc, fields, terms, term)
-        keep = np.flatnonzero(acc == 0)
+        _add_terms(acc, planes, terms, term_buf[:live], k)
+        for d in range(2 * k - 2, k - 1, -1):
+            for u in range(k):
+                if (taps >> u) & 1:
+                    np.bitwise_xor(acc[d - k + u], acc[d], out=acc[d - k + u])
+        for d in range(1, k):
+            np.bitwise_or(acc[0], acc[d], out=acc[0])
+        keep = np.flatnonzero(acc[0] == 0)
         pos = keep if pos is None else pos[keep]
         if pos.size == 0:
             break
@@ -384,7 +397,12 @@ def jacobi_mask(b: Sequence, n: int, size: int) -> np.ndarray:
 
 
 def _derived_rank_numpy(b: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Rank of the span of the bracket fields, per candidate."""
+    """Rank of the F2 span of the bracket planes, per candidate.
+
+    A simple algebra equals its derived algebra, so only tables of rank n
+    reach is_simple.  Brackets that span GF(2^k)^n have planes that span
+    F2^n, so this F2 rank is the filter for every field.
+    """
     size = b[0].shape[0]
     slots = np.zeros((n, size), dtype=np.uint8)
     for field in b:
@@ -399,17 +417,15 @@ def _derived_rank_numpy(b: Sequence[np.ndarray], n: int) -> np.ndarray:
     return np.count_nonzero(slots, axis=0)
 
 
-def _simple_positions(b: Sequence[np.ndarray], n: int) -> List[int]:
-    """Positions of the simple tables among Jacobi survivors with fields b.
-
-    A simple algebra equals its derived algebra, so only tables whose
-    brackets span the whole space reach is_simple.
-    """
-    if n < 2:  # no bracket fields, and nothing simple
-        return []
-    full = np.flatnonzero(_derived_rank_numpy(b, n) == n)
-    return [int(i) for i in full
-            if is_simple(table_to_algebra(n, pack_table([f[i] for f in b], n))).simple]
+def _planes_algebras(gf: GF, n: int, planes: np.ndarray) -> Iterator[LieAlgebra]:
+    """The LieAlgebras over gf of candidates with bit-planes `planes`, one
+    at a time."""
+    npairs, k, count = n * (n - 1) // 2, gf.degree, planes.shape[1]
+    bits = planes.reshape(npairs, k, 1, count) >> np.arange(n, dtype=np.uint8)[:, None]
+    coeffs = ((bits & 1).astype(np.int64) << np.arange(k)[:, None, None]).sum(axis=1)
+    pairs = list(combinations(range(n), 2))
+    return (LieAlgebra(gf, n, dict(zip(pairs, coeffs[:, :, s].tolist())))
+            for s in range(count))
 
 
 def census_exhaustive(n: int, chunk_bits: int = 20) -> Tuple[int, int, List[int]]:
@@ -429,7 +445,7 @@ def census_exhaustive(n: int, chunk_bits: int = 20) -> Tuple[int, int, List[int]
     first = None
     if n >= 3:  # the first triple's terms on low fields alone, summed once
         terms = _triple_terms(n, 0, 1, 2)
-        partial = np.zeros(size, dtype=np.uint8)
+        partial = np.zeros((1, size), dtype=np.uint8)
         _add_terms(partial, low, [t for t in terms if max(t[0], t[2]) < nlow],
                    np.empty(size, dtype=np.uint8))
         first = (partial, [t for t in terms if max(t[0], t[2]) >= nlow])
@@ -442,20 +458,41 @@ def census_exhaustive(n: int, chunk_bits: int = 20) -> Tuple[int, int, List[int]
         if idx.size == 0:
             continue
         sb = [f[idx] for f in low] + [np.full(idx.size, h) for h in high]
-        lo = chunk * size
-        survivors.extend(lo + int(idx[s]) for s in _simple_positions(sb, n))
+        tables = chunk * size + idx[_derived_rank_numpy(sb, n) == n]
+        survivors.extend(int(t) for t in tables
+                         if is_simple(table_to_algebra(n, int(t))).simple)
     return size << (n * (npairs - nlow)), jacobi, survivors
 
 
+def _census_planes(gf: GF, n: int, planes: np.ndarray
+                   ) -> Tuple[int, List[Tuple[int, LieAlgebra]]]:
+    """Jacobi passes, and (position, algebra) of each simple table, among
+    candidates with bit-planes `planes`, shape (pairs * k, count).
+
+    validate_lie re-checks every Jacobi survivor.
+    """
+    count = planes.shape[1]
+    if n < 3:  # no basis triple to check, and nothing simple
+        return count, []
+    idx = _jacobi_positions(planes, n, count, gf=gf)
+    sub = planes[:, idx]
+    full = _derived_rank_numpy(sub, n) == n
+    simple = []
+    for s, alg in enumerate(_planes_algebras(gf, n, sub)):
+        if not validate_lie(alg, random_checks=0).ok:
+            raise InternalInconsistency("census survivor failed Jacobi re-validation")
+        if full[s] and is_simple(alg).simple:
+            simple.append((int(idx[s]), alg))
+    return int(idx.size), simple
+
+
 def census_sampled(n: int, rows: np.ndarray) -> Tuple[int, int, List[int]]:
-    """Scan sampled tables, one uint8 row of fields each.
+    """Scan sampled tables over F2, one uint8 row of fields each.
 
     Returns (scanned, Jacobi passes, indices of the simple rows).
     """
-    fields = np.ascontiguousarray(rows.T)
-    idx = _jacobi_positions(fields, n, rows.shape[0])
-    survivors = [int(idx[s]) for s in _simple_positions(fields[:, idx], n)]
-    return rows.shape[0], int(idx.size), survivors
+    jac, simple = _census_planes(GF2, n, np.ascontiguousarray(rows.T))
+    return rows.shape[0], jac, [pos for pos, _alg in simple]
 
 
 # ---------------------------------------------------------------------------
@@ -468,109 +505,48 @@ def _run_exhaustive(n: int) -> Tuple[int, int, List[int]]:
     return census_exhaustive(n)
 
 
-def _sample_rows(n: int, seed: int, start: int, count: int) -> np.ndarray:
-    npairs = n * (n - 1) // 2
-    words_per = (npairs + 7) // 8
-    words = splitmix64_words(seed, start, count, words_per)
-    rows = bytes_from_words(words, npairs)
-    return rows & np.uint8((1 << n) - 1)
+def _sample_planes(gf: GF, n: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Bit-planes of sampled tables over gf, shape (pairs * k, count).
 
-
-def _run_sampled_packed(spec: CensusSpec) -> Tuple[int, int, List[int]]:
-    n = spec.dim
-    scanned = 0
-    jac = 0
-    tables: List[int] = []
-    for start in range(0, spec.sample_count, _BLOCK):
-        count = min(_BLOCK, spec.sample_count - start)
-        rows = _sample_rows(n, spec.seed, start, count)
-        bscanned, bjac, idxs = census_sampled(n, rows)
-        scanned += bscanned
-        jac += bjac
-        tables.extend(pack_table(rows[idx], n) for idx in idxs)
-    # is_simple decided every survivor; re-check the vectorised Jacobi mask
-    if not all(validate_lie(table_to_algebra(n, t), random_checks=0).ok
-               for t in tables):
-        raise InternalInconsistency("census survivor failed Jacobi re-validation")
-    return scanned, jac, tables
-
-
-def gf_mul_arrays(a: np.ndarray, b: np.ndarray, gf: GF) -> np.ndarray:
-    """Elementwise product in gf of two unsigned arrays, by shift-and-add.
-
-    Bit t of b adds alpha^t a; the step to the next power of alpha is the
-    one field.alpha_map takes: shift up a bit and add the modulus (minus
-    its leading term) on carry-out.
+    Row p*k + t is plane t of pair p: its bit m is bit t of coordinate m.
+    Over F2 each pair takes one byte of the stream and keeps its low n
+    bits, masked straight from the stream words into this layout.  Above F2
+    each coordinate takes one byte (two, little end first, above degree 8),
+    and plane t gathers bit t of the coordinates of its pair.
     """
-    k, low = gf.degree, gf.modulus ^ gf.order
-    keep = (gf.order >> 1) - 1
-    out = np.zeros_like(a)
+    npairs, k = n * (n - 1) // 2, gf.degree
+    per = 1 if k == 1 else n * (1 if k <= 8 else 2)  # stream bytes per pair
+    words = splitmix64_words(seed, start, count, (npairs * per + 7) // 8)
+    rows = bytes_from_words(words, npairs * per)
+    if k == 1:
+        planes = np.empty((npairs, count), dtype=np.uint8)
+        np.bitwise_and(rows.T, np.uint8((1 << n) - 1), out=planes)
+        return planes
+    vals = (rows if k <= 8 else rows.view("<u2")).reshape(count, npairs, n)
+    planes = np.zeros((npairs, k, count), dtype=np.uint8)
     for t in range(k):
-        out ^= a * ((b >> t) & 1)
-        if t < k - 1:
-            a = ((a & keep) << 1) ^ ((a >> (k - 1)) * low)
-    return out
+        for m in range(n):
+            planes[:, t] |= (((vals[:, :, m] >> t) & 1) << m).T.astype(np.uint8)
+    return planes.reshape(-1, count)
 
 
-def gf_jacobi_mask(c: np.ndarray, n: int, gf: GF) -> np.ndarray:
-    """Jacobi verdict per candidate; c[p, m] holds coordinate m of the bracket
-    of pair p over gf, one array slot per candidate.
+def _run_sampled_packed(spec: CensusSpec) -> Tuple[int, int, List[LieAlgebra]]:
+    """Sampled census over any field: (scanned, Jacobi passes, simple algebras).
 
-    For every basis triple and output coordinate o the residual is the XOR
-    of c_ij^m c_mk^o over m, summed over the three cyclic terms.
+    A block holds _BLOCK tables over F2, and at most _BLOCK structure
+    constants above.
     """
-    ok = np.ones(c.shape[2], dtype=bool)
-    for i, j, k in combinations(range(n), 3):
-        terms = ((pair_index(i, j, n), k), (pair_index(j, k, n), i),
-                 (pair_index(i, k, n), j))
-        for o in range(n):
-            acc = np.zeros(c.shape[2], dtype=c.dtype)
-            for p, r in terms:
-                for m in range(n):
-                    if m != r:
-                        q = pair_index(min(m, r), max(m, r), n)
-                        acc ^= gf_mul_arrays(c[p, m], c[q, o], gf)
-            ok &= acc == 0
-    return ok
-
-
-def _sample_coefficients(gf: GF, n: int, seed: int, start: int,
-                         count: int) -> np.ndarray:
-    """Bracket coefficients of sampled tables over gf, shape (pairs, n, count).
-
-    Each coefficient takes one byte of the stream (two, little end first,
-    above degree 8) and keeps its low k bits.
-    """
-    npairs = n * (n - 1) // 2
-    per = 1 if gf.degree <= 8 else 2
-    nbytes = npairs * n * per
-    words = splitmix64_words(seed, start, count, (nbytes + 7) // 8)
-    rows = bytes_from_words(words, nbytes)
-    vals = (rows if per == 1 else rows.view("<u2")) & (gf.order - 1)
-    return np.ascontiguousarray(vals.T).reshape(npairs, n, count)
-
-
-def _run_sampled_generic(spec: CensusSpec) -> Tuple[int, int, List[LieAlgebra]]:
-    n = spec.dim
-    gf = GF(spec.field_degree)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # a block holds at most _BLOCK structure constants
-    block = _BLOCK // max(1, len(pairs) * n)
+    n, gf = spec.dim, GF(spec.field_degree)
+    block = _BLOCK if gf.degree == 1 else _BLOCK // max(1, n * n * (n - 1) // 2)
     jac = 0
     survivors: List[LieAlgebra] = []
     for start in range(0, spec.sample_count, block):
         count = min(block, spec.sample_count - start)
-        c = _sample_coefficients(gf, n, spec.seed, start, count)
-        idx = np.flatnonzero(gf_jacobi_mask(c, n, gf))
-        jac += int(idx.size)
-        for s in idx:
-            coeffs = c[:, :, s].tolist()
-            alg = LieAlgebra(gf, n, {pq: v for pq, v in zip(pairs, coeffs) if any(v)})
-            # only survivors reach here; re-check the vectorised mask
-            if not validate_lie(alg, random_checks=0).ok:
-                raise InternalInconsistency("census survivor failed Jacobi re-validation")
-            if is_simple(alg).simple:
-                survivors.append(alg)
+        # no name holds the planes, so they are freed before the next block
+        bjac, simple = _census_planes(
+            gf, n, _sample_planes(gf, n, spec.seed, start, count))
+        jac += bjac
+        survivors.extend(alg for _pos, alg in simple)
     return spec.sample_count, jac, survivors
 
 
@@ -614,21 +590,21 @@ def _classify_packed(n: int, tables: Sequence[int]) -> List[dict]:
     return out
 
 
-def _classify_generic(survivors: Sequence[LieAlgebra],
-                      tables: Optional[Sequence[int]] = None) -> List[dict]:
+def _classify_generic(survivors: Sequence[LieAlgebra]) -> List[dict]:
     # beyond dimension 4 the GL sweep is out of reach; group by invariants
     keys: Dict[tuple, int] = {}
-    reps: List[Tuple[LieAlgebra, Optional[int]]] = []
+    reps: List[LieAlgebra] = []
     sizes: List[int] = []
-    for pos, alg in enumerate(survivors):
+    for alg in survivors:
         sig = _invariant_signature(alg)
         if sig not in keys:
             keys[sig] = len(reps)
-            reps.append((alg, tables[pos] if tables is not None else None))
+            reps.append(alg)
             sizes.append(0)
         sizes[keys[sig]] += 1
-    return [_class_entry(alg, size, table, "invariant_signature")
-            for (alg, table), size in zip(reps, sizes)]
+    return [_class_entry(alg, size, algebra_to_table(alg) if alg.gf.degree == 1 else None,
+                         "invariant_signature")
+            for alg, size in zip(reps, sizes)]
 
 
 def census(spec: CensusSpec) -> CensusReport:
@@ -639,21 +615,14 @@ def census(spec: CensusSpec) -> CensusReport:
         scanned, jac, tables = _run_exhaustive(spec.dim)
         mode = "exhaustive"
         classes = _classify_packed(spec.dim, tables)
-        simple_count = len(tables)
-    elif spec.field_degree == 1:
-        scanned, jac, tables = _run_sampled_packed(spec)
-        mode = "sampled"
-        simple_count = len(tables)
-        if spec.dim <= 4:
-            classes = _classify_packed(spec.dim, tables)
-        else:
-            algs = [table_to_algebra(spec.dim, t) for t in tables]
-            classes = _classify_generic(algs, tables)
     else:
-        scanned, jac, algs = _run_sampled_generic(spec)
+        scanned, jac, algs = _run_sampled_packed(spec)
         mode = "sampled"
-        simple_count = len(algs)
-        classes = _classify_generic(algs)
+        if spec.field_degree == 1 and spec.dim <= 4:
+            classes = _classify_packed(spec.dim, [algebra_to_table(a) for a in algs])
+        else:
+            classes = _classify_generic(algs)
+    simple_count = sum(c["class_size"] for c in classes)
     restrictable = sum(c["class_size"] for c in classes if c["restrictable"])
     runtime_ms = int((time.monotonic() - t0) * 1000)
     return CensusReport(

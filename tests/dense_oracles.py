@@ -9,6 +9,12 @@ reference those are checked against.  A matrix is a sequence of row tuples.
 `coefficient_vectors` and `subspace_vectors` enumerate every coordinate
 tuple and every vector of a span, for sweeps over tiny spaces.
 
+`gf_mul_arrays` and `gf_jacobi_mask` are the census Jacobi mask over
+GF(2^k) that the bit-sliced census kernel replaced: one array per
+structure constant, products taken elementwise by shift-and-add.
+`sample_coefficients` reads its input, the sampled structure constants,
+from the census stream.
+
 `sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
 it squares each basis row with `two_map_eval`, checks injectivity by the
 GF rank of those squares, and picks a toral basis by sweeping every vector
@@ -16,11 +22,14 @@ of the subspace.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
+
+import numpy as np
 
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
 from lie2.field import GF, Subspace, pack_bits, vec_is_zero
 from lie2.restricted import two_map_eval
+from lie2.search import bytes_from_words, pair_index, splitmix64_words
 from lie2.toruscartan import Torus, TorusReport
 
 
@@ -152,3 +161,58 @@ def sweep_toral_basis(ra, s: Subspace, squares):
             if span.dim == d:
                 return tuple(chosen)
     return None
+
+
+def gf_mul_arrays(a: np.ndarray, b: np.ndarray, gf: GF) -> np.ndarray:
+    """Elementwise product in gf of two unsigned arrays, by shift-and-add.
+
+    Bit t of b adds alpha^t a; the step to the next power of alpha is the
+    one field.alpha_map takes: shift up a bit and add the modulus (minus
+    its leading term) on carry-out.
+    """
+    k, low = gf.degree, gf.modulus ^ gf.order
+    keep = (gf.order >> 1) - 1
+    out = np.zeros_like(a)
+    for t in range(k):
+        out ^= a * ((b >> t) & 1)
+        if t < k - 1:
+            a = ((a & keep) << 1) ^ ((a >> (k - 1)) * low)
+    return out
+
+
+def sample_coefficients(gf: GF, n: int, seed: int, start: int,
+                        count: int) -> np.ndarray:
+    """Bracket coefficients of sampled tables over gf, shape (pairs, n, count).
+
+    Each coefficient takes one byte of the stream (two, little end first,
+    above degree 8) and keeps its low k bits.
+    """
+    npairs = n * (n - 1) // 2
+    per = 1 if gf.degree <= 8 else 2
+    nbytes = npairs * n * per
+    words = splitmix64_words(seed, start, count, (nbytes + 7) // 8)
+    rows = bytes_from_words(words, nbytes)
+    vals = (rows if per == 1 else rows.view("<u2")) & (gf.order - 1)
+    return np.ascontiguousarray(vals.T).reshape(npairs, n, count)
+
+
+def gf_jacobi_mask(c: np.ndarray, n: int, gf: GF) -> np.ndarray:
+    """Jacobi verdict per candidate; c[p, m] holds coordinate m of the bracket
+    of pair p over gf, one array slot per candidate.
+
+    For every basis triple and output coordinate o the residual is the XOR
+    of c_ij^m c_mk^o over m, summed over the three cyclic terms.
+    """
+    ok = np.ones(c.shape[2], dtype=bool)
+    for i, j, k in combinations(range(n), 3):
+        terms = ((pair_index(i, j, n), k), (pair_index(j, k, n), i),
+                 (pair_index(i, k, n), j))
+        for o in range(n):
+            acc = np.zeros(c.shape[2], dtype=c.dtype)
+            for p, r in terms:
+                for m in range(n):
+                    if m != r:
+                        q = pair_index(min(m, r), max(m, r), n)
+                        acc ^= gf_mul_arrays(c[p, m], c[q, o], gf)
+            ok &= acc == 0
+    return ok

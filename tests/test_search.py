@@ -4,8 +4,9 @@ The vectorised census engine is checked against plain-python oracles (a
 scalar Jacobi check on packed tables, liealg.is_simple), and the scalar
 Jacobi check against liealg.validate_lie on every dim-3 table; census
 counts are frozen from those oracle-verified runs.  The thread count must
-never change a report.  The GF(2^k) mask and its shift-and-add multiply are
-checked against validate_lie and GF.mul.
+never change a report.  Over GF(2^k) the bit-sliced kernel is checked
+against validate_lie and the shift-and-add mask it replaced, which is kept
+in dense_oracles and checked against GF.mul.
 """
 from __future__ import annotations
 
@@ -25,18 +26,26 @@ from lie2.liealg import LieAlgebra, derived_series
 from lie2.field import GF, f2_apply
 from lie2.errors import InternalInconsistency
 from lie2.search import (GOLDEN, MASK64, CensusSpec, _invariant_signature,
-                         _run_exhaustive, _run_sampled_generic,
-                         _run_sampled_packed, _sample_coefficients,
-                         _sample_rows, algebra_to_table, bytes_from_words,
-                         canonical_table, census, census_backend,
-                         census_exhaustive, census_sampled, gf_jacobi_mask,
-                         gf_mul_arrays, gl_matrices, iso_match, jacobi_mask,
-                         pack_table, pair_index, splitmix64_words, table_orbit,
+                         _jacobi_positions, _run_exhaustive,
+                         _run_sampled_packed, _sample_planes,
+                         algebra_to_table, bytes_from_words, canonical_table,
+                         census, census_backend, census_exhaustive,
+                         census_sampled, gl_matrices, iso_match, jacobi_mask,
+                         pair_index, splitmix64_words, table_orbit,
                          table_to_algebra)
+from dense_oracles import gf_jacobi_mask, gf_mul_arrays, sample_coefficients
 
 
 # ---------------------------------------------------------------------------
 # scalar oracles for the vectorised census engine
+
+
+def pack_table(b, n: int) -> int:
+    """Packed table integer of the bracket fields b."""
+    t = 0
+    for p, v in enumerate(b):
+        t |= int(v) << (n * p)
+    return t
 
 
 def unpack_table(t: int, n: int) -> List[int]:
@@ -374,6 +383,11 @@ def table_fields(tables, n):
             for p in range(n * (n - 1) // 2)]
 
 
+def sample_rows(n, seed, count):
+    """The first `count` sampled F2 tables of the seed, one row of fields each."""
+    return _sample_planes(GF(1), n, seed, 0, count).T
+
+
 def scalar_jacobi(rows, n):
     return [table_jacobi_ok([int(v) for v in row], n) for row in rows]
 
@@ -423,10 +437,9 @@ def perfect_dim6_table(semidirect: bool) -> int:
 def test_census_sampled_backend_agreement():
     """Sampled rows: vectorised mask and survivors against the scalar path."""
     for n in (5, 6):
-        rows = _sample_rows(n, 11, 0, 20000)
+        rows = sample_rows(n, 11, 20000)
         # few set bits, so that many tables satisfy Jacobi
-        sparse = (rows[:5000] & _sample_rows(n, 12, 0, 5000)
-                  & _sample_rows(n, 13, 0, 5000))
+        sparse = rows[:5000] & sample_rows(n, 12, 5000) & sample_rows(n, 13, 5000)
         for block in (rows, sparse):
             fields = np.ascontiguousarray(block.T)
             got = jacobi_mask(fields, n, len(block)).tolist()
@@ -439,12 +452,13 @@ def test_census_sampled_backend_agreement():
     rows = np.array([unpack_table(t, 6) for t in perfect], dtype=np.uint8)
     assert scalar_jacobi(rows, 6) == [True, True]
     assert census_sampled(6, rows) == (2, 2, [])
-    rows = _sample_rows(3, 11, 0, 2000)
-    simple = [pack_table(row, 3)
-              for row, ok in zip(rows, scalar_simple(rows, 3)) if ok]
-    assert len(simple) > 0
-    spec = CensusSpec(dim=3, sample_count=2000, seed=11)
-    assert _run_sampled_packed(spec) == (2000, sum(scalar_jacobi(rows, 3)), simple)
+    rows = sample_rows(3, 11, 2000)
+    positions = [i for i, ok in enumerate(scalar_simple(rows, 3)) if ok]
+    assert len(positions) > 0
+    assert census_sampled(3, rows) == (2000, sum(scalar_jacobi(rows, 3)), positions)
+    scanned, jac, algs = _run_sampled_packed(CensusSpec(dim=3, sample_count=2000, seed=11))
+    assert (scanned, jac) == (2000, sum(scalar_jacobi(rows, 3)))
+    assert [algebra_to_table(alg) for alg in algs] == [pack_table(rows[i], 3) for i in positions]
 
 
 # ---------------------------------------------------------------------------
@@ -478,29 +492,82 @@ def coefficient_algebra(gf, n, c, s):
     return LieAlgebra(gf, n, dict(zip(pairs, c[:, :, s].tolist())))
 
 
-@pytest.mark.parametrize("degree,n,count", [(2, 3, 1500), (2, 4, 600), (4, 3, 600)])
+def scaled_coefficients(gf, n, rows, rng):
+    """F2 tables `rows` over gf in the basis lambda_a e_a, lambda random and
+    nonzero per table: c_ab^m = t_ab^m lambda_a lambda_b / lambda_m.  Each is
+    a Lie algebra exactly when its F2 table is, with GF(2^k) products that
+    cancel only after reduction by the modulus."""
+    c = np.zeros((n * (n - 1) // 2, n, len(rows)), dtype=np.uint16)
+    for s, row in enumerate(rows):
+        lam = [rng.randrange(1, gf.order) for _ in range(n)]
+        for p, (a, b) in enumerate(combinations(range(n), 2)):
+            for m in range(n):
+                if (int(row[p]) >> m) & 1:
+                    c[p, m, s] = gf.mul(gf.mul(lam[a], lam[b]), gf.inv(lam[m]))
+    return c
+
+
+def coefficient_planes(c, k):
+    """Bit-planes of coefficient arrays c[p, m]: row p*k + t, bit m is bit t
+    of c[p, m]."""
+    npairs, n, count = c.shape
+    planes = np.zeros((npairs * k, count), dtype=np.uint8)
+    for p in range(npairs):
+        for t in range(k):
+            for m in range(n):
+                planes[p * k + t] |= (((c[p, m] >> t) & 1) << m).astype(np.uint8)
+    return planes
+
+
+@pytest.mark.parametrize("degree,n,count", [(2, 3, 1500), (2, 4, 600), (4, 3, 600),
+                                            (3, 3, 600), (13, 5, 200), (16, 6, 100)])
 def test_gf_jacobi_mask_matches_validate_lie(degree, n, count):
+    """The bit-sliced kernel against validate_lie and the shift-and-add mask."""
     gf = GF(degree)
-    dense = _sample_coefficients(gf, n, 5, 0, count)
-    # AND of four streams leaves few set bits, so many tables satisfy Jacobi
-    sparse = dense.copy()
+    dense = sample_coefficients(gf, n, 5, 0, count)
+    planes = _sample_planes(gf, n, 5, 0, count)
+    # AND of four streams leaves few set bits, so many tables satisfy
+    # Jacobi; bit-slicing commutes with AND, so the planes follow suit
+    sparse, sparse_planes = dense.copy(), planes.copy()
     for seed in (6, 7, 8):
-        sparse &= _sample_coefficients(gf, n, seed, 0, count)
-    survivors = 0
-    for c in (dense, sparse):
-        got = gf_jacobi_mask(c, n, gf).tolist()
+        sparse &= sample_coefficients(gf, n, seed, 0, count)
+        sparse_planes &= _sample_planes(gf, n, seed, 0, count)
+    f2_rows = sample_rows(n, 20, count)
+    for seed in (21, 22, 23):
+        f2_rows = f2_rows & sample_rows(n, seed, count)
+    scaled = scaled_coefficients(gf, n, f2_rows, random.Random(degree))
+    for c, b in ((dense, planes), (sparse, sparse_planes),
+                 (scaled, coefficient_planes(scaled, degree))):
+        got = np.zeros(count, dtype=bool)
+        got[_jacobi_positions(b, n, count, gf=gf)] = True
         want = [validate_lie(coefficient_algebra(gf, n, c, s), random_checks=0).ok
                 for s in range(count)]
-        assert got == want
-        survivors += sum(got)
-    assert 0 < survivors < 2 * count
+        assert got.tolist() == want == gf_jacobi_mask(c, n, gf).tolist()
+    # the last set, the scaled F2 tables, has survivors at every degree
+    assert 0 < sum(want) < count
+
+
+def test_gf_kernel_scalar_planes_act_as_repeated_arrays():
+    """Planes held as scalars, as the exhaustive census holds its high
+    fields, give the verdicts of those planes repeated in every slot."""
+    gf, n, count = GF(3), 3, 2000
+    planes = _sample_planes(gf, n, 9, 0, count) & _sample_planes(gf, n, 10, 0, count)
+    for pair in range(3):
+        rows = slice(pair * gf.degree, (pair + 1) * gf.degree)
+        repeated = planes.copy()
+        repeated[rows] = planes[rows, :1]
+        mixed = list(repeated)
+        mixed[rows] = [np.uint8(v) for v in planes[rows, 0]]
+        want = _jacobi_positions(repeated, n, count, gf=gf)
+        assert 0 < want.size < count
+        assert _jacobi_positions(mixed, n, count, gf=gf).tolist() == want.tolist()
 
 
 def test_sample_coefficients_read_the_census_stream():
     """One byte per coefficient up to degree 8, two little-endian bytes above."""
     for degree, per in ((2, 1), (8, 1), (9, 2), (16, 2)):
         gf, n = GF(degree), 3
-        c = _sample_coefficients(gf, n, 4, 10, 7)
+        c = sample_coefficients(gf, n, 4, 10, 7)
         rows = bytes_from_words(splitmix64_words(4, 10, 7, (9 * per + 7) // 8), 9 * per)
         for s in range(7):
             for p in range(3):
@@ -508,14 +575,21 @@ def test_sample_coefficients_read_the_census_stream():
                     pos = (p * n + m) * per
                     val = int(rows[s, pos]) | (int(rows[s, pos + 1]) << 8 if per == 2 else 0)
                     assert int(c[p, m, s]) == val & (gf.order - 1)
+        # plane t of pair p holds bit t of every coordinate of the pair
+        planes = _sample_planes(gf, n, 4, 10, 7).reshape(3, degree, 7)
+        for t in range(degree):
+            for m in range(n):
+                assert (((planes[:, t] >> m) & 1) == ((c[:, m] >> t) & 1)).all()
 
 
 def test_generic_census_revalidates_survivors(monkeypatch):
+    """A kernel that passes every table is caught over F2 and over GF(4)."""
     import lie2.search as search
-    monkeypatch.setattr(search, "gf_jacobi_mask",
-                        lambda c, n, gf: np.ones(c.shape[2], dtype=bool))
-    with pytest.raises(InternalInconsistency, match="re-validation"):
-        _run_sampled_generic(CensusSpec(dim=3, field_degree=2, sample_count=50))
+    monkeypatch.setattr(search, "_jacobi_positions",
+                        lambda b, n, size, first=None, gf=None: np.arange(size))
+    for degree in (1, 2):
+        with pytest.raises(InternalInconsistency, match="re-validation"):
+            _run_sampled_packed(CensusSpec(dim=3, field_degree=degree, sample_count=50))
 
 
 def test_invariant_signature_uses_lower_central_series():
