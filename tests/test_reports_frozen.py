@@ -26,6 +26,11 @@ and root dimensions that brute-force fixpoint scans confirm, and gl3, with
 Sampled GF(2^k) census reports are pinned the same way, as the digest of
 the report without its `runtime_ms`; those digests were recorded from the
 per-sample engine that preceded the vectorised GF(2^k) Jacobi mask.
+
+The `decompose` and `toral-rank` reports of the direct sums gl3+w11_p2 and
+sl3+heis3, each in one seeded GL(n, 2) basis (`RANDOM_BASES`), were
+recorded from the torus search that walked every increasing basis of each
+torus; in a random basis the toral basis it reports rests on its tie-break.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ import pytest
 
 from lie2.cli import main
 from lie2.field import GF
-from lie2.liealg import catalog, to_json
+from lie2.liealg import LieAlgebra, catalog, to_json
 from lie2.search import CensusSpec, census
 from dense_oracles import dense_rref, dense_solve
 
@@ -50,15 +55,36 @@ F2_NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
 LIFTS = [(2, 1, ["o3", "heis3", "sl2", "gl2", "w11_p2", "abelian(3)",
                  "strictly_upper(3)", "sl3", "strictly_upper(4)", "gl3"]),
          (4, 2, ["o3", "heis3", "sl2", "gl2", "w11_p2", "gl3"])]
+# (seed, names): direct sums in one seeded GL(n, 2) basis each, where the
+# toral-basis tie-break of the torus search meets a basis that is not the
+# catalog's
+RANDOM_BASES = (1, ["gl3+w11_p2", "sl3+heis3"])
 SYNTHESIZED = "/synthesized"
 COMMANDS = {"validate": ["validate", "--restricted"],
             "decompose": ["decompose"],
             "toral-rank": ["toral-rank"]}
 
 
+def fixture(name: str) -> tuple:
+    """(algebra, two_map) of a catalog fixture, or of the direct sum of the
+    fixtures joined by "+" in `name`."""
+    entry = catalog(name.split("+")[0])
+    alg, two_map = entry.algebra, entry.two_map
+    for part in name.split("+")[1:]:
+        other = catalog(part)
+        n, m = alg.dim, other.algebra.dim
+        table = {k: v + (0,) * m for k, v in alg.table.items()}
+        table.update({(i + n, j + n): (0,) * n + v
+                      for (i, j), v in other.algebra.table.items()})
+        two_map = tuple(v + (0,) * m for v in two_map) + \
+            tuple((0,) * n + v for v in other.two_map)
+        alg = LieAlgebra(alg.gf, n + m, table)
+    return alg, two_map
+
+
 def lift_matrix(name: str, degree: int, seed: int) -> tuple:
     """The rows of the seeded invertible matrix P of `lifted_doc`."""
-    gf, n = GF(degree), catalog(name).algebra.dim
+    gf, n = GF(degree), fixture(name)[0].dim
     rng = random.Random(f"{name}/{degree}/{seed}")
     while True:
         rows = tuple(tuple(rng.randrange(gf.order) for _ in range(n)) for _ in range(n))
@@ -73,14 +99,13 @@ def lifted_coords(name: str, degree: int, seed: int, v) -> tuple:
 
 
 def lifted_doc(name: str, degree: int, seed: int) -> dict:
-    """The catalog algebra over GF(2^degree) in the basis f_a = sum_i P[i][a] e_i.
+    """The `fixture` algebra over GF(2^degree) in the basis f_a = sum_i P[i][a] e_i.
 
     [f_a, f_b] = sum_{i<j} (P_ia P_jb + P_ja P_ib) [e_i, e_j] and
     f_a^[2] = sum_i P_ia^2 e_i^[2] + sum_{i<j} P_ia P_ja [e_i, e_j],
     both written in f-coordinates by solving P y = v.
     """
-    entry = catalog(name)
-    alg, two_map = entry.algebra, entry.two_map
+    alg, two_map = fixture(name)
     gf, n = GF(degree), alg.dim
     P = lift_matrix(name, degree, seed)
 
@@ -121,6 +146,9 @@ def fixture_docs() -> dict:
         for name in names:
             doc = lifted_doc(name, degree, seed)
             docs[doc["name"]] = doc
+    for name in RANDOM_BASES[1]:
+        doc = lifted_doc(name, 1, RANDOM_BASES[0])
+        docs[doc["name"]] = doc
     for label, doc in list(docs.items()):
         if "two_map" in doc:
             docs[label + SYNTHESIZED] = {k: v for k, v in doc.items() if k != "two_map"}
@@ -194,6 +222,8 @@ def all_cases():
                if label + SYNTHESIZED in fixture_docs()]
     cases = [f"catalog-emit {n}" for n in F2_NAMES + EMIT_ONLY]
     cases += [f"{cmd} {label}" for cmd in COMMANDS for label in labels]
+    cases += [f"{cmd} {name}/GF2" for cmd in ("decompose", "toral-rank")
+              for name in RANDOM_BASES[1]]
     return cases + PAPER_CASES + [f"decompose-torus {label}" for label in torus_files()]
 
 
@@ -516,6 +546,14 @@ FROZEN = {
         "2555e1f26141377519e249613fa824a2af4796e22dfeab1a973c880293bad420",
     "decompose-torus gl2/GF4":
         "5a5a8e5af2d591c8da32c3a0102edc51e23bf7efd91ef05efac5f38668a8c379",
+    "decompose gl3+w11_p2/GF2":
+        "1f47130ba41c891781559da478336d4a488c2c29f6e59fbdd388af0a4c6c7158",
+    "decompose sl3+heis3/GF2":
+        "33f2611c0d42a22ce7ecb5afed0805efde812ce4d37d80a2d1fa2e65e06ac0af",
+    "toral-rank gl3+w11_p2/GF2":
+        "eabcddafb0c37247bc5356ae79a625e34546f4fa57d2ef6612af32cf91a6216f",
+    "toral-rank sl3+heis3/GF2":
+        "c367c25b45e8227bfbe4c41eadd0a312eaaf9b6673095eb0b0bfe1a5757a898e",
 }
 
 

@@ -163,15 +163,16 @@ def lex_first_max_torus(ra: RestrictedAlgebra):
 REFERENCE_CASES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
                    "strictly_upper(4)", "gl2+w11_p2@1", "gl2+w11_p2@2", "gl2+w11_p2@3",
                    "gl2/GF4", "sl2/GF4", "w11_p2/GF4", "heis3/GF4", "strictly_upper(3)/GF4",
-                   "gl2+w11_p2/GF4"]
+                   "gl2+w11_p2/GF4", "gl3@1", "gl3@2", "sl3@1"]
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_max_tori_matches_brute_force(case):
     name, _, seed = case.partition("@")
     if seed:
-        ra = change_basis(direct_sum(ra_of("gl2"), ra_of("w11_p2")),
-                          random.Random(int(seed)))
+        parts = [ra_of(part) for part in name.split("+")]
+        ra = parts[0] if len(parts) == 1 else direct_sum(*parts)
+        ra = change_basis(ra, random.Random(int(seed)))
     elif name.endswith("/GF4"):
         parts = [RestrictedAlgebra(*from_json(lifted_doc(part, 2, 3)))
                  for part in name[:-4].split("+")]
