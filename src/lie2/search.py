@@ -387,15 +387,6 @@ def _jacobi_positions(b: Sequence, n: int, size: int,
     return pos
 
 
-def jacobi_mask(b: Sequence, n: int, size: int) -> np.ndarray:
-    """Jacobi verdict for each of `size` candidates with bracket fields b;
-    each field is a uint8 array, or a uint8 scalar shared by every
-    candidate."""
-    ok = np.zeros(size, dtype=bool)
-    ok[_jacobi_positions(b, n, size)] = True
-    return ok
-
-
 def _derived_rank_numpy(b: Sequence[np.ndarray], n: int) -> np.ndarray:
     """Rank of the F2 span of the bracket planes, per candidate.
 
@@ -484,15 +475,6 @@ def _census_planes(gf: GF, n: int, planes: np.ndarray
         if full[s] and is_simple(alg).simple:
             simple.append((int(idx[s]), alg))
     return int(idx.size), simple
-
-
-def census_sampled(n: int, rows: np.ndarray) -> Tuple[int, int, List[int]]:
-    """Scan sampled tables over F2, one uint8 row of fields each.
-
-    Returns (scanned, Jacobi passes, indices of the simple rows).
-    """
-    jac, simple = _census_planes(GF2, n, np.ascontiguousarray(rows.T))
-    return rows.shape[0], jac, [pos for pos, _alg in simple]
 
 
 # ---------------------------------------------------------------------------

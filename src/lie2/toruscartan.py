@@ -12,10 +12,18 @@ kept as F2 echelon slots holding every alpha^a v.  The fixpoint sweep and
 the nil check are `restricted.square_sweep`s, and a torus is injective and
 has a toral basis by the kernels of A and A + I, A its squaring map from
 `restricted.square_columns`.  The maximal torus search is a branch and bound
-over int bitsets of the fixpoints' commutation graph: a branch keeps only
+over int bitsets of the fixpoints' commutation graph, which is built
+bit-sliced (plane l is the set of fixpoints with bit l): a branch keeps only
 the candidates commuting with everything chosen, and is cut once the chosen
 count plus the rank of the remaining candidates modulo the chosen span
-cannot beat the best set found.  It is exhaustive when it fits in the node
+cannot beat the best set found.  It reaches each torus through one basis,
+its greedy one, by the coset-minimum rule: a candidate x is dropped once
+min(x + W) < x for the F2 span W of the chosen fixpoints.  W holds every
+fixpoint of their torus, as (sum c_i t_i)^[2] = sum c_i^2 t_i, and the
+lexicographically first maximum set is the greedy basis of its own span,
+whose every element is coset-minimal over the earlier ones; so the answer
+is unchanged, and the reported node count covers only coset-minimal
+candidates.  It is exhaustive when it fits in the node
 budget, otherwise greedy with seeded restarts; either way the reported rank
 is a lower bound for the rank over an algebraic closure, never an upper
 bound.
@@ -129,19 +137,6 @@ class MaxTorusReport:
     caveat: str = FIELD_CAVEAT
 
 
-def _commutation_graph(alg, items) -> List[int]:
-    """Bit j of row i is set when packed fixpoints i and j commute (i != j)."""
-    m = len(items)
-    comm = [0] * m
-    for i, x in enumerate(items):
-        ad_x = [f2_apply(col, x) for col in alg.ad_columns]
-        for j, y in enumerate(items[i + 1:], i + 1):
-            if not f2_apply(ad_x, y):
-                comm[i] |= 1 << j
-                comm[j] |= 1 << i
-    return comm
-
-
 def _bits(x: int) -> List[int]:
     out = []
     while x:
@@ -149,6 +144,38 @@ def _bits(x: int) -> List[int]:
         out.append(low.bit_length() - 1)
         x ^= low
     return out
+
+
+def _planes(items: Sequence[int], width: int) -> List[int]:
+    """Bit j of planes[l] is bit l of items[j]: the items bit-sliced."""
+    planes = [0] * width
+    for j, x in enumerate(items):
+        for l in _bits(x):
+            planes[l] |= 1 << j
+    return planes
+
+
+def _commutation_graph(alg, items: Sequence[int], planes: Sequence[int]) -> List[int]:
+    """Bit j of row i is set when packed fixpoints i and j commute (i != j).
+
+    Bit r of [x, y] is the sum of bit r of [x, f_l] over the bits l of y, so
+    the set of j with bit r of [x, items[j]] set is the XOR of planes[l]
+    over the l where [x, f_l] = f2_apply(ad_columns[l], x) has bit r, and
+    the j that do not commute with x are the OR of those sets over r.
+    """
+    full = (1 << len(items)) - 1
+    comm = []
+    for i, x in enumerate(items):
+        rows = [0] * len(planes)
+        for col, plane in zip(alg.ad_columns, planes):
+            if plane:
+                for r in _bits(f2_apply(col, x)):
+                    rows[r] ^= plane
+        clash = 0
+        for row in rows:
+            clash |= row
+        comm.append(full & ~clash & ~(1 << i))
+    return comm
 
 
 def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
@@ -165,8 +192,20 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
     commute with the one taken, and a node stops once the chosen count plus
     the rank of its remaining candidates modulo the chosen span cannot exceed
     the best set so far.  The answer is the lexicographically first maximum
-    index set.  `nodes` counts the candidates tried.  When the budget runs
-    out, greedy over seeded candidate orders.
+    index set.
+
+    Each torus is visited through one basis only, its greedy one.  The
+    fixpoints of a torus spanned by chosen fixpoints are their F2 span W
+    ((sum c_i t_i)^[2] = sum c_i^2 t_i), so the lexicographically first
+    maximum set is the greedy basis of W in ascending order, and each of its
+    elements x is the least of its coset x + W_prev over the earlier ones.
+    A candidate x with min(x + W) < x is therefore dropped, and stays
+    dropped below, since W only grows.  min(x + W) < x exactly when x has a
+    bit at a leading bit of W, and those are the top bits of the chosen
+    fixpoints, so a child drops the candidates that have the top bit of the
+    one taken.  `nodes` counts the candidates tried, which are only these
+    coset-minimal ones.  When the budget runs out, greedy over seeded
+    candidate orders.
     """
     alg, k = ra.algebra, ra.algebra.gf.degree
     items = [x for x in _fixpoints(ra, sweep_budget) if x]
@@ -174,36 +213,34 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
     if m == 0:
         return MaxTorusReport(0, Torus(Subspace(alg.gf, alg.dim), ()), True,
                               "exhaustive", 0, 0)
-    comm = _commutation_graph(alg, items)
+    planes = _planes(items, alg.dim * k)
+    comm = _commutation_graph(alg, items, planes)
     times_alpha = alpha_map(alg.gf, alg.dim)
 
-    def extend(span: List[int], v: int) -> Optional[List[int]]:
-        """Echelon slots of span + GF(2^k) v, or None if v is in the span."""
-        grown = list(span)
-        if not f2_reduce(grown, v):
-            return None
+    def insert(slots: List[int], v: int) -> bool:
+        """Add GF(2^k) v to the echelon slots in place; False, and the slots
+        unchanged, if v is already in their span."""
+        if not f2_reduce(slots, v):
+            return False
         for _ in range(k - 1):
             v = times_alpha(v)
-            f2_reduce(grown, v)
-        return grown
+            f2_reduce(slots, v)
+        return True
 
-    empty = [0] * (alg.dim * k)
     best: List[int] = []
     nodes = 0
     aborted = False
 
-    def search(cand: int, chosen: List[int], span) -> None:
+    def search(cand: int, chosen: List[int], span: List[int]) -> None:
         nonlocal best, nodes, aborted
         if len(chosen) > len(best):
             best = list(chosen)
         order = _bits(cand)
         # bound[t]: rank of the candidates order[t:] modulo the chosen span
         bound = [0] * (len(order) + 1)
-        grown = span
+        grown = list(span)
         for t in range(len(order) - 1, -1, -1):
-            more = extend(grown, items[order[t]])
-            bound[t] = bound[t + 1] + (more is not None)
-            grown = more or grown
+            bound[t] = bound[t + 1] + insert(grown, items[order[t]])
         for t, idx in enumerate(order):
             if len(chosen) + bound[t] <= len(best):
                 return
@@ -211,14 +248,16 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
                 aborted = True
                 return
             nodes += 1
-            child = extend(span, items[idx])
-            if child is None:
-                continue
+            x = items[idx]
+            child = list(span)
+            if not insert(child, x):
+                raise InternalInconsistency("a coset-minimal fixpoint lies in the chosen span")
             chosen.append(idx)
-            search(cand >> (idx + 1) << (idx + 1) & comm[idx], chosen, child)
+            search(cand >> (idx + 1) << (idx + 1) & comm[idx] & ~planes[x.bit_length() - 1],
+                   chosen, child)
             chosen.pop()
 
-    search((1 << m) - 1, [], empty)
+    search((1 << m) - 1, [], [0] * (alg.dim * k))
     method = "exhaustive"
     if aborted:
         method = "greedy"
@@ -227,15 +266,11 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
             order = list(range(m))
             rng.shuffle(order)
             chosen: List[int] = []
-            span = empty
+            span = [0] * (alg.dim * k)
             allowed = (1 << m) - 1
             for idx in order:
-                if not allowed >> idx & 1:
-                    continue
-                child = extend(span, items[idx])
-                if child is not None:
+                if allowed >> idx & 1 and insert(span, items[idx]):
                     chosen.append(idx)
-                    span = child
                     allowed &= comm[idx]
             if len(chosen) > len(best):
                 best = chosen

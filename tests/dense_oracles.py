@@ -13,7 +13,10 @@ tuple and every vector of a span, for sweeps over tiny spaces.
 GF(2^k) that the bit-sliced census kernel replaced: one array per
 structure constant, products taken elementwise by shift-and-add.
 `sample_coefficients` reads its input, the sampled structure constants,
-from the census stream.
+from the census stream.  `jacobi_mask` and `census_sampled` are
+full-size-mask and row-major F2 entry points to the census kernel itself
+(`search._jacobi_positions` and `search._census_planes`), for tests that
+compare it with scalar checks.
 
 `sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
 it squares each basis row with `two_map_eval`, checks injectivity by the
@@ -27,9 +30,10 @@ from itertools import combinations, product
 import numpy as np
 
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
-from lie2.field import GF, Subspace, pack_bits, vec_is_zero
+from lie2.field import GF, GF2, Subspace, pack_bits, vec_is_zero
 from lie2.restricted import two_map_eval
-from lie2.search import bytes_from_words, pair_index, splitmix64_words
+from lie2.search import (_census_planes, _jacobi_positions, bytes_from_words,
+                         pair_index, splitmix64_words)
 from lie2.toruscartan import Torus, TorusReport
 
 
@@ -216,3 +220,21 @@ def gf_jacobi_mask(c: np.ndarray, n: int, gf: GF) -> np.ndarray:
                         acc ^= gf_mul_arrays(c[p, m], c[q, o], gf)
             ok &= acc == 0
     return ok
+
+
+def jacobi_mask(b, n: int, size: int) -> np.ndarray:
+    """Jacobi verdict for each of `size` candidates with bracket fields b;
+    each field is a uint8 array, or a uint8 scalar shared by every
+    candidate."""
+    ok = np.zeros(size, dtype=bool)
+    ok[_jacobi_positions(b, n, size)] = True
+    return ok
+
+
+def census_sampled(n: int, rows: np.ndarray):
+    """Scan sampled tables over F2, one uint8 row of fields each.
+
+    Returns (scanned, Jacobi passes, indices of the simple rows).
+    """
+    jac, simple = _census_planes(GF2, n, np.ascontiguousarray(rows.T))
+    return rows.shape[0], jac, [pos for pos, _alg in simple]

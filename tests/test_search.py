@@ -30,10 +30,10 @@ from lie2.search import (GOLDEN, MASK64, CensusSpec, _invariant_signature,
                          _run_sampled_packed, _sample_planes,
                          algebra_to_table, bytes_from_words, canonical_table,
                          census, census_backend, census_exhaustive,
-                         census_sampled, gl_matrices, iso_match, jacobi_mask,
-                         pair_index, splitmix64_words, table_orbit,
-                         table_to_algebra)
-from dense_oracles import gf_jacobi_mask, gf_mul_arrays, sample_coefficients
+                         gl_matrices, iso_match, pair_index, splitmix64_words,
+                         table_orbit, table_to_algebra)
+from dense_oracles import (census_sampled, gf_jacobi_mask, gf_mul_arrays,
+                           jacobi_mask, sample_coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput, Lie2Error,
                   catalog, cartan_split, is_torus, max_tori, toruscartan,
                   weight_decompose)
 from lie2.field import GF, GF2, Subspace, full_space, pack_bits, zero_vec
-from lie2.liealg import LieAlgebra, from_json
+from lie2.liealg import LieAlgebra, _gl_entry, from_json
 from lie2.restricted import (JcsParts, _iterate_span, classify_element, jcs_decompose,
                              two_map_eval)
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
@@ -194,7 +195,19 @@ def test_max_tori_certifies_gl3_plus_w11():
     assert rep.exhaustive and rep.method == "exhaustive"
     assert rep.rank_lb == 4
     assert rep.fixpoints_seen == 58 * 3 - 1
-    assert rep.nodes <= 1 << 20
+    assert rep.nodes <= 3000   # 1,534 coset-minimal candidates
+
+
+def test_max_tori_gl4_exhaustive_under_a_second():
+    entry = _gl_entry(4)
+    ra = RestrictedAlgebra(entry.algebra, entry.two_map)
+    start = time.perf_counter()
+    rep = max_tori(ra)
+    elapsed = time.perf_counter() - start
+    assert rep.exhaustive and rep.method == "exhaustive"
+    assert rep.rank_lb == 4 and rep.fixpoints_seen == 801
+    assert rep.torus.toral_basis == tuple(gl_basis_vec(4, i, i) for i in range(4))
+    assert elapsed < 1.0
 
 
 def test_max_tori_greedy_fallback():
