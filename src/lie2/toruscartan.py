@@ -23,10 +23,9 @@ fixpoint of their torus, as (sum c_i t_i)^[2] = sum c_i^2 t_i, and the
 lexicographically first maximum set is the greedy basis of its own span,
 whose every element is coset-minimal over the earlier ones; so the answer
 is unchanged, and the reported node count covers only coset-minimal
-candidates.  It is exhaustive when it fits in the node
-budget, otherwise greedy with seeded restarts; either way the reported rank
-is a lower bound for the rank over an algebraic closure, never an upper
-bound.
+candidates.  It is exhaustive when it fits in the node budget, otherwise
+greedy with seeded restarts; either way the reported rank is a lower bound
+for the rank over an algebraic closure, never an upper bound.
 """
 
 from __future__ import annotations

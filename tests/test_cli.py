@@ -424,6 +424,17 @@ def test_toral_rank_budget_exits_three(tmp_path, capsys):
     assert "budget exceeded" in err
 
 
+def test_toral_rank_small_budget_stays_exhaustive(tmp_path, capsys):
+    """--budget 512 admits gl3's 2^9-vector sweep and bounds the torus
+    search to 512 nodes; it needs 139 coset-minimal ones, so it stays
+    exhaustive (walking every increasing basis took 525 and fell back to
+    greedy)."""
+    path = write_fixture(tmp_path, "gl3")
+    code, out, _ = run(capsys, "toral-rank", path, "--budget", "512")
+    assert code == 0
+    assert "toral rank lower bound: 3 (exhaustive, 57 fixpoints seen)" in out
+
+
 # ---------------------------------------------------------------------------
 # paper verify / cross-check
 

@@ -46,6 +46,7 @@ import pytest
 from lie2.cli import main
 from lie2.field import GF
 from lie2.liealg import LieAlgebra, catalog, to_json
+from lie2.restricted import RestrictedAlgebra
 from lie2.search import CensusSpec, census
 from dense_oracles import dense_rref, dense_solve
 
@@ -65,21 +66,24 @@ COMMANDS = {"validate": ["validate", "--restricted"],
             "toral-rank": ["toral-rank"]}
 
 
+def direct_sum(a: RestrictedAlgebra, b: RestrictedAlgebra) -> RestrictedAlgebra:
+    n, m = a.algebra.dim, b.algebra.dim
+    table = {k: v + (0,) * m for k, v in a.algebra.table.items()}
+    table.update({(i + n, j + n): (0,) * n + v for (i, j), v in b.algebra.table.items()})
+    two_map = tuple(v + (0,) * m for v in a.two_map) + \
+        tuple((0,) * n + v for v in b.two_map)
+    return RestrictedAlgebra(LieAlgebra(a.algebra.gf, n + m, table), two_map)
+
+
 def fixture(name: str) -> tuple:
     """(algebra, two_map) of a catalog fixture, or of the direct sum of the
     fixtures joined by "+" in `name`."""
-    entry = catalog(name.split("+")[0])
-    alg, two_map = entry.algebra, entry.two_map
-    for part in name.split("+")[1:]:
-        other = catalog(part)
-        n, m = alg.dim, other.algebra.dim
-        table = {k: v + (0,) * m for k, v in alg.table.items()}
-        table.update({(i + n, j + n): (0,) * n + v
-                      for (i, j), v in other.algebra.table.items()})
-        two_map = tuple(v + (0,) * m for v in two_map) + \
-            tuple((0,) * n + v for v in other.two_map)
-        alg = LieAlgebra(alg.gf, n + m, table)
-    return alg, two_map
+    entries = [catalog(part) for part in name.split("+")]
+    if len(entries) == 1:
+        return entries[0].algebra, entries[0].two_map
+    ra = functools.reduce(direct_sum, (RestrictedAlgebra(e.algebra, e.two_map)
+                                       for e in entries))
+    return ra.algebra, ra.two_map
 
 
 def lift_matrix(name: str, degree: int, seed: int) -> tuple:

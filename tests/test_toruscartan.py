@@ -25,7 +25,7 @@ from lie2.restricted import (JcsParts, _iterate_span, classify_element, jcs_deco
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
 from dense_oracles import (coefficient_vectors, dense_express, subspace_vectors,
                            sweep_is_torus)
-from test_reports_frozen import lifted_coords, lifted_doc
+from test_reports_frozen import direct_sum, lifted_coords, lifted_doc
 
 
 def ra_of(name: str) -> RestrictedAlgebra:
@@ -112,15 +112,6 @@ def test_sl3_has_no_rank3_torus_over_f2():
     assert rep.fixpoints_seen == 28
 
 
-def direct_sum(a: RestrictedAlgebra, b: RestrictedAlgebra) -> RestrictedAlgebra:
-    n, m = a.algebra.dim, b.algebra.dim
-    table = {k: v + (0,) * m for k, v in a.algebra.table.items()}
-    table.update({(i + n, j + n): (0,) * n + v for (i, j), v in b.algebra.table.items()})
-    two_map = tuple(v + (0,) * m for v in a.two_map) + \
-        tuple((0,) * n + v for v in b.two_map)
-    return RestrictedAlgebra(LieAlgebra(a.algebra.gf, n + m, table), two_map)
-
-
 def change_basis(ra: RestrictedAlgebra, rng: random.Random) -> RestrictedAlgebra:
     """Structure constants in a random basis of F2^n (the columns of p)."""
     alg = ra.algebra
@@ -167,19 +158,22 @@ REFERENCE_CASES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
                    "gl2+w11_p2/GF4", "gl3@1", "gl3@2", "sl3@1"]
 
 
-@pytest.mark.parametrize("case", REFERENCE_CASES)
-def test_max_tori_matches_brute_force(case):
+def reference_algebra(case: str) -> RestrictedAlgebra:
+    """A catalog fixture or "+" sum of them; "@seed" rewrites it in a random
+    basis of F2^n, "/GF4" reads each summand in a seeded GF(4) basis."""
     name, _, seed = case.partition("@")
-    if seed:
-        parts = [ra_of(part) for part in name.split("+")]
-        ra = parts[0] if len(parts) == 1 else direct_sum(*parts)
-        ra = change_basis(ra, random.Random(int(seed)))
-    elif name.endswith("/GF4"):
+    if name.endswith("/GF4"):
         parts = [RestrictedAlgebra(*from_json(lifted_doc(part, 2, 3)))
                  for part in name[:-4].split("+")]
-        ra = parts[0] if len(parts) == 1 else direct_sum(*parts)
     else:
-        ra = ra_of(name)
+        parts = [ra_of(part) for part in name.split("+")]
+    ra = parts[0] if len(parts) == 1 else direct_sum(*parts)
+    return change_basis(ra, random.Random(int(seed))) if seed else ra
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_max_tori_matches_brute_force(case):
+    ra = reference_algebra(case)
     fixpoints, basis = lex_first_max_torus(ra)
     assert toral_elements(ra) == fixpoints
     rep = max_tori(ra)
@@ -208,6 +202,19 @@ def test_max_tori_gl4_exhaustive_under_a_second():
     assert rep.rank_lb == 4 and rep.fixpoints_seen == 801
     assert rep.torus.toral_basis == tuple(gl_basis_vec(4, i, i) for i in range(4))
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("case", ["gl3", "gl2+w11_p2@1", "gl2/GF4"])
+def test_commutation_graph_matches_brackets(case):
+    """The bit-sliced graph against one packed bracket per pair."""
+    ra = reference_algebra(case)
+    alg = ra.algebra
+    items = [x for x in toruscartan._fixpoints(ra, 1 << 20) if x]
+    comm = toruscartan._commutation_graph(
+        alg, items, toruscartan._planes(items, alg.dim * alg.gf.degree))
+    assert [[comm[i] >> j & 1 for j in range(len(items))] for i in range(len(items))] == \
+        [[int(i != j and not alg.packed_bracket(x, y)) for j, y in enumerate(items)]
+         for i, x in enumerate(items)]
 
 
 def test_max_tori_greedy_fallback():
