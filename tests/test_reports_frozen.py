@@ -571,9 +571,10 @@ def test_report_frozen(case, tmp_path):
 # the exhaustive scan, F2 dim 3 seed 11 has 472 Jacobi passes and 100 simple
 # tables, F2 dim 4 seed 0 has 388 passes; GF(8) dim 3 seed 2 has 18 passes
 # and 8 simple tables, GF(32) dim 3 seed 1 has 2 and 2, every dim-2 table
-# passes, and GF(2^13) dim 5 and GF(2^16) dim 6 have n*k > 64 bits per
-# bracket.  Cases run in insertion order, so each keeps its test id; add new
-# ones at the end.
+# passes, GF(2^13) dim 5 and GF(2^16) dim 6 have n*k > 64 bits per
+# bracket, and GF(4) dim 3 seed 1 with 2000 samples has 85 passes and 28
+# simple tables.  Cases run in insertion order, so each keeps its test id;
+# add new ones at the end.
 CENSUS_FROZEN = {
     (3, 2, 20000, 0):
         "5b5b59d7a9b132f388491f5a6b4079769ea43a097d5d2a7fecf7bd58dbf864a0",
@@ -617,6 +618,8 @@ CENSUS_FROZEN = {
         "97db38d26c385b77732d93117db119c05b743cabbbbbf81009bf5198d7f3bcbe",
     (6, 16, 2000, 0):
         "ca0ef6ab53a91424615d38cf25f94effb5041930e9e2b6ba0d55f46a30a8fe33",
+    (3, 2, 2000, 1):
+        "6e4dfe88344fa6cdb720f2fb2fc6ef093aaf04f64633d1a011830e402549b639",
 }
 
 

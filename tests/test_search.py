@@ -26,7 +26,7 @@ from lie2.liealg import LieAlgebra, derived_series
 from lie2.field import GF, f2_apply
 from lie2.errors import InternalInconsistency
 from lie2.search import (GOLDEN, MASK64, CensusSpec, _invariant_signature,
-                         _jacobi_positions, _run_exhaustive,
+                         _jacobi_positions, _planes_algebras, _run_exhaustive,
                          _run_sampled_packed, _sample_planes,
                          algebra_to_table, bytes_from_words, canonical_table,
                          census, census_backend, census_exhaustive,
@@ -459,6 +459,31 @@ def test_census_sampled_backend_agreement():
     scanned, jac, algs = _run_sampled_packed(CensusSpec(dim=3, sample_count=2000, seed=11))
     assert (scanned, jac) == (2000, sum(scalar_jacobi(rows, 3)))
     assert [algebra_to_table(alg) for alg in algs] == [pack_table(rows[i], 3) for i in positions]
+
+
+def sampled_jacobi_survivors(gf, n, seed, count):
+    """LieAlgebras of the sampled tables over gf that pass the Jacobi kernel."""
+    planes = _sample_planes(gf, n, seed, 0, count)
+    return list(_planes_algebras(gf, n, planes[:, _jacobi_positions(planes, n, count, gf=gf)]))
+
+
+def test_dim3_simple_is_perfect():
+    """In dim 3, is_simple agrees with [g, g] = g on every F2 Lie table and
+    on the Jacobi survivors of sampled GF(4), GF(8) and GF(16) tables; every
+    simple one has derived and lower central series (3) and centre 0."""
+    algs = [alg for alg in (table_to_algebra(3, t) for t in range(512))
+            if validate_lie(alg, random_checks=0).ok]
+    for degree, seed in ((2, 0), (2, 1), (3, 2), (4, 0)):
+        algs += sampled_jacobi_survivors(GF(degree), 3, seed, 20000)
+    simple = 0
+    for alg in algs:
+        assert validate_lie(alg, random_checks=0).ok
+        verdict = is_simple(alg).simple
+        assert (derived_series(alg).dims == (3,)) == verdict
+        if verdict:
+            simple += 1
+            assert _invariant_signature(alg) == ((3,), (3,), 0)
+    assert (len(algs), simple) == (1464, 493)
 
 
 # ---------------------------------------------------------------------------
