@@ -190,10 +190,6 @@ def zero_vec(n: int) -> Vec:
     return (0,) * n
 
 
-def basis_vec(n: int, i: int) -> Vec:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 def pack_bits(vec: Sequence[int], width: int = 1) -> int:
     """Pack a GF(2^width) vector into an int, coordinate i in bits from i*width."""
     x = 0

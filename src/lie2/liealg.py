@@ -345,11 +345,6 @@ def f2_ideal(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> List[
     return work
 
 
-def f2_ideal_rank(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> int:
-    """Dimension of the ideal generated by the packed seeds."""
-    return len(f2_ideal(ad, n, seeds))
-
-
 # ---------------------------------------------------------------------------
 # catalog
 

@@ -120,14 +120,6 @@ def two_map_eval(ra: RestrictedAlgebra, x: Sequence[int]) -> Vec:
     return unpack_bits(packed_square(ra, pack_bits(x, k)), alg.dim, k)
 
 
-def two_power(ra: RestrictedAlgebra, x: Sequence[int], m: int) -> Vec:
-    """Iterated 2-map: x, x^[2], x^[4], ... taken m times."""
-    v = tuple(x)
-    for _ in range(m):
-        v = two_map_eval(ra, v)
-    return v
-
-
 @dataclass
 class RestrictedReport:
     ok: bool

@@ -20,15 +20,22 @@ exhaustive chunk fixes its high fields as scalars over the same low field
 arrays, so the first triple's terms on low fields alone are summed once
 per census and each chunk adds only the terms that read its scalars.  The
 rare survivors go through a vectorised derived-algebra rank filter on their
-planes, and liealg.is_simple decides the tables that pass it.  Every
-sampled Jacobi survivor, over any field, becomes a LieAlgebra and is
-re-checked by validate_lie.  Simple tables then get a two-map synthesis
-and, when restrictable, a toral rank.  The LIE2_BACKEND environment
-variable may name the engine (auto or numpy) but cannot pick another.
-Simple tables of dimension <= 4 are grouped into GL(n, 2) orbits by one
-vectorised change of basis over every matrix of field.gl_matrices, and
-iso_match reads its witness off the same array, as the 0/1 rows of the
-basis change.
+planes.  In dimension 3 a table that passes it is simple exactly when it is
+perfect, [g, g] = g, because a quotient by a proper nonzero ideal would be
+a perfect algebra of dimension 1 or 2, and only 0 is one; perfection is
+the F2 rank of the packed brackets.  Above dimension 3 liealg.is_simple
+decides.  Every sampled Jacobi survivor, over any field, becomes a
+LieAlgebra and is re-checked by validate_lie.  Simple tables then get a
+two-map synthesis and, when restrictable, a toral rank.  The LIE2_BACKEND
+environment variable may name the engine (auto or numpy) but cannot pick
+another.  Simple tables over F2 of dimension <= 4 are grouped into
+GL(n, 2) orbits by one vectorised change of basis over every matrix of
+field.gl_matrices, and iso_match reads its witness off the same array, as
+the 0/1 rows of the basis change.  Every other census reports all its
+simple tables as one class, grouping "invariant_signature": that
+signature (derived series, lower central series, centre dimension) is
+(n), (n), 0 on every simple algebra, so the class is not an isomorphism
+class.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput)
-from .field import GF, GF2, gl_matrices, pack_bits
+from .field import GF, GF2, f2_reduce, gl_matrices, pack_bits
 from .liealg import (LieAlgebra, center, derived_series, is_simple,
                      lower_central_series, validate_lie)
 from .restricted import RestrictedAlgebra, synthesize_two_map
@@ -419,6 +426,25 @@ def _planes_algebras(gf: GF, n: int, planes: np.ndarray) -> Iterator[LieAlgebra]
             for s in range(count))
 
 
+def _census_simple(alg: LieAlgebra) -> bool:
+    """Whether a census survivor, a Lie algebra of dimension n >= 3, is simple.
+
+    For n = 3 simple means perfect, [g, g] = g.  Let g be perfect of
+    dimension 3 and I a proper nonzero ideal: then g/I is perfect of
+    dimension 1 or 2, but a 1-dimensional algebra is abelian and a
+    2-dimensional one has [g, g] spanned by its one basis bracket, so g/I
+    = 0, a contradiction.  Conversely a simple algebra is perfect.  The
+    entries of ad_columns, alpha^s [e_i, e_j] for s < 2k - 1, span the F2
+    restriction of [g, g], so g is perfect when their F2 rank is 3k.  For
+    n > 3, is_simple decides.
+    """
+    if alg.dim != 3:
+        return is_simple(alg).simple
+    slots = [0] * (3 * alg.gf.degree)
+    rank = sum(1 for col in alg.ad_columns for v in col if f2_reduce(slots, v))
+    return rank == len(slots)
+
+
 def census_exhaustive(n: int, chunk_bits: int = 20) -> Tuple[int, int, List[int]]:
     """Scan every table of dimension n >= 2: (scanned, Jacobi passes, simple).
 
@@ -451,7 +477,7 @@ def census_exhaustive(n: int, chunk_bits: int = 20) -> Tuple[int, int, List[int]
         sb = [f[idx] for f in low] + [np.full(idx.size, h) for h in high]
         tables = chunk * size + idx[_derived_rank_numpy(sb, n) == n]
         survivors.extend(int(t) for t in tables
-                         if is_simple(table_to_algebra(n, int(t))).simple)
+                         if _census_simple(table_to_algebra(n, int(t))))
     return size << (n * (npairs - nlow)), jacobi, survivors
 
 
@@ -472,7 +498,7 @@ def _census_planes(gf: GF, n: int, planes: np.ndarray
     for s, alg in enumerate(_planes_algebras(gf, n, sub)):
         if not validate_lie(alg, random_checks=0).ok:
             raise InternalInconsistency("census survivor failed Jacobi re-validation")
-        if full[s] and is_simple(alg).simple:
+        if full[s] and _census_simple(alg):
             simple.append((int(idx[s]), alg))
     return int(idx.size), simple
 
@@ -573,20 +599,20 @@ def _classify_packed(n: int, tables: Sequence[int]) -> List[dict]:
 
 
 def _classify_generic(survivors: Sequence[LieAlgebra]) -> List[dict]:
-    # beyond dimension 4 the GL sweep is out of reach; group by invariants
-    keys: Dict[tuple, int] = {}
-    reps: List[LieAlgebra] = []
-    sizes: List[int] = []
-    for alg in survivors:
-        sig = _invariant_signature(alg)
-        if sig not in keys:
-            keys[sig] = len(reps)
-            reps.append(alg)
-            sizes.append(0)
-        sizes[keys[sig]] += 1
-    return [_class_entry(alg, size, algebra_to_table(alg) if alg.gf.degree == 1 else None,
-                         "invariant_signature")
-            for alg, size in zip(reps, sizes)]
+    """Every simple survivor in one class, the first as its representative.
+
+    Beyond dimension 4, or above F2, the GL sweep is out of reach.  The
+    class keeps the grouping name "invariant_signature", but it is not an
+    isomorphism class: a simple algebra has derived series (n), lower
+    central series (n) and centre 0, so that signature never separates
+    simple algebras.
+    """
+    if not survivors:
+        return []
+    alg = survivors[0]
+    return [_class_entry(alg, len(survivors),
+                         algebra_to_table(alg) if alg.gf.degree == 1 else None,
+                         "invariant_signature")]
 
 
 def census(spec: CensusSpec) -> CensusReport:

@@ -22,6 +22,10 @@ compare it with scalar checks.
 it squares each basis row with `two_map_eval`, checks injectivity by the
 GF rank of those squares, and picks a toral basis by sweeping every vector
 of the subspace.
+
+`basis_vec`, `f2_ideal_rank` and `two_power` are small conveniences that
+only the tests use: a coordinate basis vector, the dimension of a packed
+ideal closure, and the iterated 2-map.
 """
 from __future__ import annotations
 
@@ -30,11 +34,29 @@ from itertools import combinations, product
 import numpy as np
 
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
-from lie2.field import GF, GF2, Subspace, pack_bits, vec_is_zero
-from lie2.restricted import two_map_eval
+from lie2.field import GF, GF2, Subspace, Vec, pack_bits, vec_is_zero
+from lie2.liealg import f2_ideal
+from lie2.restricted import RestrictedAlgebra, two_map_eval
 from lie2.search import (_census_planes, _jacobi_positions, bytes_from_words,
                          pair_index, splitmix64_words)
 from lie2.toruscartan import Torus, TorusReport
+
+
+def basis_vec(n: int, i: int) -> Vec:
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def f2_ideal_rank(ad, n: int, seeds) -> int:
+    """Dimension of the ideal generated by the packed seeds."""
+    return len(f2_ideal(ad, n, seeds))
+
+
+def two_power(ra: RestrictedAlgebra, x, m: int) -> Vec:
+    """Iterated 2-map: x, x^[2], x^[4], ... taken m times."""
+    v = tuple(x)
+    for _ in range(m):
+        v = two_map_eval(ra, v)
+    return v
 
 
 def coefficient_vectors(gf: GF, d: int):

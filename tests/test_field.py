@@ -14,10 +14,10 @@ import random
 import pytest
 
 from lie2 import GF, GF2, InvalidInput, Subspace, full_space
-from lie2.field import (_poly_mod, _poly_mul, alpha_map, basis_vec, is_irreducible,
-                        pack_bits, smallest_irreducible, unpack_bits, vec_add, zero_vec)
+from lie2.field import (_poly_mod, _poly_mul, alpha_map, is_irreducible, pack_bits,
+                        smallest_irreducible, unpack_bits, vec_add, zero_vec)
 from lie2.liealg import _mat_mul
-from dense_oracles import dense_combo, dense_mul
+from dense_oracles import basis_vec, dense_combo, dense_mul
 
 
 def poly_divides(d: int, m: int) -> bool:

@@ -24,15 +24,15 @@ import random
 import pytest
 
 from lie2.errors import Lie2Error
-from lie2.field import (GF, Subspace, basis_vec, f2_apply, f2_eliminate, full_space,
-                        vec_add)
+from lie2.field import GF, Subspace, f2_apply, f2_eliminate, full_space, vec_add
 from lie2.liealg import (LieAlgebra, catalog, center, centralizer, from_json,
                          is_simple, nibble_apply, nibble_tables)
 from lie2.restricted import (RestrictedAlgebra, synthesize_two_map,
                              two_map_eval, validate_restricted)
 from lie2.toruscartan import Torus, max_tori, toral_elements, weight_decompose
-from dense_oracles import (coefficient_vectors, dense_combo, dense_express, dense_mul,
-                           dense_null_space, dense_reduce, dense_rref, gf_scale)
+from dense_oracles import (basis_vec, coefficient_vectors, dense_combo, dense_express,
+                           dense_mul, dense_null_space, dense_reduce, dense_rref,
+                           gf_scale)
 from test_reports_frozen import lifted_doc
 
 NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",

@@ -16,11 +16,10 @@ from lie2 import (InvalidInput, LieAlgebra, RestrictedAlgebra, catalog,
                   classify_element, jcs_decompose, synthesize_two_map,
                   two_map_eval, validate_restricted)
 from lie2.errors import Lie2Error
-from lie2.field import (GF, Subspace, basis_vec, full_space, vec_add, vec_is_zero,
-                        zero_vec)
-from lie2.restricted import two_power
+from lie2.field import GF, Subspace, full_space, vec_add, vec_is_zero, zero_vec
 from lie2.toruscartan import weight_decompose
-from dense_oracles import dense_combo, dense_express, dense_mul, dense_null_space
+from dense_oracles import (basis_vec, dense_combo, dense_express, dense_mul,
+                           dense_null_space, two_power)
 from test_packed_core import algebra_over, rand_vec, restricted_with_torus
 
 RESTRICTED_NAMES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2",

@@ -25,8 +25,9 @@ from lie2 import (BudgetExceeded, DimensionTooLarge, InvalidInput, catalog,
 from lie2.liealg import LieAlgebra, derived_series
 from lie2.field import GF, f2_apply
 from lie2.errors import InternalInconsistency
-from lie2.search import (GOLDEN, MASK64, CensusSpec, _invariant_signature,
-                         _jacobi_positions, _planes_algebras, _run_exhaustive,
+from lie2.search import (GOLDEN, MASK64, CensusSpec, _census_simple,
+                         _invariant_signature, _jacobi_positions,
+                         _planes_algebras, _run_exhaustive,
                          _run_sampled_packed, _sample_planes,
                          algebra_to_table, bytes_from_words, canonical_table,
                          census, census_backend, census_exhaustive,
@@ -34,6 +35,7 @@ from lie2.search import (GOLDEN, MASK64, CensusSpec, _invariant_signature,
                          table_orbit, table_to_algebra)
 from dense_oracles import (census_sampled, gf_jacobi_mask, gf_mul_arrays,
                            jacobi_mask, sample_coefficients)
+from test_reports_frozen import CENSUS_FROZEN, census_digest
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +482,33 @@ def test_dim3_simple_is_perfect():
         assert validate_lie(alg, random_checks=0).ok
         verdict = is_simple(alg).simple
         assert (derived_series(alg).dims == (3,)) == verdict
+        assert _census_simple(alg) == verdict
         if verdict:
             simple += 1
             assert _invariant_signature(alg) == ((3,), (3,), 0)
     assert (len(algs), simple) == (1464, 493)
+    # the rank test needs no projective-seed budget; is_simple over
+    # GF(2^16) has 2^32 + 2^16 + 1 seeds and refuses
+    for name, want in (("o3", True), ("heis3", False)):
+        assert _census_simple(LieAlgebra(GF(16), 3, catalog(name).algebra.table)) is want
+    with pytest.raises(BudgetExceeded):
+        is_simple(LieAlgebra(GF(16), 3, catalog("o3").algebra.table))
+
+
+def test_dim3_census_calls_neither_is_simple_nor_the_signature(monkeypatch):
+    """Dim-3 survivors are decided by perfection and a generic census makes
+    one class, so neither is_simple nor _invariant_signature runs, and the
+    reports match their pins."""
+    import lie2.search as search
+    calls = []
+    for name in ("is_simple", "_invariant_signature"):
+        def counted(*args, _real=getattr(search, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(search, name, counted)
+    for case in ((3, 2, 2000, 1), (3, 1, None, 0)):
+        assert census_digest(case) == CENSUS_FROZEN[case]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
