@@ -22,13 +22,13 @@ per census and each chunk adds only the terms that read its scalars.  The
 rare survivors go through a vectorised derived-algebra rank filter on their
 planes.  In dimension 3 a table that passes it is simple exactly when it is
 perfect, [g, g] = g, because a quotient by a proper nonzero ideal would be
-a perfect algebra of dimension 1 or 2, and only 0 is one; perfection is
-the F2 rank of the packed brackets.  Above dimension 3 liealg.is_simple
-decides.  Every sampled Jacobi survivor, over any field, becomes a
-LieAlgebra and is re-checked by validate_lie.  Simple tables then get a
-two-map synthesis and, when restrictable, a toral rank.  The LIE2_BACKEND
-environment variable may name the engine (auto or numpy) but cannot pick
-another.  Simple tables over F2 of dimension <= 4 are grouped into
+a perfect algebra of dimension 1 or 2, and there is none; perfection is
+the F2 rank of the packed brackets (_census_simple).  Above dimension 3
+liealg.is_simple decides.  Every sampled Jacobi survivor, over any field,
+becomes a LieAlgebra and is re-checked by validate_lie.  Simple tables
+then get a two-map synthesis and, when restrictable, a toral rank.  The
+LIE2_BACKEND environment variable may name the engine (auto or numpy) but
+cannot pick another.  Simple tables over F2 of dimension <= 4 are grouped into
 GL(n, 2) orbits by one vectorised change of basis over every matrix of
 field.gl_matrices, and iso_match reads its witness off the same array, as
 the 0/1 rows of the basis change.  Every other census reports all its
