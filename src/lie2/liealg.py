@@ -22,6 +22,15 @@ them; `f2_apply` also serves the ideal closure, the toral sweeps and
 `ad_kernel` (centralizers, root spaces and 2-map synthesis), whose kernels
 and closures are `Subspace`s directly.  The packed F2 core (`f2_apply`,
 `f2_reduce`, `f2_eliminate`) lives in `field`, and is imported here.
+
+The randomized checks of `validate_lie` and `restricted.validate_restricted`
+run bit-sliced (Biham's bitslicing): up to LANES random samples at once, one
+int per F2 coordinate with one bit (lane) per sample, so a GF(2^k) product
+of all samples is k^2 ANDs of whole ints (`SlicedBracket`).  Alternation
+and bilinearity hold for the sliced bracket by construction, so for the
+packed one they are checked exhaustively instead, on its tables
+(`check_tables`), and every sample's [x, y] is compared with
+`packed_bracket`.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import BudgetExceeded, InternalInconsistency, InvalidInput
 from .field import (GF, GF2, Subspace, Vec, alpha_map, alpha_multiples,
                     f2_apply, f2_eliminate, f2_reduce, full_space, pack_bits,
-                    unpack_bits, vec_add, vec_is_zero, zero_vec)
+                    unpack_bits, vec_is_zero, zero_vec)
 
 MAX_DIM = 128
 
@@ -129,17 +138,17 @@ class ValidationReport:
     random_checked: int
 
 
-def jacobi_residual(alg: LieAlgebra, x: Sequence[int], y: Sequence[int],
-                    z: Sequence[int]) -> Vec:
-    a = alg.bracket(alg.bracket(x, y), z)
-    b = alg.bracket(alg.bracket(y, z), x)
-    c = alg.bracket(alg.bracket(z, x), y)
-    return vec_add(vec_add(a, b), c)
-
-
 def validate_lie(alg: LieAlgebra, random_checks: int = 200, seed: int = 0) -> ValidationReport:
-    """Jacobi on every basis triple, plus randomized identity spot checks on
-    packed vectors."""
+    """Jacobi on every basis triple, then on random_checks random packed
+    triples, run lane-sliced in batches of up to LANES samples.
+
+    The sliced bracket is alternating and bilinear by construction, so those
+    identities are checked exhaustively once instead (`check_tables`), which
+    pins the tables of `packed_bracket` to the map that the Jacobi checks
+    run on; and [x, y] is compared with `packed_bracket` on every sample, so
+    a fault in packed_bracket itself shows too.  With random_checks=0 only
+    the basis triples are checked, and no nibble tables are built.
+    """
     n, w = alg.dim, alg.gf.degree
     # ad[k w] is ad(e_k) on packed vectors and ad[i w][j w] is [e_i, e_j]
     ad = alg.ad_columns
@@ -156,20 +165,55 @@ def validate_lie(alg: LieAlgebra, random_checks: int = 200, seed: int = 0) -> Va
                 count += 1
                 if r:
                     failures.append((i, j, k, unpack_bits(r, n, w)))
-    rng = random.Random(seed)
-    done = 0
-    if not failures:
-        bracket, nk = alg.packed_bracket, n * w
-        for _ in range(random_checks):
-            x, y, z = rng.getrandbits(nk), rng.getrandbits(nk), rng.getrandbits(nk)
-            if bracket(bracket(x, y), z) ^ bracket(bracket(y, z), x) ^ bracket(bracket(z, x), y):
-                raise InternalInconsistency("random Jacobi failed after basis Jacobi passed")
-            if bracket(x, x):
-                raise InternalInconsistency("bracket is not alternating")
-            if bracket(x ^ y, z) != bracket(x, z) ^ bracket(y, z):
-                raise InternalInconsistency("bracket is not bilinear")
-            done += 1
-    return ValidationReport(not failures, failures, count, done)
+    batches = lane_batches(random_checks)
+    if failures or not batches:
+        return ValidationReport(not failures, failures, count, 0)
+    check_tables(alg)
+    sliced, rng, nk = SlicedBracket(alg), random.Random(seed), n * w
+    mask = (1 << nk) - 1
+    bracket = sliced.bracket
+    for lanes in batches:
+        samples = [rng.getrandbits(3 * nk) for _ in range(lanes)]  # x, y, z per lane
+        x, y, z = sliced.slices(samples, 3)
+        xy, yz, zx = bracket(x, y), bracket(y, z), bracket(z, x)
+        pairs = [(s & mask, s >> nk & mask) for s in samples]
+        if sliced.slices([alg.packed_bracket(a, b) for a, b in pairs])[0] != xy:
+            raise InternalInconsistency(_packed_fault(alg, pairs, sliced.lanes(xy, lanes)))
+        if any(a ^ b ^ c for a, b, c in zip(bracket(xy, z), bracket(yz, x),
+                                            bracket(zx, y))):
+            raise InternalInconsistency("random Jacobi failed after basis Jacobi passed")
+    return ValidationReport(True, failures, count, sum(batches))
+
+
+def _packed_fault(alg: LieAlgebra, pairs: Sequence[Tuple[int, int]],
+                  want: Sequence[int]) -> str:
+    """What `packed_bracket` breaks at the first pair (x, y) where it is not
+    want, the bracket of the tables: alternation, bilinearity (its value is
+    not the sum of its values at (f_l, f_m) over the bits l of x and m of
+    y), or else agreement with the sliced bracket of its tables."""
+    bracket = alg.packed_bracket
+    x, y = next(p for p, v in zip(pairs, want) if bracket(*p) != v)
+    if bracket(x, x) or bracket(y, y):
+        return "bracket is not alternating"
+    expansion = 0
+    for l in bit_positions(x):
+        for m in bit_positions(y):
+            expansion ^= bracket(1 << l, 1 << m)
+    if bracket(x, y) != expansion:
+        return "bracket is not bilinear"
+    return "packed_bracket disagrees with the sliced bracket"
+
+
+def check_tables(alg: LieAlgebra) -> None:
+    """Check, on every input, that `packed_bracket` is alternating and
+    bilinear: ad_columns is symmetric with a zero diagonal, and the nibble
+    tables of each column are `nibble_tables` of it, so that every entry is
+    the sum of the chunk's columns that its chunk value picks."""
+    ad = alg.ad_columns
+    if any(col[m] for m, col in enumerate(ad)) or list(zip(*ad)) != list(map(tuple, ad)):
+        raise InternalInconsistency("bracket is not alternating")
+    if any(chunks != nibble_tables(col) for col, chunks in zip(ad, alg.ad_nibbles)):
+        raise InternalInconsistency("bracket is not bilinear")
 
 
 def subspace_bracket(alg: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
@@ -316,8 +360,8 @@ def nibble_tables(cols: Sequence[int]) -> List[Tuple[int, List[int]]]:
         four = cols[shift:shift + 4]
         if any(four):
             table = [0]
-            for c in four:
-                table += [t ^ c for t in table]
+            for c in four:  # a new list each time: exactly sized, unlike +=
+                table = table + [t ^ c for t in table]
             out.append((shift, table))
     return out
 
@@ -343,6 +387,183 @@ def f2_ideal(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> List[
             if red:
                 work.append(red)
     return work
+
+
+# ---------------------------------------------------------------------------
+# lane-sliced vectors: L samples (lanes) of a vector of GF(2^k)^n are nk
+# ints, slice tn + c holding bit t of coordinate c of every lane, bit l for
+# lane l; the n slices of one t are a plane.  A GF(2^k) product on planes
+# is k^2 elementwise ANDs of whole planes, reduced by the field polynomial.
+
+LANES = 256  # lanes of one batch of randomized checks
+
+
+def lane_batches(count: int) -> List[int]:
+    """Lane counts of the batches that together hold count samples."""
+    return [min(LANES, count - start) for start in range(0, count, LANES)]
+
+
+def transpose(rows: Sequence[int], width: int) -> List[int]:
+    """The bit matrix with rows of width bits, transposed: bit l of out[m]
+    is bit m of rows[l].  The rows are laid end to end in one binary string,
+    step bits each, whose column m is then every step-th character."""
+    size = (width + 7) // 8
+    step = 8 * size
+    whole = int.from_bytes(b"".join([r.to_bytes(size, "little") for r in rows]), "little")
+    bits = format(whole, f"0{step * len(rows)}b")[::-1]  # character l step + m is bit m of row l
+    return [int(bits[m::step][::-1], 2) for m in range(width)]
+
+
+def bit_positions(x: int) -> List[int]:
+    """The set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def planes_mul(acc: List[List[int]], a: Sequence[Sequence[int]],
+               b: Sequence[Sequence[int]]) -> None:
+    """Add the elementwise polynomial product of the planes a and b (k each)
+    to acc (2k - 1 planes)."""
+    for s, u in enumerate(a):
+        for t, v in enumerate(b):
+            acc[s + t] = [o ^ p & q for o, p, q in zip(acc[s + t], u, v)]
+
+
+def planes_scale(acc: List[List[int]], lam: Sequence[int], b: Sequence[Sequence[int]]) -> None:
+    """Add lam times the planes b to acc, for lam one sliced GF(2^k) element
+    (k slices)."""
+    for s, u in enumerate(lam):
+        if u:
+            for t, v in enumerate(b):
+                acc[s + t] = [o ^ u & q for o, q in zip(acc[s + t], v)]
+
+
+def planes_reduce(acc: List[List[int]], k: int, taps: Sequence[int]) -> List[List[int]]:
+    """The k planes of acc modulo the field polynomial, where alpha^k is the
+    sum of alpha^t over taps; acc is reduced in place."""
+    for d in range(len(acc) - 1, k - 1, -1):
+        for t in taps:
+            acc[d - k + t] = [p ^ q for p, q in zip(acc[d - k + t], acc[d])]
+    return acc[:k]
+
+
+class SlicedBracket:
+    """The bracket of an algebra, and the pieces of its 2-map, on sliced
+    vectors.
+
+    [x, y] is the sum over the table pairs i < j of d [e_i, e_j], d = x_i y_j
+    + x_j y_i, with the products of all pairs taken at once on planes.  A set
+    bit ck + u of the pack [e_i, e_j] of `ad_columns` adds alpha^u d to
+    coordinate c: d's planes go to planes u..u+k-1 of a (2k - 1)-plane
+    accumulator, which is reduced once at the end.  A batch costs
+    O(n^3 k^2) operations on ints of one bit per lane, against O((nk)^2)
+    per sample for `packed_bracket`.
+    """
+
+    __slots__ = ("n", "k", "taps", "order", "left", "right", "starts")
+
+    def __init__(self, alg: LieAlgebra):
+        n, k, ad = alg.dim, alg.gf.degree, alg.ad_columns
+        self.n, self.k = n, k
+        self.taps = bit_positions(alg.gf.modulus ^ alg.gf.order)
+        # the packed bit ck + t of each slice tn + c
+        self.order = [c * k + t for t in range(k) for c in range(n)]
+        pairs = list(alg.table)
+        self.left, self.right = [i for i, _ in pairs], [j for _, j in pairs]
+        self.starts = [self.slices_of(ad[i * k][j * k]) for i, j in pairs]
+
+    def slices_of(self, p: int) -> Sequence[int]:
+        """The slices of the set bits of the packed vector p, two bytes each."""
+        from array import array  # here, not at import: only the random checks need it
+        n, k = self.n, self.k
+        return array("H", [t % k * n + t // k for t in bit_positions(p)])
+
+    def slices(self, vectors: Sequence[int], count: int = 1) -> List[List[int]]:
+        """The count sliced vectors whose lanes are packed in vectors: lane l
+        of sliced vector v is bits v nk .. v nk + nk - 1 of vectors[l]."""
+        nk = self.n * self.k
+        columns = transpose(vectors, count * nk)
+        return [[columns[v + m] for m in self.order] for v in range(0, count * nk, nk)]
+
+    def lanes(self, x: Sequence[int], count: int) -> List[int]:
+        """The packed vectors in the first count lanes of x."""
+        columns = [0] * len(x)
+        for s, m in zip(x, self.order):
+            columns[m] = s
+        return transpose(columns, count)
+
+    def _planes(self, x: Sequence[int]) -> List[Sequence[int]]:
+        n = self.n
+        return [x[t:t + n] for t in range(0, len(x), n)]
+
+    def _reduced(self, acc: List[List[int]]) -> List[int]:
+        """The vector of the 2k - 1 accumulated planes acc."""
+        return [c for plane in planes_reduce(acc, self.k, self.taps) for c in plane]
+
+    def _add(self, wide: List[int], d: Sequence[Sequence[int]]) -> None:
+        """Add d_p [e_i, e_j] to wide for each table pair p, d given as planes
+        over the pairs."""
+        n = self.n
+        for s, plane in enumerate(d):
+            for c, starts in zip(plane, self.starts):
+                if c:
+                    for b in starts:
+                        wide[b + s * n] ^= c
+
+    def _pair_sum(self, x: Sequence[int], y: Sequence[int], polar: bool) -> List[int]:
+        """Sum of (x_i y_j + x_j y_i) [e_i, e_j] over the table pairs when
+        polar, else of x_i y_j [e_i, e_j]."""
+        k, left, right = self.k, self.left, self.right
+        xp, yp = self._planes(x), self._planes(y)
+        acc = [[0] * len(left)] * (2 * k - 1)
+        planes_mul(acc, [[p[i] for i in left] for p in xp], [[p[j] for j in right] for p in yp])
+        if polar:
+            planes_mul(acc, [[p[j] for j in right] for p in xp],
+                       [[p[i] for i in left] for p in yp])
+        wide = [0] * (self.n * (2 * k - 1))
+        self._add(wide, planes_reduce(acc, k, self.taps))
+        return self._reduced(self._planes(wide))
+
+    def bracket(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
+        """[x, y], lane by lane."""
+        return self._pair_sum(x, y, True)
+
+    def cross_terms(self, x: Sequence[int]) -> List[int]:
+        """Sum of x_i x_j [e_i, e_j] over i < j, the quadratic part of x^[2]."""
+        return self._pair_sum(x, x, False)
+
+    def ad_basis(self, x: Sequence[int]) -> List[List[int]]:
+        """[x, e_l] for every l < n, the sum of x_i [e_i, e_l] over i."""
+        n, w = self.n, 2 * self.k - 1
+        wides = [[0] * (n * w) for _ in range(n)]
+        for i, j, starts in zip(self.left, self.right, self.starts):
+            for t in range(i, len(x), n):  # [x, e_j] gains x_i [e_i, e_j]
+                if x[t]:
+                    for b in starts:
+                        wides[j][b + t - i] ^= x[t]
+            for t in range(j, len(x), n):  # and [x, e_i] gains x_j [e_i, e_j]
+                if x[t]:
+                    for b in starts:
+                        wides[i][b + t - j] ^= x[t]
+        return [self._reduced(self._planes(wide)) for wide in wides]
+
+    def combine(self, cols: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
+        """Sum of v_l cols[l] over l < n, v_l the coordinates of v."""
+        n = self.n
+        acc = [[0] * n] * (2 * self.k - 1)
+        for l, col in enumerate(cols):
+            planes_scale(acc, v[l::n], self._planes(col))
+        return self._reduced(acc)
+
+    def scale(self, lam: Sequence[int], x: Sequence[int]) -> List[int]:
+        """lam x, for lam one sliced GF(2^k) element."""
+        acc = [[0] * self.n] * (2 * self.k - 1)
+        planes_scale(acc, lam, self._planes(x))
+        return self._reduced(acc)
 
 
 # ---------------------------------------------------------------------------

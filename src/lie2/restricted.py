@@ -13,6 +13,11 @@ Squaring is only semilinear over GF(2^k), but by Jacobson's formula
 (x + y)^[2] = x^[2] + y^[2] + [x, y] it is additive on an abelian span, an
 F2-linear map on its restriction: `square_columns`.  `square_sweep`
 tabulates x -> x^[2] on a closed subalgebra by one Gray-code sweep.
+
+`validate_restricted` checks the 2-map axioms on random vectors bit-sliced,
+like `liealg.validate_lie`: `sliced_square` evaluates x^[2] for every lane
+at once, its linear part from `RestrictedAlgebra.squares` and its cross
+terms from the pair loop of `liealg.SlicedBracket`.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, InvalidInput, NotTwoMapClosed
 from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply, f2_eliminate,
                     pack_bits, unpack_bits)
-from .liealg import LieAlgebra, ad_kernel, nibble_apply
+from .liealg import (LieAlgebra, SlicedBracket, ad_kernel, check_tables, lane_batches,
+                     nibble_apply)
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,24 @@ def two_map_eval(ra: RestrictedAlgebra, x: Sequence[int]) -> Vec:
     return unpack_bits(packed_square(ra, pack_bits(x, k)), alg.dim, k)
 
 
+def sliced_square(ra: RestrictedAlgebra,
+                  sliced: SlicedBracket) -> Callable[[Sequence[int]], List[int]]:
+    """x -> x^[2] on sliced vectors (see `SlicedBracket`): the cross terms
+    x_i x_j [e_i, e_j] plus, for each slice x_m, x_m `squares`[m]."""
+    n, k = ra.algebra.dim, ra.algebra.gf.degree
+    # the slices of squares[m], in the order of the slices x_m
+    bits = [sliced.slices_of(ra.squares[c * k + t]) for t in range(k) for c in range(n)]
+
+    def square(x: Sequence[int]) -> List[int]:
+        out = sliced.cross_terms(x)
+        for s, slices in zip(x, bits):
+            if s:
+                for t in slices:
+                    out[t] ^= s
+        return out
+    return square
+
+
 @dataclass
 class RestrictedReport:
     ok: bool
@@ -129,10 +153,18 @@ class RestrictedReport:
 
 def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
                         seed: int = 0) -> RestrictedReport:
-    """Check ad(b_i) = ad(e_i)^2 on the basis, then randomized identities.
+    """Check ad(b_i) = ad(e_i)^2 on the basis, then randomized identities on
+    random_checks random vectors, run lane-sliced in batches of up to LANES.
 
-    ad(x^[2]) = ad(x)^2 is checked as [x^[2], e_l] = [x, [x, e_l]] on packed
-    vectors, with ad(x) built once: [x, alpha^a e_l] = alpha^a [x, e_l].
+    On the basis, ad(x^[2]) = ad(x)^2 is checked as [x^[2], e_l] =
+    [x, [x, e_l]] on packed vectors, with ad(x) built once: [x, alpha^a e_l]
+    = alpha^a [x, e_l].  On the samples the same identity is checked sliced
+    (`SlicedBracket.ad_basis` gives the [x, e_l], `combine` applies ad(x) to
+    them), and so is (lam x)^[2] = lam^2 x^[2] for a random lam per sample;
+    x^[2] is `sliced_square`, which is compared with `packed_square` on every
+    sample.  The addition rule (x + y)^[2] = x^[2] + y^[2] + [x, y] holds
+    for the sliced square by construction; for `packed_square` it follows
+    from `check_tables`, and it is checked on the first sample of each batch.
     """
     alg = ra.algebra
     n, k = alg.dim, alg.gf.degree
@@ -143,23 +175,29 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
         return all(nibble_apply(nib[l], sq) == f2_apply(adx, adx[l]) for l in basis)
 
     bad = [i for i in range(n) if not squares_to(1 << (i * k), ra.squares[i * k])]
-    done = 0
-    if not bad:
-        rng = random.Random(seed)
-        gf, nk = alg.gf, n * k
-        for _ in range(random_checks):
-            x, y, lam = rng.getrandbits(nk), rng.getrandbits(nk), rng.getrandbits(k)
-            sq = packed_square(ra, x)
-            if not squares_to(x, sq):
-                raise InternalInconsistency("derived 2-map identity failed on a vector")
-            # lam v is f2_apply(alpha_multiples(v), lam): sum of lam_a alpha^a v
-            lx = f2_apply(alpha_multiples(gf, n, [x]), lam)
-            if packed_square(ra, lx) != f2_apply(alpha_multiples(gf, n, [sq]), gf.mul(lam, lam)):
-                raise InternalInconsistency("2-map is not Frobenius-homogeneous")
-            if packed_square(ra, x ^ y) != sq ^ packed_square(ra, y) ^ alg.packed_bracket(x, y):
-                raise InternalInconsistency("2-map addition rule failed")
-            done += 1
-    return RestrictedReport(not bad, bad, done)
+    batches = lane_batches(random_checks)
+    if bad or not batches:
+        return RestrictedReport(not bad, bad, 0)
+    check_tables(alg)
+    sliced, rng = SlicedBracket(alg), random.Random(seed)
+    square = sliced_square(ra, sliced)
+    for lanes in batches:
+        xs = [rng.getrandbits(n * k) for _ in range(lanes)]
+        lam = [rng.getrandbits(lanes) for _ in range(k)]
+        (x,), y = sliced.slices(xs), rng.getrandbits(n * k)
+        sq, packed = square(x), [packed_square(ra, v) for v in xs]
+        if sliced.slices(packed)[0] != sq:
+            raise InternalInconsistency("packed_square disagrees with the sliced square")
+        if packed_square(ra, xs[0] ^ y) != (packed[0] ^ packed_square(ra, y)
+                                            ^ alg.packed_bracket(xs[0], y)):
+            raise InternalInconsistency("2-map addition rule failed")
+        adx = sliced.ad_basis(x)
+        if any(sliced.combine(adx, col) != ad_sq
+               for col, ad_sq in zip(adx, sliced.ad_basis(sq))):
+            raise InternalInconsistency("derived 2-map identity failed on a vector")
+        if square(sliced.scale(lam, x)) != sliced.scale(lam, sliced.scale(lam, sq)):
+            raise InternalInconsistency("2-map is not Frobenius-homogeneous")
+    return RestrictedReport(True, bad, sum(batches))
 
 
 @dataclass

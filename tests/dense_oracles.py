@@ -25,7 +25,8 @@ of the subspace.
 
 `basis_vec`, `f2_ideal_rank` and `two_power` are small conveniences that
 only the tests use: a coordinate basis vector, the dimension of a packed
-ideal closure, and the iterated 2-map.
+ideal closure, and the iterated 2-map.  `jacobi_residual` is the scalar
+Jacobi sum [[x, y], z] + [[y, z], x] + [[z, x], y] of coordinate vectors.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from itertools import combinations, product
 import numpy as np
 
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
-from lie2.field import GF, GF2, Subspace, Vec, pack_bits, vec_is_zero
-from lie2.liealg import f2_ideal
+from lie2.field import GF, GF2, Subspace, Vec, pack_bits, vec_add, vec_is_zero
+from lie2.liealg import LieAlgebra, f2_ideal
 from lie2.restricted import RestrictedAlgebra, two_map_eval
 from lie2.search import (_census_planes, _jacobi_positions, bytes_from_words,
                          pair_index, splitmix64_words)
@@ -49,6 +50,13 @@ def basis_vec(n: int, i: int) -> Vec:
 def f2_ideal_rank(ad, n: int, seeds) -> int:
     """Dimension of the ideal generated by the packed seeds."""
     return len(f2_ideal(ad, n, seeds))
+
+
+def jacobi_residual(alg: LieAlgebra, x, y, z) -> Vec:
+    a = alg.bracket(alg.bracket(x, y), z)
+    b = alg.bracket(alg.bracket(y, z), x)
+    c = alg.bracket(alg.bracket(z, x), y)
+    return vec_add(vec_add(a, b), c)
 
 
 def two_power(ra: RestrictedAlgebra, x, m: int) -> Vec:

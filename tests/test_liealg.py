@@ -18,9 +18,8 @@ from lie2 import (InvalidInput, LieAlgebra, catalog, catalog_names, center,
 from lie2.field import GF, GF2, Subspace
 from lie2.liealg import (MAX_DIM, _unit, algebra_from_matrices, is_ideal,
                          is_nilpotent_algebra, is_solvable_algebra,
-                         jacobi_residual, lower_central_series,
-                         subspace_bracket)
-from dense_oracles import basis_vec, f2_ideal_rank, subspace_vectors
+                         lower_central_series, subspace_bracket)
+from dense_oracles import basis_vec, f2_ideal_rank, jacobi_residual, subspace_vectors
 
 ALL_NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2",
              "abelian(4)", "strictly_upper(3)"]

@@ -1,0 +1,191 @@
+"""The lane-sliced randomized checks of `validate_lie` and `validate_restricted`.
+
+A sliced vector holds many packed vectors, one per lane, as one int per F2
+coordinate.  Every sliced operation is compared lane by lane with the packed
+one it stands for, over 37 lanes: `SlicedBracket.bracket` with `packed_bracket`,
+`sliced_square` with `packed_square`, `ad_basis` and `combine` with brackets
+against basis vectors and general vectors, and `scale` with `GF.mul` on the
+coordinates.  The algebras are the catalog fixtures over F2 and their seeded
+lifts (`lifted_doc`) over F2, GF(4) and GF(16).
+
+The mutation tests tamper with what the random checks guard, one nibble
+table entry or one alpha-multiple of a basis square, and expect
+`InternalInconsistency`; both hold for the per-sample checks that the sliced
+ones replaced as well.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from lie2 import liealg, restricted
+from lie2.errors import InternalInconsistency
+from lie2.field import GF, pack_bits, unpack_bits
+from lie2.liealg import (LANES, LieAlgebra, SlicedBracket, catalog, center, check_tables,
+                         from_json, lane_batches, transpose, validate_lie)
+from lie2.restricted import (RestrictedAlgebra, packed_square, sliced_square,
+                             validate_restricted)
+from test_reports_frozen import lifted_doc
+
+NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
+         "strictly_upper(4)"]
+# (degree, lifted): the catalog fixture itself, or its seeded lift
+FIELDS = [(1, False), (1, True), (2, True), (4, True)]
+
+
+def algebra(name: str, degree: int, lifted: bool):
+    if not lifted:
+        entry = catalog(name)
+        return entry.algebra, entry.two_map
+    return from_json(lifted_doc(name, degree, 3))
+
+
+@pytest.mark.parametrize("degree,lifted", FIELDS)
+@pytest.mark.parametrize("name", NAMES)
+def test_sliced_ops_match_packed_lane_by_lane(name, degree, lifted):
+    alg, two_map = algebra(name, degree, lifted)
+    gf, n, k = alg.gf, alg.dim, alg.gf.degree
+    sliced = SlicedBracket(alg)
+    rng = random.Random(f"{name}/{degree}/{lifted}")
+    lanes = 37
+    xs, ys = ([rng.getrandbits(n * k) for _ in range(lanes)] for _ in range(2))
+    lams = [rng.getrandbits(k) for _ in range(lanes)]
+    (x,), (y,) = sliced.slices(xs), sliced.slices(ys)
+    lam = transpose(lams, k)
+    assert sliced.lanes(x, lanes) == xs
+    assert sliced.lanes(sliced.bracket(x, y), lanes) == [
+        alg.packed_bracket(a, b) for a, b in zip(xs, ys)]
+    adx = sliced.ad_basis(x)
+    assert sliced.lanes(sliced.combine(adx, y), lanes) == [
+        alg.packed_bracket(a, b) for a, b in zip(xs, ys)]
+    for e, col in enumerate(adx):
+        assert sliced.lanes(col, lanes) == [alg.packed_bracket(a, 1 << (e * k)) for a in xs]
+    assert sliced.lanes(sliced.scale(lam, x), lanes) == [
+        pack_bits([gf.mul(c, v) for v in unpack_bits(a, n, k)], k) for c, a in zip(lams, xs)]
+    if two_map is not None:
+        ra = RestrictedAlgebra(alg, two_map)
+        assert sliced.lanes(sliced_square(ra, sliced)(x), lanes) == [
+            packed_square(ra, a) for a in xs]
+
+
+def test_slices_are_the_packed_vectors():
+    """Slice tn + c holds bit t of coordinate c: the lanes of a sliced
+    vector are the packed vectors whose bit ck + t is that bit."""
+    alg = LieAlgebra(GF(4), 3, {(0, 1): (5, 0, 9)})
+    sliced = SlicedBracket(alg)
+    rng = random.Random(5)
+    vecs = [rng.getrandbits(12) for _ in range(9)]
+    x = [sum((v >> (m % 3 * 4 + m // 3) & 1) << l for l, v in enumerate(vecs))
+         for m in range(12)]
+    assert sliced.slices(vecs) == [x]
+    assert sliced.slices([v | v << 12 for v in vecs], 2) == [x, x]
+    assert sliced.lanes(x, 9) == vecs
+    assert transpose(vecs, 12) == [sum((v >> m & 1) << l for l, v in enumerate(vecs))
+                                   for m in range(12)]
+
+
+@pytest.mark.parametrize("count", [-3, 0, 1, LANES, LANES + 1, 300])
+def test_random_checked_counts_across_the_batch_boundary(count):
+    """As many samples as asked for, none for a negative count."""
+    count_run = max(count, 0)
+    assert sum(lane_batches(count)) == count_run
+    assert all(0 < lanes <= LANES for lanes in lane_batches(count))
+    for name, degree in (("gl3", 1), ("gl2", 2)):
+        alg, two_map = from_json(lifted_doc(name, degree, 3))
+        rep = validate_lie(alg, random_checks=count, seed=4)
+        assert rep.ok and rep.random_checked == count_run
+        rrep = validate_restricted(RestrictedAlgebra(alg, two_map), random_checks=count, seed=4)
+        assert rrep.ok and rrep.random_checked == count_run
+
+
+def test_no_random_checks_seed_nothing_and_build_no_tables(monkeypatch):
+    """With random_checks=0, as the census re-checks its survivors, validate_lie
+    seeds no generator, runs no table check and builds no nibble tables."""
+    def refuse(*args):
+        raise AssertionError("not expected with random_checks=0")
+
+    monkeypatch.setattr(liealg.random, "Random", refuse)
+    monkeypatch.setattr(liealg, "check_tables", refuse)
+    for name in NAMES:
+        alg = catalog(name).algebra
+        assert validate_lie(alg, random_checks=0).random_checked == 0
+        assert alg._nib is None
+
+
+def tampered_nibbles():
+    """sl3 over GF(4) with entry 5 of its first nibble table flipped in bit 0."""
+    alg, _ = from_json(lifted_doc("sl3", 2, 3))
+    _, table = alg.ad_nibbles[0][0]
+    table[5] ^= 1
+    return alg
+
+
+def test_tampered_nibble_entry_fails_validate_lie():
+    alg = tampered_nibbles()
+    assert validate_lie(alg, random_checks=0).ok  # basis triples read the columns
+    with pytest.raises(InternalInconsistency):
+        validate_lie(alg)
+
+
+@pytest.mark.parametrize("central", [False, True])
+def test_tampered_alpha_square_fails_validate_restricted(central):
+    """squares[ik + 1] = alpha^2 e_i^[2] is only read off the basis check,
+    which squares the e_i themselves.  Adding a central vector leaves every
+    ad(x^[2]) alone, so only (lam x)^[2] = lam^2 x^[2] can see it."""
+    alg, two_map = from_json(lifted_doc("gl2", 2, 3))
+    ra = RestrictedAlgebra(alg, two_map)
+    k = alg.gf.degree
+    ra.squares[1 * k + 1] ^= center(alg).echelon[0] if central else 1
+    assert validate_restricted(ra, random_checks=0).ok
+    with pytest.raises(InternalInconsistency, match="Frobenius" if central else None):
+        validate_restricted(ra)
+
+
+def test_faulty_packed_square_fails_validate_restricted(monkeypatch):
+    """packed_square plus the linear x -> bit 0 of x keeps the addition
+    rule; every sample's square is compared with the sliced one."""
+    alg, two_map = from_json(lifted_doc("gl2", 2, 3))
+    packed = restricted.packed_square
+    monkeypatch.setattr(restricted, "packed_square", lambda ra, x: packed(ra, x) ^ x & 1)
+    with pytest.raises(InternalInconsistency):
+        validate_restricted(RestrictedAlgebra(alg, two_map))
+
+
+def test_check_tables_names_the_broken_identity():
+    alg = tampered_nibbles()
+    with pytest.raises(InternalInconsistency, match="not bilinear"):
+        check_tables(alg)
+    alg = catalog("sl3").algebra
+    alg.ad_nibbles[2].pop()  # a chunk with a nonzero column loses its table
+    with pytest.raises(InternalInconsistency, match="not bilinear"):
+        check_tables(alg)
+    alg = catalog("sl3").algebra
+    alg.ad_columns[0][1] ^= 4  # [f_1, f_0] no longer equals [f_0, f_1]
+    with pytest.raises(InternalInconsistency, match="not alternating"):
+        check_tables(alg)
+    alg = catalog("sl3").algebra
+    alg.ad_columns[3][3] = 1  # [f_3, f_3] != 0
+    with pytest.raises(InternalInconsistency, match="not alternating"):
+        check_tables(alg)
+    check_tables(catalog("sl3").algebra)
+
+
+@pytest.mark.parametrize("extra,named", [
+    (lambda x, y: x & y & 1, "bracket is not alternating"),
+    (lambda x, y: (x >> 2 & 1) & ((x & y >> 1) ^ (x >> 1 & y)) & 1,
+     "bracket is not bilinear"),
+    (lambda x, y: ((x & y >> 1) ^ (x >> 1 & y)) & 1,
+     "packed_bracket disagrees with the sliced bracket"),
+])
+def test_packed_bracket_fault_is_named(monkeypatch, extra, named):
+    """packed_bracket plus a term on bit 0 that is bilinear but not
+    alternating, alternating but cubic, or bilinear and alternating: every
+    sample is compared with the sliced bracket of the tables, and the first
+    that differs names what packed_bracket breaks."""
+    alg, _ = from_json(lifted_doc("gl2", 2, 3))
+    packed = LieAlgebra.packed_bracket
+    monkeypatch.setattr(LieAlgebra, "packed_bracket",
+                        lambda self, x, y: packed(self, x, y) ^ extra(x, y))
+    with pytest.raises(InternalInconsistency, match=named):
+        validate_lie(alg)
