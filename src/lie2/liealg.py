@@ -58,7 +58,7 @@ def check_dim(dim: int) -> None:
 class LieAlgebra:
     """Finite-dimensional algebra with an alternating bracket in char 2."""
 
-    __slots__ = ("gf", "dim", "name", "labels", "table", "_ad", "_nib")
+    __slots__ = ("gf", "dim", "name", "labels", "table", "_ad", "_nib", "_tables_ok")
 
     def __init__(self, gf: GF, dim: int, table: Dict[Tuple[int, int], Sequence[int]],
                  name: str = "", labels: Optional[Sequence[str]] = None):
@@ -83,6 +83,7 @@ class LieAlgebra:
         self.labels = tuple(labels) if labels is not None else None
         self._ad = None
         self._nib = None
+        self._tables_ok = False
 
     @property
     def ad_columns(self) -> List[List[int]]:
@@ -208,12 +209,16 @@ def check_tables(alg: LieAlgebra) -> None:
     """Check, on every input, that `packed_bracket` is alternating and
     bilinear: ad_columns is symmetric with a zero diagonal, and the nibble
     tables of each column are `nibble_tables` of it, so that every entry is
-    the sum of the chunk's columns that its chunk value picks."""
+    the sum of the chunk's columns that its chunk value picks.  Both tables
+    are built once per object, so a passed check is not repeated."""
+    if alg._tables_ok:
+        return
     ad = alg.ad_columns
     if any(col[m] for m, col in enumerate(ad)) or list(zip(*ad)) != list(map(tuple, ad)):
         raise InternalInconsistency("bracket is not alternating")
     if any(chunks != nibble_tables(col) for col, chunks in zip(ad, alg.ad_nibbles)):
         raise InternalInconsistency("bracket is not bilinear")
+    alg._tables_ok = True
 
 
 def subspace_bracket(alg: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:

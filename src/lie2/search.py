@@ -15,21 +15,29 @@ accumulator plane t + s, and the 2k - 1 accumulator planes are reduced once
 per triple by the modulus taps, after which a table passes when all k
 planes are zero.  After each triple only the surviving slots are kept: the
 plane arrays are gathered down to them, so later triples run on the few
-tables left (a random table rarely passes even the first triple).  An
-exhaustive chunk fixes its high fields as scalars over the same low field
-arrays, so the first triple's terms on low fields alone are summed once
-per census and each chunk adds only the terms that read its scalars.  The
-rare survivors go through a vectorised derived-algebra rank filter on their
-planes.  In dimension 3 a table that passes it is simple exactly when it is
-perfect, [g, g] = g, because a quotient by a proper nonzero ideal would be
-a perfect algebra of dimension 1 or 2, and there is none; perfection is
-the F2 rank of the packed brackets (_census_simple).  Above dimension 3
-liealg.is_simple decides.  Every sampled Jacobi survivor, over any field,
-becomes a LieAlgebra and is re-checked by validate_lie.  Simple tables
-then get a two-map synthesis and, when restrictable, a toral rank.  The
-LIE2_BACKEND environment variable may name the engine (auto or numpy) but
-cannot pick another.  Simple tables over F2 of dimension <= 4 are grouped into
-GL(n, 2) orbits by one vectorised change of basis over every matrix of
+tables left (a random table rarely passes even the first triple).
+
+The exhaustive scan enumerates the low fields only and solves the last
+field h = [e_{n-2}, e_{n-1}]: a triple without both n-2 and n-1 has no
+p-pair equal to h, so h is only ever the q of its terms, and its residual
+is P + c h, with c in F2 the sum of the term bits.  So a low position
+admits every h (all c = 0 and all P = 0), exactly one (h = P), or none,
+and one kernel call runs every triple on the candidates left.  Jacobi
+survivors go through a span filter (_spans_all): the bracket planes span
+F2^n exactly when no nonzero functional vanishes on all of them.  A simple
+algebra is perfect, and brackets that span GF(2^k)^n have planes that span
+F2^n, so it serves every field.  In dimension 3 a table that passes it is
+simple exactly when it is perfect, [g, g] = g, because a quotient by a
+proper nonzero ideal would be a perfect algebra of dimension 1 or 2, and
+there is none; perfection is the F2 rank of the packed brackets
+(_census_simple).  Above dimension 3 liealg.is_simple decides.  Every
+sampled Jacobi survivor, over any field, becomes a LieAlgebra and is
+re-checked by validate_lie.  Simple tables then get a two-map synthesis
+and, when restrictable, a toral rank.  Sampled F2 planes are copied out of
+each block of stream words while it is in cache.  The LIE2_BACKEND
+environment variable may name the engine (auto or numpy) but cannot pick
+another.  Simple tables over F2 of dimension <= 4 are grouped into GL(n, 2)
+orbits by one vectorised change of basis over every matrix of
 field.gl_matrices, and iso_match reads its witness off the same array, as
 the 0/1 rows of the basis change.  Every other census reports all its
 simple tables as one class, grouping "invariant_signature": that
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -123,22 +131,7 @@ class CensusReport:
     caveat: str = FIELD_CAVEAT
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "field_degree": self.field_degree,
-            "mode": self.mode,
-            "candidates_scanned": self.candidates_scanned,
-            "jacobi_pass": self.jacobi_pass,
-            "simple_count": self.simple_count,
-            "restrictable_simple_count": self.restrictable_simple_count,
-            "simple_iso_classes": self.simple_iso_classes,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "threads": self.threads,
-            "backend": self.backend,
-            "runtime_ms": self.runtime_ms,
-            "caveat": self.caveat,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +262,16 @@ def iso_match(a: LieAlgebra, b: LieAlgebra) -> Optional[Tuple[Tuple[int, ...], .
 # deterministic counter-based sampling stream
 
 
-def splitmix64_words(seed: int, start: int, count: int, words_per: int) -> np.ndarray:
-    """Words w of candidate i use counter i*words_per + w + 1; vectorised.
+def _mixed_words(seed: int, start: int, count: int,
+                 words_per: int) -> Iterator[Tuple[int, int, int, np.ndarray]]:
+    """Yield (lo, hi, w, x): x holds word w of candidates lo..hi-1.
 
-    The state seed + counter * GOLDEN is base_i + (w + 1) * GOLDEN with
-    base_i = seed + i * words_per * GOLDEN (mod 2^64).  Candidates go in
-    blocks of _MIX_BLOCK, and every mixing step runs in place on two reused
-    block-length buffers, which stay in cache.
+    Word w of candidate i uses counter i*words_per + w + 1, whose state
+    seed + counter * GOLDEN is base_i + (w + 1) * GOLDEN, base_i = seed +
+    i * words_per * GOLDEN (mod 2^64).  Candidates go in blocks of
+    _MIX_BLOCK, mixed in place on two reused buffers that stay in cache;
+    x is one, valid and the caller's to change until the next word.
     """
-    out = np.empty((count, words_per), dtype=np.uint64)
     x = np.empty(min(count, _MIX_BLOCK), dtype=np.uint64)
     t = np.empty_like(x)
     for lo in range(0, count, _MIX_BLOCK):
@@ -293,7 +287,15 @@ def splitmix64_words(seed: int, start: int, count: int, words_per: int) -> np.nd
                 np.bitwise_xor(xb, tb, out=xb)
                 np.multiply(xb, np.uint64(mul), out=xb)
             np.right_shift(xb, np.uint64(31), out=tb)
-            np.bitwise_xor(xb, tb, out=out[lo:hi, w])
+            np.bitwise_xor(xb, tb, out=xb)
+            yield lo, hi, w, xb
+
+
+def splitmix64_words(seed: int, start: int, count: int, words_per: int) -> np.ndarray:
+    """The stream words of candidates start..start+count-1, one row each."""
+    out = np.empty((count, words_per), dtype=np.uint64)
+    for lo, hi, w, x in _mixed_words(seed, start, count, words_per):
+        out[lo:hi, w] = x
     return out
 
 
@@ -305,7 +307,7 @@ def bytes_from_words(words: np.ndarray, nbytes: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # vectorised census engine: a bracket over GF(2^k) is k bit-planes, each a
-# uint8 array, or a uint8 scalar for a plane that is constant over the chunk
+# uint8 array with one candidate table per slot
 
 
 def _triple_terms(n: int, i: int, j: int, k: int) -> List[Tuple[int, int, int]]:
@@ -323,32 +325,23 @@ def _triple_terms(n: int, i: int, j: int, k: int) -> List[Tuple[int, int, int]]:
     return out
 
 
-def _add_terms(acc: np.ndarray, b: Sequence, terms, term: np.ndarray,
+def _add_terms(acc: np.ndarray, b: Sequence[np.ndarray], terms, term: np.ndarray,
                k: int = 1) -> None:
     """XOR the residual terms over the bit-planes b into acc, in place.
 
     Plane t of field p is b[p*k + t], and term (p, m, q) adds bit m of plane
     t of field p times plane s of field q to accumulator plane acc[t + s].
-    A scalar plane whose bit m is clear, or a zero scalar plane of q, makes
-    its product zero; a scalar plane with bit m set adds plane s unmasked.
     """
     for p, m, q in terms:
         for s, fq in enumerate(b[q * k:(q + 1) * k]):
-            if np.ndim(fq) == 0 and not fq:
-                continue
             for t, fp in enumerate(b[p * k:(p + 1) * k]):
-                if np.ndim(fp) == 0:
-                    if (int(fp) >> m) & 1:
-                        np.bitwise_xor(acc[t + s], fq, out=acc[t + s])
-                    continue
                 np.right_shift(fp, m, out=term)
                 np.bitwise_and(term, 1, out=term)
                 np.multiply(term, fq, out=term)
                 np.bitwise_xor(acc[t + s], term, out=acc[t + s])
 
 
-def _jacobi_positions(b: Sequence, n: int, size: int,
-                      first: Optional[Tuple[np.ndarray, list]] = None,
+def _jacobi_positions(b: Sequence[np.ndarray], n: int, size: int,
                       gf: GF = GF2) -> np.ndarray:
     """Positions of the candidates with bit-planes b over gf that pass Jacobi.
 
@@ -356,11 +349,8 @@ def _jacobi_positions(b: Sequence, n: int, size: int,
     product, reduced once by the modulus taps (plane d >= k is alpha^(d-k)
     times the taps), and a candidate passes when its k reduced planes are
     zero.  Basis triples run one at a time, and after each only the
-    surviving positions are kept: the array planes are gathered down to
-    them (scalar planes stay scalars), so the next triple runs on the few
-    candidates left.  `first`, when given, is (partial residual, remaining
-    terms) of the first triple, its other terms already summed by the
-    caller.
+    surviving positions are kept: the planes are gathered down to them, so
+    the next triple runs on the few candidates left.
     """
     if n < 3:
         return np.arange(size)
@@ -371,16 +361,11 @@ def _jacobi_positions(b: Sequence, n: int, size: int,
     planes = list(b)
     for t, triple in enumerate(combinations(range(n), 3)):
         if t:
-            planes = [f[keep] if np.ndim(f) else f for f in planes]
+            planes = [f[keep] for f in planes]
         live = size if pos is None else pos.size
         acc = acc_buf[:, :live]
-        if t == 0 and first is not None:
-            partial, terms = first
-            acc[:] = partial
-        else:
-            acc.fill(0)
-            terms = _triple_terms(n, *triple)
-        _add_terms(acc, planes, terms, term_buf[:live], k)
+        acc.fill(0)
+        _add_terms(acc, planes, _triple_terms(n, *triple), term_buf[:live], k)
         for d in range(2 * k - 2, k - 1, -1):
             for u in range(k):
                 if (taps >> u) & 1:
@@ -394,25 +379,22 @@ def _jacobi_positions(b: Sequence, n: int, size: int,
     return pos
 
 
-def _derived_rank_numpy(b: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Rank of the F2 span of the bracket planes, per candidate.
+def _spans_all(b: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Whether the planes b span F2^n, per candidate (n <= 6).
 
-    A simple algebra equals its derived algebra, so only tables of rank n
-    reach is_simple.  Brackets that span GF(2^k)^n have planes that span
-    F2^n, so this F2 rank is the filter for every field.
+    They do when no functional l != 0 vanishes on all of them.  mask[v] is
+    the 2^n-bit set of l with l.v = 1 (l & v of odd weight), the XOR over
+    the bits i of v of the set of l with bit i, so the planes span when the
+    OR of their masks is every l != 0.
     """
-    size = b[0].shape[0]
-    slots = np.zeros((n, size), dtype=np.uint8)
-    for field in b:
-        v = field.copy()
-        for bit in range(n - 1, -1, -1):
-            has = ((v >> bit) & 1).astype(bool)
-            filled = slots[bit] != 0
-            np.bitwise_xor(v, slots[bit], out=v, where=has & filled)
-            ins = has & ~filled
-            slots[bit][ins] = v[ins]
-            v[ins] = 0
-    return np.count_nonzero(slots, axis=0)
+    v = np.arange(1 << n, dtype=np.uint64)
+    bits = (v[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    mask = np.bitwise_xor.reduce(bits * np.bitwise_or.reduce(bits << v[:, None], axis=0),
+                                 axis=1)
+    seen = np.zeros(len(b[0]), dtype=np.uint64)
+    for plane in b:
+        np.bitwise_or(seen, mask[plane], out=seen)
+    return seen == np.uint64((1 << (1 << n)) - 2)
 
 
 def _planes_algebras(gf: GF, n: int, planes: np.ndarray) -> Iterator[LieAlgebra]:
@@ -445,40 +427,53 @@ def _census_simple(alg: LieAlgebra) -> bool:
     return rank == len(slots)
 
 
-def census_exhaustive(n: int, chunk_bits: int = 20) -> Tuple[int, int, List[int]]:
+def _solve_last_field(low: List[np.ndarray], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(position, h) of each low position and last field h that pass the
+    triples h enters linearly.  Their P and c are summed over the low
+    fields, an all-ones plane standing in for h; then h is the OR of the P
+    with c = 1, and a position passes when P = c h on every such triple."""
+    last, size = len(low), 1 << (n * len(low))
+    linear = [tr for tr in combinations(range(n), 3) if not {n - 2, n - 1} <= set(tr)]
+    b = low + [np.ones(size, dtype=np.uint8)]
+    term, h = np.empty(size, dtype=np.uint8), np.zeros(size, dtype=np.uint8)
+    res = np.zeros((len(linear), 2, size), dtype=np.uint8)
+    for (pc, c), triple in zip(res, linear):
+        terms = _triple_terms(n, *triple)
+        _add_terms(pc[None], b, [t for t in terms if t[2] != last], term)
+        _add_terms(c[None], b, [t for t in terms if t[2] == last], term)
+        np.multiply(pc, c, out=term)
+        np.bitwise_or(h, term, out=h)
+    ok, free = np.ones(size, dtype=bool), np.ones(size, dtype=bool)
+    for pc, c in res:
+        np.multiply(c, h, out=term)
+        ok &= pc == term
+        free &= c == 0
+    every, one = np.flatnonzero(ok & free), np.flatnonzero(ok & ~free)
+    return (np.concatenate([np.repeat(every, 1 << n), one]),
+            np.concatenate([np.tile(np.arange(1 << n, dtype=np.uint8), every.size),
+                            h[one]]))
+
+
+def census_exhaustive(n: int) -> Tuple[int, int, List[int]]:
     """Scan every table of dimension n >= 2: (scanned, Jacobi passes, simple).
 
-    A chunk fixes the high fields and runs through all values of the low
-    fields, so the low field arrays are built once and each high field is a
-    scalar per chunk.
+    Only the low fields are enumerated; the last field is solved from the
+    triples it enters linearly (_solve_last_field), and the kernel runs
+    once, on the candidates left.  The simple tables come out ascending.
     """
-    npairs = n * (n - 1) // 2
-    nmask = (1 << n) - 1
-    nlow = min(npairs, chunk_bits // n)
-    size = 1 << (n * nlow)
+    last = n * (n - 1) // 2 - 1
     digits = np.arange(1 << n, dtype=np.uint8)
-    low = [np.tile(np.repeat(digits, 1 << (n * p)), 1 << (n * (nlow - 1 - p)))
-           for p in range(nlow)]
-    first = None
-    if n >= 3:  # the first triple's terms on low fields alone, summed once
-        terms = _triple_terms(n, 0, 1, 2)
-        partial = np.zeros((1, size), dtype=np.uint8)
-        _add_terms(partial, low, [t for t in terms if max(t[0], t[2]) < nlow],
-                   np.empty(size, dtype=np.uint8))
-        first = (partial, [t for t in terms if max(t[0], t[2]) >= nlow])
-    jacobi = 0
-    survivors: List[int] = []
-    for chunk in range(1 << (n * (npairs - nlow))):
-        high = [np.uint8((chunk >> (n * h)) & nmask) for h in range(npairs - nlow)]
-        idx = _jacobi_positions(low + high, n, size, first)
-        jacobi += int(idx.size)
-        if idx.size == 0:
-            continue
-        sb = [f[idx] for f in low] + [np.full(idx.size, h) for h in high]
-        tables = chunk * size + idx[_derived_rank_numpy(sb, n) == n]
-        survivors.extend(int(t) for t in tables
-                         if _census_simple(table_to_algebra(n, int(t))))
-    return size << (n * (npairs - nlow)), jacobi, survivors
+    low = [np.tile(np.repeat(digits, 1 << (n * p)), 1 << (n * (last - 1 - p)))
+           for p in range(last)]
+    pos, h = _solve_last_field(low, n)
+    b = [f[pos] for f in low] + [h]
+    del low
+    idx = _jacobi_positions(b, n, pos.size)
+    tables = (pos[idx] | h[idx].astype(np.int64) << (n * last))[
+        _spans_all([f[idx] for f in b], n)]
+    survivors = sorted(int(t) for t in tables
+                       if _census_simple(table_to_algebra(n, int(t))))
+    return 1 << (n * (last + 1)), int(idx.size), survivors
 
 
 def _census_planes(gf: GF, n: int, planes: np.ndarray
@@ -493,7 +488,7 @@ def _census_planes(gf: GF, n: int, planes: np.ndarray
         return count, []
     idx = _jacobi_positions(planes, n, count, gf=gf)
     sub = planes[:, idx]
-    full = _derived_rank_numpy(sub, n) == n
+    full = _spans_all(sub, n)
     simple = []
     for s, alg in enumerate(_planes_algebras(gf, n, sub)):
         if not validate_lie(alg, random_checks=0).ok:
@@ -508,28 +503,32 @@ def _census_planes(gf: GF, n: int, planes: np.ndarray
 
 
 def _run_exhaustive(n: int) -> Tuple[int, int, List[int]]:
-    if n == 1:
-        return 1, 1, []
-    return census_exhaustive(n)
+    return (1, 1, []) if n == 1 else census_exhaustive(n)
 
 
 def _sample_planes(gf: GF, n: int, seed: int, start: int, count: int) -> np.ndarray:
     """Bit-planes of sampled tables over gf, shape (pairs * k, count).
 
     Row p*k + t is plane t of pair p: its bit m is bit t of coordinate m.
-    Over F2 each pair takes one byte of the stream and keeps its low n
-    bits, masked straight from the stream words into this layout.  Above F2
-    each coordinate takes one byte (two, little end first, above degree 8),
-    and plane t gathers bit t of the coordinates of its pair.
+    Over F2 pair p takes byte p of the stream and keeps its low n bits:
+    each block of words is masked whole, in place, and its bytes copied
+    into their plane rows while the block is in cache.  Above F2 each
+    coordinate takes one byte (two, little end first, above degree 8), and
+    plane t gathers bit t of the coordinates of its pair.
     """
     npairs, k = n * (n - 1) // 2, gf.degree
-    per = 1 if k == 1 else n * (1 if k <= 8 else 2)  # stream bytes per pair
-    words = splitmix64_words(seed, start, count, (npairs * per + 7) // 8)
-    rows = bytes_from_words(words, npairs * per)
     if k == 1:
         planes = np.empty((npairs, count), dtype=np.uint8)
-        np.bitwise_and(rows.T, np.uint8((1 << n) - 1), out=planes)
+        nmask = np.uint64(((1 << n) - 1) * 0x0101010101010101)
+        for lo, hi, w, x in _mixed_words(seed, start, count, (npairs + 7) // 8):
+            np.bitwise_and(x, nmask, out=x)
+            le = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+            for j in range(min(8, npairs - 8 * w)):
+                planes[8 * w + j, lo:hi] = le[:, j]
         return planes
+    per = n * (1 if k <= 8 else 2)  # stream bytes per pair
+    rows = bytes_from_words(splitmix64_words(seed, start, count, (npairs * per + 7) // 8),
+                            npairs * per)
     vals = (rows if k <= 8 else rows.view("<u2")).reshape(count, npairs, n)
     planes = np.zeros((npairs, k, count), dtype=np.uint8)
     for t in range(k):

@@ -16,7 +16,9 @@ structure constant, products taken elementwise by shift-and-add.
 from the census stream.  `jacobi_mask` and `census_sampled` are
 full-size-mask and row-major F2 entry points to the census kernel itself
 (`search._jacobi_positions` and `search._census_planes`), for tests that
-compare it with scalar checks.
+compare it with scalar checks.  `derived_rank_numpy` is the per-candidate
+F2 rank of the bracket planes that the census span filter
+(`search._spans_all`) replaced.
 
 `sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
 it squares each basis row with `two_map_eval`, checks injectivity by the
@@ -253,12 +255,28 @@ def gf_jacobi_mask(c: np.ndarray, n: int, gf: GF) -> np.ndarray:
 
 
 def jacobi_mask(b, n: int, size: int) -> np.ndarray:
-    """Jacobi verdict for each of `size` candidates with bracket fields b;
-    each field is a uint8 array, or a uint8 scalar shared by every
-    candidate."""
+    """Jacobi verdict for each of `size` candidates with bracket fields b,
+    each a uint8 array with one candidate per slot."""
     ok = np.zeros(size, dtype=bool)
     ok[_jacobi_positions(b, n, size)] = True
     return ok
+
+
+def derived_rank_numpy(b, n: int) -> np.ndarray:
+    """Rank of the F2 span of the bracket planes b, per candidate, by
+    elimination into one pivot slot per bit."""
+    size = b[0].shape[0]
+    slots = np.zeros((n, size), dtype=np.uint8)
+    for field in b:
+        v = field.copy()
+        for bit in range(n - 1, -1, -1):
+            has = ((v >> bit) & 1).astype(bool)
+            filled = slots[bit] != 0
+            np.bitwise_xor(v, slots[bit], out=v, where=has & filled)
+            ins = has & ~filled
+            slots[bit][ins] = v[ins]
+            v[ins] = 0
+    return np.count_nonzero(slots, axis=0)
 
 
 def census_sampled(n: int, rows: np.ndarray):

@@ -25,16 +25,17 @@ from lie2 import (BudgetExceeded, DimensionTooLarge, InvalidInput, catalog,
 from lie2.liealg import LieAlgebra, derived_series
 from lie2.field import GF, f2_apply
 from lie2.errors import InternalInconsistency
-from lie2.search import (GOLDEN, MASK64, CensusSpec, _census_simple,
+from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_simple,
                          _invariant_signature, _jacobi_positions,
                          _planes_algebras, _run_exhaustive,
                          _run_sampled_packed, _sample_planes,
+                         _solve_last_field, _spans_all,
                          algebra_to_table, bytes_from_words, canonical_table,
                          census, census_backend, census_exhaustive,
                          gl_matrices, iso_match, pair_index, splitmix64_words,
                          table_orbit, table_to_algebra)
-from dense_oracles import (census_sampled, gf_jacobi_mask, gf_mul_arrays,
-                           jacobi_mask, sample_coefficients)
+from dense_oracles import (census_sampled, derived_rank_numpy, gf_jacobi_mask,
+                           gf_mul_arrays, jacobi_mask, sample_coefficients)
 from test_reports_frozen import CENSUS_FROZEN, census_digest
 
 
@@ -61,14 +62,16 @@ def table_ad_columns(b, n: int) -> List[List[int]]:
              for m in range(n)] for k in range(n)]
 
 
-def table_jacobi_ok(b, n: int) -> bool:
+def table_triple_ok(b, n: int, i: int, j: int, k: int) -> bool:
+    """Whether Jacobi holds on the basis triple i < j < k."""
     ad = table_ad_columns(b, n)
-    for i, j, k in combinations(range(n), 3):
-        if (f2_apply(ad[k], b[pair_index(i, j, n)])
+    return not (f2_apply(ad[k], b[pair_index(i, j, n)])
                 ^ f2_apply(ad[i], b[pair_index(j, k, n)])
-                ^ f2_apply(ad[j], b[pair_index(i, k, n)])):
-            return False
-    return True
+                ^ f2_apply(ad[j], b[pair_index(i, k, n)]))
+
+
+def table_jacobi_ok(b, n: int) -> bool:
+    return all(table_triple_ok(b, n, *triple) for triple in combinations(range(n), 3))
 
 
 def splitmix64_one(seed: int, ctr: int) -> int:
@@ -413,11 +416,86 @@ def test_census_backend_agreement_dim3():
     simple = [t for t, ok in enumerate(scalar_simple(dim3, 3)) if ok]
     assert len(simple) == 28
     assert _run_exhaustive(3) == (512, 120, simple)
-    # chunks with one or two high fields held as scalars
-    for chunk_bits in (3, 6):
-        assert census_exhaustive(3, chunk_bits) == (512, 120, simple)
-    for chunk_bits in (16, 20):
-        assert census_exhaustive(4, chunk_bits) == (16777216, 34336, [])
+    # the simple tables come out in ascending order
+    assert census_exhaustive(3) == (512, 120, simple) and simple == sorted(simple)
+    assert census_exhaustive(4) == (1 << 24, 34336, [])
+
+
+def dim4_low_fields():
+    """The five low field arrays of the dim-4 scan, position-indexed."""
+    digits = np.arange(16, dtype=np.uint8)
+    return [np.tile(np.repeat(digits, 1 << (4 * p)), 1 << (4 * (4 - p))) for p in range(5)]
+
+
+def test_last_field_solve_matches_the_linear_triples():
+    """Dim 4: the solved (position, h) candidates are exactly the tables
+    that pass the two triples without both 2 and 3, (0, 1, 2) and (0, 1, 3),
+    by the scalar Jacobi check; each candidate comes once."""
+    pos, h = _solve_last_field(dim4_low_fields(), 4)
+    tables = pos | h.astype(np.int64) << 20
+    assert pos.size == len(set(tables.tolist())) == 176128
+    # 6,016 positions admit all 16 values of h, 79,872 exactly one
+    per_pos = np.bincount(pos, minlength=1 << 20)
+    assert (np.count_nonzero(per_pos == 16), np.count_nonzero(per_pos == 1)) == (6016, 79872)
+    solved = set(tables.tolist())
+    rng = random.Random(59)
+    sample = [rng.randrange(1 << 24) for _ in range(20000)]
+    sample += rng.sample(sorted(solved), 2000)
+    verdicts = set()
+    for t in sample:
+        b = unpack_table(t, 4)
+        ok = table_triple_ok(b, 4, 0, 1, 2) and table_triple_ok(b, 4, 0, 1, 3)
+        assert (t in solved) == ok
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_exhaustive_census_runs_the_kernel_once(monkeypatch):
+    """The last field is solved, not enumerated: one exhaustive census makes
+    one kernel call, and its report matches the pin."""
+    import lie2.search as search
+    calls = []
+
+    def counted(*args, _real=search._jacobi_positions, **kwargs):
+        calls.append(args[1])
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(search, "_jacobi_positions", counted)
+    for case in ((4, 1, None, 0), (3, 1, None, 0)):
+        calls.clear()
+        assert census_digest(case) == CENSUS_FROZEN[case]
+        assert calls == [case[0]]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_spans_all_matches_the_derived_rank_oracle(n):
+    """The functional span test against the F2 rank by elimination, on
+    random planes and on ANDs of several samples, which are often rank
+    deficient, for 1, 2 and 4 planes per pair."""
+    count = 4000
+    for degree in (1, 2, 4):
+        gf = GF(degree)
+        random_planes = _sample_planes(gf, n, 31, 0, count)
+        sparse = random_planes.copy()
+        for seed in (32, 33):
+            sparse &= _sample_planes(gf, n, seed, 0, count)
+        for planes in (random_planes, sparse):
+            got = _spans_all(planes, n)
+            assert got.tolist() == (derived_rank_numpy(planes, n) == n).tolist()
+        assert {True, False} <= set(got.tolist())
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_fused_f2_planes_match_the_stream_bytes(n):
+    """F2 planes masked straight out of the stream blocks have the layout
+    of the stream's bytes, transposed and masked to n bits: from a nonzero
+    start, over a partial last block and within one block."""
+    npairs = n * (n - 1) // 2
+    for start, count in ((0, 2 * _MIX_BLOCK), (5, _MIX_BLOCK + 37), (12345, 100), (3, 1)):
+        rows = bytes_from_words(splitmix64_words(8, start, count, (npairs + 7) // 8), npairs)
+        want = (rows & ((1 << n) - 1)).T
+        got = _sample_planes(GF(1), n, 8, start, count)
+        assert got.shape == (npairs, count) and got.dtype == np.uint8
+        assert (got == want).all()
 
 
 def perfect_dim6_table(semidirect: bool) -> int:
@@ -597,22 +675,6 @@ def test_gf_jacobi_mask_matches_validate_lie(degree, n, count):
     assert 0 < sum(want) < count
 
 
-def test_gf_kernel_scalar_planes_act_as_repeated_arrays():
-    """Planes held as scalars, as the exhaustive census holds its high
-    fields, give the verdicts of those planes repeated in every slot."""
-    gf, n, count = GF(3), 3, 2000
-    planes = _sample_planes(gf, n, 9, 0, count) & _sample_planes(gf, n, 10, 0, count)
-    for pair in range(3):
-        rows = slice(pair * gf.degree, (pair + 1) * gf.degree)
-        repeated = planes.copy()
-        repeated[rows] = planes[rows, :1]
-        mixed = list(repeated)
-        mixed[rows] = [np.uint8(v) for v in planes[rows, 0]]
-        want = _jacobi_positions(repeated, n, count, gf=gf)
-        assert 0 < want.size < count
-        assert _jacobi_positions(mixed, n, count, gf=gf).tolist() == want.tolist()
-
-
 def test_sample_coefficients_read_the_census_stream():
     """One byte per coefficient up to degree 8, two little-endian bytes above."""
     for degree, per in ((2, 1), (8, 1), (9, 2), (16, 2)):
@@ -636,7 +698,7 @@ def test_generic_census_revalidates_survivors(monkeypatch):
     """A kernel that passes every table is caught over F2 and over GF(4)."""
     import lie2.search as search
     monkeypatch.setattr(search, "_jacobi_positions",
-                        lambda b, n, size, first=None, gf=None: np.arange(size))
+                        lambda b, n, size, gf=None: np.arange(size))
     for degree in (1, 2):
         with pytest.raises(InternalInconsistency, match="re-validation"):
             _run_sampled_packed(CensusSpec(dim=3, field_degree=degree, sample_count=50))

@@ -171,6 +171,23 @@ def test_check_tables_names_the_broken_identity():
     check_tables(catalog("sl3").algebra)
 
 
+def test_check_tables_runs_once_per_algebra(monkeypatch):
+    """validate_restricted after validate_lie on the same object repeats no
+    table check (no nibble table is rebuilt); a new object is checked."""
+    alg, two_map = from_json(lifted_doc("gl2", 2, 3))
+    assert validate_lie(alg).ok
+    rebuilt = []
+    real = liealg.nibble_tables
+    monkeypatch.setattr(liealg, "nibble_tables", lambda col: rebuilt.append(col) or real(col))
+    assert validate_restricted(RestrictedAlgebra(alg, two_map)).ok
+    assert rebuilt == []
+    fresh, _ = from_json(lifted_doc("gl2", 2, 3))
+    check_tables(fresh)
+    assert len(rebuilt) == 2 * fresh.dim * fresh.gf.degree  # ad_nibbles, then the check
+    check_tables(fresh)
+    assert len(rebuilt) == 2 * fresh.dim * fresh.gf.degree
+
+
 @pytest.mark.parametrize("extra,named", [
     (lambda x, y: x & y & 1, "bracket is not alternating"),
     (lambda x, y: (x >> 2 & 1) & ((x & y >> 1) ^ (x >> 1 & y)) & 1,
