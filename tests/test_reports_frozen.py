@@ -620,6 +620,14 @@ CENSUS_FROZEN = {
         "ca0ef6ab53a91424615d38cf25f94effb5041930e9e2b6ba0d55f46a30a8fe33",
     (3, 2, 2000, 1):
         "6e4dfe88344fa6cdb720f2fb2fc6ef093aaf04f64633d1a011830e402549b639",
+    (3, 3, 2000, 1):
+        "f5a5cb270e6461ba636dbc0e1c64417bcd8d17afc6e4062c28d0bbde76608846",
+    # a uniform dim-3 table over GF(q) satisfies Jacobi with probability
+    # about q^-3, so no sample this small has a survivor at q = 2^10
+    (3, 10, 3000, 1):
+        "e3552861a52850f0822f601c17181e6335663133d35e96d91853b872f416c0c7",
+    (3, 1, 3000, 5):
+        "c06a2078bf7cc2969258cbdb59d7b9502733267a982a0a306507cedccb308182",
 }
 
 
