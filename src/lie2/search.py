@@ -22,28 +22,37 @@ field h = [e_{n-2}, e_{n-1}]: a triple without both n-2 and n-1 has no
 p-pair equal to h, so h is only ever the q of its terms, and its residual
 is P + c h, with c in F2 the sum of the term bits.  So a low position
 admits every h (all c = 0 and all P = 0), exactly one (h = P), or none,
-and one kernel call runs every triple on the candidates left.  Jacobi
-survivors go through a span filter (_spans_all): the bracket planes span
-F2^n exactly when no nonzero functional vanishes on all of them.  A simple
-algebra is perfect, and brackets that span GF(2^k)^n have planes that span
-F2^n, so it serves every field.  In dimension 3 a table that passes it is
-simple exactly when it is perfect, [g, g] = g, because a quotient by a
-proper nonzero ideal would be a perfect algebra of dimension 1 or 2, and
-there is none; perfection is the F2 rank of the packed brackets
-(_census_simple).  Above dimension 3 liealg.is_simple decides.  Every
-sampled Jacobi survivor, over any field, becomes a LieAlgebra and is
-re-checked by validate_lie.  Simple tables then get a two-map synthesis
-and, when restrictable, a toral rank.  Sampled F2 planes are copied out of
-each block of stream words while it is in cache.  The LIE2_BACKEND
-environment variable may name the engine (auto or numpy) but cannot pick
-another.  Simple tables over F2 of dimension <= 4 are grouped into GL(n, 2)
-orbits by one vectorised change of basis over every matrix of
-field.gl_matrices, and iso_match reads its witness off the same array, as
-the 0/1 rows of the basis change.  Every other census reports all its
-simple tables as one class, grouping "invariant_signature": that
-signature (derived series, lower central series, centre dimension) is
-(n), (n), 0 on every simple algebra, so the class is not an isomorphism
-class.
+and one kernel call runs every triple on the candidates left.
+
+Survivors are decided in bulk on integer coefficient arrays c[p, m, s],
+coordinate m of bracket p of candidate s.  Sampled survivors have their
+Jacobi identity evaluated again on those arrays, every product one
+exp/log lookup (_jacobi_holds), which shares no code with the plane
+kernel; a survivor that fails it is an internal fault.  In dimension 3 a
+Lie table is simple exactly when it is perfect, [g, g] = g, because a
+quotient by a proper nonzero ideal would be a perfect algebra of
+dimension 1 or 2, and there is none; it is perfect when its 3 x 3
+bracket matrix has nonzero determinant over GF(2^k) (_perfect3), at
+every k.  Above dimension 3 liealg.is_simple decides, on the tables that
+pass a span filter (_spans_all): the bracket planes span F2^n exactly
+when no nonzero functional vanishes on all of them, and brackets that
+span GF(2^k)^n, as those of a simple (so perfect) algebra do, have
+planes that span F2^n.  Only the algebras a report shows become
+LieAlgebras, each checked by validate_lie: the first simple survivor in
+sample order, or over F2 in dimension <= 4 the representative of each
+GL(n, 2) orbit.  Simple tables then get a two-map synthesis and, when
+restrictable, a toral rank.
+
+Sampled F2 planes are copied out of each block of stream words while it
+is in cache.  The LIE2_BACKEND environment variable may name the engine
+(auto or numpy) but cannot pick another.  Simple tables over F2 of
+dimension <= 4 are grouped into GL(n, 2) orbits by one vectorised change
+of basis over every matrix of field.gl_matrices, and iso_match reads its
+witness off the same array, as the 0/1 rows of the basis change.  Every
+other census reports all its simple tables as one class, grouping
+"invariant_signature": that signature (derived series, lower central
+series, centre dimension) is (n), (n), 0 on every simple algebra, so the
+class is not an isomorphism class.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput)
-from .field import GF, GF2, f2_reduce, gl_matrices, pack_bits
+from .field import GF, GF2, gl_matrices, pack_bits
 from .liealg import (LieAlgebra, center, derived_series, is_simple,
                      lower_central_series, validate_lie)
 from .restricted import RestrictedAlgebra, synthesize_two_map
@@ -397,34 +406,84 @@ def _spans_all(b: Sequence[np.ndarray], n: int) -> np.ndarray:
     return seen == np.uint64((1 << (1 << n)) - 2)
 
 
-def _planes_algebras(gf: GF, n: int, planes: np.ndarray) -> Iterator[LieAlgebra]:
-    """The LieAlgebras over gf of candidates with bit-planes `planes`, one
-    at a time."""
+@lru_cache(maxsize=None)
+def _log_exp(gf: GF) -> Tuple[np.ndarray, np.ndarray]:
+    """(log, exp) of gf as arrays, with log 0 = 2(q - 1) and exp zero from
+    there on, so that exp[log a + log b] = a b for all a, b in gf."""
+    exp, log = gf.tables
+    zero = len(exp)  # 2(q - 1), above every sum of two logs of units
+    logs = np.array(log, dtype=np.int32)
+    logs[0] = zero
+    return logs, np.array(exp + [0] * (zero + 1), dtype=np.int32)
+
+
+def _coefficients(gf: GF, n: int, planes: np.ndarray) -> np.ndarray:
+    """Coefficient arrays c[p, m, s]: coordinate m of bracket p of the
+    candidate with bit-planes planes[:, s], shape (pairs * k, count)."""
     npairs, k, count = n * (n - 1) // 2, gf.degree, planes.shape[1]
     bits = planes.reshape(npairs, k, 1, count) >> np.arange(n, dtype=np.uint8)[:, None]
-    coeffs = ((bits & 1).astype(np.int64) << np.arange(k)[:, None, None]).sum(axis=1)
-    pairs = list(combinations(range(n), 2))
-    return (LieAlgebra(gf, n, dict(zip(pairs, coeffs[:, :, s].tolist())))
-            for s in range(count))
+    return ((bits & 1).astype(np.int32) << np.arange(k, dtype=np.int32)[:, None, None]
+            ).sum(axis=1, dtype=np.int32)
 
 
-def _census_simple(alg: LieAlgebra) -> bool:
-    """Whether a census survivor, a Lie algebra of dimension n >= 3, is simple.
+def _coefficient_algebra(gf: GF, n: int, c: np.ndarray) -> LieAlgebra:
+    """The LieAlgebra over gf of one table's coefficient array c[p, m]."""
+    return LieAlgebra(gf, n, dict(zip(combinations(range(n), 2), c.tolist())))
+
+
+def _jacobi_holds(gf: GF, n: int, c: np.ndarray) -> np.ndarray:
+    """Whether each table with coefficient arrays c[p, m, s] satisfies the
+    Jacobi identity on every basis triple (n >= 3).
+
+    Coordinate r of [[e_x, e_y], e_z] is the sum over m of [e_x, e_y]_m
+    [e_m, e_z]_r, each product one exp/log lookup, and a triple i < j < k
+    adds the three cyclic terms (x, y, z) = (i, j, k), (j, k, i), (k, i,
+    j).  It shares no code with the bit-plane kernel, so it is an
+    independent second check of the kernel's survivors.
+    """
+    log, exp = _log_exp(gf)
+    lc = log[c]
+    # la[a, b, m] is the log of coordinate m of [e_a, e_b], and [e_a, e_a] = 0
+    la = np.full((n, n, n, c.shape[2]), log[0], dtype=np.int32)
+    for p, (a, b) in enumerate(combinations(range(n), 2)):
+        la[a, b] = la[b, a] = lc[p]
+    ok = np.ones(c.shape[2], dtype=bool)
+    for i, j, k in combinations(range(n), 3):
+        terms = exp[la[[i, j, k], [j, k, i]][:, :, None] + la[:, [k, i, j]].swapaxes(0, 1)]
+        ok &= ~np.bitwise_xor.reduce(terms, axis=(0, 1)).any(axis=0)
+    return ok
+
+
+def _perfect3(gf: GF, c: np.ndarray) -> np.ndarray:
+    """Whether each dim-3 table with coefficient arrays c[p, m, s] is
+    perfect: its three brackets, the rows of c[:, :, s], are independent,
+    so the determinant is nonzero.  In characteristic 2 that is the sum
+    over columns m of c[0, m] times the minor of rows 1, 2 without m."""
+    log, exp = _log_exp(gf)
+    lc = log[c]
+    u, v = [1, 0, 0], [2, 2, 1]  # the two columns other than m = 0, 1, 2
+    minor = exp[lc[1, u] + lc[2, v]] ^ exp[lc[1, v] + lc[2, u]]
+    return np.bitwise_xor.reduce(exp[lc[0] + log[minor]], axis=0) != 0
+
+
+def _simple(gf: GF, n: int, planes: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Which Lie tables with bit-planes `planes` and coefficient arrays c
+    are simple (n >= 3).
 
     For n = 3 simple means perfect, [g, g] = g.  Let g be perfect of
     dimension 3 and I a proper nonzero ideal: then g/I is perfect of
     dimension 1 or 2, but a 1-dimensional algebra is abelian and a
     2-dimensional one has [g, g] spanned by its one basis bracket, so g/I
-    = 0, a contradiction.  Conversely a simple algebra is perfect.  The
-    entries of ad_columns, alpha^s [e_i, e_j] for s < 2k - 1, span the F2
-    restriction of [g, g], so g is perfect when their F2 rank is 3k.  For
-    n > 3, is_simple decides.
+    = 0, a contradiction.  Conversely a simple algebra is perfect.  Above
+    dimension 3 is_simple decides, on the tables whose planes span F2^n;
+    the others are not perfect.
     """
-    if alg.dim != 3:
-        return is_simple(alg).simple
-    slots = [0] * (3 * alg.gf.degree)
-    rank = sum(1 for col in alg.ad_columns for v in col if f2_reduce(slots, v))
-    return rank == len(slots)
+    if n == 3:
+        return _perfect3(gf, c)
+    simple = _spans_all(planes, n)
+    for s in np.flatnonzero(simple):
+        simple[s] = is_simple(_coefficient_algebra(gf, n, c[:, :, s])).simple
+    return simple
 
 
 def _solve_last_field(low: List[np.ndarray], n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -469,33 +528,30 @@ def census_exhaustive(n: int) -> Tuple[int, int, List[int]]:
     b = [f[pos] for f in low] + [h]
     del low
     idx = _jacobi_positions(b, n, pos.size)
-    tables = (pos[idx] | h[idx].astype(np.int64) << (n * last))[
-        _spans_all([f[idx] for f in b], n)]
-    survivors = sorted(int(t) for t in tables
-                       if _census_simple(table_to_algebra(n, int(t))))
-    return 1 << (n * (last + 1)), int(idx.size), survivors
+    planes = np.stack([f[idx] for f in b])
+    tables = pos[idx] | h[idx].astype(np.int64) << (n * last)
+    simple = _simple(GF2, n, planes, _coefficients(GF2, n, planes))
+    return 1 << (n * (last + 1)), int(idx.size), sorted(tables[simple].tolist())
 
 
 def _census_planes(gf: GF, n: int, planes: np.ndarray
-                   ) -> Tuple[int, List[Tuple[int, LieAlgebra]]]:
-    """Jacobi passes, and (position, algebra) of each simple table, among
-    candidates with bit-planes `planes`, shape (pairs * k, count).
+                   ) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(Jacobi passes, positions, coefficients) among the candidates with
+    bit-planes `planes`, shape (pairs * k, count): the positions of the
+    simple tables, ascending, and their coefficient arrays c[p, m, s].
 
-    validate_lie re-checks every Jacobi survivor.
+    Every survivor of the Jacobi kernel is unpacked once and checked again
+    by _jacobi_holds; one that fails raises InternalInconsistency.
     """
-    count = planes.shape[1]
-    if n < 3:  # no basis triple to check, and nothing simple
-        return count, []
-    idx = _jacobi_positions(planes, n, count, gf=gf)
+    idx = _jacobi_positions(planes, n, planes.shape[1], gf=gf)  # n < 3: all
+    if n < 3 or idx.size == 0:  # no basis triple, or no survivor: none simple
+        return int(idx.size), idx[:0], np.zeros((n * (n - 1) // 2, n, 0), dtype=np.int32)
     sub = planes[:, idx]
-    full = _spans_all(sub, n)
-    simple = []
-    for s, alg in enumerate(_planes_algebras(gf, n, sub)):
-        if not validate_lie(alg, random_checks=0).ok:
-            raise InternalInconsistency("census survivor failed Jacobi re-validation")
-        if full[s] and _census_simple(alg):
-            simple.append((int(idx[s]), alg))
-    return int(idx.size), simple
+    c = _coefficients(gf, n, sub)
+    if not _jacobi_holds(gf, n, c).all():
+        raise InternalInconsistency("census survivor failed Jacobi re-validation")
+    simple = _simple(gf, n, sub, c)
+    return int(idx.size), idx[simple], c[:, :, simple]
 
 
 # ---------------------------------------------------------------------------
@@ -537,29 +593,47 @@ def _sample_planes(gf: GF, n: int, seed: int, start: int, count: int) -> np.ndar
     return planes.reshape(-1, count)
 
 
-def _run_sampled_packed(spec: CensusSpec) -> Tuple[int, int, List[LieAlgebra]]:
-    """Sampled census over any field: (scanned, Jacobi passes, simple algebras).
+def _gl_sweep(spec: CensusSpec) -> bool:
+    """Whether the census groups its simple tables into GL(n, 2) orbits."""
+    return spec.field_degree == 1 and spec.dim <= 4
 
-    A block holds _BLOCK tables over F2, and at most _BLOCK structure
-    constants above.
+
+def _run_sampled_packed(spec: CensusSpec
+                        ) -> Tuple[int, int, int, Optional[LieAlgebra], List[int]]:
+    """Sampled census over any field: (scanned, Jacobi passes, simple count,
+    first simple algebra, simple tables).
+
+    A census that sweeps GL(n, 2) orbits (_gl_sweep) keeps the packed
+    simple tables, in sample order, and builds no algebra; any other keeps
+    the first simple table in sample order, as a LieAlgebra.  A block holds
+    _BLOCK tables over F2, and at most _BLOCK structure constants above.
     """
     n, gf = spec.dim, GF(spec.field_degree)
     block = _BLOCK if gf.degree == 1 else _BLOCK // max(1, n * n * (n - 1) // 2)
-    jac = 0
-    survivors: List[LieAlgebra] = []
+    sweep = _gl_sweep(spec)
+    shifts = np.arange(n * (n - 1) // 2 * n).reshape(-1, n, 1)  # bit n p + m of c[p, m]
+    jac = simple = 0
+    first: Optional[LieAlgebra] = None
+    tables: List[int] = []
     for start in range(0, spec.sample_count, block):
         count = min(block, spec.sample_count - start)
         # no name holds the planes, so they are freed before the next block
-        bjac, simple = _census_planes(
+        bjac, pos, c = _census_planes(
             gf, n, _sample_planes(gf, n, spec.seed, start, count))
         jac += bjac
-        survivors.extend(alg for _pos, alg in simple)
-    return spec.sample_count, jac, survivors
+        simple += pos.size
+        if sweep:
+            tables.extend((c.astype(np.int64) << shifts).sum(axis=(0, 1)).tolist())
+        elif first is None and pos.size:
+            first = _coefficient_algebra(gf, n, c[:, :, 0])
+    return spec.sample_count, jac, simple, first, tables
 
 
 def _class_entry(alg: LieAlgebra, size: int, table: Optional[int],
                  grouping: str) -> dict:
     from .liealg import to_json as alg_to_json
+    if not validate_lie(alg, random_checks=0).ok:
+        raise InternalInconsistency("census representative failed Jacobi re-validation")
     syn = synthesize_two_map(alg)
     entry = {
         "class_size": size,
@@ -597,20 +671,21 @@ def _classify_packed(n: int, tables: Sequence[int]) -> List[dict]:
     return out
 
 
-def _classify_generic(survivors: Sequence[LieAlgebra]) -> List[dict]:
-    """Every simple survivor in one class, the first as its representative.
+def _classify_generic(count: int, first: Optional[LieAlgebra]) -> List[dict]:
+    """All `count` simple survivors in one class, with `first`, the first
+    in sample order, as its representative.
 
-    Beyond dimension 4, or above F2, the GL sweep is out of reach.  The
-    class keeps the grouping name "invariant_signature", but it is not an
+    Beyond dimension 4, or above F2, the GL sweep is out of reach, so the
+    driver keeps only the count and the first simple algebra.  The class
+    keeps the grouping name "invariant_signature", but it is not an
     isomorphism class: a simple algebra has derived series (n), lower
     central series (n) and centre 0, so that signature never separates
     simple algebras.
     """
-    if not survivors:
+    if first is None:
         return []
-    alg = survivors[0]
-    return [_class_entry(alg, len(survivors),
-                         algebra_to_table(alg) if alg.gf.degree == 1 else None,
+    return [_class_entry(first, count,
+                         algebra_to_table(first) if first.gf.degree == 1 else None,
                          "invariant_signature")]
 
 
@@ -623,12 +698,10 @@ def census(spec: CensusSpec) -> CensusReport:
         mode = "exhaustive"
         classes = _classify_packed(spec.dim, tables)
     else:
-        scanned, jac, algs = _run_sampled_packed(spec)
+        scanned, jac, simple, first, tables = _run_sampled_packed(spec)
         mode = "sampled"
-        if spec.field_degree == 1 and spec.dim <= 4:
-            classes = _classify_packed(spec.dim, [algebra_to_table(a) for a in algs])
-        else:
-            classes = _classify_generic(algs)
+        classes = (_classify_packed(spec.dim, tables) if _gl_sweep(spec)
+                   else _classify_generic(simple, first))
     simple_count = sum(c["class_size"] for c in classes)
     restrictable = sum(c["class_size"] for c in classes if c["restrictable"])
     runtime_ms = int((time.monotonic() - t0) * 1000)

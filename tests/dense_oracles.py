@@ -13,12 +13,13 @@ tuple and every vector of a span, for sweeps over tiny spaces.
 GF(2^k) that the bit-sliced census kernel replaced: one array per
 structure constant, products taken elementwise by shift-and-add.
 `sample_coefficients` reads its input, the sampled structure constants,
-from the census stream.  `jacobi_mask` and `census_sampled` are
-full-size-mask and row-major F2 entry points to the census kernel itself
-(`search._jacobi_positions` and `search._census_planes`), for tests that
-compare it with scalar checks.  `derived_rank_numpy` is the per-candidate
-F2 rank of the bracket planes that the census span filter
-(`search._spans_all`) replaced.
+from the census stream.  `jacobi_mask` is a full-size-mask entry point to
+the census Jacobi kernel (`search._jacobi_positions`), and
+`census_sampled` a row-major F2 entry point to `search._census_planes`,
+which runs that kernel, re-checks every survivor on coefficient arrays
+and decides simplicity; tests compare both with scalar checks.
+`derived_rank_numpy` is the per-candidate F2 rank of the bracket planes
+that the census span filter (`search._spans_all`) replaced.
 
 `sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
 it squares each basis row with `two_map_eval`, checks injectivity by the
@@ -284,5 +285,5 @@ def census_sampled(n: int, rows: np.ndarray):
 
     Returns (scanned, Jacobi passes, indices of the simple rows).
     """
-    jac, simple = _census_planes(GF2, n, np.ascontiguousarray(rows.T))
-    return rows.shape[0], jac, [pos for pos, _alg in simple]
+    jac, pos, _coeffs = _census_planes(GF2, n, np.ascontiguousarray(rows.T))
+    return rows.shape[0], jac, pos.tolist()

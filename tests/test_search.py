@@ -25,9 +25,9 @@ from lie2 import (BudgetExceeded, DimensionTooLarge, InvalidInput, catalog,
 from lie2.liealg import LieAlgebra, derived_series
 from lie2.field import GF, f2_apply
 from lie2.errors import InternalInconsistency
-from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_simple,
-                         _invariant_signature, _jacobi_positions,
-                         _planes_algebras, _run_exhaustive,
+from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_planes,
+                         _coefficients, _invariant_signature, _jacobi_holds,
+                         _jacobi_positions, _perfect3, _run_exhaustive,
                          _run_sampled_packed, _sample_planes,
                          _solve_last_field, _spans_all,
                          algebra_to_table, bytes_from_words, canonical_table,
@@ -536,21 +536,41 @@ def test_census_sampled_backend_agreement():
     positions = [i for i, ok in enumerate(scalar_simple(rows, 3)) if ok]
     assert len(positions) > 0
     assert census_sampled(3, rows) == (2000, sum(scalar_jacobi(rows, 3)), positions)
-    scanned, jac, algs = _run_sampled_packed(CensusSpec(dim=3, sample_count=2000, seed=11))
-    assert (scanned, jac) == (2000, sum(scalar_jacobi(rows, 3)))
-    assert [algebra_to_table(alg) for alg in algs] == [pack_table(rows[i], 3) for i in positions]
+    scanned, jac, simple, first, tables = _run_sampled_packed(
+        CensusSpec(dim=3, sample_count=2000, seed=11))
+    assert (scanned, jac, simple, first) == (2000, sum(scalar_jacobi(rows, 3)),
+                                             len(positions), None)
+    assert tables == [pack_table(rows[i], 3) for i in positions]
+
+
+def planes_algebra(gf, n, planes, s):
+    """LieAlgebra of slot s of bit-planes `planes`, unpacked bit by bit."""
+    k = gf.degree
+    pairs = list(combinations(range(n), 2))
+    return LieAlgebra(gf, n, {pair: [sum(((int(planes[p * k + t, s]) >> m) & 1) << t
+                                         for t in range(k)) for m in range(n)]
+                              for p, pair in enumerate(pairs)})
 
 
 def sampled_jacobi_survivors(gf, n, seed, count):
     """LieAlgebras of the sampled tables over gf that pass the Jacobi kernel."""
     planes = _sample_planes(gf, n, seed, 0, count)
-    return list(_planes_algebras(gf, n, planes[:, _jacobi_positions(planes, n, count, gf=gf)]))
+    return [planes_algebra(gf, n, planes, s)
+            for s in _jacobi_positions(planes, n, count, gf=gf)]
+
+
+def algebra_coefficients(alg):
+    """Coefficient array c[p, m, 0] of one algebra, for the census array tests."""
+    n = alg.dim
+    return np.array([alg.table.get(pair, (0,) * n)
+                     for pair in combinations(range(n), 2)])[:, :, None]
 
 
 def test_dim3_simple_is_perfect():
-    """In dim 3, is_simple agrees with [g, g] = g on every F2 Lie table and
-    on the Jacobi survivors of sampled GF(4), GF(8) and GF(16) tables; every
-    simple one has derived and lower central series (3) and centre 0."""
+    """In dim 3, is_simple agrees with [g, g] = g, and with the census's
+    determinant test, on every F2 Lie table and on the Jacobi survivors of
+    sampled GF(4), GF(8) and GF(16) tables; every simple one has derived and
+    lower central series (3) and centre 0."""
     algs = [alg for alg in (table_to_algebra(3, t) for t in range(512))
             if validate_lie(alg, random_checks=0).ok]
     for degree, seed in ((2, 0), (2, 1), (3, 2), (4, 0)):
@@ -560,15 +580,16 @@ def test_dim3_simple_is_perfect():
         assert validate_lie(alg, random_checks=0).ok
         verdict = is_simple(alg).simple
         assert (derived_series(alg).dims == (3,)) == verdict
-        assert _census_simple(alg) == verdict
+        assert _perfect3(alg.gf, algebra_coefficients(alg)).tolist() == [verdict]
         if verdict:
             simple += 1
             assert _invariant_signature(alg) == ((3,), (3,), 0)
     assert (len(algs), simple) == (1464, 493)
-    # the rank test needs no projective-seed budget; is_simple over
+    # the determinant needs no projective-seed budget; is_simple over
     # GF(2^16) has 2^32 + 2^16 + 1 seeds and refuses
     for name, want in (("o3", True), ("heis3", False)):
-        assert _census_simple(LieAlgebra(GF(16), 3, catalog(name).algebra.table)) is want
+        alg = LieAlgebra(GF(16), 3, catalog(name).algebra.table)
+        assert _perfect3(alg.gf, algebra_coefficients(alg)).tolist() == [want]
     with pytest.raises(BudgetExceeded):
         is_simple(LieAlgebra(GF(16), 3, catalog("o3").algebra.table))
 
@@ -587,6 +608,41 @@ def test_dim3_census_calls_neither_is_simple_nor_the_signature(monkeypatch):
     for case in ((3, 2, 2000, 1), (3, 1, None, 0)):
         assert census_digest(case) == CENSUS_FROZEN[case]
     assert calls == []
+
+
+def test_gf4_dim3_census_builds_one_algebra(monkeypatch):
+    """A GF(4) dim-3 census decides its 617 Jacobi survivors on arrays: it
+    builds one LieAlgebra, its representative, and validates it once."""
+    import lie2.search as search
+    calls = []
+    for name in ("LieAlgebra", "validate_lie"):
+        def counted(*args, _real=getattr(search, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(search, name, counted)
+    case = (3, 2, 20000, 3)
+    assert census(CensusSpec(dim=3, field_degree=2, sample_count=20000,
+                             seed=3)).jacobi_pass == 617
+    assert calls == ["LieAlgebra", "validate_lie"]
+    assert census_digest(case) == CENSUS_FROZEN[case]
+
+
+@pytest.mark.parametrize("case,per_block", [((3, 1, 2000, 11), 8), ((3, 2, 2000, 1), 5),
+                                            ((3, 3, 2000, 1), 64), ((4, 2, 2000, 0), 7)])
+def test_sampled_census_in_small_blocks_matches_its_pin(monkeypatch, case, per_block):
+    """Hundreds of blocks of per_block tables give the pinned report.  The
+    first two blocks hold no simple survivor, so the representative, the
+    first simple survivor in sample order, comes from a later block (the
+    GF(4) dim-4 sample has no Jacobi survivor at all)."""
+    import lie2.search as search
+    n, degree, count, seed = case
+    gf = GF(degree)
+    _jac, pos, _c = _census_planes(gf, n, _sample_planes(gf, n, seed, 0, count))
+    assert pos.size == 0 or pos[0] >= 2 * per_block
+    assert (pos.size == 0) == (n == 4)
+    monkeypatch.setattr(search, "_BLOCK",
+                        per_block * (1 if degree == 1 else n * n * (n - 1) // 2))
+    assert census_digest(case) == CENSUS_FROZEN[case]
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +704,11 @@ def coefficient_planes(c, k):
 
 
 @pytest.mark.parametrize("degree,n,count", [(2, 3, 1500), (2, 4, 600), (4, 3, 600),
-                                            (3, 3, 600), (13, 5, 200), (16, 6, 100)])
+                                            (3, 3, 600), (10, 3, 300), (13, 5, 200),
+                                            (16, 6, 100)])
 def test_gf_jacobi_mask_matches_validate_lie(degree, n, count):
-    """The bit-sliced kernel against validate_lie and the shift-and-add mask."""
+    """The bit-sliced kernel and the survivor re-check on coefficient
+    arrays against validate_lie and the shift-and-add mask."""
     gf = GF(degree)
     dense = sample_coefficients(gf, n, 5, 0, count)
     planes = _sample_planes(gf, n, 5, 0, count)
@@ -671,8 +729,22 @@ def test_gf_jacobi_mask_matches_validate_lie(degree, n, count):
         want = [validate_lie(coefficient_algebra(gf, n, c, s), random_checks=0).ok
                 for s in range(count)]
         assert got.tolist() == want == gf_jacobi_mask(c, n, gf).tolist()
+        assert _jacobi_holds(gf, n, c).tolist() == want
     # the last set, the scaled F2 tables, has survivors at every degree
     assert 0 < sum(want) < count
+
+
+@pytest.mark.parametrize("degree", [1, 2, 10, 16])
+def test_perfect3_matches_derived_series_on_scaled_tables(degree):
+    """The determinant test against the derived series on dim-3 Lie tables
+    over GF(2^k) in a random diagonal basis, perfect and not."""
+    gf = GF(degree)
+    rows = [r for r in sample_rows(3, 30, 400) if table_jacobi_ok([int(v) for v in r], 3)]
+    c = scaled_coefficients(gf, 3, rows, random.Random(degree))
+    want = [derived_series(coefficient_algebra(gf, 3, c, s)).dims == (3,)
+            for s in range(len(rows))]
+    assert _perfect3(gf, c).tolist() == want
+    assert 0 < sum(want) < len(rows)
 
 
 def test_sample_coefficients_read_the_census_stream():
@@ -694,14 +766,39 @@ def test_sample_coefficients_read_the_census_stream():
                 assert (((planes[:, t] >> m) & 1) == ((c[:, m] >> t) & 1)).all()
 
 
+RECHECKED = ((1, 3), (2, 3), (4, 3), (2, 4))  # (field degree, dimension)
+
+
 def test_generic_census_revalidates_survivors(monkeypatch):
-    """A kernel that passes every table is caught over F2 and over GF(4)."""
+    """A kernel that passes every table is caught over F2, GF(4) and GF(16)
+    in dim 3 and over GF(4) in dim 4."""
     import lie2.search as search
     monkeypatch.setattr(search, "_jacobi_positions",
                         lambda b, n, size, gf=None: np.arange(size))
-    for degree in (1, 2):
+    for degree, n in RECHECKED:
         with pytest.raises(InternalInconsistency, match="re-validation"):
-            _run_sampled_packed(CensusSpec(dim=3, field_degree=degree, sample_count=50))
+            _run_sampled_packed(CensusSpec(dim=n, field_degree=degree, sample_count=50))
+
+
+def test_census_rechecks_survivors_that_are_not_simple(monkeypatch):
+    """A kernel that returns the true survivors plus one table that fails
+    Jacobi and is not perfect, so not simple, is caught on every field: the
+    re-check covers every survivor, not only the simple ones."""
+    import lie2.search as search
+    real = search._jacobi_positions
+    for degree, n in RECHECKED:
+        gf, count = GF(degree), 1000
+        planes = _sample_planes(gf, n, 0, 0, count)
+        survivors = set(real(planes, n, count, gf=gf).tolist())
+        extra = next(s for s, alg in ((s, planes_algebra(gf, n, planes, s))
+                                      for s in range(count) if s not in survivors)
+                     if not validate_lie(alg, random_checks=0).ok
+                     and derived_series(alg).dims != (n,))
+        monkeypatch.setattr(search, "_jacobi_positions",
+                            lambda b, n, size, gf=GF(1), extra=extra:
+                            np.union1d(real(b, n, size, gf=gf), [extra]))
+        with pytest.raises(InternalInconsistency, match="re-validation"):
+            _run_sampled_packed(CensusSpec(dim=n, field_degree=degree, sample_count=count))
 
 
 def test_invariant_signature_uses_lower_central_series():
