@@ -466,9 +466,8 @@ def _perfect3(gf: GF, c: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(exp[lc[0] + log[minor]], axis=0) != 0
 
 
-def _simple(gf: GF, n: int, planes: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Which Lie tables with bit-planes `planes` and coefficient arrays c
-    are simple (n >= 3).
+def _simple(gf: GF, n: int, planes: np.ndarray) -> np.ndarray:
+    """Which Lie tables with bit-planes `planes` are simple (n >= 3).
 
     For n = 3 simple means perfect, [g, g] = g.  Let g be perfect of
     dimension 3 and I a proper nonzero ideal: then g/I is perfect of
@@ -476,13 +475,15 @@ def _simple(gf: GF, n: int, planes: np.ndarray, c: np.ndarray) -> np.ndarray:
     2-dimensional one has [g, g] spanned by its one basis bracket, so g/I
     = 0, a contradiction.  Conversely a simple algebra is perfect.  Above
     dimension 3 is_simple decides, on the tables whose planes span F2^n;
-    the others are not perfect.
+    the others are not perfect.  Only those are unpacked.
     """
     if n == 3:
-        return _perfect3(gf, c)
+        return _perfect3(gf, _coefficients(gf, n, planes))
     simple = _spans_all(planes, n)
-    for s in np.flatnonzero(simple):
-        simple[s] = is_simple(_coefficient_algebra(gf, n, c[:, :, s])).simple
+    span = np.flatnonzero(simple)
+    c = _coefficients(gf, n, planes[:, span])
+    simple[span] = [is_simple(_coefficient_algebra(gf, n, c[:, :, s])).simple
+                    for s in range(span.size)]
     return simple
 
 
@@ -530,8 +531,8 @@ def census_exhaustive(n: int) -> Tuple[int, int, List[int]]:
     idx = _jacobi_positions(b, n, pos.size)
     planes = np.stack([f[idx] for f in b])
     tables = pos[idx] | h[idx].astype(np.int64) << (n * last)
-    simple = _simple(GF2, n, planes, _coefficients(GF2, n, planes))
-    return 1 << (n * (last + 1)), int(idx.size), sorted(tables[simple].tolist())
+    return (1 << (n * (last + 1)), int(idx.size),
+            sorted(tables[_simple(GF2, n, planes)].tolist()))
 
 
 def _census_planes(gf: GF, n: int, planes: np.ndarray
@@ -550,7 +551,7 @@ def _census_planes(gf: GF, n: int, planes: np.ndarray
     c = _coefficients(gf, n, sub)
     if not _jacobi_holds(gf, n, c).all():
         raise InternalInconsistency("census survivor failed Jacobi re-validation")
-    simple = _simple(gf, n, sub, c)
+    simple = _simple(gf, n, sub)
     return int(idx.size), idx[simple], c[:, :, simple]
 
 
