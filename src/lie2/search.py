@@ -456,9 +456,10 @@ def _jacobi_holds(gf: GF, n: int, c: np.ndarray) -> np.ndarray:
 
 def _perfect3(gf: GF, c: np.ndarray) -> np.ndarray:
     """Whether each dim-3 table with coefficient arrays c[p, m, s] is
-    perfect: its three brackets, the rows of c[:, :, s], are independent,
-    so the determinant is nonzero.  In characteristic 2 that is the sum
-    over columns m of c[0, m] times the minor of rows 1, 2 without m."""
+    perfect, that is whether its three brackets, the rows of c[:, :, s],
+    are independent: the determinant is nonzero.  In characteristic 2 it
+    is the sum over columns m of c[0, m] times the minor of rows 1, 2
+    without column m."""
     log, exp = _log_exp(gf)
     lc = log[c]
     u, v = [1, 0, 0], [2, 2, 1]  # the two columns other than m = 0, 1, 2
@@ -475,7 +476,7 @@ def _simple(gf: GF, n: int, planes: np.ndarray) -> np.ndarray:
     2-dimensional one has [g, g] spanned by its one basis bracket, so g/I
     = 0, a contradiction.  Conversely a simple algebra is perfect.  Above
     dimension 3 is_simple decides, on the tables whose planes span F2^n;
-    the others are not perfect.  Only those are unpacked.
+    the others are not perfect, and only the spanning ones are unpacked.
     """
     if n == 3:
         return _perfect3(gf, _coefficients(gf, n, planes))

@@ -622,8 +622,8 @@ CENSUS_FROZEN = {
         "6e4dfe88344fa6cdb720f2fb2fc6ef093aaf04f64633d1a011830e402549b639",
     (3, 3, 2000, 1):
         "f5a5cb270e6461ba636dbc0e1c64417bcd8d17afc6e4062c28d0bbde76608846",
-    # a uniform dim-3 table over GF(q) satisfies Jacobi with probability
-    # about q^-3, so no sample this small has a survivor at q = 2^10
+    # a uniform dim-3 table over GF(q) satisfies Jacobi with probability of
+    # order q^-3, so no sample this small has a survivor at q = 2^10
     (3, 10, 3000, 1):
         "e3552861a52850f0822f601c17181e6335663133d35e96d91853b872f416c0c7",
     (3, 1, 3000, 5):

@@ -26,8 +26,8 @@ from lie2.liealg import LieAlgebra, derived_series
 from lie2.field import GF, f2_apply
 from lie2.errors import InternalInconsistency
 from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_planes,
-                         _coefficients, _invariant_signature, _jacobi_holds,
-                         _jacobi_positions, _perfect3, _run_exhaustive,
+                         _invariant_signature, _jacobi_holds, _jacobi_positions,
+                         _perfect3, _run_exhaustive,
                          _run_sampled_packed, _sample_planes,
                          _solve_last_field, _spans_all,
                          algebra_to_table, bytes_from_words, canonical_table,
@@ -621,10 +621,8 @@ def test_gf4_dim3_census_builds_one_algebra(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(search, name, counted)
     case = (3, 2, 20000, 3)
-    assert census(CensusSpec(dim=3, field_degree=2, sample_count=20000,
-                             seed=3)).jacobi_pass == 617
-    assert calls == ["LieAlgebra", "validate_lie"]
     assert census_digest(case) == CENSUS_FROZEN[case]
+    assert calls == ["LieAlgebra", "validate_lie"]
 
 
 @pytest.mark.parametrize("case,per_block", [((3, 1, 2000, 11), 8), ((3, 2, 2000, 1), 5),
