@@ -25,8 +25,8 @@ from .liealg import (catalog, catalog_names, from_json, is_json_int, to_json,
                      validate_lie)
 from .restricted import (RestrictedAlgebra, synthesize_two_map,
                          validate_restricted)
-from .toruscartan import (FIELD_CAVEAT, audit_decomposition, is_torus,
-                          max_tori, weight_decompose, Torus)
+from .toruscartan import (FIELD_CAVEAT, audit_decomposition, check_sweep_budget,
+                          is_torus, max_tori, weight_decompose, Torus)
 from .field import Subspace
 
 _INPUT_ERRORS = (InvalidInput, XiNotInSystem, NotCanonical, DimensionTooLarge,
@@ -169,6 +169,8 @@ def _parse_torus_file(text: str, ra: RestrictedAlgebra) -> Torus:
 
 def _cmd_decompose(args) -> int:
     alg, two_map = _load_algebra(args.file)
+    if args.torus == "auto":
+        check_sweep_budget(alg)  # exit 3 before spending time on validation
     ra, source = _checked_restricted("decompose", alg, two_map)
     if ra is None:
         return 1
@@ -216,6 +218,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_toral_rank(args) -> int:
     alg, two_map = _load_algebra(args.file)
+    check_sweep_budget(alg, args.budget)
     ra, source = _checked_restricted("toral-rank", alg, two_map)
     if ra is None:
         return 1

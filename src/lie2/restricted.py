@@ -14,10 +14,13 @@ Squaring is only semilinear over GF(2^k), but by Jacobson's formula
 F2-linear map on its restriction: `square_columns`.  `square_sweep`
 tabulates x -> x^[2] on a closed subalgebra by one Gray-code sweep.
 
-`validate_restricted` checks the 2-map axioms on random vectors bit-sliced,
-like `liealg.validate_lie`: `sliced_square` evaluates x^[2] for every lane
-at once, its linear part from `RestrictedAlgebra.squares` and its cross
-terms from the pair loop of `liealg.SlicedBracket`.
+`validate_restricted` checks ad(x^[2]) = ad(x)^2 on the basis, and on
+random vectors bit-sliced, like `liealg.validate_lie`, what the basis cannot
+settle: that `packed_square` is the sliced square, the addition rule and
+Frobenius homogeneity.  The identity on every x follows from these
+(Jacobson's theorem).  `sliced_square` evaluates x^[2] for every lane at
+once, its linear part from `RestrictedAlgebra.squares` and its cross terms
+from the pair loop of `liealg.SlicedBracket`.
 """
 
 from __future__ import annotations
@@ -158,13 +161,21 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
 
     On the basis, ad(x^[2]) = ad(x)^2 is checked as [x^[2], e_l] =
     [x, [x, e_l]] on packed vectors, with ad(x) built once: [x, alpha^a e_l]
-    = alpha^a [x, e_l].  On the samples the same identity is checked sliced
-    (`SlicedBracket.ad_basis` gives the [x, e_l], `combine` applies ad(x) to
-    them), and so is (lam x)^[2] = lam^2 x^[2] for a random lam per sample;
-    x^[2] is `sliced_square`, which is compared with `packed_square` on every
-    sample.  The addition rule (x + y)^[2] = x^[2] + y^[2] + [x, y] holds
-    for the sliced square by construction; for `packed_square` it follows
-    from `check_tables`, and it is checked on the first sample of each batch.
+    = alpha^a [x, e_l].  The samples check (lam x)^[2] = lam^2 x^[2] for a
+    random lam per sample, on x^[2] from `sliced_square`, which is compared
+    with `packed_square` on every sample.  The addition rule (x + y)^[2] =
+    x^[2] + y^[2] + [x, y] holds for the sliced square by construction; for
+    `packed_square` it follows from `check_tables`, and it is checked on the
+    first sample of each batch.
+
+    ad(x^[2]) = ad(x)^2 needs no samples (Jacobson's theorem, Strade and
+    Farnsteiner 1988, ch. 2).  By the addition rule and Jacobi,
+    ad((x + y)^[2]) = ad(x^[2]) + ad(y^[2]) + [ad x, ad y], and ad(x + y)^2
+    = ad(x)^2 + ad(y)^2 + [ad x, ad y] in characteristic 2, so the x where
+    the identity holds are closed under sums; by Frobenius homogeneity they
+    are closed under scalars too.  They hold the basis, so they are every x,
+    and a square that breaks the identity somewhere breaks homogeneity,
+    which the samples check.
     """
     alg = ra.algebra
     n, k = alg.dim, alg.gf.degree
@@ -191,10 +202,6 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
         if packed_square(ra, xs[0] ^ y) != (packed[0] ^ packed_square(ra, y)
                                             ^ alg.packed_bracket(xs[0], y)):
             raise InternalInconsistency("2-map addition rule failed")
-        adx = sliced.ad_basis(x)
-        if any(sliced.combine(adx, col) != ad_sq
-               for col, ad_sq in zip(adx, sliced.ad_basis(sq))):
-            raise InternalInconsistency("derived 2-map identity failed on a vector")
         if square(sliced.scale(lam, x)) != sliced.scale(lam, sliced.scale(lam, sq)):
             raise InternalInconsistency("2-map is not Frobenius-homogeneous")
     return RestrictedReport(True, bad, sum(batches))

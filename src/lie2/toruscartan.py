@@ -39,25 +39,34 @@ from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
 from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
                     f2_eliminate, f2_reduce, full_space, pack_bits, unpack_bits,
                     vec_is_zero, zero_vec)
-from .liealg import ad_kernel, centralizer, subspace_bracket
+from .liealg import (LieAlgebra, ad_kernel, bit_positions, centralizer, subspace_bracket,
+                     transpose)
 from .restricted import (RestrictedAlgebra, classify_element, jcs_decompose,
                          packed_square, square_columns, square_sweep, two_map_eval)
 
 FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
                 "toral ranks are lower bounds and maximality is relative to this field")
+SWEEP_BUDGET = 1 << 20  # default bound on the vectors of a whole-space sweep
+
+
+def check_sweep_budget(alg: LieAlgebra, budget: int = SWEEP_BUDGET) -> None:
+    """Raise BudgetExceeded when the whole-space sweep of alg, q^n vectors,
+    exceeds budget; it reads only the field and dimension, so a command can
+    check it before validating."""
+    total = alg.gf.order ** alg.dim
+    if total > budget:
+        raise BudgetExceeded(f"sweep of {total} vectors exceeds budget {budget}")
 
 
 def _fixpoints(ra: RestrictedAlgebra, budget: int) -> List[int]:
     """Packed 2-map fixpoints in ascending order, by `square_sweep` of the
     whole space, whose coordinates are the packed vectors themselves."""
     alg = ra.algebra
-    total = alg.gf.order ** alg.dim
-    if total > budget:
-        raise BudgetExceeded(f"sweep of {total} vectors exceeds budget {budget}")
+    check_sweep_budget(alg, budget)
     return sorted(x for x, sq in square_sweep(ra, full_space(alg.gf, alg.dim)) if x == sq)
 
 
-def toral_elements(ra: RestrictedAlgebra, budget: int = 1 << 20) -> List[Vec]:
+def toral_elements(ra: RestrictedAlgebra, budget: int = SWEEP_BUDGET) -> List[Vec]:
     """All fixpoints of the 2-map, ascending in the packed value (the order
     of sum_i v[i] q^i, by which the torus search breaks ties)."""
     alg = ra.algebra
@@ -114,8 +123,8 @@ def _toral_basis(s: Subspace, cols: List[int]) -> Optional[Tuple[Vec, ...]]:
     fixpoints has coefficients c = c^2, in F2), so they span s exactly when
     that kernel has F2 dimension dim s.  The basis is then the kernel's
     fully reduced echelon with top-bit pivots, in ascending order: the
-    greedy pick of fixpoints in the ascending coordinate order of
-    `Subspace.vectors`."""
+    greedy pick of fixpoints in ascending packed value of their coordinates
+    in `s.echelon`."""
     kernel = f2_eliminate([c ^ 1 << i for i, c in enumerate(cols)], len(cols))[0]
     if len(kernel) != s.dim:
         return None
@@ -136,24 +145,6 @@ class MaxTorusReport:
     caveat: str = FIELD_CAVEAT
 
 
-def _bits(x: int) -> List[int]:
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
-def _planes(items: Sequence[int], width: int) -> List[int]:
-    """Bit j of planes[l] is bit l of items[j]: the items bit-sliced."""
-    planes = [0] * width
-    for j, x in enumerate(items):
-        for l in _bits(x):
-            planes[l] |= 1 << j
-    return planes
-
-
 def _commutation_graph(alg, items: Sequence[int], planes: Sequence[int]) -> List[int]:
     """Bit j of row i is set when packed fixpoints i and j commute (i != j).
 
@@ -168,7 +159,7 @@ def _commutation_graph(alg, items: Sequence[int], planes: Sequence[int]) -> List
         rows = [0] * len(planes)
         for col, plane in zip(alg.ad_columns, planes):
             if plane:
-                for r in _bits(f2_apply(col, x)):
+                for r in bit_positions(f2_apply(col, x)):
                     rows[r] ^= plane
         clash = 0
         for row in rows:
@@ -177,7 +168,7 @@ def _commutation_graph(alg, items: Sequence[int], planes: Sequence[int]) -> List
     return comm
 
 
-def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
+def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
              node_budget: int = 1 << 20, restarts: int = 32,
              seed: int = 0) -> MaxTorusReport:
     """Largest independent pairwise-commuting set of 2-map fixpoints.
@@ -212,7 +203,7 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
     if m == 0:
         return MaxTorusReport(0, Torus(Subspace(alg.gf, alg.dim), ()), True,
                               "exhaustive", 0, 0)
-    planes = _planes(items, alg.dim * k)
+    planes = transpose(items, alg.dim * k)  # bit j of planes[l] is bit l of items[j]
     comm = _commutation_graph(alg, items, planes)
     times_alpha = alpha_map(alg.gf, alg.dim)
 
@@ -234,7 +225,7 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = 1 << 20,
         nonlocal best, nodes, aborted
         if len(chosen) > len(best):
             best = list(chosen)
-        order = _bits(cand)
+        order = bit_positions(cand)
         # bound[t]: rank of the candidates order[t:] modulo the chosen span
         bound = [0] * (len(order) + 1)
         grown = list(span)

@@ -177,8 +177,9 @@ def sweep_is_torus(ra, s: Subspace) -> TorusReport:
 
 
 def sweep_toral_basis(ra, s: Subspace, squares):
-    """Fixpoints of s taken greedily in the order of `Subspace.vectors`,
-    each one outside the span of those before; None when they span less
+    """Fixpoints of s taken greedily in ascending packed value of their
+    coefficient vectors (the order of `coefficient_vectors`), each one
+    outside the span of those before; None when they span less
     than s.  Over F2 squaring is linear on s, so its fixpoints span s only
     when it is the identity.  Raises BudgetExceeded above 2^16 vectors."""
     gf = ra.algebra.gf

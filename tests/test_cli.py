@@ -17,7 +17,7 @@ import time
 import pytest
 
 from lie2.cli import main
-from lie2.field import GF2
+from lie2.field import GF, GF2
 from lie2.liealg import LieAlgebra, catalog, from_json, to_json
 from lie2.toruscartan import FIELD_CAVEAT
 from test_reports_frozen import lifted_doc
@@ -370,6 +370,26 @@ def test_gl2_over_gf16_toral_commands_are_fast(tmp_path, capsys, command):
     assert code == 0 and err == ""
     assert ("torus: rank 2 (exhaustive)" if command == "decompose"
             else "toral rank lower bound: 2 (exhaustive, 273 fixpoints seen)") in out
+
+
+@pytest.mark.parametrize("command", ["decompose", "toral-rank"])
+def test_sweep_budget_is_checked_before_validation(tmp_path, capsys, command):
+    """strictly_upper(8) lifted to GF(2^16) needs a 2^448-vector sweep; the
+    budget line comes before the seconds of validation it would follow.  An
+    algebra that is over budget and breaks Jacobi exits 3 as well."""
+    path = tmp_path / "su8_gf65536.json"
+    path.write_text(json.dumps(lifted_doc("strictly_upper(8)", 16, 1)), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert err == f"budget exceeded: sweep of {2 ** 448} vectors exceeds budget {1 << 20}\n"
+
+    broken = LieAlgebra(GF(8), 3, {(0, 1): (0, 0, 1), (1, 2): (0, 1, 0)}, name="broken")
+    path.write_text(json.dumps(to_json(broken)), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (3, "")
+    assert err == f"budget exceeded: sweep of {1 << 24} vectors exceeds budget {1 << 20}\n"
 
 
 @pytest.mark.parametrize("command", ["decompose", "toral-rank"])

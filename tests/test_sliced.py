@@ -3,10 +3,13 @@
 A sliced vector holds many packed vectors, one per lane, as one int per F2
 coordinate.  Every sliced operation is compared lane by lane with the packed
 one it stands for, over 37 lanes: `SlicedBracket.bracket` with `packed_bracket`,
-`sliced_square` with `packed_square`, `ad_basis` and `combine` with brackets
-against basis vectors and general vectors, and `scale` with `GF.mul` on the
+`sliced_square` with `packed_square`, and `scale` with `GF.mul` on the
 coordinates.  The algebras are the catalog fixtures over F2 and their seeded
 lifts (`lifted_doc`) over F2, GF(4) and GF(16).
+
+The validators sample neither Jacobi nor ad(x^[2]) = ad(x)^2, because the
+basis checks imply both; the oracle test below checks that they hold on
+random vectors wherever the basis checks pass.
 
 The mutation tests tamper with what the random checks guard, one nibble
 table entry or one alpha-multiple of a basis square, and expect
@@ -56,17 +59,48 @@ def test_sliced_ops_match_packed_lane_by_lane(name, degree, lifted):
     assert sliced.lanes(x, lanes) == xs
     assert sliced.lanes(sliced.bracket(x, y), lanes) == [
         alg.packed_bracket(a, b) for a, b in zip(xs, ys)]
-    adx = sliced.ad_basis(x)
-    assert sliced.lanes(sliced.combine(adx, y), lanes) == [
-        alg.packed_bracket(a, b) for a, b in zip(xs, ys)]
-    for e, col in enumerate(adx):
-        assert sliced.lanes(col, lanes) == [alg.packed_bracket(a, 1 << (e * k)) for a in xs]
     assert sliced.lanes(sliced.scale(lam, x), lanes) == [
         pack_bits([gf.mul(c, v) for v in unpack_bits(a, n, k)], k) for c, a in zip(lams, xs)]
     if two_map is not None:
         ra = RestrictedAlgebra(alg, two_map)
         assert sliced.lanes(sliced_square(ra, sliced)(x), lanes) == [
             packed_square(ra, a) for a in xs]
+
+
+@pytest.mark.parametrize("degree,lifted", FIELDS)
+@pytest.mark.parametrize("name", NAMES)
+def test_basis_checks_imply_the_unsampled_identities(name, degree, lifted):
+    """Where the basis checks pass, the identities the samples no longer
+    check hold on random vectors: Jacobi for the sliced bracket, which is
+    trilinear and alternating, and ad(x^[2]) = ad(x)^2 for the sliced square
+    (Jacobson's theorem), with ad taken from `packed_bracket` on every F2
+    basis vector f_l."""
+    alg, two_map = algebra(name, degree, lifted)
+    n, k = alg.dim, alg.gf.degree
+    sliced = SlicedBracket(alg)
+    rng = random.Random(f"oracle/{name}/{degree}/{lifted}")
+    lanes = 37
+    assert validate_lie(alg, random_checks=0).ok
+    x, y, z = sliced.slices([rng.getrandbits(3 * n * k) for _ in range(lanes)], 3)
+    bracket = sliced.bracket
+    assert not any(a ^ b ^ c for a, b, c in zip(bracket(bracket(x, y), z),
+                                                bracket(bracket(y, z), x),
+                                                bracket(bracket(z, x), y)))
+    if two_map is None:
+        return
+    ra = RestrictedAlgebra(alg, two_map)
+    assert validate_restricted(ra, random_checks=0).ok
+    xs = [rng.getrandbits(n * k) for _ in range(lanes)]
+    squares = sliced.lanes(sliced_square(ra, sliced)(sliced.slices(xs)[0]), lanes)
+    ad = alg.packed_bracket
+    for a, sq in zip(xs, squares):
+        for l in range(n * k):
+            assert ad(sq, 1 << l) == ad(a, ad(a, 1 << l))
+
+
+def test_transpose_of_no_rows_is_zero():
+    assert transpose([], 5) == [0] * 5
+    assert transpose([], 0) == []
 
 
 def test_slices_are_the_packed_vectors():
@@ -149,6 +183,17 @@ def test_faulty_packed_square_fails_validate_restricted(monkeypatch):
     packed = restricted.packed_square
     monkeypatch.setattr(restricted, "packed_square", lambda ra, x: packed(ra, x) ^ x & 1)
     with pytest.raises(InternalInconsistency):
+        validate_restricted(RestrictedAlgebra(alg, two_map))
+
+
+def test_faulty_packed_bracket_fails_the_addition_rule(monkeypatch):
+    """packed_square reads the nibble tables, not packed_bracket, so a
+    packed_bracket that is zero everywhere breaks (x + y)^[2] = x^[2] +
+    y^[2] + [x, y] on gl2, which validate_restricted checks without
+    validate_lie before it."""
+    alg, two_map = from_json(lifted_doc("gl2", 2, 3))
+    monkeypatch.setattr(LieAlgebra, "packed_bracket", lambda self, x, y: 0)
+    with pytest.raises(InternalInconsistency, match="addition rule"):
         validate_restricted(RestrictedAlgebra(alg, two_map))
 
 

@@ -19,7 +19,7 @@ from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput, Lie2Error,
                   catalog, cartan_split, is_torus, max_tori, toruscartan,
                   weight_decompose)
 from lie2.field import GF, GF2, Subspace, full_space, pack_bits, zero_vec
-from lie2.liealg import LieAlgebra, _gl_entry, from_json
+from lie2.liealg import LieAlgebra, _gl_entry, from_json, transpose
 from lie2.restricted import (JcsParts, _iterate_span, classify_element, jcs_decompose,
                              two_map_eval)
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
@@ -211,7 +211,7 @@ def test_commutation_graph_matches_brackets(case):
     alg = ra.algebra
     items = [x for x in toruscartan._fixpoints(ra, 1 << 20) if x]
     comm = toruscartan._commutation_graph(
-        alg, items, toruscartan._planes(items, alg.dim * alg.gf.degree))
+        alg, items, transpose(items, alg.dim * alg.gf.degree))
     assert [[comm[i] >> j & 1 for j in range(len(items))] for i in range(len(items))] == \
         [[int(i != j and not alg.packed_bracket(x, y)) for j, y in enumerate(items)]
          for i, x in enumerate(items)]
