@@ -18,10 +18,11 @@ and costs nothing, so an abelian table brackets at the cost of its packing.
 The tables are built on first use.  `validate_lie` checks the basis
 triples with `field.f2_apply`, one column per set bit, so a table that is
 only checked there (as the census checks its survivors) never pays for
-them; `f2_apply` also serves the ideal closure, the toral sweeps and
-`ad_kernel` (centralizers, root spaces and 2-map synthesis), whose kernels
-and closures are `Subspace`s directly.  The packed F2 core (`f2_apply`,
-`f2_reduce`, `f2_eliminate`) lives in `field`, and is imported here.
+them; `f2_apply` also serves the ideal closure, the commutation graph of
+the torus search and `ad_kernel` (centralizers, root spaces and 2-map
+synthesis), whose kernels and closures are `Subspace`s directly.  The
+packed F2 core (`f2_apply`, `f2_reduce`, `f2_eliminate`) lives in `field`,
+and is imported here.
 
 The randomized checks of `validate_lie` and `restricted.validate_restricted`
 run bit-sliced (Biham's bitslicing): up to LANES random samples at once, one
@@ -32,6 +33,9 @@ checks only what can still fail there: its [x, y] is compared with
 by construction, and for the packed one they are checked exhaustively, on
 its tables (`check_tables`).  Jacobi is then trilinear and alternating, so
 the basis triples settle it for every triple, and no random triple is drawn.
+The sliced vectors carry no scalar product: the one identity that needs
+scalars, Frobenius homogeneity of the 2-map, is checked on its table of
+basis squares.
 """
 
 from __future__ import annotations
@@ -441,15 +445,6 @@ def planes_mul(acc: List[List[int]], a: Sequence[Sequence[int]],
             acc[s + t] = [o ^ p & q for o, p, q in zip(acc[s + t], u, v)]
 
 
-def planes_scale(acc: List[List[int]], lam: Sequence[int], b: Sequence[Sequence[int]]) -> None:
-    """Add lam times the planes b to acc, for lam one sliced GF(2^k) element
-    (k slices)."""
-    for s, u in enumerate(lam):
-        if u:
-            for t, v in enumerate(b):
-                acc[s + t] = [o ^ u & q for o, q in zip(acc[s + t], v)]
-
-
 def planes_reduce(acc: List[List[int]], k: int, taps: Sequence[int]) -> List[List[int]]:
     """The k planes of acc modulo the field polynomial, where alpha^k is the
     sum of alpha^t over taps; acc is reduced in place."""
@@ -508,10 +503,6 @@ class SlicedBracket:
         n = self.n
         return [x[t:t + n] for t in range(0, len(x), n)]
 
-    def _reduced(self, acc: List[List[int]]) -> List[int]:
-        """The vector of the 2k - 1 accumulated planes acc."""
-        return [c for plane in planes_reduce(acc, self.k, self.taps) for c in plane]
-
     def _add(self, wide: List[int], d: Sequence[Sequence[int]]) -> None:
         """Add d_p [e_i, e_j] to wide for each table pair p, d given as planes
         over the pairs."""
@@ -534,7 +525,7 @@ class SlicedBracket:
                        [[p[i] for i in left] for p in yp])
         wide = [0] * (self.n * (2 * k - 1))
         self._add(wide, planes_reduce(acc, k, self.taps))
-        return self._reduced(self._planes(wide))
+        return [c for plane in planes_reduce(self._planes(wide), k, self.taps) for c in plane]
 
     def bracket(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
         """[x, y], lane by lane."""
@@ -543,12 +534,6 @@ class SlicedBracket:
     def cross_terms(self, x: Sequence[int]) -> List[int]:
         """Sum of x_i x_j [e_i, e_j] over i < j, the quadratic part of x^[2]."""
         return self._pair_sum(x, x, False)
-
-    def scale(self, lam: Sequence[int], x: Sequence[int]) -> List[int]:
-        """lam x, for lam one sliced GF(2^k) element."""
-        acc = [[0] * self.n] * (2 * self.k - 1)
-        planes_scale(acc, lam, self._planes(x))
-        return self._reduced(acc)
 
 
 # ---------------------------------------------------------------------------

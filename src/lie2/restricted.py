@@ -12,15 +12,16 @@ decomposition of the squaring operator on the span of 2-power iterates.
 Squaring is only semilinear over GF(2^k), but by Jacobson's formula
 (x + y)^[2] = x^[2] + y^[2] + [x, y] it is additive on an abelian span, an
 F2-linear map on its restriction: `square_columns`.  `square_sweep`
-tabulates x -> x^[2] on a closed subalgebra by one Gray-code sweep.
+tabulates x -> x^[2] on the whole space by one Gray-code sweep.
 
-`validate_restricted` checks ad(x^[2]) = ad(x)^2 on the basis, and on
-random vectors bit-sliced, like `liealg.validate_lie`, what the basis cannot
-settle: that `packed_square` is the sliced square, the addition rule and
-Frobenius homogeneity.  The identity on every x follows from these
-(Jacobson's theorem).  `sliced_square` evaluates x^[2] for every lane at
-once, its linear part from `RestrictedAlgebra.squares` and its cross terms
-from the pair loop of `liealg.SlicedBracket`.
+`validate_restricted` checks ad(x^[2]) = ad(x)^2 on the basis and Frobenius
+homogeneity on the table of basis squares, and on random vectors
+bit-sliced, like `liealg.validate_lie`, what neither can settle: that
+`packed_square` is the sliced square, and the addition rule.  The identity
+on every x follows from these (Jacobson's theorem).  `sliced_square`
+evaluates x^[2] for every lane at once, its linear part from
+`RestrictedAlgebra.squares` and its cross terms from the pair loop of
+`liealg.SlicedBracket`.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InternalInconsistency, InvalidInput, NotTwoMapClosed
-from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply, f2_eliminate,
-                    pack_bits, unpack_bits)
+from .errors import InternalInconsistency, InvalidInput
+from .field import (Subspace, Vec, alpha_map, f2_apply, f2_eliminate, pack_bits,
+                    unpack_bits)
 from .liealg import (LieAlgebra, SlicedBracket, ad_kernel, check_tables, lane_batches,
                      nibble_apply)
 
@@ -96,21 +97,15 @@ def square_columns(ra: RestrictedAlgebra, span: Subspace) -> Optional[List[int]]
     return cols
 
 
-def square_sweep(ra: RestrictedAlgebra, span: Subspace) -> Iterator[Tuple[int, int]]:
-    """(x, coordinates of x^[2]) for every F2 coordinate vector x of span in
-    the basis `span.echelon`, by a Gray-code sweep from x = 0.
+def square_sweep(ra: RestrictedAlgebra) -> Iterator[Tuple[int, int]]:
+    """(x, x^[2]) for every packed vector x, by a Gray-code sweep from x = 0.
 
-    span must be a subalgebra closed under the 2-map.  Flipping b_m changes
-    the square by b_m^[2] + [x, b_m] (Jacobson's formula).  The coordinates
-    of [x, b_j] for every j ride side by side in one int, d bits each, to
-    which flipping m adds those of [b_m, b_j]."""
-    alg, basis, code = ra.algebra, span.echelon, span.coords_packed
-    squares = square_columns(ra, span)
-    if squares is None:
-        raise NotTwoMapClosed("swept span is not closed under the 2-map")
-    d = len(basis)
-    flips = [sum(code(alg.packed_bracket(b, c)) << (j * d) for j, c in enumerate(basis))
-             for b in basis]
+    Flipping bit m changes the square by f_m^[2] + [x, f_m] (Jacobson's
+    formula).  [x, f_j] for every j ride side by side in one int, d = nk
+    bits each, to which flipping m adds [f_m, f_j]."""
+    squares = ra.squares
+    d = len(squares)
+    flips = [sum(c << (j * d) for j, c in enumerate(col)) for col in ra.algebra.ad_columns]
     mask = (1 << d) - 1
     x = square = brackets = 0
     yield x, square
@@ -156,54 +151,53 @@ class RestrictedReport:
 
 def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
                         seed: int = 0) -> RestrictedReport:
-    """Check ad(b_i) = ad(e_i)^2 on the basis, then randomized identities on
-    random_checks random vectors, run lane-sliced in batches of up to LANES.
+    """Check ad(e_i^[2]) = ad(e_i)^2 on the basis, then the tables, then
+    randomized identities on random_checks random vectors, run lane-sliced
+    in batches of up to LANES.
 
-    On the basis, ad(x^[2]) = ad(x)^2 is checked as [x^[2], e_l] =
-    [x, [x, e_l]] on packed vectors, with ad(x) built once: [x, alpha^a e_l]
-    = alpha^a [x, e_l].  The samples check (lam x)^[2] = lam^2 x^[2] for a
-    random lam per sample, on x^[2] from `sliced_square`, which is compared
-    with `packed_square` on every sample.  The addition rule (x + y)^[2] =
-    x^[2] + y^[2] + [x, y] holds for the sliced square by construction; for
-    `packed_square` it follows from `check_tables`, and it is checked on the
-    first sample of each batch.
+    On the basis the identity is checked as [e_i^[2], f_l] = [e_i, [e_i,
+    f_l]], with ad(e_i) read off `ad_columns`.  Besides `check_tables`, the
+    table check is Frobenius homogeneity, squares[ik + a] = alpha^2
+    squares[ik + a - 1]: with it, `packed_square` over the GF-bilinear
+    `ad_columns` is sum c_i^2 e_i^[2] + sum_{i<j} c_i c_j [e_i, e_j] at
+    x = sum c_i e_i, so (lam x)^[2] = lam^2 x^[2] for every lam and x.
+    Each sample compares `packed_square` with the square from
+    `sliced_square`.  The addition rule (x + y)^[2] = x^[2] + y^[2] + [x, y]
+    holds for the sliced square by construction; for `packed_square` it
+    follows from `check_tables`, and it is checked on the first sample of
+    each batch.
 
     ad(x^[2]) = ad(x)^2 needs no samples (Jacobson's theorem, Strade and
     Farnsteiner 1988, ch. 2).  By the addition rule and Jacobi,
     ad((x + y)^[2]) = ad(x^[2]) + ad(y^[2]) + [ad x, ad y], and ad(x + y)^2
     = ad(x)^2 + ad(y)^2 + [ad x, ad y] in characteristic 2, so the x where
     the identity holds are closed under sums; by Frobenius homogeneity they
-    are closed under scalars too.  They hold the basis, so they are every x,
-    and a square that breaks the identity somewhere breaks homogeneity,
-    which the samples check.
+    are closed under scalars too.  They hold the basis, so they are every x.
     """
     alg = ra.algebra
     n, k = alg.dim, alg.gf.degree
-    nib, basis = alg.ad_nibbles, range(0, n * k, k)
-
-    def squares_to(x: int, sq: int) -> bool:
-        adx = alpha_multiples(alg.gf, n, [nibble_apply(nib[l], x) for l in basis])
-        return all(nibble_apply(nib[l], sq) == f2_apply(adx, adx[l]) for l in basis)
-
-    bad = [i for i in range(n) if not squares_to(1 << (i * k), ra.squares[i * k])]
+    nib, ad, squares, basis = alg.ad_nibbles, alg.ad_columns, ra.squares, range(0, n * k, k)
+    bad = [i for i, m in enumerate(basis)
+           if any(nibble_apply(nib[l], squares[m]) != f2_apply(ad[m], ad[m][l]) for l in basis)]
     batches = lane_batches(random_checks)
     if bad or not batches:
         return RestrictedReport(not bad, bad, 0)
     check_tables(alg)
+    times_alpha = alpha_map(alg.gf, n)
+    if any(squares[m] != times_alpha(times_alpha(squares[m - 1]))
+           for m in range(1, n * k) if m % k):
+        raise InternalInconsistency("2-map is not Frobenius-homogeneous")
     sliced, rng = SlicedBracket(alg), random.Random(seed)
     square = sliced_square(ra, sliced)
     for lanes in batches:
         xs = [rng.getrandbits(n * k) for _ in range(lanes)]
-        lam = [rng.getrandbits(lanes) for _ in range(k)]
         (x,), y = sliced.slices(xs), rng.getrandbits(n * k)
-        sq, packed = square(x), [packed_square(ra, v) for v in xs]
-        if sliced.slices(packed)[0] != sq:
+        packed = [packed_square(ra, v) for v in xs]
+        if sliced.slices(packed)[0] != square(x):
             raise InternalInconsistency("packed_square disagrees with the sliced square")
         if packed_square(ra, xs[0] ^ y) != (packed[0] ^ packed_square(ra, y)
                                             ^ alg.packed_bracket(xs[0], y)):
             raise InternalInconsistency("2-map addition rule failed")
-        if square(sliced.scale(lam, x)) != sliced.scale(lam, sliced.scale(lam, sq)):
-            raise InternalInconsistency("2-map is not Frobenius-homogeneous")
     return RestrictedReport(True, bad, sum(batches))
 
 

@@ -8,12 +8,14 @@ the structural facts the downstream case analysis relies on.
 
 Everything is computed over the given finite field, of any degree, on
 packed vectors of the F2 restriction of scalars (see `liealg`); a span is
-kept as F2 echelon slots holding every alpha^a v.  The fixpoint sweep and
-the nil check are `restricted.square_sweep`s, and a torus is injective and
+kept as F2 echelon slots holding every alpha^a v.  The fixpoint sweep is
+`restricted.square_sweep` of the whole space, and a torus is injective and
 has a toral basis by the kernels of A and A + I, A its squaring map from
-`restricted.square_columns`.  The maximal torus search is a branch and bound
-over int bitsets of the fixpoints' commutation graph, which is built
-bit-sliced (plane l is the set of fixpoints with bit l): a branch keeps only
+`restricted.square_columns`.  The nil part of a Cartan split is
+2-nilpotent exactly when it is nilpotent and A is nilpotent on its centre.
+The maximal torus search is a branch and bound over int bitsets of the
+fixpoints' commutation graph, which is built bit-sliced (plane l is the
+set of fixpoints with bit l): a branch keeps only
 the candidates commuting with everything chosen, and is cut once the chosen
 count plus the rank of the remaining candidates modulo the chosen span
 cannot beat the best set found.  It reaches each torus through one basis,
@@ -37,12 +39,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
 from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
-                    f2_eliminate, f2_reduce, full_space, pack_bits, unpack_bits,
-                    vec_is_zero, zero_vec)
+                    f2_eliminate, f2_reduce, pack_bits, unpack_bits, vec_is_zero,
+                    zero_vec)
 from .liealg import (LieAlgebra, ad_kernel, bit_positions, centralizer, subspace_bracket,
                      transpose)
-from .restricted import (RestrictedAlgebra, classify_element, jcs_decompose,
-                         packed_square, square_columns, square_sweep, two_map_eval)
+from .restricted import (RestrictedAlgebra, jcs_decompose, packed_square,
+                         square_columns, square_sweep, two_map_eval)
 
 FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
                 "toral ranks are lower bounds and maximality is relative to this field")
@@ -59,11 +61,9 @@ def check_sweep_budget(alg: LieAlgebra, budget: int = SWEEP_BUDGET) -> None:
 
 
 def _fixpoints(ra: RestrictedAlgebra, budget: int) -> List[int]:
-    """Packed 2-map fixpoints in ascending order, by `square_sweep` of the
-    whole space, whose coordinates are the packed vectors themselves."""
-    alg = ra.algebra
-    check_sweep_budget(alg, budget)
-    return sorted(x for x, sq in square_sweep(ra, full_space(alg.gf, alg.dim)) if x == sq)
+    """Packed 2-map fixpoints in ascending order, by `square_sweep`."""
+    check_sweep_budget(ra.algebra, budget)
+    return sorted(x for x, sq in square_sweep(ra) if x == sq)
 
 
 def toral_elements(ra: RestrictedAlgebra, budget: int = SWEEP_BUDGET) -> List[Vec]:
@@ -281,25 +281,34 @@ class CartanSplit:
 def _all_two_nilpotent(ra: RestrictedAlgebra, nil: Subspace) -> bool:
     """Whether every element of the 2-map closed subalgebra nil is 2-nilpotent.
 
-    `square_sweep` tabulates x -> x^[2] in the F2 coordinates of nil.  Every
-    element is 2-nilpotent iff 0 is the only cycle of the table, i.e. iff
-    its 2^d-th power (d = dim_F2 nil) is zero everywhere.
+    Exactly when nil is nilpotent and squaring is nilpotent on its centre Z
+    (Strade and Farnsteiner 1988, ch. 2).  Necessary: ad(x)^(2^m) =
+    ad(x^[2^m]), so Engel's theorem applies.  Sufficient: for x in Z_(i+1)
+    of the upper central series, [x^[2], y] = [x, [x, y]] lies in Z_(i-1),
+    so x^[2] lies in Z_i, and x^[2^(c-1)] in Z_1 = Z for every x.  Z is
+    abelian and 2-map closed, so squaring on it is the F2-linear map A of
+    `square_columns`, nilpotent iff A^(2^t) = 0 for 2^t above its size.
     """
-    d = len(nil.echelon)
-    image = [0] * (1 << d)
-    for x, square in square_sweep(ra, nil):
-        image[x] = square
-    for _ in range(d):
-        image = [image[v] for v in image]
-    return not any(image)
+    alg, term = ra.algebra, nil
+    while term.dim:
+        below = subspace_bracket(alg, nil, term)
+        if below.dim == term.dim:
+            return False
+        term = below
+    centre = centralizer(alg, nil).intersect(nil)
+    cols = square_columns(ra, centre)
+    if cols is None:
+        raise InternalInconsistency("centre of a 2-map closed subalgebra is not 2-map closed")
+    for _ in range(len(cols).bit_length()):
+        cols = [f2_apply(cols, c) for c in cols]
+    return not any(cols)
 
 
 def cartan_split(ra: RestrictedAlgebra, torus: Torus) -> CartanSplit:
     """Centralizer of the torus split as torus plus 2-nilpotent part.
 
-    The nil part must be 2-nilpotent: when it has at most 2^12 elements every
-    one is checked by one Gray-code sweep (`_all_two_nilpotent`), otherwise
-    its basis rows and 64 seeded combinations by `classify_element`.
+    The nil part must be 2-nilpotent, which `_all_two_nilpotent` decides
+    exactly.
     """
     alg = ra.algebra
     h = centralizer(alg, torus.space)
@@ -322,17 +331,7 @@ def cartan_split(ra: RestrictedAlgebra, torus: Torus) -> CartanSplit:
         raise SplitFailed("nilpotent part is not a subalgebra")
     if square_columns(ra, nil) is None:
         raise SplitFailed("nilpotent part is not 2-map closed")
-    limit = 1 << 12
-    if alg.gf.order ** nil.dim <= limit:
-        nilpotent = _all_two_nilpotent(ra, nil)
-    else:
-        rng = random.Random(0)
-        elems = list(nil.rows)
-        for _ in range(64):
-            elems.append(nil.combo(tuple(rng.randrange(alg.gf.order)
-                                         for _ in range(nil.dim))))
-        nilpotent = all(classify_element(ra, v).two_nilpotent for v in elems)
-    if not nilpotent:
+    if not _all_two_nilpotent(ra, nil):
         raise SplitFailed("nilpotent part contains a non-2-nilpotent element")
     return CartanSplit(torus, h, nil)
 
@@ -409,9 +408,9 @@ def weight_decompose(ra: RestrictedAlgebra, torus: Torus) -> CartanDecomposition
         raise NotSimultaneouslyDiagonalizable(
             f"joint eigenspaces cover {total} of {n} dimensions")
     h = spaces.pop((0,) * r)
-    if r and h != centralizer(alg, torus.space):
-        raise InternalInconsistency("weight-zero space differs from the centralizer")
     split = cartan_split(ra, torus)
+    if h != split.h:
+        raise InternalInconsistency("weight-zero space differs from the centralizer")
     return CartanDecomposition(ra, torus, h, split.nil,
                                {lam: s for lam, s in spaces.items() if s.dim})
 

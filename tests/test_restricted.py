@@ -17,10 +17,13 @@ from lie2 import (InvalidInput, LieAlgebra, RestrictedAlgebra, catalog,
                   two_map_eval, validate_restricted)
 from lie2.errors import Lie2Error
 from lie2.field import GF, Subspace, full_space, vec_add, vec_is_zero, zero_vec
+from lie2.liealg import from_json
+from lie2.restricted import packed_square, square_sweep
 from lie2.toruscartan import weight_decompose
 from dense_oracles import (basis_vec, dense_combo, dense_express, dense_mul,
                            dense_null_space, two_power)
 from test_packed_core import algebra_over, rand_vec, restricted_with_torus
+from test_reports_frozen import lifted_doc
 
 RESTRICTED_NAMES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2",
                     "abelian(4)", "strictly_upper(3)"]
@@ -68,6 +71,17 @@ def test_eval_matches_fold_oracle_gf4():
     for _ in range(200):
         x = tuple(rng.randrange(4) for _ in range(3))
         assert two_map_eval(ra, x) == oracle_square(ra, x)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", RESTRICTED_NAMES)
+def test_square_sweep_yields_every_packed_square(name, degree):
+    """The Gray-code sweep visits every packed x once, with packed_square(x)."""
+    ra = entry_ra(name) if degree == 1 else RestrictedAlgebra(*from_json(lifted_doc(name, 2, 3)))
+    swept = list(square_sweep(ra))
+    assert sorted(x for x, _ in swept) == list(range(len(swept)))
+    assert len(swept) == 1 << (ra.algebra.dim * degree)
+    assert all(sq == packed_square(ra, x) for x, sq in swept)
 
 
 @pytest.mark.parametrize("name", RESTRICTED_NAMES)

@@ -19,9 +19,9 @@ from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput, Lie2Error,
                   catalog, cartan_split, is_torus, max_tori, toruscartan,
                   weight_decompose)
 from lie2.field import GF, GF2, Subspace, full_space, pack_bits, zero_vec
-from lie2.liealg import LieAlgebra, _gl_entry, from_json, transpose
+from lie2.liealg import LieAlgebra, _gl_entry, from_json, is_nilpotent_algebra, transpose
 from lie2.restricted import (JcsParts, _iterate_span, classify_element, jcs_decompose,
-                             two_map_eval)
+                             two_map_eval, validate_restricted)
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
 from dense_oracles import (coefficient_vectors, dense_express, subspace_vectors,
                            sweep_is_torus)
@@ -395,7 +395,7 @@ def test_cartan_split_sl2_fails():
 
 
 def per_element_nilpotent(ra: RestrictedAlgebra, space: Subspace) -> bool:
-    """The check the nil sweep replaced: classify every element of the span."""
+    """Classify every element of the span: the oracle of `_all_two_nilpotent`."""
     return all(classify_element(ra, v).two_nilpotent for v in subspace_vectors(space))
 
 
@@ -437,11 +437,12 @@ def test_nil_sweep_follows_long_nil_chains():
     assert classify_element(ra, chain).nil_steps == 3
 
 
-@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, 5])
 def test_nil_sweep_rejects_non_nilpotent_span(monkeypatch, degree):
     """span(e, f, h) of sl2 is a 2-map closed subalgebra, but h^[2] = h and
     (e + f)^[2] = h.  With every centralizer row passed off as nilpotent,
-    cartan_split reaches the nil check and fails it."""
+    cartan_split reaches the nil check and fails it, also over GF(32),
+    whose 32,768 elements the check never enumerates."""
     alg, two_map = from_json(lifted_doc("sl2", degree, 3)) if degree > 1 else \
         (catalog("sl2").algebra, catalog("sl2").two_map)
     ra = RestrictedAlgebra(alg, two_map)
@@ -453,6 +454,66 @@ def test_nil_sweep_rejects_non_nilpotent_span(monkeypatch, degree):
     with pytest.raises(SplitFailed) as err:
         cartan_split(ra, Torus(Subspace(alg.gf, alg.dim), ()))
     assert str(err.value) == "nilpotent part contains a non-2-nilpotent element"
+
+
+def nilpotent_basis_sl2() -> RestrictedAlgebra:
+    """sl2 over F2 in the basis (e, f, e + f + h): every bracket of two basis
+    vectors is h = (1, 1, 1), and every basis vector squares to 0."""
+    h = (1, 1, 1)
+    return RestrictedAlgebra(LieAlgebra(GF2, 3, {(0, 1): h, (0, 2): h, (1, 2): h}),
+                             (zero_vec(3),) * 3)
+
+
+def test_nil_check_is_not_read_off_a_basis(monkeypatch):
+    """The algebra is nilpotent and its basis is 2-nilpotent, yet (e + f)^[2]
+    = h and h^[2] = h: the check must look past the basis."""
+    ra = nilpotent_basis_sl2()
+    alg, whole = ra.algebra, full_space(GF2, 3)
+    assert validate_restricted(ra).ok and is_nilpotent_algebra(alg)
+    assert all(classify_element(ra, r).two_nilpotent for r in whole.rows)
+    assert two_map_eval(ra, (1, 1, 0)) == (1, 1, 1)
+    assert not _all_two_nilpotent(ra, whole) and not per_element_nilpotent(ra, whole)
+    monkeypatch.setattr(toruscartan, "jcs_decompose",
+                        lambda ra, b: JcsParts(zero_vec(alg.dim), tuple(b)))
+    with pytest.raises(SplitFailed, match="non-2-nilpotent"):
+        cartan_split(ra, Torus(Subspace(GF2, 3), ()))
+
+
+def two_map_closure(ra: RestrictedAlgebra, seeds) -> Subspace:
+    """The smallest 2-map closed subalgebra holding the seeds: by Jacobson's
+    formula, brackets and squares of its basis rows suffice."""
+    alg = ra.algebra
+    span = Subspace(alg.gf, alg.dim, seeds)
+    while True:
+        rows = span.rows
+        grown = Subspace(alg.gf, alg.dim, rows + tuple(two_map_eval(ra, r) for r in rows)
+                         + tuple(alg.bracket(a, b) for a, b in combinations(rows, 2)))
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_nil_check_agrees_with_per_element_check(degree):
+    """On seeded random 2-map closed subalgebras of the catalog fixtures, in
+    a seeded basis over F2 and lifted to GF(4), small enough to classify
+    element by element."""
+    rng = random.Random(f"nil/{degree}")
+    outcomes = set()
+    for name in GF4_LIFTS + ["strictly_upper(5)"]:
+        alg, two_map = from_json(lifted_doc(name, degree, 3))
+        ra = RestrictedAlgebra(alg, two_map)
+        q = alg.gf.order
+        for _ in range(16):
+            seeds = [tuple(rng.randrange(q) if rng.random() < 0.4 else 0
+                           for _ in range(alg.dim)) for _ in range(rng.randint(1, 2))]
+            sub = two_map_closure(ra, seeds)
+            if sub.dim == 0 or q ** sub.dim > 1 << 10:
+                continue
+            verdict = _all_two_nilpotent(ra, sub)
+            assert verdict == per_element_nilpotent(ra, sub), (name, seeds)
+            outcomes.add(verdict)
+    assert outcomes == {False, True}
 
 
 DIM_PATTERN_EXPECT = {
