@@ -25,10 +25,11 @@ packed F2 core (`f2_apply`, `f2_reduce`, `f2_eliminate`) lives in `field`,
 and is imported here.
 
 The randomized checks of `validate_lie` and `restricted.validate_restricted`
-run bit-sliced (Biham's bitslicing): up to LANES random samples at once, one
-int per F2 coordinate with one bit (lane) per sample, so a GF(2^k) product
-of all samples is k^2 ANDs of whole ints (`SlicedBracket`).  Each sample
-checks only what can still fail there: its [x, y] is compared with
+run bit-sliced (Biham's bitslicing, in the GF(2^k) layout of Boothby and
+Bradshaw): up to LANES random samples at once, one int per GF(2^k)
+coordinate holding k planes of one bit (lane) per sample, so a GF(2^k)
+product of all samples is k ANDs of whole ints (`SlicedBracket`).  Each
+sample checks only what can still fail there: its [x, y] is compared with
 `packed_bracket`.  Alternation and bilinearity hold for the sliced bracket
 by construction, and for the packed one they are checked exhaustively, on
 its tables (`check_tables`).  Jacobi is then trilinear and alternating, so
@@ -282,11 +283,13 @@ def is_solvable_algebra(alg: LieAlgebra) -> bool:
 
 
 def ideal_closure(alg: LieAlgebra, seed: Subspace | Sequence[int]) -> Subspace:
-    """Smallest ideal containing the seed, by the packed closure `f2_ideal`."""
+    """Smallest ideal containing the seed, by the packed closure `f2_ideal`
+    under the GF columns ad(e_i)."""
     if not isinstance(seed, Subspace):
         seed = Subspace(alg.gf, alg.dim, [seed])
-    nk = alg.dim * alg.gf.degree
-    return Subspace.restriction(alg.gf, alg.dim, f2_ideal(alg.ad_columns, nk, seed.echelon))
+    k = alg.gf.degree
+    return Subspace.restriction(alg.gf, alg.dim,
+                                f2_ideal(alg.ad_columns[::k], alg.dim * k, seed.echelon))
 
 
 def center(alg: LieAlgebra) -> Subspace:
@@ -325,15 +328,17 @@ class SimplicityReport:
 def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     """Sweep ideal closures of every 1-dimensional seed (projective points).
 
-    One packed closure (`f2_ideal`) on the F2 restriction decides the
-    derived algebra and each seed, whose line v, alpha v, ..., alpha^(k-1) v
-    it starts from, and spans the witness of a failing check.
+    One packed closure (`f2_ideal`) under the GF columns ad(e_i) of the F2
+    restriction decides the derived algebra and each seed, whose line v,
+    alpha v, ..., alpha^(k-1) v it starts from, and spans the witness of a
+    failing check.
     """
     gf, n, q, k = alg.gf, alg.dim, alg.gf.order, alg.gf.degree
     if n < 2:
         return SimplicityReport(False, None, 0, "dimension below 2")
-    ad, nk = alg.ad_columns, n * k
-    # the derived algebra is the ideal that all brackets generate
+    ad, nk = alg.ad_columns[::k], n * k
+    # the derived algebra is the ideal that the brackets [f_l, e_i] generate,
+    # an alpha-closed span: alpha^b [e_j, e_i] for every b < k
     derived = f2_ideal(ad, nk, [v for col in ad for v in col])
     if not derived:
         return SimplicityReport(False, None, 0, "abelian")
@@ -385,8 +390,16 @@ def nibble_apply(chunks: Sequence[Tuple[int, Sequence[int]]], x: int) -> int:
 
 
 def f2_ideal(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> List[int]:
-    """F2 basis of the ideal generated by the packed seeds: each new basis
-    vector is bracketed with every f_m, and what `f2_reduce` keeps joins it."""
+    """F2 basis of the closure of the packed seeds under the maps with
+    columns ad: each new basis vector goes through every map, and what
+    `f2_reduce` keeps joins it.
+
+    With ad the GF columns `ad_columns[::k]`, ad(e_i), this is the ideal the
+    seeds generate whenever their span S is closed under alpha: ad(e_i) is
+    GF-linear, alpha [v, e_i] = [alpha v, e_i], so the span of the words
+    ad(e_i1) ... ad(e_ir) s over s in S is closed under alpha too, hence
+    under every ad(alpha^a e_i) = alpha^a ad(e_i), that is under all nk
+    columns f_m."""
     slots = [0] * n
     work = [r for r in (f2_reduce(slots, s) for s in seeds) if r]
     for w in work:
@@ -400,12 +413,16 @@ def f2_ideal(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> List[
 
 
 # ---------------------------------------------------------------------------
-# lane-sliced vectors: L samples (lanes) of a vector of GF(2^k)^n are nk
-# ints, slice tn + c holding bit t of coordinate c of every lane, bit l for
-# lane l; the n slices of one t are a plane.  A GF(2^k) product on planes
-# is k^2 elementwise ANDs of whole planes, reduced by the field polynomial.
+# lane-sliced vectors: L = LANES samples (lanes) of a vector of GF(2^k)^n
+# are n ints, one per coordinate: bit tL + l of int c is bit t of coordinate
+# c in lane l, and bits tL .. tL + L - 1 of it are its plane t.  The spacing
+# is fixed, so a lane-wise GF(2^k) product is k ANDs: plane t of one factor,
+# repeated into all k planes (times R = sum_s 2^(sL)), ANDed with the other
+# factor and shifted up t planes.  The field polynomial then reduces a
+# product by shifted XORs of its planes from k up.
 
 LANES = 256  # lanes of one batch of randomized checks
+PLANE = (1 << LANES) - 1  # the lanes of plane 0
 
 
 def lane_batches(count: int) -> List[int]:
@@ -436,104 +453,86 @@ def bit_positions(x: int) -> List[int]:
     return out
 
 
-def planes_mul(acc: List[List[int]], a: Sequence[Sequence[int]],
-               b: Sequence[Sequence[int]]) -> None:
-    """Add the elementwise polynomial product of the planes a and b (k each)
-    to acc (2k - 1 planes)."""
-    for s, u in enumerate(a):
-        for t, v in enumerate(b):
-            acc[s + t] = [o ^ p & q for o, p, q in zip(acc[s + t], u, v)]
-
-
-def planes_reduce(acc: List[List[int]], k: int, taps: Sequence[int]) -> List[List[int]]:
-    """The k planes of acc modulo the field polynomial, where alpha^k is the
-    sum of alpha^t over taps; acc is reduced in place."""
-    for d in range(len(acc) - 1, k - 1, -1):
-        for t in taps:
-            acc[d - k + t] = [p ^ q for p, q in zip(acc[d - k + t], acc[d])]
-    return acc[:k]
-
-
 class SlicedBracket:
-    """The bracket of an algebra, and the pieces of its 2-map, on sliced
-    vectors.
+    """The bracket of an algebra, and its 2-map, on sliced vectors.
 
     [x, y] is the sum over the table pairs i < j of d [e_i, e_j], d = x_i y_j
-    + x_j y_i, with the products of all pairs taken at once on planes.  A set
-    bit ck + u of the pack [e_i, e_j] of `ad_columns` adds alpha^u d to
-    coordinate c: d's planes go to planes u..u+k-1 of a (2k - 1)-plane
-    accumulator, which is reduced once at the end.  A batch costs
-    O(n^3 k^2) operations on ints of one bit per lane, against O((nk)^2)
-    per sample for `packed_bracket`.
+    + x_j y_i.  A set bit ck + u of the pack [e_i, e_j] of `ad_columns` adds
+    alpha^u d to coordinate c: d, unreduced, goes into int c shifted up u
+    planes, and each coordinate is reduced once, at the end.  A batch costs
+    O(n^3 k) operations on ints of 3k - 2 planes, against O((nk)^2) per
+    sample for `packed_bracket`.  The square adds its reduced linear part
+    after that reduction.
     """
 
-    __slots__ = ("n", "k", "taps", "order", "left", "right", "starts")
+    __slots__ = ("n", "k", "taps", "repeat", "pairs", "bits")
 
     def __init__(self, alg: LieAlgebra):
-        n, k, ad = alg.dim, alg.gf.degree, alg.ad_columns
-        self.n, self.k = n, k
-        self.taps = bit_positions(alg.gf.modulus ^ alg.gf.order)
-        # the packed bit ck + t of each slice tn + c
-        self.order = [c * k + t for t in range(k) for c in range(n)]
-        pairs = list(alg.table)
-        self.left, self.right = [i for i, _ in pairs], [j for _, j in pairs]
-        self.starts = [self.slices_of(ad[i * k][j * k]) for i, j in pairs]
-
-    def slices_of(self, p: int) -> Sequence[int]:
-        """The slices of the set bits of the packed vector p, two bytes each."""
         from array import array  # here, not at import: only the random checks need it
-        n, k = self.n, self.k
-        return array("H", [t % k * n + t // k for t in bit_positions(p)])
+        k, ad = alg.gf.degree, alg.ad_columns
+        self.n, self.k = alg.dim, k
+        self.taps = bit_positions(alg.gf.modulus ^ alg.gf.order)
+        self.repeat = sum(1 << (t * LANES) for t in range(k))
+        self.pairs = list(alg.table)
+        # the set bits ck + u of each pack [e_i, e_j], two bytes each
+        self.bits = [array("H", bit_positions(ad[i * k][j * k])) for i, j in self.pairs]
 
     def slices(self, vectors: Sequence[int], count: int = 1) -> List[List[int]]:
         """The count sliced vectors whose lanes are packed in vectors: lane l
         of sliced vector v is bits v nk .. v nk + nk - 1 of vectors[l]."""
-        nk = self.n * self.k
-        columns = transpose(vectors, count * nk)
-        return [[columns[v + m] for m in self.order] for v in range(0, count * nk, nk)]
+        n, k = self.n, self.k
+        columns = transpose(vectors, count * n * k)
+        coords = [sum(columns[m + t] << (t * LANES) for t in range(k))
+                  for m in range(0, count * n * k, k)]
+        return [coords[v:v + n] for v in range(0, count * n, n)]
 
     def lanes(self, x: Sequence[int], count: int) -> List[int]:
         """The packed vectors in the first count lanes of x."""
-        columns = [0] * len(x)
-        for s, m in zip(x, self.order):
-            columns[m] = s
-        return transpose(columns, count)
-
-    def _planes(self, x: Sequence[int]) -> List[Sequence[int]]:
-        n = self.n
-        return [x[t:t + n] for t in range(0, len(x), n)]
-
-    def _add(self, wide: List[int], d: Sequence[Sequence[int]]) -> None:
-        """Add d_p [e_i, e_j] to wide for each table pair p, d given as planes
-        over the pairs."""
-        n = self.n
-        for s, plane in enumerate(d):
-            for c, starts in zip(plane, self.starts):
-                if c:
-                    for b in starts:
-                        wide[b + s * n] ^= c
+        return transpose([c >> (t * LANES) & PLANE for c in x for t in range(self.k)], count)
 
     def _pair_sum(self, x: Sequence[int], y: Sequence[int], polar: bool) -> List[int]:
         """Sum of (x_i y_j + x_j y_i) [e_i, e_j] over the table pairs when
-        polar, else of x_i y_j [e_i, e_j]."""
-        k, left, right = self.k, self.left, self.right
-        xp, yp = self._planes(x), self._planes(y)
-        acc = [[0] * len(left)] * (2 * k - 1)
-        planes_mul(acc, [[p[i] for i in left] for p in xp], [[p[j] for j in right] for p in yp])
-        if polar:
-            planes_mul(acc, [[p[j] for j in right] for p in xp],
-                       [[p[i] for i in left] for p in yp])
-        wide = [0] * (self.n * (2 * k - 1))
-        self._add(wide, planes_reduce(acc, k, self.taps))
-        return [c for plane in planes_reduce(self._planes(wide), k, self.taps) for c in plane]
+        polar, else of x_i y_j [e_i, e_j].  alpha^k is the sum of alpha^t
+        over taps, so the planes from k up of a coordinate are cut off and
+        added back shifted up t planes for each tap t, until none is left."""
+        k = self.k
+        shifts = [t * LANES for t in range(k)]
+        rep = [[(c >> s & PLANE) * self.repeat for s in shifts] for c in y]
+        out = [0] * self.n
+        for (i, j), bits in zip(self.pairs, self.bits):
+            xi, xj, yi, yj = x[i], x[j], rep[i], rep[j]
+            d = 0
+            for s, yj_s, yi_s in zip(shifts, yj, yi):
+                d ^= ((xi & yj_s) ^ (xj & yi_s) if polar else xi & yj_s) << s
+            if d:
+                moved = [d << s for s in shifts]  # alpha^u d, unreduced
+                for b in bits:
+                    out[b // k] ^= moved[b % k]
+        top = k * LANES
+        for c, v in enumerate(out):
+            while v >> top:
+                high, v = v >> top, v & ((1 << top) - 1)
+                for t in self.taps:
+                    v ^= high << (t * LANES)
+            out[c] = v
+        return out
 
     def bracket(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
         """[x, y], lane by lane."""
         return self._pair_sum(x, y, True)
 
-    def cross_terms(self, x: Sequence[int]) -> List[int]:
-        """Sum of x_i x_j [e_i, e_j] over i < j, the quadratic part of x^[2]."""
-        return self._pair_sum(x, x, False)
+    def square(self, x: Sequence[int], squares: Sequence[int]) -> List[int]:
+        """x^[2], lane by lane, for the 2-map with packed basis squares
+        squares[ck + t] = f_{ck+t}^[2]: the cross terms x_i x_j [e_i, e_j]
+        plus, for each bit t of each x_c, that bit times squares[ck + t]."""
+        k = self.k
+        out = self._pair_sum(x, x, False)
+        for m, sq in enumerate(squares):
+            plane = x[m // k] >> (m % k * LANES) & PLANE
+            if plane:
+                for b in bit_positions(sq):
+                    out[b // k] ^= plane << (b % k * LANES)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ tabulates x -> x^[2] on the whole space by one Gray-code sweep.
 homogeneity on the table of basis squares, and on random vectors
 bit-sliced, like `liealg.validate_lie`, what neither can settle: that
 `packed_square` is the sliced square, and the addition rule.  The identity
-on every x follows from these (Jacobson's theorem).  `sliced_square`
-evaluates x^[2] for every lane at once, its linear part from
-`RestrictedAlgebra.squares` and its cross terms from the pair loop of
-`liealg.SlicedBracket`.
+on every x follows from these (Jacobson's theorem).  The sliced square is
+`liealg.SlicedBracket.square` of the packed basis squares
+`RestrictedAlgebra.squares`, so the slice layout stays in `liealg`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, InvalidInput
 from .field import (Subspace, Vec, alpha_map, f2_apply, f2_eliminate, pack_bits,
@@ -124,24 +123,6 @@ def two_map_eval(ra: RestrictedAlgebra, x: Sequence[int]) -> Vec:
     return unpack_bits(packed_square(ra, pack_bits(x, k)), alg.dim, k)
 
 
-def sliced_square(ra: RestrictedAlgebra,
-                  sliced: SlicedBracket) -> Callable[[Sequence[int]], List[int]]:
-    """x -> x^[2] on sliced vectors (see `SlicedBracket`): the cross terms
-    x_i x_j [e_i, e_j] plus, for each slice x_m, x_m `squares`[m]."""
-    n, k = ra.algebra.dim, ra.algebra.gf.degree
-    # the slices of squares[m], in the order of the slices x_m
-    bits = [sliced.slices_of(ra.squares[c * k + t]) for t in range(k) for c in range(n)]
-
-    def square(x: Sequence[int]) -> List[int]:
-        out = sliced.cross_terms(x)
-        for s, slices in zip(x, bits):
-            if s:
-                for t in slices:
-                    out[t] ^= s
-        return out
-    return square
-
-
 @dataclass
 class RestrictedReport:
     ok: bool
@@ -161,11 +142,10 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
     squares[ik + a - 1]: with it, `packed_square` over the GF-bilinear
     `ad_columns` is sum c_i^2 e_i^[2] + sum_{i<j} c_i c_j [e_i, e_j] at
     x = sum c_i e_i, so (lam x)^[2] = lam^2 x^[2] for every lam and x.
-    Each sample compares `packed_square` with the square from
-    `sliced_square`.  The addition rule (x + y)^[2] = x^[2] + y^[2] + [x, y]
-    holds for the sliced square by construction; for `packed_square` it
-    follows from `check_tables`, and it is checked on the first sample of
-    each batch.
+    Each sample compares `packed_square` with `SlicedBracket.square`.  The
+    addition rule (x + y)^[2] = x^[2] + y^[2] + [x, y] holds for the sliced
+    square by construction; for `packed_square` it follows from
+    `check_tables`, and it is checked on the first sample of each batch.
 
     ad(x^[2]) = ad(x)^2 needs no samples (Jacobson's theorem, Strade and
     Farnsteiner 1988, ch. 2).  By the addition rule and Jacobi,
@@ -188,12 +168,11 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
            for m in range(1, n * k) if m % k):
         raise InternalInconsistency("2-map is not Frobenius-homogeneous")
     sliced, rng = SlicedBracket(alg), random.Random(seed)
-    square = sliced_square(ra, sliced)
     for lanes in batches:
         xs = [rng.getrandbits(n * k) for _ in range(lanes)]
         (x,), y = sliced.slices(xs), rng.getrandbits(n * k)
         packed = [packed_square(ra, v) for v in xs]
-        if sliced.slices(packed)[0] != square(x):
+        if sliced.slices(packed)[0] != sliced.square(x, squares):
             raise InternalInconsistency("packed_square disagrees with the sliced square")
         if packed_square(ra, xs[0] ^ y) != (packed[0] ^ packed_square(ra, y)
                                             ^ alg.packed_bracket(xs[0], y)):

@@ -310,8 +310,12 @@ def cartan_split(ra: RestrictedAlgebra, torus: Torus) -> CartanSplit:
     The nil part must be 2-nilpotent, which `_all_two_nilpotent` decides
     exactly.
     """
+    return _split(ra, torus, centralizer(ra.algebra, torus.space))
+
+
+def _split(ra: RestrictedAlgebra, torus: Torus, h: Subspace) -> CartanSplit:
+    """`cartan_split` with the centralizer h of the torus already known."""
     alg = ra.algebra
-    h = centralizer(alg, torus.space)
     if not h.contains_subspace(torus.space):
         raise SplitFailed("torus is not abelian, centralizer misses it")
     nil_vecs = []
@@ -407,11 +411,8 @@ def weight_decompose(ra: RestrictedAlgebra, torus: Torus) -> CartanDecomposition
     if total != n:
         raise NotSimultaneouslyDiagonalizable(
             f"joint eigenspaces cover {total} of {n} dimensions")
-    h = spaces.pop((0,) * r)
-    split = cartan_split(ra, torus)
-    if h != split.h:
-        raise InternalInconsistency("weight-zero space differs from the centralizer")
-    return CartanDecomposition(ra, torus, h, split.nil,
+    h = spaces.pop((0,) * r)  # the kernel of every ad(t): the centralizer of the torus
+    return CartanDecomposition(ra, torus, h, _split(ra, torus, h).nil,
                                {lam: s for lam, s in spaces.items() if s.dim})
 
 

@@ -24,9 +24,10 @@ import random
 import pytest
 
 from lie2.errors import Lie2Error
-from lie2.field import GF, Subspace, f2_apply, f2_eliminate, full_space, vec_add
-from lie2.liealg import (LieAlgebra, catalog, center, centralizer, from_json,
-                         is_simple, nibble_apply, nibble_tables)
+from lie2.field import (GF, Subspace, alpha_multiples, f2_apply, f2_eliminate, full_space,
+                        vec_add)
+from lie2.liealg import (LieAlgebra, catalog, center, centralizer, f2_ideal, from_json,
+                         ideal_closure, is_simple, nibble_apply, nibble_tables)
 from lie2.restricted import (RestrictedAlgebra, synthesize_two_map,
                              two_map_eval, validate_restricted)
 from lie2.toruscartan import Torus, max_tori, toral_elements, weight_decompose
@@ -331,6 +332,28 @@ def twisted_o3_pair() -> LieAlgebra:
 
 
 SIMPLE_CASES = [n for n in NAMES if n != "sl3"]
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("name", NAMES)
+def test_ideal_closure_under_gf_columns_is_the_f2_closure(name, degree):
+    """Seeds with an alpha-closed span close the same under the n GF
+    columns ad(e_i) as under all nk columns ad(alpha^a e_i): all brackets,
+    as `is_simple` seeds the derived algebra, lines as it seeds the sweep,
+    and planes as `ideal_closure` gets them."""
+    alg, _ = algebra_over(name, degree)
+    gf, n, ad = alg.gf, alg.dim, alg.ad_columns
+    nk = n * degree
+    rng = random.Random(f"{name}/{degree}/ideal")
+    seed_sets = [[v for col in ad[::degree] for v in col]]
+    seed_sets += [alpha_multiples(gf, n, [rng.getrandbits(nk) for _ in range(m)])
+                  for m in (1, 1, 1, 2, 2)]
+    for seeds in seed_sets:
+        whole = f2_ideal(ad, nk, seeds)
+        gf_cols = f2_ideal(ad[::degree], nk, seeds)
+        assert len(gf_cols) == len(whole) == len(f2_ideal([], nk, whole + gf_cols))
+        assert ideal_closure(alg, Subspace.restriction(gf, n, seeds)) \
+            == Subspace.restriction(gf, n, whole)
 
 
 def simplicity_inputs():

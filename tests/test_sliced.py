@@ -1,11 +1,13 @@
 """The lane-sliced randomized checks of `validate_lie` and `validate_restricted`.
 
-A sliced vector holds many packed vectors, one per lane, as one int per F2
-coordinate.  Every sliced operation is compared lane by lane with the packed
-one it stands for, over 37 lanes: `SlicedBracket.bracket` with `packed_bracket`,
-and `sliced_square` with `packed_square`.  The algebras are the catalog
-fixtures over F2 and their seeded lifts (`lifted_doc`) over F2, GF(4) and
-GF(16).
+A sliced vector holds many packed vectors, one per lane, as one int per
+GF(2^k) coordinate with bit t of every lane in its plane t.  Every sliced
+operation is compared lane by lane with the packed one it stands for, over
+37 lanes: `SlicedBracket.bracket` with `packed_bracket`, and
+`SlicedBracket.square` with `packed_square`.  The algebras are the catalog
+fixtures over F2 and their seeded lifts (`lifted_doc`) over F2, GF(4), GF(8)
+and GF(16).  The lane comparison also runs over GF(2^16), where a
+coordinate reduces from 46 planes to 16.
 
 The validators sample neither Jacobi nor ad(x^[2]) = ad(x)^2, because the
 basis checks imply both; the oracle test below checks that they hold on
@@ -18,6 +20,7 @@ nibble table entry or one alpha-multiple of a basis square, and expect
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,14 +29,13 @@ from lie2.errors import InternalInconsistency
 from lie2.field import GF
 from lie2.liealg import (LANES, LieAlgebra, SlicedBracket, catalog, center, check_tables,
                          from_json, lane_batches, transpose, validate_lie)
-from lie2.restricted import (RestrictedAlgebra, packed_square, sliced_square,
-                             validate_restricted)
+from lie2.restricted import RestrictedAlgebra, packed_square, validate_restricted
 from test_reports_frozen import lifted_doc
 
 NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
          "strictly_upper(4)"]
 # (degree, lifted): the catalog fixture itself, or its seeded lift
-FIELDS = [(1, False), (1, True), (2, True), (4, True)]
+FIELDS = [(1, False), (1, True), (2, True), (3, True), (4, True)]
 
 
 def algebra(name: str, degree: int, lifted: bool):
@@ -43,7 +45,7 @@ def algebra(name: str, degree: int, lifted: bool):
     return from_json(lifted_doc(name, degree, 3))
 
 
-@pytest.mark.parametrize("degree,lifted", FIELDS)
+@pytest.mark.parametrize("degree,lifted", FIELDS + [(16, True)])
 @pytest.mark.parametrize("name", NAMES)
 def test_sliced_ops_match_packed_lane_by_lane(name, degree, lifted):
     alg, two_map = algebra(name, degree, lifted)
@@ -58,7 +60,7 @@ def test_sliced_ops_match_packed_lane_by_lane(name, degree, lifted):
         alg.packed_bracket(a, b) for a, b in zip(xs, ys)]
     if two_map is not None:
         ra = RestrictedAlgebra(alg, two_map)
-        assert sliced.lanes(sliced_square(ra, sliced)(x), lanes) == [
+        assert sliced.lanes(sliced.square(x, ra.squares), lanes) == [
             packed_square(ra, a) for a in xs]
 
 
@@ -86,7 +88,7 @@ def test_basis_checks_imply_the_unsampled_identities(name, degree, lifted):
     ra = RestrictedAlgebra(alg, two_map)
     assert validate_restricted(ra, random_checks=0).ok
     xs = [rng.getrandbits(n * k) for _ in range(lanes)]
-    squares = sliced.lanes(sliced_square(ra, sliced)(sliced.slices(xs)[0]), lanes)
+    squares = sliced.lanes(sliced.square(sliced.slices(xs)[0], ra.squares), lanes)
     ad = alg.packed_bracket
     for a, sq in zip(xs, squares):
         for l in range(n * k):
@@ -99,19 +101,36 @@ def test_transpose_of_no_rows_is_zero():
 
 
 def test_slices_are_the_packed_vectors():
-    """Slice tn + c holds bit t of coordinate c: the lanes of a sliced
-    vector are the packed vectors whose bit ck + t is that bit."""
+    """Bit tL + l of int c holds bit t of coordinate c in lane l (L =
+    LANES): the lanes of a sliced vector are the packed vectors whose bit
+    ck + t is that bit."""
     alg = LieAlgebra(GF(4), 3, {(0, 1): (5, 0, 9)})
     sliced = SlicedBracket(alg)
     rng = random.Random(5)
     vecs = [rng.getrandbits(12) for _ in range(9)]
-    x = [sum((v >> (m % 3 * 4 + m // 3) & 1) << l for l, v in enumerate(vecs))
-         for m in range(12)]
+    x = [sum((v >> (c * 4 + t) & 1) << (t * LANES + l) for t in range(4)
+             for l, v in enumerate(vecs))
+         for c in range(3)]
     assert sliced.slices(vecs) == [x]
     assert sliced.slices([v | v << 12 for v in vecs], 2) == [x, x]
     assert sliced.lanes(x, 9) == vecs
     assert transpose(vecs, 12) == [sum((v >> m & 1) << l for l, v in enumerate(vecs))
                                    for m in range(12)]
+
+
+def test_sliced_bracket_of_a_wide_field_stays_small():
+    """strictly_upper(8) over GF(2^16) has 378 dense table pairs, 84,411 set
+    bits ck + u in all: at two bytes a bit the sliced bracket builds well
+    under 1 MB, where a (c, uL) tuple per bit would take about 8 MB."""
+    alg, _ = from_json(lifted_doc("strictly_upper(8)", 16, 1))
+    alg.ad_columns
+    tracemalloc.start()
+    try:
+        SlicedBracket(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("count", [-3, 0, 1, LANES, LANES + 1, 300])

@@ -588,6 +588,26 @@ def test_weight_decompose_requires_toral_basis():
         weight_decompose(ra, bogus)
 
 
+def test_weight_decompose_solves_the_centralizer_once(monkeypatch):
+    """gl3 at its rank-3 torus: 8 joint eigenspaces, the weight-zero one
+    reused as the centralizer of the split, and the centre of its nil part
+    for the 2-nilpotence check."""
+    from lie2 import liealg
+    ra = ra_of("gl3")
+    torus = max_tori(ra).torus
+    calls = []
+    real = liealg.ad_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(liealg, "ad_kernel", counted)
+    monkeypatch.setattr(toruscartan, "ad_kernel", counted)
+    weight_decompose(ra, torus)
+    assert len(calls) == 9
+
+
 def test_non_diagonalizable_pseudo_torus_detected():
     # span(x) in heis3 with x declared "toral": ad(x) is nilpotent, not
     # idempotent, so joint eigenspaces cannot fill the algebra
