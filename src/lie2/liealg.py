@@ -18,9 +18,9 @@ and costs nothing, so an abelian table brackets at the cost of its packing.
 The tables are built on first use.  `validate_lie` checks the basis
 triples with `field.f2_apply`, one column per set bit, so a table that is
 only checked there (as the census checks its survivors) never pays for
-them; `f2_apply` also serves the ideal closure, the commutation graph of
-the torus search and `ad_kernel` (centralizers, root spaces and 2-map
-synthesis), whose kernels and closures are `Subspace`s directly.  The
+them; `f2_apply` also serves the ideal closure and `ad_kernel`
+(centralizers, root spaces and 2-map synthesis), whose kernels and
+closures are `Subspace`s directly.  The
 packed F2 core (`f2_apply`, `f2_reduce`, `f2_eliminate`) lives in `field`,
 and is imported here.
 

@@ -11,8 +11,10 @@ the semisimple/nilpotent decomposition obtained from the Fitting
 decomposition of the squaring operator on the span of 2-power iterates.
 Squaring is only semilinear over GF(2^k), but by Jacobson's formula
 (x + y)^[2] = x^[2] + y^[2] + [x, y] it is additive on an abelian span, an
-F2-linear map on its restriction: `square_columns`.  `square_sweep`
-tabulates x -> x^[2] on the whole space by one Gray-code sweep.
+F2-linear map on its restriction: `square_columns`.  On the whole space it
+is the quadratic form x^[2] = sum_m x_m f_m^[2] + sum_{l<m} x_l x_m
+[f_l, f_m] in the F2 coordinates x_m of x, which `toruscartan` tabulates to
+find the fixpoints.
 
 `validate_restricted` checks ad(x^[2]) = ad(x)^2 on the basis and Frobenius
 homogeneity on the table of basis squares, and on random vectors
@@ -28,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, InvalidInput
 from .field import (Subspace, Vec, alpha_map, f2_apply, f2_eliminate, pack_bits,
@@ -94,26 +96,6 @@ def square_columns(ra: RestrictedAlgebra, span: Subspace) -> Optional[List[int]]
             cols.append(span.coords_packed(sq))
             sq = times_alpha(times_alpha(sq))
     return cols
-
-
-def square_sweep(ra: RestrictedAlgebra) -> Iterator[Tuple[int, int]]:
-    """(x, x^[2]) for every packed vector x, by a Gray-code sweep from x = 0.
-
-    Flipping bit m changes the square by f_m^[2] + [x, f_m] (Jacobson's
-    formula).  [x, f_j] for every j ride side by side in one int, d = nk
-    bits each, to which flipping m adds [f_m, f_j]."""
-    squares = ra.squares
-    d = len(squares)
-    flips = [sum(c << (j * d) for j, c in enumerate(col)) for col in ra.algebra.ad_columns]
-    mask = (1 << d) - 1
-    x = square = brackets = 0
-    yield x, square
-    for step in range(1, 1 << d):
-        m = (step & -step).bit_length() - 1
-        square ^= squares[m] ^ ((brackets >> (m * d)) & mask)
-        brackets ^= flips[m]
-        x ^= 1 << m
-        yield x, square
 
 
 def two_map_eval(ra: RestrictedAlgebra, x: Sequence[int]) -> Vec:

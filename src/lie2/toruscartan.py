@@ -8,14 +8,20 @@ the structural facts the downstream case analysis relies on.
 
 Everything is computed over the given finite field, of any degree, on
 packed vectors of the F2 restriction of scalars (see `liealg`); a span is
-kept as F2 echelon slots holding every alpha^a v.  The fixpoint sweep is
-`restricted.square_sweep` of the whole space, and a torus is injective and
-has a toral basis by the kernels of A and A + I, A its squaring map from
+kept as F2 echelon slots holding every alpha^a v.  The 2-map fixpoints of
+the whole space are the zeros of q(x) = x^[2] + x, a quadratic map in the
+F2 coordinates of x, read off truth tables: bit x of X_l is bit l of x, and
+bit r of q is a sum of X_m and X_l & X_m.  The low c coordinates are
+tabulated once and the high part hi of x runs over blocks, since
+q(lo + hi) = q(lo) + q(hi) + [lo, hi] adds to each block a constant and a
+part linear in the X_l.  A torus is injective and has a toral basis by the
+kernels of A and A + I, A its squaring map from
 `restricted.square_columns`.  The nil part of a Cartan split is
 2-nilpotent exactly when it is nilpotent and A is nilpotent on its centre.
 The maximal torus search is a branch and bound over int bitsets of the
-fixpoints' commutation graph, which is built bit-sliced (plane l is the
-set of fixpoints with bit l): a branch keeps only
+fixpoints' commutation graph, which is built from W[l][r], the set of
+fixpoints x_j with bit r of [f_l, x_j] set: x_i clashes with the
+fixpoints in OR_r XOR_{l in x_i} W[l][r].  A branch keeps only
 the candidates commuting with everything chosen, and is cut once the chosen
 count plus the rank of the remaining candidates modulo the chosen span
 cannot beat the best set found.  It reaches each torus through one basis,
@@ -41,14 +47,15 @@ from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
 from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
                     f2_eliminate, f2_reduce, pack_bits, unpack_bits, vec_is_zero,
                     zero_vec)
-from .liealg import (LieAlgebra, ad_kernel, bit_positions, centralizer, subspace_bracket,
-                     transpose)
+from .liealg import (LieAlgebra, ad_kernel, bit_positions, centralizer, nibble_apply,
+                     nibble_tables, subspace_bracket, transpose)
 from .restricted import (RestrictedAlgebra, jcs_decompose, packed_square,
-                         square_columns, square_sweep, two_map_eval)
+                         square_columns, two_map_eval)
 
 FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
                 "toral ranks are lower bounds and maximality is relative to this field")
 SWEEP_BUDGET = 1 << 20  # default bound on the vectors of a whole-space sweep
+BLOCK_BITS = 16  # low F2 coordinates of one block of fixpoint truth tables
 
 
 def check_sweep_budget(alg: LieAlgebra, budget: int = SWEEP_BUDGET) -> None:
@@ -60,15 +67,91 @@ def check_sweep_budget(alg: LieAlgebra, budget: int = SWEEP_BUDGET) -> None:
         raise BudgetExceeded(f"sweep of {total} vectors exceeds budget {budget}")
 
 
+def _truth_columns(c: int) -> List[int]:
+    """X_l for l < c: the 2^c-bit int whose bit x is bit l of x.  Its bytes
+    repeat 0xAA, 0xCC or 0xF0 for l < 3, and from l = 3 up 2^(l-3) zero
+    bytes then 2^(l-3) 0xFF bytes."""
+    size = max(1 << c >> 3, 1)
+    cols = []
+    for l in range(c):
+        half = 1 << l >> 3
+        pattern = bytes([(0xAA, 0xCC, 0xF0)[l]]) if l < 3 else bytes(half) + b"\xff" * half
+        cols.append(int.from_bytes(pattern * (size // len(pattern)), "little"))
+    return [x & ((1 << (1 << c)) - 1) for x in cols]
+
+
+def _clear_bits(x: int, width: int) -> List[int]:
+    """The clear bits among the low width bits of x, ascending."""
+    text = format(x, f"0{width}b")[::-1]  # character j is bit j
+    out, j = [], text.find("0")
+    while j >= 0:
+        out.append(j)
+        j = text.find("0", j + 1)
+    return out
+
+
 def _fixpoints(ra: RestrictedAlgebra, budget: int) -> List[int]:
-    """Packed 2-map fixpoints in ascending order, by `square_sweep`."""
+    """Packed 2-map fixpoints in ascending order: the zeros of q(x) = x^[2]
+    + x, read off its truth tables.
+
+    In the F2 coordinates x_m of x, x^[2] = sum_m x_m f_m^[2] + sum_{l<m}
+    x_l x_m [f_l, f_m], so on the truth tables X_l of `_truth_columns` bit r
+    of q is the XOR of X_m over the m with bit r in f_m^[2] + f_m and of
+    X_l & X_m over the l < m with bit r in [f_l, f_m]; the fixpoints are
+    the clear bits of the OR of those tables over r.
+
+    x is split as lo + hi, lo its low c = min(nk, BLOCK_BITS) bits, and by
+    Jacobson's formula q(lo + hi) = q(lo) + q(hi) + [lo, hi].  The tables
+    of q(lo) are built once.  The block of 2^c values sharing hi adds the
+    constant q(hi) and [lo, hi], linear in lo: its bit r is the XOR of X_l
+    over the l with bit r in [f_l, hi].  Both are read through the nibble
+    tables of X_0 .. X_(c-1) and the all-ones table, so memory is O(nk 2^c)
+    bits at any budget, and the blocks come out in ascending order."""
     check_sweep_budget(ra.algebra, budget)
-    return sorted(x for x, sq in square_sweep(ra) if x == sq)
+    ad, squares = ra.algebra.ad_columns, ra.squares
+    d = len(squares)
+    c = min(d, BLOCK_BITS)
+    cols = _truth_columns(c)
+    ones = (1 << (1 << c)) - 1
+    low = [cols[r] if r < c else 0 for r in range(d)]  # bit r of q(lo)
+    for m in range(c):
+        for r in bit_positions(squares[m]):
+            low[r] ^= cols[m]
+        for l in range(m):
+            if ad[m][l]:
+                both = cols[l] & cols[m]
+                for r in bit_positions(ad[m][l]):
+                    low[r] ^= both
+    # slot r (width bits) of the block's mask: bit l < c is bit r of
+    # [f_l, hi], bit c is bit r of q(hi)
+    width = c + 1
+    nib = nibble_tables(cols + [ones])
+    linear = [sum(1 << (r * width + l) for l in range(c) for r in bit_positions(ad[m][l]))
+              if m >= c else 0 for m in range(d)]
+    constant = [1 << (r * width + c) for r in range(d)]
+    slot = (1 << width) - 1
+    out = []
+    for hi in range(0, 1 << d, 1 << c):
+        mask = f2_apply(linear, hi) ^ f2_apply(constant, packed_square(ra, hi) ^ hi)
+        clash = 0
+        for r, table in enumerate(low):
+            part = mask >> (r * width) & slot
+            clash |= table ^ nibble_apply(nib, part) if part else table
+            if clash == ones:
+                break
+        else:
+            out.extend(hi | j for j in _clear_bits(clash, 1 << c))
+    return out
 
 
 def toral_elements(ra: RestrictedAlgebra, budget: int = SWEEP_BUDGET) -> List[Vec]:
     """All fixpoints of the 2-map, ascending in the packed value (the order
-    of sum_i v[i] q^i, by which the torus search breaks ties)."""
+    of sum_i v[i] q^i, by which the torus search breaks ties).
+
+    They are the zeros of q(x) = x^[2] + x = sum_m x_m (f_m^[2] + f_m) +
+    sum_{l<m} x_l x_m [f_l, f_m] over the F2 coordinates x_m, read off truth
+    tables in blocks x = lo + hi with q(lo + hi) = q(lo) + q(hi) + [lo, hi]
+    (`_fixpoints`); budget bounds the q^n vectors they cover."""
     alg = ra.algebra
     return [unpack_bits(x, alg.dim, alg.gf.degree) for x in _fixpoints(ra, budget)]
 
@@ -148,22 +231,36 @@ class MaxTorusReport:
 def _commutation_graph(alg, items: Sequence[int], planes: Sequence[int]) -> List[int]:
     """Bit j of row i is set when packed fixpoints i and j commute (i != j).
 
-    Bit r of [x, y] is the sum of bit r of [x, f_l] over the bits l of y, so
-    the set of j with bit r of [x, items[j]] set is the XOR of planes[l]
-    over the l where [x, f_l] = f2_apply(ad_columns[l], x) has bit r, and
-    the j that do not commute with x are the OR of those sets over r.
+    W[l][r], the set of j with bit r of [f_l, items[j]] set, is the XOR of
+    planes[m] over the m where [f_l, f_m] = ad_columns[l][m] has bit r.  Bit
+    r of [x, y] is the XOR of bit r of [f_l, y] over the bits l of x, so the
+    j that do not commute with x = items[i] are OR_r XOR_{l in x} W[l][r].
+    W[l] is packed into one int, slot r of it holding W[l][r]; the XOR over
+    the bits of x is read through 16-entry nibble tables per 4 bits of x,
+    and the OR over the slots is folded by halves.
     """
-    full = (1 << len(items)) - 1
+    m = len(items)
+    size = (m + 7) // 8
+    packed = []
+    for col in alg.ad_columns:
+        w = [0] * len(planes)
+        for b, plane in zip(col, planes):
+            if b and plane:
+                for r in bit_positions(b):
+                    w[r] ^= plane
+        packed.append(int.from_bytes(b"".join([v.to_bytes(size, "little") for v in w]),
+                                     "little"))
+    nib = nibble_tables(packed)
+    folds, count = [], len(planes)
+    while count > 1:  # OR the upper half of count slots onto the lower
+        count = (count + 1) // 2
+        folds.append((8 * size * count, (1 << (8 * size * count)) - 1))
+    full = (1 << m) - 1
     comm = []
     for i, x in enumerate(items):
-        rows = [0] * len(planes)
-        for col, plane in zip(alg.ad_columns, planes):
-            if plane:
-                for r in bit_positions(f2_apply(col, x)):
-                    rows[r] ^= plane
-        clash = 0
-        for row in rows:
-            clash |= row
+        clash = nibble_apply(nib, x)
+        for shift, lower in folds:
+            clash = clash & lower | clash >> shift
         comm.append(full & ~clash & ~(1 << i))
     return comm
 

@@ -21,6 +21,10 @@ and decides simplicity; tests compare both with scalar checks.
 `derived_rank_numpy` is the per-candidate F2 rank of the bracket planes
 that the census span filter (`search._spans_all`) replaced.
 
+`square_sweep` is the Gray-code sweep of x -> x^[2] over every packed
+vector that `toruscartan._fixpoints` replaced with truth tables of
+x^[2] + x; its fixpoints are the reference those are checked against.
+
 `sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
 it squares each basis row with `two_map_eval`, checks injectivity by the
 GF rank of those squares, and picks a toral basis by sweeping every vector
@@ -34,6 +38,7 @@ Jacobi sum [[x, y], z] + [[y, z], x] + [[z, x], y] of coordinate vectors.
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -153,6 +158,26 @@ def dense_express(gf: GF, cols, v):
 def dense_mul(gf: GF, a, b, ncols: int) -> tuple:
     """The product of a and b, whose rows have ncols entries."""
     return tuple(dense_combo(gf, b, row, ncols) for row in a)
+
+
+def square_sweep(ra: RestrictedAlgebra) -> Iterator[Tuple[int, int]]:
+    """(x, x^[2]) for every packed vector x, by a Gray-code sweep from x = 0.
+
+    Flipping bit m changes the square by f_m^[2] + [x, f_m] (Jacobson's
+    formula).  [x, f_j] for every j ride side by side in one int, d = nk
+    bits each, to which flipping m adds [f_m, f_j]."""
+    squares = ra.squares
+    d = len(squares)
+    flips = [sum(c << (j * d) for j, c in enumerate(col)) for col in ra.algebra.ad_columns]
+    mask = (1 << d) - 1
+    x = square = brackets = 0
+    yield x, square
+    for step in range(1, 1 << d):
+        m = (step & -step).bit_length() - 1
+        square ^= squares[m] ^ ((brackets >> (m * d)) & mask)
+        brackets ^= flips[m]
+        x ^= 1 << m
+        yield x, square
 
 
 def sweep_is_torus(ra, s: Subspace) -> TorusReport:

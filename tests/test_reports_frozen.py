@@ -35,6 +35,7 @@ torus; in a random basis the toral basis it reports rests on its tie-break.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import hashlib
 import io
@@ -107,8 +108,15 @@ def lifted_doc(name: str, degree: int, seed: int) -> dict:
 
     [f_a, f_b] = sum_{i<j} (P_ia P_jb + P_ja P_ib) [e_i, e_j] and
     f_a^[2] = sum_i P_ia^2 e_i^[2] + sum_{i<j} P_ia P_ja [e_i, e_j],
-    both written in f-coordinates by solving P y = v.
+    both written in f-coordinates by solving P y = v.  Each document is
+    built once per process (the GF(2^16) `strictly_upper(8)` one takes
+    seconds), and every call gets a fresh copy of it.
     """
+    return copy.deepcopy(_lifted_doc(name, degree, seed))
+
+
+@functools.lru_cache(maxsize=None)
+def _lifted_doc(name: str, degree: int, seed: int) -> dict:
     alg, two_map = fixture(name)
     gf, n = GF(degree), alg.dim
     P = lift_matrix(name, degree, seed)

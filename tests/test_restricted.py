@@ -18,10 +18,10 @@ from lie2 import (InvalidInput, LieAlgebra, RestrictedAlgebra, catalog,
 from lie2.errors import Lie2Error
 from lie2.field import GF, Subspace, full_space, vec_add, vec_is_zero, zero_vec
 from lie2.liealg import from_json
-from lie2.restricted import packed_square, square_sweep
+from lie2.restricted import packed_square
 from lie2.toruscartan import weight_decompose
 from dense_oracles import (basis_vec, dense_combo, dense_express, dense_mul,
-                           dense_null_space, two_power)
+                           dense_null_space, square_sweep, two_power)
 from test_packed_core import algebra_over, rand_vec, restricted_with_torus
 from test_reports_frozen import lifted_doc
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -23,8 +24,8 @@ from lie2.liealg import LieAlgebra, _gl_entry, from_json, is_nilpotent_algebra, 
 from lie2.restricted import (JcsParts, _iterate_span, classify_element, jcs_decompose,
                              two_map_eval, validate_restricted)
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
-from dense_oracles import (coefficient_vectors, dense_express, subspace_vectors,
-                           sweep_is_torus)
+from dense_oracles import (coefficient_vectors, dense_express, square_sweep,
+                           subspace_vectors, sweep_is_torus)
 from test_reports_frozen import direct_sum, lifted_coords, lifted_doc
 
 
@@ -160,11 +161,13 @@ REFERENCE_CASES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
 
 def reference_algebra(case: str) -> RestrictedAlgebra:
     """A catalog fixture or "+" sum of them; "@seed" rewrites it in a random
-    basis of F2^n, "/GF4" reads each summand in a seeded GF(4) basis."""
+    basis of F2^n, "/GF4" or "/GF8" reads each summand in a seeded basis
+    over that field."""
     name, _, seed = case.partition("@")
-    if name.endswith("/GF4"):
-        parts = [RestrictedAlgebra(*from_json(lifted_doc(part, 2, 3)))
-                 for part in name[:-4].split("+")]
+    name, _, order = name.partition("/GF")
+    if order:
+        parts = [RestrictedAlgebra(*from_json(lifted_doc(part, int(order).bit_length() - 1, 3)))
+                 for part in name.split("+")]
     else:
         parts = [ra_of(part) for part in name.split("+")]
     ra = parts[0] if len(parts) == 1 else direct_sum(*parts)
@@ -204,9 +207,53 @@ def test_max_tori_gl4_exhaustive_under_a_second():
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("case", ["gl3", "gl2+w11_p2@1", "gl2/GF4"])
+# every catalog algebra with a 2-map, the direct sums of the structure
+# benchmark in a random basis, and GF(4) and GF(8) lifts
+TRUTH_TABLE_CASES = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
+                     "strictly_upper(4)", "sl3+heis3@1", "gl2+w11_p2@2", "gl3+w11_p2@3",
+                     "gl2/GF4", "sl2/GF4", "w11_p2/GF4", "heis3/GF4", "sl3/GF4",
+                     "strictly_upper(3)/GF4", "gl2/GF8", "sl2/GF8", "w11_p2/GF8",
+                     "heis3/GF8"]
+
+
+@pytest.mark.parametrize("case, block", [(case, block) for i, case in enumerate(TRUTH_TABLE_CASES)
+                                         for block in (None, 2 + i % 3)])
+def test_truth_table_fixpoints_match_square_sweep(case, block, monkeypatch):
+    """The fixpoints read off truth tables are those of the Gray-code sweep.
+    With a block of 2 to 4 bits the high part runs, so the constant q(hi)
+    and the part of [lo, hi] linear in lo are tested too."""
+    ra = reference_algebra(case)
+    if block is not None:
+        monkeypatch.setattr(toruscartan, "BLOCK_BITS", block)
+    assert toruscartan._fixpoints(ra, 1 << 20) == \
+        [x for x, square in sorted(square_sweep(ra)) if x == square]
+
+
+def test_truth_tables_scale_to_twenty_coordinates():
+    """gl4 + w11_p2 + w11_p2 has nk = 20 and 7,218 fixpoints; the whole
+    budget of 2^20 vectors is read in 16 blocks of 2^16-bit tables."""
+    w11, entry = ra_of("w11_p2"), _gl_entry(4)
+    ra = direct_sum(direct_sum(RestrictedAlgebra(entry.algebra, entry.two_map), w11), w11)
+    assert len(ra.algebra.ad_columns) == len(ra.squares) == 20  # tables built untimed
+    start = time.perf_counter()
+    fixpoints = toral_elements(ra)
+    elapsed = time.perf_counter() - start
+    assert len(fixpoints) == 7218
+    assert fixpoints[0] == (0,) * 20 and all(two_map_eval(ra, v) == v for v in fixpoints[::97])
+    tracemalloc.start()
+    try:
+        assert toral_elements(ra) == fixpoints
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("case", ["gl3", "gl2+w11_p2@1", "gl2/GF4", "sl3+heis3",
+                                  "gl3+w11_p2", "gl2/GF8"])
 def test_commutation_graph_matches_brackets(case):
-    """The bit-sliced graph against one packed bracket per pair."""
+    """The table-driven graph against one packed bracket per pair."""
     ra = reference_algebra(case)
     alg = ra.algebra
     items = [x for x in toruscartan._fixpoints(ra, 1 << 20) if x]
