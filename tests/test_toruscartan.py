@@ -712,3 +712,105 @@ def test_one_dim_audit_triggers_when_one_dim_roots_exist():
     rep = audit_decomposition(dec)
     assert rep.ok
     assert rep.checks["one_dim_root_annihilation"].triggered == 1
+
+
+def audit_summary(dec):
+    """Each audit as (passed, checked, triggered, failures), in report order."""
+    return {name: (c.passed, c.checked, c.triggered, c.failures)
+            for name, c in audit_decomposition(dec).checks.items()}
+
+
+def sl3_decomposition(degree: int):
+    ra = ra_of("sl3") if degree == 1 else RestrictedAlgebra(*from_json(lifted_doc("sl3", degree, 3)))
+    return weight_decompose(ra, max_tori(ra).torus)
+
+
+def image_left(eta, target):
+    return f"ad(e) image left the target root space ({eta} vs {target})"
+
+
+def test_one_dim_audit_catches_acting_nil():
+    """w11_p2 with xd passed off as its nil part: [xd, d] = d is not zero."""
+    ra = ra_of("w11_p2")
+    dec = weight_decompose(ra, max_tori(ra).torus)
+    tampered = dataclasses.replace(dec, nil=Subspace(GF2, 2, [(0, 1)]))
+    assert audit_summary(tampered) == {
+        "eigen_recheck": (True, 2, 0, []),
+        "one_dim_root_annihilation":
+            (False, 1, 1, ["nil part acts nontrivially on 1-dim root space (1,)"]),
+        "root_bracket_kernel": (True, 0, 0, []),
+        "iso_rule_transport": (True, 0, 0, [])}
+
+
+@pytest.mark.parametrize("degree, repeats", [(1, (1, 1, 1)), (2, (1, 2, 2))])
+def test_bracket_and_iso_audits_catch_a_shrunk_cartan(degree, repeats):
+    """With the Cartan replaced by 0, root-space brackets and nonzero
+    squares of root vectors leave it; over GF(4) some combinations square
+    to 0 and are skipped."""
+    dec = sl3_decomposition(degree)
+    tampered = dataclasses.replace(dec, h=Subspace(dec.ra.algebra.gf, 8))
+    roots = [(1, 0), (0, 1), (1, 1)]
+    assert audit_summary(tampered) == {
+        "eigen_recheck": (True, 12, 0, []),
+        "one_dim_root_annihilation": (True, 0, 0, []),
+        "root_bracket_kernel":
+            (False, 3, 0, [f"[g_xi, g_xi] left the Cartan at root {lam}" for lam in roots]),
+        "iso_rule_transport":
+            (False, 0, 0, [f"square of a root vector left the Cartan at {lam}"
+                           for lam, count in zip(roots, repeats) for _ in range(count)])}
+
+
+@pytest.mark.parametrize("degree, sources", [(1, [(0, 1), (1, 0)]),
+                                             (2, [(0, 1), (1, 0), (1, 0)])])
+def test_iso_audit_catches_a_missing_root_space(degree, sources):
+    dec = sl3_decomposition(degree)
+    weights = dict(dec.weights)
+    del weights[(1, 1)]
+    tampered = dataclasses.replace(dec, weights=weights)
+    assert audit_summary(tampered) == {
+        "eigen_recheck": (True, 12, 0, []),
+        "one_dim_root_annihilation": (True, 0, 0, []),
+        "root_bracket_kernel": (True, 2, 0, []),
+        "iso_rule_transport":
+            (False, len(sources), len(sources),
+             [f"root dims differ under transport: {eta} has 2, (1, 1) has 0"
+              for eta in sources])}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_audits_catch_a_relabelled_root_space(degree):
+    """g_10 also filed as g_11: its brackets have toral parts outside the
+    kernel of 11, and the iso rule finds images outside the labelled spaces
+    and an e that ad(e) sends to 0 in its own space."""
+    dec = sl3_decomposition(degree)
+    weights = dict(dec.weights)
+    weights[(1, 1)] = weights[(1, 0)]
+    tampered = dataclasses.replace(dec, weights=weights)
+    pairs = [((0, 1), (1, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((1, 1), (1, 0))]
+    if degree == 2:
+        pairs += [((1, 0), (1, 1)), ((1, 1), (1, 0))]
+    pairs.append(((0, 1), (1, 0)))
+    assert audit_summary(tampered) == {
+        "eigen_recheck":
+            (False, 16, 0, ["eigen equation failed at weight (1, 1), basis 1"] * 2),
+        "one_dim_root_annihilation": (True, 0, 0, []),
+        "root_bracket_kernel":
+            (False, 3, 0, ["toral part of a root-space bracket escapes Ker xi at root (1, 1)"]),
+        "iso_rule_transport":
+            (False, 4 + 2 * degree, 4 + 2 * degree,
+             [image_left(*pair) for pair in pairs for _ in range(2)]
+             + ["ad(e) not injective between (1, 1) and (0, 0)"] * 2)}
+
+
+def test_bracket_audit_rejects_a_cartan_beyond_torus_plus_nil():
+    """g_11 replaced by the span of a row of g_10 and a row of g_01, whose
+    bracket lies in the true g_11, and the Cartan by the whole space: the
+    bracket is in the Cartan but not in torus + nil, which is an invalid
+    decomposition rather than an audit failure."""
+    dec = sl3_decomposition(1)
+    weights = dict(dec.weights)
+    weights[(1, 1)] = Subspace(GF2, 8, [dec.weights[(1, 0)].rows[0],
+                                        dec.weights[(0, 1)].rows[1]])
+    tampered = dataclasses.replace(dec, h=full_space(GF2, 8), weights=weights)
+    with pytest.raises(InvalidInput, match="^element is not in the centralizer of the torus$"):
+        audit_decomposition(tampered)
