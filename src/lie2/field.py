@@ -19,8 +19,8 @@ A `Subspace` is the fully reduced F2 echelon of its restriction, canonical,
 so two spans are equal exactly when their echelons are; its GF rows are
 read off that echelon (see `Subspace`).  A matrix is its rows: ranks are
 `Subspace.dim` and null spaces `Subspace.null_basis`.  The packed core
-(`f2_apply`, `f2_reduce`, `f2_eliminate`) also serves the bracket tables
-of `liealg`.
+(`f2_apply`, `f2_reduce`, `f2_eliminate`, `f2_solver`) also serves the
+bracket tables of `liealg`.
 """
 
 from __future__ import annotations
@@ -280,7 +280,15 @@ def f2_reduce(slots: List[int], v: int) -> int:
 def f2_eliminate(cols: Sequence[int], n: int, rhs: Sequence[int] = ()
                  ) -> Tuple[List[int], List[Optional[int]]]:
     """Kernel basis of the packed map A with columns cols[0..n-1], and a
-    solution y of A y = b (None if there is none) for each b in rhs.
+    solution y of A y = b (None if there is none) for each b in rhs."""
+    kernel, solve = f2_solver(cols, n)
+    return kernel, [solve(b) for b in rhs]
+
+
+def f2_solver(cols: Sequence[int], n: int
+              ) -> Tuple[List[int], Callable[[int], Optional[int]]]:
+    """Kernel basis of the packed map A with columns cols[0..n-1], and a
+    function giving a solution y of A y = b, or None if there is none.
 
     Column m enters the echelon slots tagged, cols[m] << n | 1 << m, so the
     slots below bit n span the kernel by their tags, and reducing b << n on
@@ -289,13 +297,13 @@ def f2_eliminate(cols: Sequence[int], n: int, rhs: Sequence[int] = ()
     slots = [0] * width
     for m, c in enumerate(cols):
         f2_reduce(slots, c << n | 1 << m)
-    solutions = []
-    for b in rhs:
+
+    def solve(b: int) -> Optional[int]:
         v = b << n
         while v >> n and v.bit_length() <= width and slots[v.bit_length() - 1]:
             v ^= slots[v.bit_length() - 1]
-        solutions.append(None if v >> n else v)
-    return [v for v in slots[:n] if v], solutions
+        return None if v >> n else v
+    return [v for v in slots[:n] if v], solve
 
 
 def _f2_rref(vectors: Iterable[int], rows: Sequence[int] = (), lows: Sequence[int] = ()

@@ -658,29 +658,19 @@ def _strictly_upper_entry(n: int) -> CatalogEntry:
 
 
 _PARAM_RE = re.compile(r"^(abelian|strictly_upper)\((\d+)\)$")
+_FIXED = {"o3": _o3_entry, "heis3": _heis3_entry, "sl2": _sl2_entry,
+          "gl2": lambda: _gl_entry(2), "sl3": _sl3_entry, "gl3": lambda: _gl_entry(3),
+          "w11_p2": _w11_p2_entry}  # the fixed catalog entries, in listing order
 
 
 def catalog_names() -> List[str]:
-    return ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2",
-            "abelian(n)", "strictly_upper(n)"]
+    return list(_FIXED) + ["abelian(n)", "strictly_upper(n)"]
 
 
 def catalog(name: str) -> CatalogEntry:
     """Built-in example algebras; parametrized families take (n)."""
-    if name == "o3":
-        return _o3_entry()
-    if name == "heis3":
-        return _heis3_entry()
-    if name == "sl2":
-        return _sl2_entry()
-    if name == "gl2":
-        return _gl_entry(2)
-    if name == "gl3":
-        return _gl_entry(3)
-    if name == "sl3":
-        return _sl3_entry()
-    if name == "w11_p2":
-        return _w11_p2_entry()
+    if name in _FIXED:
+        return _FIXED[name]()
     m = _PARAM_RE.match(name)
     if m:
         n = int(m.group(2))

@@ -9,53 +9,47 @@ the structural facts the downstream case analysis relies on.
 Everything is computed over the given finite field, of any degree, on
 packed vectors of the F2 restriction of scalars (see `liealg`); a span is
 kept as F2 echelon slots holding every alpha^a v.  The 2-map fixpoints of
-the whole space are the zeros of q(x) = x^[2] + x, a quadratic map in the
-F2 coordinates of x, read off truth tables: bit x of X_l is bit l of x, and
-bit r of q is a sum of X_m and X_l & X_m.  The low c coordinates are
-tabulated once and the high part hi of x runs over blocks, since
-q(lo + hi) = q(lo) + q(hi) + [lo, hi] adds to each block a constant and a
-part linear in the X_l.  A torus is injective and has a toral basis by the
-kernels of A and A + I, A its squaring map from
+the whole space are the zeros of q(x) = x^[2] + x, read off truth tables
+block by block (`_fixpoints`).  A torus is injective and has a toral basis
+by the kernels of A and A + I, A its squaring map from
 `restricted.square_columns`.  The nil part of a Cartan split is
 2-nilpotent exactly when it is nilpotent and A is nilpotent on its centre.
 The maximal torus search is a branch and bound over int bitsets of the
-fixpoints' commutation graph, which is built from W[l][r], the set of
-fixpoints x_j with bit r of [f_l, x_j] set: x_i clashes with the
-fixpoints in OR_r XOR_{l in x_i} W[l][r].  A branch keeps only
-the candidates commuting with everything chosen, and is cut once the chosen
-count plus the rank of the remaining candidates modulo the chosen span
-cannot beat the best set found.  It reaches each torus through one basis,
-its greedy one, by the coset-minimum rule: a candidate x is dropped once
-min(x + W) < x for the F2 span W of the chosen fixpoints.  W holds every
-fixpoint of their torus, as (sum c_i t_i)^[2] = sum c_i^2 t_i, and the
-lexicographically first maximum set is the greedy basis of its own span,
-whose every element is coset-minimal over the earlier ones; so the answer
-is unchanged, and the reported node count covers only coset-minimal
-candidates.  It is exhaustive when it fits in the node budget, otherwise
-greedy with seeded restarts; either way the reported rank is a lower bound
-for the rank over an algebraic closure, never an upper bound.
+fixpoints' commutation graph (`_commutation_graph`) that reaches each torus
+through its greedy basis only; it is exhaustive when it fits in the node
+budget, otherwise greedy with seeded restarts, and either way the reported
+rank is a lower bound for the rank over an algebraic closure (`max_tori`).
+
+The weight decomposition and its audits run packed too: on the GF rows
+`echelon[::k]` of each span, with `packed_bracket` and `packed_square`,
+and span membership by `Subspace.reduce_packed`.  Toral coordinates come
+from one solver per decomposition, an elimination of the alpha-multiples
+of the toral basis followed by the nil echelon, which splits any x in
+torus + nil into its toral-basis and nil coordinates
+(`CartanDecomposition._solve`).  The tuple methods `toral_coords`,
+`toral_part` and `root_value` wrap it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
 from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
-                    f2_eliminate, f2_reduce, pack_bits, unpack_bits, vec_is_zero,
-                    zero_vec)
+                    f2_eliminate, f2_reduce, f2_solver, pack_bits, unpack_bits)
 from .liealg import (LieAlgebra, ad_kernel, bit_positions, centralizer, nibble_apply,
                      nibble_tables, subspace_bracket, transpose)
-from .restricted import (RestrictedAlgebra, jcs_decompose, packed_square,
-                         square_columns, two_map_eval)
+from .restricted import RestrictedAlgebra, jcs_decompose, packed_square, square_columns
 
 FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
                 "toral ranks are lower bounds and maximality is relative to this field")
 SWEEP_BUDGET = 1 << 20  # default bound on the vectors of a whole-space sweep
 BLOCK_BITS = 16  # low F2 coordinates of one block of fixpoint truth tables
+COMBO_LIMIT = 1 << 10  # the iso rule scans root spaces of up to this many vectors in full
 
 
 def check_sweep_budget(alg: LieAlgebra, budget: int = SWEEP_BUDGET) -> None:
@@ -146,12 +140,9 @@ def _fixpoints(ra: RestrictedAlgebra, budget: int) -> List[int]:
 
 def toral_elements(ra: RestrictedAlgebra, budget: int = SWEEP_BUDGET) -> List[Vec]:
     """All fixpoints of the 2-map, ascending in the packed value (the order
-    of sum_i v[i] q^i, by which the torus search breaks ties).
-
-    They are the zeros of q(x) = x^[2] + x = sum_m x_m (f_m^[2] + f_m) +
-    sum_{l<m} x_l x_m [f_l, f_m] over the F2 coordinates x_m, read off truth
-    tables in blocks x = lo + hi with q(lo + hi) = q(lo) + q(hi) + [lo, hi]
-    (`_fixpoints`); budget bounds the q^n vectors they cover."""
+    of sum_i v[i] q^i, by which the torus search breaks ties): the zeros of
+    q(x) = x^[2] + x, read off truth tables by `_fixpoints`; budget bounds
+    the q^n vectors they cover."""
     alg = ra.algebra
     return [unpack_bits(x, alg.dim, alg.gf.degree) for x in _fixpoints(ra, budget)]
 
@@ -418,7 +409,7 @@ def _split(ra: RestrictedAlgebra, torus: Torus, h: Subspace) -> CartanSplit:
     nil_vecs = []
     for b in h.rows:
         parts = jcs_decompose(ra, b)
-        if not torus.space.contains(parts.semisimple):
+        if torus.space.reduce_packed(pack_bits(parts.semisimple, alg.gf.degree)):
             raise SplitFailed(
                 "semisimple part of a centralizer element falls outside the torus; "
                 "the torus is not maximal over this field")
@@ -452,34 +443,53 @@ class CartanDecomposition:
     def roots(self) -> List[Tuple[int, ...]]:
         return sorted(self.weights)
 
-    def toral_coords(self, t: Sequence[int]) -> Vec:
-        """Coordinates of a torus element in the toral basis."""
-        basis = self.torus.toral_basis or ()
+    @cached_property
+    def _solve(self) -> Callable[[int], Optional[int]]:
+        """The solver of packed x = t + u, t in the torus and u in nil, built
+        once: one elimination of the columns alpha^a b_i of the toral basis
+        b, then `nil.echelon`.  The bits of its answer below rank * k are the
+        packed GF coordinates of t in the toral basis, those above the F2
+        coordinates of u in `nil.echelon`; None when x is outside torus + nil."""
         gf, n = self.ra.algebra.gf, self.ra.algebra.dim
-        cols = alpha_multiples(gf, n, [pack_bits(b, gf.degree) for b in basis])
-        _, (c,) = f2_eliminate(cols, len(cols), [pack_bits(t, gf.degree)])
-        if c is None:
-            raise InvalidInput("vector is not in the torus")
-        return unpack_bits(c, len(basis), gf.degree)
+        cols = alpha_multiples(gf, n, [pack_bits(b, gf.degree)
+                                       for b in self.torus.toral_basis or ()])
+        cols += self.nil.echelon
+        return f2_solver(cols, len(cols))[1]
 
-    def root_value(self, root: Sequence[int], t: Sequence[int]) -> int:
-        """Evaluate a root (toral-basis functional) on a torus element."""
-        gf = self.ra.algebra.gf
-        acc = 0
-        for r, c in zip(root, self.toral_coords(t)):
+    def _parts(self, x: int) -> Tuple[int, int]:
+        """The toral and nil coordinates of `_solve` for packed x in h."""
+        y, r = self._solve(x), self.rank * self.ra.algebra.gf.degree
+        if y is None:
+            raise InvalidInput("element is not in the centralizer of the torus")
+        return y & ((1 << r) - 1), y >> r
+
+    def _root_at(self, root: Sequence[int], coords: int) -> int:
+        """A root (toral-basis functional) at packed toral coordinates."""
+        gf, acc = self.ra.algebra.gf, 0
+        for i, r in enumerate(root):
+            c = coords >> (i * gf.degree) & (gf.order - 1)
             if r and c:
                 acc ^= c if r == 1 else gf.mul(r, c)
         return acc
 
+    def toral_coords(self, t: Sequence[int]) -> Vec:
+        """Coordinates of a torus element in the toral basis."""
+        k = self.ra.algebra.gf.degree
+        y = self._solve(pack_bits(t, k))
+        if y is None or y >> (self.rank * k):
+            raise InvalidInput("vector is not in the torus")
+        return unpack_bits(y, self.rank, k)
+
+    def root_value(self, root: Sequence[int], t: Sequence[int]) -> int:
+        """Evaluate a root (toral-basis functional) on a torus element."""
+        return self._root_at(root, pack_bits(self.toral_coords(t), self.ra.algebra.gf.degree))
+
     def toral_part(self, x: Sequence[int]) -> Tuple[Vec, Vec]:
         """Split an element of the centralizer as torus part plus nil part."""
         n, k = self.ra.algebra.dim, self.ra.algebra.gf.degree
-        t, nil = self.torus.space.echelon, self.nil.echelon
-        _, (c,) = f2_eliminate(t + nil, len(t) + len(nil), [pack_bits(x, k)])
-        if c is None:
-            raise InvalidInput("element is not in the centralizer of the torus")
-        return (unpack_bits(f2_apply(t, c & ((1 << len(t)) - 1)), n, k),
-                unpack_bits(f2_apply(nil, c >> len(t)), n, k))
+        px = pack_bits(x, k)
+        u = f2_apply(self.nil.echelon, self._parts(px)[1])
+        return unpack_bits(px ^ u, n, k), unpack_bits(u, n, k)
 
     def dim_pattern(self) -> Dict[str, object]:
         return {
@@ -537,99 +547,89 @@ class AuditReport:
 
 def _audit_eigen(dec: CartanDecomposition) -> AuditCheck:
     """Re-verify [t_i, v] = lambda_i v for every weight vector and h."""
-    alg = dec.ra.algebra
-    basis = dec.torus.toral_basis
+    alg, k = dec.ra.algebra, dec.ra.algebra.gf.degree
+    basis = [pack_bits(t, k) for t in dec.torus.toral_basis]
     checked = 0
     fails: List[str] = []
     items = [((0,) * len(basis), dec.h)] + [(lam, sp) for lam, sp in dec.weights.items()]
     for lam, sp in items:
-        for v in sp.rows:
+        for v in sp.echelon[::k]:
             for i, t in enumerate(basis):
-                got = alg.bracket(t, v)
-                want = tuple(v) if lam[i] else zero_vec(alg.dim)
                 checked += 1
-                if got != want:
+                if alg.packed_bracket(t, v) != (v if lam[i] else 0):
                     fails.append(f"eigen equation failed at weight {lam}, basis {i}")
     return AuditCheck("eigen_recheck", not fails, checked, failures=fails)
 
 
 def _audit_one_dim(dec: CartanDecomposition) -> AuditCheck:
     """Nil part of the Cartan must annihilate every 1-dimensional root space."""
-    alg = dec.ra.algebra
-    checked = 0
-    triggered = 0
+    alg, k = dec.ra.algebra, dec.ra.algebra.gf.degree
+    checked = triggered = 0
     fails: List[str] = []
     for lam, sp in dec.weights.items():
         if sp.dim != 1:
             continue
         triggered += 1
-        for u in dec.nil.rows:
+        for u in dec.nil.echelon[::k]:
             checked += 1
-            if not vec_is_zero(alg.bracket(u, sp.rows[0])):
+            if alg.packed_bracket(u, sp.echelon[0]):
                 fails.append(f"nil part acts nontrivially on 1-dim root space {lam}")
     return AuditCheck("one_dim_root_annihilation", not fails, checked, triggered, fails)
 
 
 def _audit_toral_brackets(dec: CartanDecomposition) -> AuditCheck:
     """Toral parts of [g_xi, g_xi] must lie in the kernel of xi."""
-    alg = dec.ra.algebra
+    alg, k = dec.ra.algebra, dec.ra.algebra.gf.degree
     checked = 0
     fails: List[str] = []
     for lam, sp in dec.weights.items():
-        for i, a in enumerate(sp.rows):
-            for b in sp.rows[i + 1:]:
-                w = alg.bracket(a, b)
+        rows = sp.echelon[::k]
+        for i, a in enumerate(rows):
+            for b in rows[i + 1:]:
+                w = alg.packed_bracket(a, b)
                 checked += 1
-                if not dec.h.contains(w):
+                if dec.h.reduce_packed(w):
                     fails.append(f"[g_xi, g_xi] left the Cartan at root {lam}")
                     continue
-                t_part, _ = dec.toral_part(w)
-                if dec.root_value(lam, t_part) != 0:
+                if dec._root_at(lam, dec._parts(w)[0]) != 0:
                     fails.append(f"toral part of a root-space bracket escapes Ker xi "
                                  f"at root {lam}")
     return AuditCheck("root_bracket_kernel", not fails, checked, failures=fails)
 
 
-def _audit_iso_rule(dec: CartanDecomposition, combo_limit: int = 1 << 10) -> AuditCheck:
+def _audit_iso_rule(dec: CartanDecomposition) -> AuditCheck:
     """Dimension transport: nonzero toral squares pair root spaces bijectively.
 
     For e in g_xi with square t + n and t nonzero, every root eta with
     eta(t) = 1 must satisfy dim g_eta = dim g_eta+xi, with ad(e) injective in
-    both directions.  Scans all nonzero prime-field combinations of each root
-    space basis (the interesting witnesses are sums, not basis rows).
+    both directions.  e runs over the nonzero F2 sums of each root space's
+    basis rows (the witnesses are sums), or over the rows past COMBO_LIMIT.
     """
     alg = dec.ra.algebra
-    gf = alg.gf
-    checked = 0
-    triggered = 0
+    gf, n, k = alg.gf, alg.dim, alg.gf.degree
+    roots = dec.roots()
+    checked = triggered = 0
     fails: List[str] = []
     for lam, sp in dec.weights.items():
-        if 1 << sp.dim > combo_limit:
-            elems = list(sp.rows)
-        else:
-            elems = [sp.combo(tuple((code >> i) & 1 for i in range(sp.dim)))
-                     for code in range(1, 1 << sp.dim)]
-        for e in elems:
-            if vec_is_zero(e):
+        rows = sp.echelon[::k]
+        combos = range(1, 1 << sp.dim) if 1 << sp.dim <= COMBO_LIMIT else \
+            [1 << i for i in range(sp.dim)]
+        for e in [f2_apply(rows, code) for code in combos]:
+            sq = packed_square(dec.ra, e)
+            if not sq:
                 continue
-            sq = two_map_eval(dec.ra, e)
-            if vec_is_zero(sq):
-                continue
-            if not dec.h.contains(sq):
+            if dec.h.reduce_packed(sq):
                 fails.append(f"square of a root vector left the Cartan at {lam}")
                 continue
-            t_part, _ = dec.toral_part(sq)
-            if vec_is_zero(t_part):
+            t = dec._parts(sq)[0]
+            if not t:
                 continue
-            for eta in dec.roots():
-                if dec.root_value(eta, t_part) == 0:
+            for eta in roots:
+                if dec._root_at(eta, t) == 0:
                     continue
                 triggered += 1
                 target = tuple(a ^ b for a, b in zip(eta, lam))
-                if any(target):
-                    tgt_space = dec.weights.get(target, Subspace(gf, alg.dim))
-                else:
-                    tgt_space = dec.h
+                tgt_space = dec.weights.get(target, Subspace(gf, n)) if any(target) else dec.h
                 src_space = dec.weights[eta]
                 checked += 1
                 if src_space.dim != tgt_space.dim:
@@ -638,11 +638,11 @@ def _audit_iso_rule(dec: CartanDecomposition, combo_limit: int = 1 << 10) -> Aud
                         f"{target} has {tgt_space.dim}")
                     continue
                 for space, other in ((src_space, tgt_space), (tgt_space, src_space)):
-                    images = [alg.bracket(e, v) for v in space.rows]
-                    if not all(map(other.contains, images)):
+                    images = [alg.packed_bracket(e, v) for v in space.echelon[::k]]
+                    if any(map(other.reduce_packed, images)):
                         fails.append(f"ad(e) image left the target root space "
                                      f"({eta} vs {target})")
-                    elif Subspace(gf, alg.dim, images).dim < space.dim:
+                    elif f2_eliminate(alpha_multiples(gf, n, images), k * space.dim)[0]:
                         fails.append(f"ad(e) not injective between {eta} and {target}")
     return AuditCheck("iso_rule_transport", not fails, checked, triggered, fails)
 

@@ -814,3 +814,23 @@ def test_bracket_audit_rejects_a_cartan_beyond_torus_plus_nil():
     tampered = dataclasses.replace(dec, h=full_space(GF2, 8), weights=weights)
     with pytest.raises(InvalidInput, match="^element is not in the centralizer of the torus$"):
         audit_decomposition(tampered)
+
+
+@pytest.mark.parametrize("case", ["sl3", "gl3", "sl3/GF4", "gl3/GF4"])
+def test_decomposition_and_audits_run_packed(case, monkeypatch):
+    """weight_decompose and audit_decomposition make no tuple-vector
+    bracket, square or span membership test: each raises here."""
+    from lie2 import restricted
+    ra = reference_algebra(case)
+    torus = max_tori(ra).torus
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tuple-vector call in the decomposition or its audits")
+
+    monkeypatch.setattr(LieAlgebra, "bracket", forbidden)
+    monkeypatch.setattr(Subspace, "contains", forbidden)
+    monkeypatch.setattr(restricted, "two_map_eval", forbidden)
+    assert not hasattr(toruscartan, "two_map_eval")
+    rep = audit_decomposition(weight_decompose(ra, torus))
+    assert rep.ok
+    assert rep.checks["iso_rule_transport"].triggered > 0
