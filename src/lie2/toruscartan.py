@@ -612,9 +612,9 @@ def _audit_iso_rule(dec: CartanDecomposition) -> AuditCheck:
     fails: List[str] = []
     for lam, sp in dec.weights.items():
         rows = sp.echelon[::k]
-        combos = range(1, 1 << sp.dim) if 1 << sp.dim <= COMBO_LIMIT else \
-            [1 << i for i in range(sp.dim)]
-        for e in [f2_apply(rows, code) for code in combos]:
+        elems = list(rows) if 1 << sp.dim > COMBO_LIMIT else \
+            [f2_apply(rows, code) for code in range(1, 1 << sp.dim)]
+        for e in elems:
             sq = packed_square(dec.ra, e)
             if not sq:
                 continue
