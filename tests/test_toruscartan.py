@@ -17,7 +17,7 @@ import pytest
 from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput, Lie2Error,
                   NotSimultaneouslyDiagonalizable, NotTwoMapClosed,
                   RestrictedAlgebra, SplitFailed, Torus, audit_decomposition,
-                  catalog, cartan_split, is_torus, max_tori, toruscartan,
+                  catalog, cartan_split, is_torus, max_tori, restricted, toruscartan,
                   weight_decompose)
 from lie2.field import GF, GF2, Subspace, full_space, pack_bits, zero_vec
 from lie2.liealg import LieAlgebra, _gl_entry, from_json, is_nilpotent_algebra, transpose
@@ -820,7 +820,6 @@ def test_bracket_audit_rejects_a_cartan_beyond_torus_plus_nil():
 def test_decomposition_and_audits_run_packed(case, monkeypatch):
     """weight_decompose and audit_decomposition make no tuple-vector
     bracket, square or span membership test: each raises here."""
-    from lie2 import restricted
     ra = reference_algebra(case)
     torus = max_tori(ra).torus
 
