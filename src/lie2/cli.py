@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .casedata import PUBLISHED_PATTERN_LISTS, raw_pattern_string
@@ -446,9 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later main call;
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _BUDGET_ERRORS as exc:

@@ -236,15 +236,23 @@ def gl_matrices(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
 
     Bit c of row r is entry (r, c).  The order is that of the code
     sum(rows[r] << (n * r)), so every caller sees the same enumeration.
+    Rows are chosen from rows[n-1] down to rows[0], each ascending and
+    outside the span of the rows chosen before it, so only invertible
+    matrices are reached, in code order, and only they are inverted.
     """
     if n > 4:
         raise DimensionTooLarge("GL sweep is limited to dimension 4")
     out = []
-    for code in range(1 << (n * n)):
-        rows = tuple((code >> (n * r)) & ((1 << n) - 1) for r in range(n))
-        inv = _invert_rows(rows, n)
-        if inv is not None:
-            out.append((rows, tuple(inv)))
+
+    def extend(rows: Tuple[int, ...], span: frozenset) -> None:
+        if len(rows) == n:
+            out.append((rows, tuple(_invert_rows(rows, n))))
+            return
+        for row in range(1 << n):
+            if row not in span:
+                extend((row,) + rows, span | {s ^ row for s in span})
+
+    extend((), frozenset([0]))
     return tuple(out)
 
 

@@ -302,19 +302,29 @@ def centralizer(alg: LieAlgebra, s: Subspace) -> Subspace:
     return ad_kernel(alg, s.echelon[::alg.gf.degree])[0]
 
 
+def bracket_columns(alg: LieAlgebra, rows: Sequence[int]) -> List[int]:
+    """Packed columns of x -> ([r_j, x])_j for packed r_j, block j at bit
+    j nk: the part of every `ad_kernel` map that does not depend on lam."""
+    nk = alg.dim * alg.gf.degree
+    return [sum(f2_apply(col, p) << (j * nk) for j, p in enumerate(rows))
+            for col in alg.ad_columns]
+
+
 def ad_kernel(alg: LieAlgebra, rows: Sequence[int], lam: Sequence[int] = (),
-              rhs: Sequence[int] = ()) -> Tuple[Subspace, List[Optional[int]]]:
+              rhs: Sequence[int] = (), cols: Optional[Sequence[int]] = None
+              ) -> Tuple[Subspace, List[Optional[int]]]:
     """Kernel of x -> ([r_j, x] + lam_j x)_j for packed r_j and lam_j in F2
     (default 0), and a packed solution or None for each rhs (block j at bit
     j nk).  The map is GF-linear, so its F2 kernel is the restriction of
-    the kernel subspace."""
-    n, k = alg.dim, alg.gf.degree
-    lam = lam or [0] * len(rows)
-    cols = [sum((f2_apply(col, p) ^ c << m) << (j * n * k)
-                for j, (p, c) in enumerate(zip(rows, lam)))
-            for m, col in enumerate(alg.ad_columns)]
-    kernel, solutions = f2_eliminate(cols, n * k, rhs)
-    return Subspace.restriction(alg.gf, n, kernel), solutions
+    the kernel subspace.  A caller that solves for several lam passes cols,
+    the `bracket_columns` of the rows, built once."""
+    nk = alg.dim * alg.gf.degree
+    if cols is None:
+        cols = bracket_columns(alg, rows)
+    spread = sum(c << (j * nk) for j, c in enumerate(lam))  # lam_j at bit j nk
+    kernel, solutions = f2_eliminate([col ^ spread << m for m, col in enumerate(cols)],
+                                     nk, rhs)
+    return Subspace.restriction(alg.gf, alg.dim, kernel), solutions
 
 
 @dataclass
@@ -332,6 +342,15 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     restriction decides the derived algebra and each seed, whose line v,
     alpha v, ..., alpha^(k-1) v it starts from, and spans the witness of a
     failing check.
+
+    Seeds v (lead coordinate 1) are swept by lead coordinate, then packed
+    value, and a seed whose closure is skipped still counts as checked.
+    When the sweep reaches v, every earlier seed u has been shown to
+    generate L.  If some nonzero [v, e_i] = c u, then u lies in the ideal
+    of v, a GF-subspace, so that ideal holds the ideal of u, which is L:
+    v's closure is skipped.  The skip needs ideal(v) = L, so it never
+    passes over a seed in a proper ideal, and the verdict, seed count,
+    reason and witness are those of the full sweep.
     """
     gf, n, q, k = alg.gf, alg.dim, alg.gf.order, alg.gf.degree
     if n < 2:
@@ -348,13 +367,34 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     points = (q ** n - 1) // (q - 1)
     if points > budget:
         raise BudgetExceeded(f"{points} projective seeds exceed budget {budget}")
+
+    def follows_earlier(v: int, lead: int) -> bool:
+        """Whether some nonzero [v, e_i] spans the line of an earlier seed."""
+        for col in ad:
+            w = f2_apply(col, v)
+            if not w:
+                continue
+            low = ((w & -w).bit_length() - 1) // k  # the lead coordinate of w
+            if low == lead:
+                c = (w >> (lead * k)) & (q - 1)
+                if c != 1:  # scale the lead coordinate to 1
+                    inv = gf.inv(c)
+                    w = sum(gf.mul(inv, (w >> (j * k)) & (q - 1)) << (j * k)
+                            for j in range(lead, n))
+            if low < lead or (low == lead and w < v):
+                return True
+        return False
+
     checked = 0
     for lead in range(n):
         # one seed per line: coordinate lead is 1 and the packed tail after
         # it runs up through sum_i v[i] q^i
         for tail in range(q ** (n - lead - 1)):
             checked += 1
-            ideal = f2_ideal(ad, nk, alpha_multiples(gf, n, [(1 | tail << k) << (lead * k)]))
+            v = (1 | tail << k) << (lead * k)
+            if follows_earlier(v, lead):
+                continue
+            ideal = f2_ideal(ad, nk, alpha_multiples(gf, n, [v]))
             if len(ideal) < nk:
                 return SimplicityReport(False, Subspace.restriction(gf, n, ideal), checked,
                                         "proper ideal from seed")

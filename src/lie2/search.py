@@ -21,8 +21,13 @@ The exhaustive scan enumerates the low fields only and solves the last
 field h = [e_{n-2}, e_{n-1}]: a triple without both n-2 and n-1 has no
 p-pair equal to h, so h is only ever the q of its terms, and its residual
 is P + c h, with c in F2 the sum of the term bits.  So a low position
-admits every h (all c = 0 and all P = 0), exactly one (h = P), or none,
-and one kernel call runs every triple on the candidates left.
+admits every h (all c = 0 and all P = 0), exactly one (h = P), or none.
+The solve loops over the outermost low field in Python, on cache-sized
+planes of the fields below it (_solve_last_field).  The candidates' low
+planes are then read off their positions by shift and mask, and one
+kernel call runs every triple on them: first the triples with both n-2
+and n-1, which the solve leaves open, then the linear ones, which it
+already satisfies, on the few candidates left.
 
 Survivors are decided in bulk on integer coefficient arrays c[p, m, s],
 coordinate m of bracket p of candidate s.  Sampled survivors have their
@@ -359,7 +364,10 @@ def _jacobi_positions(b: Sequence[np.ndarray], n: int, size: int,
     times the taps), and a candidate passes when its k reduced planes are
     zero.  Basis triples run one at a time, and after each only the
     surviving positions are kept: the planes are gathered down to them, so
-    the next triple runs on the few candidates left.
+    the next triple runs on the few candidates left.  The triples with both
+    n-2 and n-1 run first: the exhaustive scan's candidates already pass
+    the others, which its last-field solve satisfies, so those run last,
+    on the fewest candidates.  Order does not change the positions.
     """
     if n < 3:
         return np.arange(size)
@@ -368,7 +376,8 @@ def _jacobi_positions(b: Sequence[np.ndarray], n: int, size: int,
     acc_buf = np.empty((2 * k - 1, size), dtype=np.uint8)
     term_buf = np.empty(size, dtype=np.uint8)
     planes = list(b)
-    for t, triple in enumerate(combinations(range(n), 3)):
+    triples = sorted(combinations(range(n), 3), key=lambda tr: tr[1:] != (n - 2, n - 1))
+    for t, triple in enumerate(triples):
         if t:
             planes = [f[keep] for f in planes]
         live = size if pos is None else pos.size
@@ -488,51 +497,90 @@ def _simple(gf: GF, n: int, planes: np.ndarray) -> np.ndarray:
     return simple
 
 
-def _solve_last_field(low: List[np.ndarray], n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _solve_last_field(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(position, h) of each low position and last field h that pass the
-    triples h enters linearly.  Their P and c are summed over the low
-    fields, an all-ones plane standing in for h; then h is the OR of the P
-    with c = 1, and a position passes when P = c h on every such triple."""
-    last, size = len(low), 1 << (n * len(low))
-    linear = [tr for tr in combinations(range(n), 3) if not {n - 2, n - 1} <= set(tr)]
-    b = low + [np.ones(size, dtype=np.uint8)]
-    term, h = np.empty(size, dtype=np.uint8), np.zeros(size, dtype=np.uint8)
-    res = np.zeros((len(linear), 2, size), dtype=np.uint8)
-    for (pc, c), triple in zip(res, linear):
-        terms = _triple_terms(n, *triple)
-        _add_terms(pc[None], b, [t for t in terms if t[2] != last], term)
-        _add_terms(c[None], b, [t for t in terms if t[2] == last], term)
-        np.multiply(pc, c, out=term)
-        np.bitwise_or(h, term, out=h)
-    ok, free = np.ones(size, dtype=bool), np.ones(size, dtype=bool)
-    for pc, c in res:
-        np.multiply(c, h, out=term)
-        ok &= pc == term
-        free &= c == 0
-    every, one = np.flatnonzero(ok & free), np.flatnonzero(ok & ~free)
-    return (np.concatenate([np.repeat(every, 1 << n), one]),
-            np.concatenate([np.tile(np.arange(1 << n, dtype=np.uint8), every.size),
-                            h[one]]))
+    triples h enters linearly (n >= 3), positions ascending: first every
+    position that admits all 2^n values of h, each repeated with h = 0, 1,
+    ..., then those that admit exactly one.
+
+    The outer low field o = f_{last-1}, pair (n-3, n-1), is looped over in
+    Python; the fields below it are one set of 2^(n(last-1))-slot planes.
+    A triple's P splits into P0, the terms that read neither o nor h,
+    summed once, plus the terms that read o, which for o = v are the planes
+    f_q with bit m of v set (o gives the bit) and v times the bit sum d (o
+    is the multiplier).  The coefficient c of h, summed once, never reads
+    o, as its terms have {m, c} = {n-2, n-1}.  Then h is the OR of the P
+    with c = 1, and a position passes when P = c h on every such triple.
+    """
+    last = n * (n - 1) // 2 - 1
+    outer, digits = last - 1, np.arange(1 << n, dtype=np.uint8)
+    size = 1 << (n * outer)
+    low = [np.tile(np.repeat(digits, 1 << (n * p)), 1 << (n * (outer - 1 - p)))
+           for p in range(outer)]
+    linear = [_triple_terms(n, *tr) for tr in combinations(range(n), 3)
+              if tr[1:] != (n - 2, n - 1)]
+    # all-ones planes stand in for o and h, so c and d come out as bit sums
+    b = low + [np.ones(size, dtype=np.uint8)] * 2
+    p0, c, d = np.zeros((3, len(linear), size), dtype=np.uint8)
+    term = np.empty(size, dtype=np.uint8)
+    for terms, pt, ct, dt in zip(linear, p0, c, d):
+        _add_terms(pt[None], b, [t for t in terms if t[0] != outer and t[2] < outer], term)
+        _add_terms(ct[None], b, [t for t in terms if t[2] == last], term)
+        _add_terms(dt[None], b, [t for t in terms if t[2] == outer], term)
+    free = ~c.any(axis=0)
+    gives = [[(m, q) for p, m, q in terms if p == outer] for terms in linear]
+    res, (h, bad) = np.empty_like(p0), np.empty((2, size), dtype=np.uint8)
+    every, one, hs = [], [], []
+    for v in range(1 << n):
+        h.fill(0)
+        for r, pt, ct, dt, gv in zip(res, p0, c, d, gives):
+            np.multiply(dt, v, out=r)
+            np.bitwise_xor(r, pt, out=r)
+            for m, q in gv:
+                if (v >> m) & 1:
+                    np.bitwise_xor(r, low[q], out=r)
+            np.multiply(r, ct, out=term)
+            np.bitwise_or(h, term, out=h)
+        bad.fill(0)
+        for r, ct in zip(res, c):
+            np.multiply(ct, h, out=term)
+            np.bitwise_xor(term, r, out=term)
+            np.bitwise_or(bad, term, out=bad)
+        ok = np.flatnonzero(bad == 0)
+        base, f = v << (n * outer), free[ok]
+        every.append(ok[f] + base)
+        sel = ok[~f]
+        one.append(sel + base)
+        hs.append(h[sel])
+    every = np.concatenate(every)
+    return (np.concatenate([np.repeat(every, 1 << n)] + one),
+            np.concatenate([np.tile(digits, every.size)] + hs))
 
 
 def census_exhaustive(n: int) -> Tuple[int, int, List[int]]:
-    """Scan every table of dimension n >= 2: (scanned, Jacobi passes, simple).
+    """Scan every table of dimension n: (scanned, Jacobi passes, simple).
 
-    Only the low fields are enumerated; the last field is solved from the
+    Below dimension 3 there is no basis triple: every table is a Lie
+    algebra, and none is simple (dimension 1 is abelian, and a
+    2-dimensional algebra has [g, g] spanned by its one bracket).  Above,
+    only the low fields are enumerated; the last field is solved from the
     triples it enters linearly (_solve_last_field), and the kernel runs
-    once, on the candidates left.  The simple tables come out ascending.
+    once, on the candidates left, with low planes read off their
+    positions.  The simple tables come out ascending.
     """
-    last = n * (n - 1) // 2 - 1
-    digits = np.arange(1 << n, dtype=np.uint8)
-    low = [np.tile(np.repeat(digits, 1 << (n * p)), 1 << (n * (last - 1 - p)))
-           for p in range(last)]
-    pos, h = _solve_last_field(low, n)
-    b = [f[pos] for f in low] + [h]
+    npairs = n * (n - 1) // 2
+    if n < 3:
+        return 1 << (n * npairs), 1 << (n * npairs), []
+    last = npairs - 1
+    pos, h = _solve_last_field(n)
+    low = pos.astype(np.uint32)  # n * last <= 20 bits
+    b = [(low >> (n * p)).astype(np.uint8) & np.uint8((1 << n) - 1)
+         for p in range(last)] + [h]
     del low
     idx = _jacobi_positions(b, n, pos.size)
     planes = np.stack([f[idx] for f in b])
     tables = pos[idx] | h[idx].astype(np.int64) << (n * last)
-    return (1 << (n * (last + 1)), int(idx.size),
+    return (1 << (n * npairs), int(idx.size),
             sorted(tables[_simple(GF2, n, planes)].tolist()))
 
 
@@ -561,7 +609,7 @@ def _census_planes(gf: GF, n: int, planes: np.ndarray
 
 
 def _run_exhaustive(n: int) -> Tuple[int, int, List[int]]:
-    return (1, 1, []) if n == 1 else census_exhaustive(n)
+    return census_exhaustive(n)
 
 
 def _sample_planes(gf: GF, n: int, seed: int, start: int, count: int) -> np.ndarray:

@@ -41,8 +41,8 @@ from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
 from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
                     f2_eliminate, f2_reduce, f2_solver, pack_bits, unpack_bits)
-from .liealg import (LieAlgebra, ad_kernel, bit_positions, centralizer, nibble_apply,
-                     nibble_tables, subspace_bracket, transpose)
+from .liealg import (LieAlgebra, ad_kernel, bit_positions, bracket_columns, centralizer,
+                     nibble_apply, nibble_tables, subspace_bracket, transpose)
 from .restricted import RestrictedAlgebra, jcs_decompose, packed_square, square_columns
 
 FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
@@ -513,7 +513,8 @@ def weight_decompose(ra: RestrictedAlgebra, torus: Torus) -> CartanDecomposition
     r, n = len(basis), alg.dim
     lams = [tuple((code >> i) & 1 for i in range(r)) for code in range(1 << r)]
     packed = [pack_bits(t, alg.gf.degree) for t in basis]
-    spaces = {lam: ad_kernel(alg, packed, lam)[0] for lam in lams}
+    cols = bracket_columns(alg, packed)  # lam-free, so built once for every lam
+    spaces = {lam: ad_kernel(alg, packed, lam, cols=cols)[0] for lam in lams}
     total = sum(s.dim for s in spaces.values())
     if total != n:
         raise NotSimultaneouslyDiagonalizable(

@@ -20,6 +20,13 @@ which runs that kernel, re-checks every survivor on coefficient arrays
 and decides simplicity; tests compare both with scalar checks.
 `derived_rank_numpy` is the per-candidate F2 rank of the bracket planes
 that the census span filter (`search._spans_all`) replaced.
+`is_simple_full_sweep` is the simplicity sweep that `liealg.is_simple`
+sped up: it closes the ideal of every projective seed, with no shortcut.
+`gl_matrices_brute` is the GL(n, 2) enumeration that `field.gl_matrices`
+replaced: it tries every code and keeps those that invert.
+`solve_last_field_dense` is the exhaustive scan's last-field solve on
+full-size planes, one slot per low position (`dense_low_fields`), that
+the outer-field loop of `search._solve_last_field` replaced.
 
 `square_sweep` is the Gray-code sweep of x -> x^[2] over every packed
 vector that `toruscartan._fixpoints` replaced with truth tables of
@@ -43,11 +50,12 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
-from lie2.field import GF, GF2, Subspace, Vec, pack_bits, vec_add, vec_is_zero
-from lie2.liealg import LieAlgebra, f2_ideal
+from lie2.field import (GF, GF2, Subspace, Vec, _invert_rows, alpha_multiples, pack_bits,
+                        vec_add, vec_is_zero)
+from lie2.liealg import LieAlgebra, SimplicityReport, f2_ideal
 from lie2.restricted import RestrictedAlgebra, two_map_eval
-from lie2.search import (_census_planes, _jacobi_positions, bytes_from_words,
-                         pair_index, splitmix64_words)
+from lie2.search import (_add_terms, _census_planes, _jacobi_positions, _triple_terms,
+                         bytes_from_words, pair_index, splitmix64_words)
 from lie2.toruscartan import Torus, TorusReport
 
 
@@ -313,3 +321,78 @@ def census_sampled(n: int, rows: np.ndarray):
     """
     jac, pos, _coeffs = _census_planes(GF2, n, np.ascontiguousarray(rows.T))
     return rows.shape[0], jac, pos.tolist()
+
+
+def dense_low_fields(n: int):
+    """The low field arrays of the dim-n scan, one slot per low position:
+    field p of position s is bits n p .. n p + n - 1 of s."""
+    last = n * (n - 1) // 2 - 1
+    digits = np.arange(1 << n, dtype=np.uint8)
+    return [np.tile(np.repeat(digits, 1 << (n * p)), 1 << (n * (last - 1 - p)))
+            for p in range(last)]
+
+
+def solve_last_field_dense(low, n: int):
+    """(position, h) of each low position and last field h that pass the
+    triples h enters linearly.  Their P and c are summed over the low
+    fields, an all-ones plane standing in for h; then h is the OR of the P
+    with c = 1, and a position passes when P = c h on every such triple."""
+    last, size = len(low), 1 << (n * len(low))
+    linear = [tr for tr in combinations(range(n), 3) if not {n - 2, n - 1} <= set(tr)]
+    b = low + [np.ones(size, dtype=np.uint8)]
+    term, h = np.empty(size, dtype=np.uint8), np.zeros(size, dtype=np.uint8)
+    res = np.zeros((len(linear), 2, size), dtype=np.uint8)
+    for (pc, c), triple in zip(res, linear):
+        terms = _triple_terms(n, *triple)
+        _add_terms(pc[None], b, [t for t in terms if t[2] != last], term)
+        _add_terms(c[None], b, [t for t in terms if t[2] == last], term)
+        np.multiply(pc, c, out=term)
+        np.bitwise_or(h, term, out=h)
+    ok, free = np.ones(size, dtype=bool), np.ones(size, dtype=bool)
+    for pc, c in res:
+        np.multiply(c, h, out=term)
+        ok &= pc == term
+        free &= c == 0
+    every, one = np.flatnonzero(ok & free), np.flatnonzero(ok & ~free)
+    return (np.concatenate([np.repeat(every, 1 << n), one]),
+            np.concatenate([np.tile(np.arange(1 << n, dtype=np.uint8), every.size),
+                            h[one]]))
+
+
+def gl_matrices_brute(n: int):
+    """Every invertible n x n matrix over F2 with its inverse, in the order
+    of the code sum(rows[r] << (n r)), by trying all 2^(n^2) codes."""
+    out = []
+    for code in range(1 << (n * n)):
+        rows = tuple((code >> (n * r)) & ((1 << n) - 1) for r in range(n))
+        inv = _invert_rows(rows, n)
+        if inv is not None:
+            out.append((rows, tuple(inv)))
+    return tuple(out)
+
+
+def is_simple_full_sweep(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
+    """`liealg.is_simple` without its earlier-seed shortcut: the ideal
+    closure of every projective seed, lead coordinate 1, in sweep order."""
+    gf, n, q, k = alg.gf, alg.dim, alg.gf.order, alg.gf.degree
+    if n < 2:
+        return SimplicityReport(False, None, 0, "dimension below 2")
+    ad, nk = alg.ad_columns[::k], n * k
+    derived = f2_ideal(ad, nk, [v for col in ad for v in col])
+    if not derived:
+        return SimplicityReport(False, None, 0, "abelian")
+    if len(derived) < nk:
+        return SimplicityReport(False, Subspace.restriction(gf, n, derived), 0,
+                                "derived subalgebra is a proper ideal")
+    points = (q ** n - 1) // (q - 1)
+    if points > budget:
+        raise BudgetExceeded(f"{points} projective seeds exceed budget {budget}")
+    checked = 0
+    for lead in range(n):
+        for tail in range(q ** (n - lead - 1)):
+            checked += 1
+            ideal = f2_ideal(ad, nk, alpha_multiples(gf, n, [(1 | tail << k) << (lead * k)]))
+            if len(ideal) < nk:
+                return SimplicityReport(False, Subspace.restriction(gf, n, ideal), checked,
+                                        "proper ideal from seed")
+    return SimplicityReport(True, None, checked, "all seeds generate the algebra")

@@ -651,6 +651,40 @@ def test_catalog_emit_unknown_exits_two(capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    """main builds the parser once and reuses it: after an argparse error
+    and an invalid-input exit, a repeated command reports the same bytes."""
+    from lie2 import cli
+    cli._parser.cache_clear()
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    path = write_fixture(tmp_path, "sl3")
+    out = tmp_path / "report.json"
+    first = run(capsys, "decompose", path, "--out", str(out))
+    report = out.read_bytes()
+    parser = cli._parser()
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["census"])
+    assert exc.value.code == 2
+    assert "--dim" in capsys.readouterr().err
+    code, _, err = run(capsys, "census", "--dim", "9")
+    assert code == 2 and err.startswith("invalid input")
+    out.unlink()
+    assert run(capsys, "decompose", path, "--out", str(out)) == first
+    assert out.read_bytes() == report
+    assert cli._parser() is parser and built == [1]
+
+
+# ---------------------------------------------------------------------------
 # module entry point
 
 

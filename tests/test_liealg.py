@@ -19,7 +19,10 @@ from lie2.field import GF, GF2, Subspace
 from lie2.liealg import (MAX_DIM, _unit, algebra_from_matrices, is_ideal,
                          is_nilpotent_algebra, is_solvable_algebra,
                          lower_central_series, subspace_bracket)
-from dense_oracles import basis_vec, f2_ideal_rank, jacobi_residual, subspace_vectors
+from lie2.errors import BudgetExceeded
+from dense_oracles import (basis_vec, f2_ideal_rank, is_simple_full_sweep, jacobi_residual,
+                           subspace_vectors)
+from test_reports_frozen import lifted_doc
 
 ALL_NAMES = ["o3", "heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2",
              "abelian(4)", "strictly_upper(3)"]
@@ -208,6 +211,49 @@ def test_simplicity_verdicts(name):
     elif rep.witness is not None:
         assert 0 < rep.witness.dim < alg.dim
         assert is_ideal(alg, rep.witness)
+
+
+def sum_of(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
+    """The direct sum of a and b over their common field, a's basis first."""
+    n, m = a.dim, b.dim
+    table = {k: tuple(v) + (0,) * m for k, v in a.table.items()}
+    table.update({(i + n, j + n): (0,) * n + tuple(v) for (i, j), v in b.table.items()})
+    return LieAlgebra(a.gf, n + m, table)
+
+
+def simplicity_cases():
+    """Every catalog algebra over F2 and lifted to GF(4) and GF(16), and
+    non-simple controls: direct sums, two of them perfect."""
+    base = catalog_names()[:7] + ["abelian(3)", "strictly_upper(4)"]
+    cases = [(f"{name}/{d}", catalog(name).algebra if d == 1
+              else from_json(lifted_doc(name, d, 7))[0])
+             for d in (1, 2, 4) for name in base]
+    for d in (1, 2, 4):
+        o3 = dict(cases)[f"o3/{d}"]
+        cases += [(f"o3+o3/{d}", sum_of(o3, o3)), (f"o3+heis3/{d}",
+                  sum_of(o3, dict(cases)[f"heis3/{d}"]))]
+    cases.append(("sl3+o3/1", sum_of(catalog("sl3").algebra, catalog("o3").algebra)))
+    return cases
+
+
+def simplicity_outcome(check, alg):
+    try:
+        rep = check(alg)
+    except BudgetExceeded as exc:
+        return "budget", str(exc)
+    return rep.simple, rep.seeds_checked, rep.reason, rep.witness
+
+
+def test_is_simple_matches_the_full_sweep():
+    """The earlier-seed shortcut leaves every verdict, seed count, reason
+    and witness of the full sweep unchanged, and every exit is reached."""
+    exits = set()
+    for label, alg in simplicity_cases():
+        got = simplicity_outcome(is_simple, alg)
+        assert got == simplicity_outcome(is_simple_full_sweep, alg), label
+        exits.add(got[0] if got[0] == "budget" else got[2])
+    assert exits == {"budget", "abelian", "derived subalgebra is a proper ideal",
+                     "proper ideal from seed", "all seeds generate the algebra"}
 
 
 def test_sl2_witness_is_central_ideal():

@@ -34,8 +34,9 @@ from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_planes,
                          census, census_backend, census_exhaustive,
                          gl_matrices, iso_match, pair_index, splitmix64_words,
                          table_orbit, table_to_algebra)
-from dense_oracles import (census_sampled, derived_rank_numpy, gf_jacobi_mask,
-                           gf_mul_arrays, jacobi_mask, sample_coefficients)
+from dense_oracles import (census_sampled, dense_low_fields, derived_rank_numpy,
+                           gf_jacobi_mask, gf_mul_arrays, gl_matrices_brute, jacobi_mask,
+                           sample_coefficients, solve_last_field_dense)
 from test_reports_frozen import CENSUS_FROZEN, census_digest
 
 
@@ -175,6 +176,17 @@ def test_gl_matrix_counts():
     assert len(gl_matrices(4)) == 20160
     with pytest.raises(DimensionTooLarge):
         gl_matrices(5)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_gl_matrices_match_the_brute_force_sweep(n):
+    """The independent-row enumeration gives the brute-force tuple, order
+    and inverses included, and each inverse is one."""
+    got = gl_matrices(n)
+    assert got == gl_matrices_brute(n)
+    for rows, inv in got:
+        # row r of inv * rows is the sum of the rows[c] with bit c of inv[r]
+        assert [f2_apply(rows, inv[r]) for r in range(n)] == [1 << r for r in range(n)]
 
 
 def test_orbit_of_o3_table():
@@ -421,17 +433,11 @@ def test_census_backend_agreement_dim3():
     assert census_exhaustive(4) == (1 << 24, 34336, [])
 
 
-def dim4_low_fields():
-    """The five low field arrays of the dim-4 scan, position-indexed."""
-    digits = np.arange(16, dtype=np.uint8)
-    return [np.tile(np.repeat(digits, 1 << (4 * p)), 1 << (4 * (4 - p))) for p in range(5)]
-
-
 def test_last_field_solve_matches_the_linear_triples():
     """Dim 4: the solved (position, h) candidates are exactly the tables
     that pass the two triples without both 2 and 3, (0, 1, 2) and (0, 1, 3),
     by the scalar Jacobi check; each candidate comes once."""
-    pos, h = _solve_last_field(dim4_low_fields(), 4)
+    pos, h = _solve_last_field(4)
     tables = pos | h.astype(np.int64) << 20
     assert pos.size == len(set(tables.tolist())) == 176128
     # 6,016 positions admit all 16 values of h, 79,872 exactly one
@@ -448,6 +454,22 @@ def test_last_field_solve_matches_the_linear_triples():
         assert (t in solved) == ok
         verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_last_field_solve_matches_the_dense_solve(n):
+    """The outer-field loop returns exactly the (position, h) arrays of the
+    full-size solve, in the same order and dtypes."""
+    want = solve_last_field_dense(dense_low_fields(n), n)
+    got = _solve_last_field(n)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_exhaustive_census_below_dimension_three():
+    """No basis triple: every table is Lie and none is simple."""
+    assert census_exhaustive(1) == _run_exhaustive(1) == (1, 1, [])
+    assert census_exhaustive(2) == _run_exhaustive(2) == (4, 4, [])
 
 
 def test_exhaustive_census_runs_the_kernel_once(monkeypatch):
