@@ -659,12 +659,11 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     and an invalid-input exit, a repeated command reports the same bytes."""
     from lie2 import cli
     cli._parser.cache_clear()
-    built = []
+    built, real = [], cli.build_parser
 
     def counted():
         built.append(1)
-        return build_parser()
-    build_parser = cli.build_parser
+        return real()
     monkeypatch.setattr(cli, "build_parser", counted)
     path = write_fixture(tmp_path, "sl3")
     out = tmp_path / "report.json"
