@@ -2,7 +2,8 @@
 
 Exit codes: 0 the requested check passed, 1 a check failed (a Lie axiom,
 an audit, an unrefuted pattern in strict mode), 2 the input was invalid,
-3 a search budget was exhausted.  Human-readable text goes to standard
+3 a search budget was exhausted; 2 also when standard output cannot be
+written (closed or full).  Human-readable text goes to standard
 output; the machine-readable JSON report goes to --out when given.
 """
 
@@ -457,7 +458,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _BUDGET_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -469,6 +472,11 @@ def main(argv=None) -> int:
         return 1
     except Lie2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # standard output is closed or full
+        # the null device takes what is still buffered, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -335,9 +335,10 @@ def _f2_rref(vectors: Iterable[int], rows: Sequence[int] = (), lows: Sequence[in
     return tuple(rows[i] for i in order), tuple(lows[i] for i in order)
 
 
-def alpha_multiples(gf: GF, n: int, vectors: Iterable[int]) -> List[int]:
-    """v, alpha v, ..., alpha^(k-1) v for each packed v of gf^n: an F2 basis
-    of the line GF(2^k) v when v != 0."""
+def alpha_multiples(gf: GF, n: int, vectors: Iterable[int], step: int = 1) -> List[int]:
+    """v, alpha^step v, ..., alpha^(step(k-1)) v for each packed v of gf^n.
+    With step 1 they are an F2 basis of the line GF(2^k) v when v != 0;
+    with step 2 they are the Frobenius multiples (alpha^a)^2 v."""
     if gf.degree == 1:
         return list(vectors)
     times_alpha = alpha_map(gf, n)
@@ -345,7 +346,8 @@ def alpha_multiples(gf: GF, n: int, vectors: Iterable[int]) -> List[int]:
     for v in vectors:
         for _ in range(gf.degree):
             out.append(v)
-            v = times_alpha(v)
+            for _ in range(step):
+                v = times_alpha(v)
     return out
 
 

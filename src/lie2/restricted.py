@@ -7,8 +7,10 @@ with packed basis squares f_{ik+a}^[2] = alpha^(2a) e_i^[2].  The key exact
 subroutines here are synthesis of a 2-map from the bracket alone (one
 elimination of y -> ([y, e_l])_l gives the center and solves every
 ad(y) = ad(e_i)^2, or names the first basis element with no solution) and
-the semisimple/nilpotent decomposition obtained from the Fitting
-decomposition of the squaring operator on the span of 2-power iterates.
+the semisimple part of an element read off a torus: `torus_part` squares x
+until a 2-power lands in the torus and undoes those squarings there, where
+squaring is injective; `jcs_decompose` runs it on the torus spanned by the
+late 2-powers of x, and `toruscartan` on the torus of a Cartan split.
 Squaring is only semilinear over GF(2^k), but by Jacobson's formula
 (x + y)^[2] = x^[2] + y^[2] + [x, y] it is additive on an abelian span, an
 F2-linear map on its restriction: `square_columns`.  On the whole space it
@@ -30,11 +32,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, InvalidInput
-from .field import (Subspace, Vec, alpha_map, f2_apply, f2_eliminate, pack_bits,
-                    unpack_bits)
+from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply, f2_solver,
+                    pack_bits, unpack_bits)
 from .liealg import (LieAlgebra, SlicedBracket, ad_kernel, check_tables, lane_batches,
                      nibble_apply)
 
@@ -53,15 +55,9 @@ class RestrictedAlgebra:
     @cached_property
     def squares(self) -> List[int]:
         """Packed f_{ik+a}^[2] = alpha^(2a) e_i^[2] on the F2 restriction."""
-        gf, n = self.algebra.gf, self.algebra.dim
-        k, times_alpha = gf.degree, alpha_map(gf, n)
-        out = []
-        for v in self.two_map:
-            p = pack_bits(v, k)
-            for _ in range(k):
-                out.append(p)
-                p = times_alpha(times_alpha(p))
-        return out
+        gf = self.algebra.gf
+        return alpha_multiples(gf, self.algebra.dim,
+                               [pack_bits(v, gf.degree) for v in self.two_map], 2)
 
 
 def packed_square(ra: RestrictedAlgebra, x: int) -> int:
@@ -86,16 +82,53 @@ def square_columns(ra: RestrictedAlgebra, span: Subspace) -> Optional[List[int]]
 
     echelon[ik + a] = alpha^a r_i and (alpha^a r)^[2] = alpha^(2a) r^[2], so
     one packed square per GF row r_i gives its whole block."""
-    times_alpha = alpha_map(span.gf, span.ambient)
-    cols = []
-    for r in span.echelon[::span.gf.degree]:
-        sq = packed_square(ra, r)
-        if span.reduce_packed(sq):
-            return None
-        for _ in range(span.gf.degree):
-            cols.append(span.coords_packed(sq))
-            sq = times_alpha(times_alpha(sq))
-    return cols
+    k = span.gf.degree
+    squares = alpha_multiples(span.gf, span.ambient,
+                              [packed_square(ra, r) for r in span.echelon[::k]], 2)
+    if any(map(span.reduce_packed, squares[::k])):
+        return None
+    return [span.coords_packed(sq) for sq in squares]
+
+
+def torus_part(ra: RestrictedAlgebra, torus: Subspace
+               ) -> Optional[Callable[[int], Optional[int]]]:
+    """The semisimple parts that lie in a torus T: a function taking packed
+    x to its packed semisimple part s when s lies in T, else to None.  In
+    place of the function, None when T is no torus: squaring leaves it or
+    is not injective on it.  T must be abelian.
+
+    On T squaring is the F2-linear map A of `square_columns`, injective, so
+    one solver inverts it.  The function squares x until the first 2-power
+    x^[2^m] in T, m <= nk, and returns A^(-m) x^[2^m].  Proof: write x = s +
+    n, the Jordan-Chevalley-Seligman decomposition (Strade and Farnsteiner
+    1988, ch. 2): s semisimple, n 2-nilpotent, [s, n] = 0, both in the span
+    W of the 2-power iterates of x, so x^[2^m] = s^[2^m] + n^[2^m], and
+    n^[2^m] = 0 for m >= dim_F2 W.  If s lies in T, so do its 2-powers, and
+    x^[2^m] lands in T by m = dim_F2 W <= nk.  At the first such m,
+    n^[2^m] = x^[2^m] + s^[2^m] lies in T and is 2-nilpotent; T holds no
+    nonzero 2-nilpotent element, as A is injective, so n^[2^m] = 0 and
+    x^[2^m] = s^[2^m] = A^m s.  Conversely, x^[2^m] in T puts every later
+    2-power of x in T, hence s^[2^j] = x^[2^j] for every j >= dim_F2 W, and
+    these span s: squaring is onto the span of the 2-powers of a
+    semisimple s, so the span of those from the j-th on still holds s.
+    """
+    cols = square_columns(ra, torus)
+    if cols is None:
+        return None
+    kernel, solve = f2_solver(cols, len(cols))
+    if kernel:
+        return None
+
+    def part(x: int) -> Optional[int]:
+        for m in range(len(ra.squares) + 1):  # m <= nk
+            if not torus.reduce_packed(x):
+                c = torus.coords_packed(x)
+                for _ in range(m):
+                    c = solve(c)
+                return f2_apply(torus.echelon, c)
+            x = packed_square(ra, x)
+        return None
+    return part
 
 
 def two_map_eval(ra: RestrictedAlgebra, x: Sequence[int]) -> Vec:
@@ -246,6 +279,26 @@ def classify_element(ra: RestrictedAlgebra, x: Sequence[int]) -> ElementClass:
     return ElementClass("mixed", False, False)
 
 
+def semisimple_part(ra: RestrictedAlgebra, x: int) -> int:
+    """Packed semisimple part of packed x: `torus_part` on the torus T
+    spanned by the 2-power iterates of y = x^[2^d], d the F2 dimension of
+    the iterate span W of x.
+
+    Squaring is the F2-linear map A on W, and y lies in A^d W, where A is
+    injective, so T is a torus.  The semisimple part s of x lies in T: with
+    n the nilpotent part, x^[2^j] = s^[2^j] for j >= d, and those 2-powers,
+    the iterates of y, span s (see `torus_part`).
+    """
+    y = x
+    for _ in range(len(_iterate_span(ra, x).echelon)):
+        y = packed_square(ra, y)
+    part = torus_part(ra, _iterate_span(ra, y))
+    s = part(x) if part else None
+    if s is None:
+        raise InternalInconsistency("no semisimple part on the late 2-power torus")
+    return s
+
+
 @dataclass
 class JcsParts:
     semisimple: Vec
@@ -255,30 +308,14 @@ class JcsParts:
 def jcs_decompose(ra: RestrictedAlgebra, x: Sequence[int]) -> JcsParts:
     """Split x into commuting semisimple and 2-nilpotent parts.
 
-    Works inside W, the span of all 2-power iterates of x.  Iterates
-    commute, so squaring is additive on W: in the F2 coordinates of W's
-    echelon it is the F2-linear map A of `square_columns`.  For N >= dim_F2 W the image and the
-    kernel of A^N are the Fitting decomposition W = W_inf + N_inf, and
-    projecting x onto the two summands yields the parts.  All claimed
-    properties are re-verified before returning.
+    The semisimple part is `semisimple_part`, read off the torus of the late
+    2-powers of x by `torus_part`; the nilpotent part is the rest.  All
+    claimed properties are re-verified before returning.
     """
-    alg = ra.algebra
-    n, k = alg.dim, alg.gf.degree
+    alg, k = ra.algebra, ra.algebra.gf.degree
     px = pack_bits(x, k)
-    w = _iterate_span(ra, px)
-    d = len(w.echelon)
-    cols = square_columns(ra, w)
-    if cols is None:
-        raise InternalInconsistency("iterate span is not 2-map invariant")
-    for _ in range(d.bit_length()):  # A^(2^t) with 2^t > d
-        cols = [f2_apply(cols, c) for c in cols]
-    # W = image + kernel of A^N exactly when the two together have rank d
-    kernel = f2_eliminate(cols, d)[0]
-    overlap, (tag,) = f2_eliminate(cols + kernel, d + len(kernel), [w.coords_packed(px)])
-    if len(overlap) != len(kernel) or tag is None:
-        raise InternalInconsistency("Fitting decomposition of squaring failed")
-    ps = f2_apply(w.echelon, f2_apply(cols, tag & ((1 << d) - 1)))
-    s, nl = unpack_bits(ps, n, k), unpack_bits(ps ^ px, n, k)
+    ps = semisimple_part(ra, px)
+    s, nl = unpack_bits(ps, alg.dim, k), unpack_bits(ps ^ px, alg.dim, k)
     if not classify_element(ra, s).semisimple:
         raise InternalInconsistency("claimed semisimple part is not semisimple")
     if not classify_element(ra, nl).two_nilpotent:

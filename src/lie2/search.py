@@ -185,20 +185,12 @@ def algebra_to_table(alg: LieAlgebra) -> int:
 
 @lru_cache(maxsize=None)
 def _gl_arrays(n: int):
-    mats = gl_matrices(n)
-    g = len(mats)
-    cols = np.zeros((g, n), dtype=np.int64)
-    invrows = np.zeros((g, n), dtype=np.int64)
-    for gi, (rows, inv) in enumerate(mats):
-        for c in range(n):
-            col = 0
-            for r in range(n):
-                col |= ((rows[r] >> c) & 1) << r
-            cols[gi, c] = col
-        for r in range(n):
-            invrows[gi, r] = inv[r]
-    parity = np.array([bin(v).count("1") & 1 for v in range(1 << n)],
-                      dtype=np.int64)
+    mats = np.array(gl_matrices(n), dtype=np.int64)  # (g, 2, n): rows, inverse rows
+    rows, invrows = np.ascontiguousarray(mats.transpose(1, 0, 2))
+    bit = np.arange(n)
+    # column c gathers bit c of every row r into bit r
+    cols = ((rows[:, :, None] >> bit & 1) << bit[:, None]).sum(axis=1)
+    parity = np.array([bin(v).count("1") & 1 for v in range(1 << n)], dtype=np.int64)
     return cols, invrows, parity
 
 

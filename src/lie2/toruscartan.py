@@ -12,8 +12,10 @@ kept as F2 echelon slots holding every alpha^a v.  The 2-map fixpoints of
 the whole space are the zeros of q(x) = x^[2] + x, read off truth tables
 block by block (`_fixpoints`).  A torus is injective and has a toral basis
 by the kernels of A and A + I, A its squaring map from
-`restricted.square_columns`.  The nil part of a Cartan split is
-2-nilpotent exactly when it is nilpotent and A is nilpotent on its centre.
+`restricted.square_columns`.  A Cartan split reads the semisimple part of
+each centralizer row off the torus (`restricted.torus_part`, one solver
+of A per torus), and its nil part is 2-nilpotent exactly when it is
+nilpotent and A is nilpotent on its centre.
 The maximal torus search is a branch and bound over int bitsets of the
 fixpoints' commutation graph (`_commutation_graph`) that reaches each torus
 through its greedy basis only; it is exhaustive when it fits in the node
@@ -43,7 +45,8 @@ from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
                     f2_eliminate, f2_reduce, f2_solver, pack_bits, unpack_bits)
 from .liealg import (LieAlgebra, ad_kernel, bit_positions, bracket_columns, centralizer,
                      nibble_apply, nibble_tables, subspace_bracket, transpose)
-from .restricted import RestrictedAlgebra, jcs_decompose, packed_square, square_columns
+from .restricted import (RestrictedAlgebra, packed_square, semisimple_part, square_columns,
+                         torus_part)
 
 FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
                 "toral ranks are lower bounds and maximality is relative to this field")
@@ -402,22 +405,31 @@ def cartan_split(ra: RestrictedAlgebra, torus: Torus) -> CartanSplit:
 
 
 def _split(ra: RestrictedAlgebra, torus: Torus, h: Subspace) -> CartanSplit:
-    """`cartan_split` with the centralizer h of the torus already known."""
-    alg = ra.algebra
-    if not h.contains_subspace(torus.space):
+    """`cartan_split` with the centralizer h of the torus already known.
+
+    The nil part is spanned by b + s over the GF rows b of h, s the
+    semisimple part of b, which must lie in the torus: `torus_part` reads
+    it off the torus with one solver, on packed ints.  A span that is no
+    torus (squaring leaves it or kills some of it) gets each row's own
+    `semisimple_part` instead, so it fails the same checks, in the same
+    order, as the Jordan-Chevalley-Seligman parts of its rows dictate.
+    """
+    alg, space = ra.algebra, torus.space
+    if not h.contains_subspace(space):
         raise SplitFailed("torus is not abelian, centralizer misses it")
+    part = torus_part(ra, space)
     nil_vecs = []
-    for b in h.rows:
-        parts = jcs_decompose(ra, b)
-        if torus.space.reduce_packed(pack_bits(parts.semisimple, alg.gf.degree)):
+    for b in h.echelon[::alg.gf.degree]:
+        s = part(b) if part else semisimple_part(ra, b)
+        if s is None or space.reduce_packed(s):
             raise SplitFailed(
                 "semisimple part of a centralizer element falls outside the torus; "
                 "the torus is not maximal over this field")
-        nil_vecs.append(parts.nilpotent)
-    nil = Subspace(alg.gf, alg.dim, nil_vecs)
-    if torus.space.intersect(nil).dim != 0:
+        nil_vecs.append(b ^ s)
+    nil = Subspace.restriction(alg.gf, alg.dim, alpha_multiples(alg.gf, alg.dim, nil_vecs))
+    if space.intersect(nil).dim != 0:
         raise SplitFailed("torus and nilpotent part overlap")
-    if torus.space.add(nil) != h:
+    if space.add(nil) != h:
         raise SplitFailed("torus plus nilpotent part does not fill the centralizer")
     if not nil.contains_subspace(subspace_bracket(alg, nil, nil)):
         raise SplitFailed("nilpotent part is not a subalgebra")

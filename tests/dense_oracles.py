@@ -24,6 +24,8 @@ that the census span filter (`search._spans_all`) replaced.
 sped up: it closes the ideal of every projective seed, with no shortcut.
 `gl_matrices_brute` is the GL(n, 2) enumeration that `field.gl_matrices`
 replaced: it tries every code and keeps those that invert.
+`gl_arrays_loop` is the per-matrix loop that numpy shifts replaced in
+`search._gl_arrays`: the columns and inverse rows of every GL(n, 2) matrix.
 `solve_last_field_dense` is the exhaustive scan's last-field solve on
 full-size planes, one slot per low position (`dense_low_fields`), that
 the outer-field loop of `search._solve_last_field` replaced.
@@ -50,8 +52,8 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
-from lie2.field import (GF, GF2, Subspace, Vec, _invert_rows, alpha_multiples, pack_bits,
-                        vec_add, vec_is_zero)
+from lie2.field import (GF, GF2, Subspace, Vec, _invert_rows, alpha_multiples, gl_matrices,
+                        pack_bits, vec_add, vec_is_zero)
 from lie2.liealg import LieAlgebra, SimplicityReport, f2_ideal
 from lie2.restricted import RestrictedAlgebra, two_map_eval
 from lie2.search import (_add_terms, _census_planes, _jacobi_positions, _triple_terms,
@@ -369,6 +371,19 @@ def gl_matrices_brute(n: int):
         if inv is not None:
             out.append((rows, tuple(inv)))
     return tuple(out)
+
+
+def gl_arrays_loop(n: int):
+    """(cols, invrows) of `search._gl_arrays`, one matrix entry at a time:
+    bit r of cols[g, c] is entry (r, c) of matrix g."""
+    mats = gl_matrices(n)
+    cols = np.zeros((len(mats), n), dtype=np.int64)
+    invrows = np.zeros((len(mats), n), dtype=np.int64)
+    for gi, (rows, inv) in enumerate(mats):
+        for c in range(n):
+            cols[gi, c] = sum(((rows[r] >> c) & 1) << r for r in range(n))
+        invrows[gi] = inv
+    return cols, invrows
 
 
 def is_simple_full_sweep(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:

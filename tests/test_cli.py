@@ -3,13 +3,15 @@
 Every test drives lie2.cli.main(argv) in-process and checks the exit code,
 the human-readable text, and (where --out is given) the JSON report.  The
 exit-code contract under test: 0 check passed, 1 check failed, 2 invalid
-input, 3 budget exhausted.
+input or unwritable standard output, 3 budget exhausted.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -701,3 +703,68 @@ def test_core_imports_leave_numpy_out(src_env):
     proc = subprocess.run([sys.executable, "-c", script], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def lone_error_line(stderr: str) -> str:
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in stderr, stderr
+    return lines[0]
+
+
+def stdout_env(src_env, buffered: bool) -> dict:
+    """A block-buffered stdout, as in a shell, keeps what a failed write
+    left for the flush at exit; an unbuffered one fails in `print`."""
+    env = {k: v for k, v in src_env.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_full_stdout_exits_two_with_one_line(src_env, buffered):
+    """A write error on standard output is exit 2 with one stderr line, and
+    the interpreter's flush at exit adds nothing."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "lie2.cli", "catalog", "emit", "gl3"],
+                              env=stdout_env(src_env, buffered), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert lone_error_line(proc.stderr) == \
+        "error: cannot write output: [Errno 28] No space left on device"
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_two_with_one_line(src_env, buffered):
+    """`paper verify --dims 10..11 | head -c 10` once ended in a
+    BrokenPipeError traceback; here the pipe's read end is closed before
+    the command starts, so its first write fails."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lie2.cli", "paper", "verify",
+                               "--dims", "10..11"], env=stdout_env(src_env, buffered),
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert lone_error_line(proc.stderr) == "error: cannot write output: [Errno 32] Broken pipe"
+
+
+def test_small_output_to_full_stdout_fails_at_the_flush(src_env):
+    """`catalog list` fits in the stdout buffer, so only the flush in `main`
+    meets the full device; without it the interpreter's flush at exit
+    would, after `main` returned 0."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "lie2.cli", "catalog", "list"],
+                              env=stdout_env(src_env, True), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert lone_error_line(proc.stderr).startswith("error: cannot write output:")
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py puts real pipeline, `paper` and census jobs
+    through the benchmark's oracle, so a change that breaks a call the
+    benchmark makes fails here first."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -2,9 +2,9 @@
 
 The evaluation oracle below expands the square of a sum term by term with
 the addition rule, independently of the quadratic-form shortcut used by
-the library, and the two are compared on random vectors.  The Fitting
-decomposition behind `jcs_decompose` is checked against the same
-decomposition taken on GF(2^k) coordinates with a Frobenius twist.
+the library, and the two are compared on random vectors.  `jcs_decompose`,
+which reads the semisimple part off a torus, is checked against the
+Fitting decomposition taken on GF(2^k) coordinates with a Frobenius twist.
 """
 from __future__ import annotations
 
@@ -253,12 +253,12 @@ def test_nil_steps_counts_strictly_upper():
 
 
 # ---------------------------------------------------------------------------
-# the packed Fitting decomposition against the Frobenius-twisted one
+# jcs_decompose against the Frobenius-twisted Fitting decomposition
 
 
 def twisted_fitting_parts(ra: RestrictedAlgebra, x) -> tuple:
-    """(semisimple, nilpotent) parts of x as `jcs_decompose` computed them
-    on GF(2^k) coordinates before it moved onto the F2 restriction.
+    """(semisimple, nilpotent) parts of x by the Fitting decomposition of
+    squaring on the iterate span, taken on GF(2^k) coordinates.
 
     In the coordinates of the iterate span W, squaring is c -> M frob(c)
     with frob squaring each coordinate, so the image chain maps the rows of

@@ -25,7 +25,7 @@ from lie2 import (BudgetExceeded, DimensionTooLarge, InvalidInput, catalog,
 from lie2.liealg import LieAlgebra, derived_series
 from lie2.field import GF, f2_apply
 from lie2.errors import InternalInconsistency
-from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_planes,
+from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_planes, _gl_arrays,
                          _invariant_signature, _jacobi_holds, _jacobi_positions,
                          _perfect3, _run_exhaustive,
                          _run_sampled_packed, _sample_planes,
@@ -35,8 +35,8 @@ from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_planes,
                          gl_matrices, iso_match, pair_index, splitmix64_words,
                          table_orbit, table_to_algebra)
 from dense_oracles import (census_sampled, dense_low_fields, derived_rank_numpy,
-                           gf_jacobi_mask, gf_mul_arrays, gl_matrices_brute, jacobi_mask,
-                           sample_coefficients, solve_last_field_dense)
+                           gf_jacobi_mask, gf_mul_arrays, gl_arrays_loop, gl_matrices_brute,
+                           jacobi_mask, sample_coefficients, solve_last_field_dense)
 from test_reports_frozen import CENSUS_FROZEN, census_digest
 
 
@@ -187,6 +187,15 @@ def test_gl_matrices_match_the_brute_force_sweep(n):
     for rows, inv in got:
         # row r of inv * rows is the sum of the rows[c] with bit c of inv[r]
         assert [f2_apply(rows, inv[r]) for r in range(n)] == [1 << r for r in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_gl_arrays_match_the_loop(n):
+    cols, invrows, parity = _gl_arrays(n)
+    want_cols, want_inv = gl_arrays_loop(n)
+    assert cols.dtype == invrows.dtype == np.int64
+    assert np.array_equal(cols, want_cols) and np.array_equal(invrows, want_inv)
+    assert parity.tolist() == [bin(v).count("1") & 1 for v in range(1 << n)]
 
 
 def test_orbit_of_o3_table():

@@ -20,13 +20,14 @@ from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput, Lie2Error,
                   catalog, cartan_split, is_torus, max_tori, restricted, toruscartan,
                   weight_decompose)
 from lie2.field import GF, GF2, Subspace, full_space, pack_bits, zero_vec
-from lie2.liealg import LieAlgebra, _gl_entry, from_json, is_nilpotent_algebra, transpose
-from lie2.restricted import (JcsParts, _iterate_span, classify_element, jcs_decompose,
-                             two_map_eval, validate_restricted)
+from lie2.liealg import (LieAlgebra, _gl_entry, centralizer, from_json, is_nilpotent_algebra,
+                         subspace_bracket, transpose)
+from lie2.restricted import (_iterate_span, classify_element, jcs_decompose,
+                             square_columns, two_map_eval, validate_restricted)
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
 from dense_oracles import (coefficient_vectors, dense_express, square_sweep,
                            subspace_vectors, sweep_is_torus)
-from test_reports_frozen import direct_sum, lifted_coords, lifted_doc
+from test_reports_frozen import direct_sum, fixture, lifted_coords, lifted_doc
 
 
 def ra_of(name: str) -> RestrictedAlgebra:
@@ -496,8 +497,7 @@ def test_nil_sweep_rejects_non_nilpotent_span(monkeypatch, degree):
     whole = full_space(alg.gf, alg.dim)
     assert not _all_two_nilpotent(ra, whole)
     assert not per_element_nilpotent(ra, whole)
-    monkeypatch.setattr(toruscartan, "jcs_decompose",
-                        lambda ra, b: JcsParts(zero_vec(alg.dim), tuple(b)))
+    monkeypatch.setattr(toruscartan, "torus_part", lambda ra, torus: lambda b: 0)
     with pytest.raises(SplitFailed) as err:
         cartan_split(ra, Torus(Subspace(alg.gf, alg.dim), ()))
     assert str(err.value) == "nilpotent part contains a non-2-nilpotent element"
@@ -520,8 +520,7 @@ def test_nil_check_is_not_read_off_a_basis(monkeypatch):
     assert all(classify_element(ra, r).two_nilpotent for r in whole.rows)
     assert two_map_eval(ra, (1, 1, 0)) == (1, 1, 1)
     assert not _all_two_nilpotent(ra, whole) and not per_element_nilpotent(ra, whole)
-    monkeypatch.setattr(toruscartan, "jcs_decompose",
-                        lambda ra, b: JcsParts(zero_vec(alg.dim), tuple(b)))
+    monkeypatch.setattr(toruscartan, "torus_part", lambda ra, torus: lambda b: 0)
     with pytest.raises(SplitFailed, match="non-2-nilpotent"):
         cartan_split(ra, Torus(Subspace(GF2, 3), ()))
 
@@ -561,6 +560,163 @@ def test_nil_check_agrees_with_per_element_check(degree):
             assert verdict == per_element_nilpotent(ra, sub), (name, seeds)
             outcomes.add(verdict)
     assert outcomes == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# the Cartan split reads semisimple parts off the torus
+
+
+OUTSIDE = ("semisimple part of a centralizer element falls outside the torus; "
+           "the torus is not maximal over this field")
+
+
+def split_by_jcs(ra: RestrictedAlgebra, torus: Torus):
+    """The Cartan split as `jcs_decompose` gives it: the semisimple and
+    nilpotent parts of each centralizer row, then the checks of
+    `cartan_split` in its order.  (h, nil), or the SplitFailed message."""
+    alg, space = ra.algebra, torus.space
+    h = centralizer(alg, space)
+    if not h.contains_subspace(space):
+        return "torus is not abelian, centralizer misses it"
+    parts = [jcs_decompose(ra, b) for b in h.rows]
+    if not all(space.contains(p.semisimple) for p in parts):
+        return OUTSIDE
+    nil = Subspace(alg.gf, alg.dim, [p.nilpotent for p in parts])
+    if space.intersect(nil).dim:
+        return "torus and nilpotent part overlap"
+    if space.add(nil) != h:
+        return "torus plus nilpotent part does not fill the centralizer"
+    if not nil.contains_subspace(subspace_bracket(alg, nil, nil)):
+        return "nilpotent part is not a subalgebra"
+    if square_columns(ra, nil) is None:
+        return "nilpotent part is not 2-map closed"
+    if not _all_two_nilpotent(ra, nil):
+        return "nilpotent part contains a non-2-nilpotent element"
+    return h, nil
+
+
+def split_outcome(ra: RestrictedAlgebra, torus: Torus):
+    try:
+        split = cartan_split(ra, torus)
+    except SplitFailed as exc:
+        return str(exc)
+    return split.h, split.nil
+
+
+SPLIT_FIXTURES = [(name, 1) for name in ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2",
+                                         "abelian(3)", "strictly_upper(4)",
+                                         "strictly_upper(5)", "sl3+heis3", "gl2+w11_p2",
+                                         "gl3+w11_p2"]] + [(name, 2) for name in GF4_LIFTS]
+
+
+@pytest.mark.parametrize("name, degree", SPLIT_FIXTURES)
+def test_split_reads_the_jcs_parts_off_the_torus(name, degree):
+    """At a maximal torus, `torus_part` of each centralizer row is the
+    semisimple part `jcs_decompose` gives when that part lies in the torus,
+    and None when it does not; the nil part of the split is the span of the
+    nilpotent parts, and the split fails, or not, as that span dictates."""
+    ra = RestrictedAlgebra(*(fixture(name) if degree == 1 else
+                             from_json(lifted_doc(name, degree, 3))))
+    alg = ra.algebra
+    torus = max_tori(ra).torus
+    part = restricted.torus_part(ra, torus.space)
+    assert part is not None
+    h = centralizer(alg, torus.space)
+    for b in h.rows:
+        semisimple = jcs_decompose(ra, b).semisimple
+        want = pack_bits(semisimple, alg.gf.degree) if torus.space.contains(semisimple) \
+            else None
+        assert part(pack_bits(b, alg.gf.degree)) == want
+    assert split_outcome(ra, torus) == split_by_jcs(ra, torus)
+    assert isinstance(split_outcome(ra, torus), tuple) == (name != "sl2")
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_split_matches_the_jcs_split_on_any_span(degree):
+    """Spans of basis pairs, random spans and iterate spans, passed off as
+    tori: genuine tori and subtori, abelian spans that squaring leaves or
+    kills in part, and spans that do not commute, all split or fail as the
+    Jordan-Chevalley-Seligman parts of the centralizer rows dictate."""
+    outcomes = set()
+    for name in TORUS_ORACLE_NAMES:
+        n = catalog(name).algebra.dim
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        if degree == 1:
+            ra, basis = ra_of(name), units
+        else:
+            ra = RestrictedAlgebra(*from_json(lifted_doc(name, degree, 11)))
+            basis = [lifted_coords(name, degree, 11, u) for u in units]
+        rng = random.Random(f"{name}/{degree}/split")
+        for s in seeded_subspaces(ra, basis, rng, 24):
+            torus = Torus(s, None)
+            got = split_outcome(ra, torus)
+            assert got == split_by_jcs(ra, torus)
+            is_torus_span = restricted.torus_part(ra, s) is not None
+            outcomes.add((got if isinstance(got, str) else "split", is_torus_span))
+    assert {("split", True), (OUTSIDE, True), (OUTSIDE, False),
+            ("torus and nilpotent part overlap", False),
+            ("torus is not abelian, centralizer misses it", False)} <= outcomes
+
+
+def test_split_failure_messages_are_kept():
+    """The subtorus span(E11) of gl3 misses the semisimple parts of E22 and
+    E33; at sl2's maximal torus the nil candidates e, f bracket to h."""
+    ra = ra_of("gl3")
+    e11 = gl_basis_vec(3, 0, 0)
+    sub = Torus(Subspace(GF2, 9, [e11]), (e11,))
+    assert is_torus(ra, sub.space).is_torus
+    with pytest.raises(SplitFailed) as err:
+        cartan_split(ra, sub)
+    assert str(err.value) == OUTSIDE
+    ra = ra_of("sl2")
+    with pytest.raises(SplitFailed) as err:
+        cartan_split(ra, max_tori(ra).torus)
+    assert str(err.value) == "nilpotent part is not a subalgebra"
+
+
+@pytest.mark.parametrize("label", ["x", "z"])
+def test_fake_torus_of_heis3_overlaps_its_nil_part(label):
+    """span(x) and span(z) of heis3 are abelian and 2-map closed, but
+    squaring kills them: no torus, so `torus_part` gives None and the split
+    reads each row's own semisimple part, 0, which leaves the span itself
+    in the nil part."""
+    ra = ra_of("heis3")
+    v = tuple(int(l == label) for l in ra.algebra.labels)
+    fake = Subspace(GF2, 3, [v])
+    assert restricted.torus_part(ra, fake) is None
+    with pytest.raises(SplitFailed) as err:
+        cartan_split(ra, Torus(fake, None))
+    assert str(err.value) == "torus and nilpotent part overlap"
+
+
+def test_weight_decompose_needs_no_element_classification(monkeypatch):
+    """At a maximal torus the split reads every semisimple part off the
+    torus: neither `jcs_decompose`, nor `classify_element`, nor the per-row
+    `semisimple_part` runs, and the decompositions stay the same."""
+    names = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
+             "strictly_upper(4)"]
+    expect = {}
+    for name in names:
+        ra = ra_of(name)
+        try:
+            expect[name] = weight_decompose(ra, max_tori(ra).torus)
+        except SplitFailed as exc:
+            expect[name] = str(exc)
+
+    def forbidden(*args):
+        raise AssertionError("per-element classification reached")
+    for module, attr in ((restricted, "jcs_decompose"), (restricted, "classify_element"),
+                         (restricted, "semisimple_part"), (toruscartan, "semisimple_part")):
+        monkeypatch.setattr(module, attr, forbidden)
+    for name in names:
+        ra = ra_of(name)
+        try:
+            dec = weight_decompose(ra, max_tori(ra).torus)
+        except SplitFailed as exc:
+            assert str(exc) == expect[name] == "nilpotent part is not a subalgebra"
+            continue
+        want = expect[name]
+        assert (dec.h, dec.nil, dec.weights) == (want.h, want.nil, want.weights)
 
 
 DIM_PATTERN_EXPECT = {
