@@ -383,8 +383,21 @@ def _cmd_catalog(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own `print_help` swallows the OSError of a failed write,
+    so `--help` to a full or closed stdout would exit 0 with the help lost.
+    This one lets the error reach `main`, which exits 2 as for any other
+    stdout write error, and flushes so that a block-buffered stdout fails
+    here rather than at exit.  Subparsers are built from this class too."""
+
+    def print_help(self, file=None) -> None:
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lie2",
         description="exact tools for restricted Lie algebras in characteristic 2")
     sub = p.add_subparsers(dest="command", required=True)
@@ -456,8 +469,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

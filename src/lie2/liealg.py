@@ -632,18 +632,37 @@ def _gl_entry(n: int) -> CatalogEntry:
                     "and matrix squaring as 2-map")
 
 
+def _sl_entry(n: int, description: str = "") -> CatalogEntry:
+    """Trace-zero n x n matrices over F2 in the basis E_rc (r != c, row by
+    row), then h_i = E_ii + E_(i+1)(i+1), with matrix squaring as 2-map."""
+    pos = [(r, c) for r in range(n) for c in range(n) if r != c]
+    mats = [_unit(n, r, c) for r, c in pos] + \
+        [_unit(n, i, i) ^ _unit(n, i + 1, i + 1) for i in range(n - 1)]
+    labels = [f"E{r + 1}{c + 1}" for r, c in pos] + [f"h{i + 1}" for i in range(n - 1)]
+    return algebra_from_matrices(f"sl{n}", n, mats, labels, with_squares=True,
+                                 description=description)
+
+
 def _sl3_entry() -> CatalogEntry:
-    pos = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-    mats = [_unit(3, r, c) for r, c in pos]
-    labels = [f"E{r + 1}{c + 1}" for r, c in pos]
-    mats.append(_unit(3, 0, 0) ^ _unit(3, 1, 1))
-    labels.append("h1")
-    mats.append(_unit(3, 1, 1) ^ _unit(3, 2, 2))
-    labels.append("h2")
-    return algebra_from_matrices(
-        "sl3", 3, mats, labels, with_squares=True,
-        description="trace-zero 3x3 matrices over F2; simple, "
-                    "restrictable, toral rank 2 over the prime field")
+    return _sl_entry(3, "trace-zero 3x3 matrices over F2; simple, "
+                        "restrictable, toral rank 2 over the prime field")
+
+
+def _psl4_entry() -> CatalogEntry:
+    """sl4 modulo its centre, spanned by I = h1 + h3: h3 is read as h1 in
+    every bracket and square.  I is central and I^[2] = I, so the 2-map
+    (x + I)^[2] = x^[2] + I is well defined on the quotient."""
+    sl4 = _sl_entry(4)
+    d = sl4.algebra.dim - 1  # h3 is the last basis vector
+
+    def fold(v: Vec) -> Vec:
+        return v[:d - 2] + (v[d - 2] ^ v[d], v[d - 1])
+
+    table = {(i, j): fold(v) for (i, j), v in sl4.algebra.table.items() if j < d}
+    alg = LieAlgebra(GF2, d, table, name="psl4", labels=sl4.algebra.labels[:d])
+    return CatalogEntry(alg, tuple(fold(v) for v in sl4.two_map[:d]),
+                        "sl4 modulo its centre (the scalar matrices) over F2; simple, "
+                        "restrictable, toral rank 2 over the prime field")
 
 
 def _sl2_entry() -> CatalogEntry:
@@ -700,7 +719,8 @@ def _strictly_upper_entry(n: int) -> CatalogEntry:
 _PARAM_RE = re.compile(r"^(abelian|strictly_upper)\((\d+)\)$")
 _FIXED = {"o3": _o3_entry, "heis3": _heis3_entry, "sl2": _sl2_entry,
           "gl2": lambda: _gl_entry(2), "sl3": _sl3_entry, "gl3": lambda: _gl_entry(3),
-          "w11_p2": _w11_p2_entry}  # the fixed catalog entries, in listing order
+          "w11_p2": _w11_p2_entry,
+          "psl4": _psl4_entry}  # the fixed catalog entries, in listing order
 
 
 def catalog_names() -> List[str]:

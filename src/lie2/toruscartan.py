@@ -18,9 +18,12 @@ of A per torus), and its nil part is 2-nilpotent exactly when it is
 nilpotent and A is nilpotent on its centre.
 The maximal torus search is a branch and bound over int bitsets of the
 fixpoints' commutation graph (`_commutation_graph`) that reaches each torus
-through its greedy basis only; it is exhaustive when it fits in the node
-budget, otherwise greedy with seeded restarts, and either way the reported
-rank is a lower bound for the rank over an algebraic closure (`max_tori`).
+through its greedy basis only.  It is pruned by the rank of the remaining
+candidates modulo the chosen span, read from the last candidate back only
+as far as it prunes, and cut at a node whose candidates pairwise do not
+commute.  It is exhaustive when it fits in the node budget, otherwise
+greedy with seeded restarts, and either way the reported rank is a lower
+bound for the rank over an algebraic closure (`max_tori`).
 
 The weight decomposition and its audits run packed too: on the GF rows
 `echelon[::k]` of each span, with `packed_bracket` and `packed_square`,
@@ -269,11 +272,35 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
     the maximal achievable toral rank through toral bases.
 
     Exhaustive branch and bound under the node budget: candidates are tried
-    in increasing fixpoint order, a child keeps the later candidates that
-    commute with the one taken, and a node stops once the chosen count plus
-    the rank of its remaining candidates modulo the chosen span cannot exceed
-    the best set so far.  The answer is the lexicographically first maximum
-    index set.
+    in increasing fixpoint order, and a child keeps the later candidates
+    that commute with the one taken.  The answer is the lexicographically
+    first maximum index set.  Two bounds stop a node early.
+
+    Rank bound.  With need = len(best) - len(chosen), candidate t is tried
+    only while r(t), the rank of the candidates t, t+1, ... modulo the
+    chosen span, exceeds need.  r falls with t by at most one per step, so
+    the tried candidates are a prefix ending at the last t with r(t) >
+    need, and inserting candidates from the last one backwards into one
+    copy of the chosen span finds it: the walk stops as soon as the rank
+    exceeds need.  need only grows, when best does, and then the walk goes
+    on from where it stopped.  So each candidate is inserted at most once
+    per node, and the node tries exactly the candidates that r computed at
+    every t would let through.  A child with len(chosen) + 1 +
+    popcount(its candidates) <= len(best) fails that bound at its first
+    candidate, so it is not called.
+
+    Cut.  When no two candidates of a node commute, every child has no
+    candidates, so the node can add at most one fixpoint; with len(chosen)
+    < len(best) that cannot beat best, and the node returns.
+
+    Neither bound changes the answer.  Without bounds the search visits the
+    index sets in lexicographic order and replaces best only by a strictly
+    larger set, so best ends as the lexicographically first maximum set.
+    Both bounds drop only subtrees whose sets are no larger than best at
+    that moment; none of them would have replaced best, so by induction
+    over the visiting order best takes the same values at every node that
+    is still visited, and ends the same.  The cut therefore only lowers
+    `nodes`.
 
     Each torus is visited through one basis only, its greedy one.  The
     fixpoints of a torus spanned by chosen fixpoints are their F2 span W
@@ -317,13 +344,18 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
         if len(chosen) > len(best):
             best = list(chosen)
         order = bit_positions(cand)
-        # bound[t]: rank of the candidates order[t:] modulo the chosen span
-        bound = [0] * (len(order) + 1)
-        grown = list(span)
-        for t in range(len(order) - 1, -1, -1):
-            bound[t] = bound[t + 1] + insert(grown, items[order[t]])
+        if len(chosen) < len(best) and not any(comm[i] & cand for i in order):
+            return  # pairwise non-commuting candidates add at most one fixpoint
+        # rank is the rank of order[cut:] modulo the chosen span, walked in
+        # from the end only until it exceeds need; order[:cut + 1] is tried
+        grown, rank, cut, need = list(span), 0, len(order), -1
         for t, idx in enumerate(order):
-            if len(chosen) + bound[t] <= len(best):
+            if need != len(best) - len(chosen):
+                need = len(best) - len(chosen)
+                while rank <= need and cut > t:
+                    cut -= 1
+                    rank += insert(grown, items[order[cut]])
+            if rank <= need or t > cut:
                 return
             if nodes == node_budget:
                 aborted = True
@@ -333,10 +365,11 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
             child = list(span)
             if not insert(child, x):
                 raise InternalInconsistency("a coset-minimal fixpoint lies in the chosen span")
-            chosen.append(idx)
-            search(cand >> (idx + 1) << (idx + 1) & comm[idx] & ~planes[x.bit_length() - 1],
-                   chosen, child)
-            chosen.pop()
+            below = cand >> (idx + 1) << (idx + 1) & comm[idx] & ~planes[x.bit_length() - 1]
+            if len(chosen) + 1 + below.bit_count() > len(best):
+                chosen.append(idx)
+                search(below, chosen, child)
+                chosen.pop()
 
     search((1 << m) - 1, [], [0] * (alg.dim * k))
     method = "exhaustive"

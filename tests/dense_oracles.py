@@ -34,6 +34,12 @@ the outer-field loop of `search._solve_last_field` replaced.
 vector that `toruscartan._fixpoints` replaced with truth tables of
 x^[2] + x; its fixpoints are the reference those are checked against.
 
+`max_tori_reinsert` is the torus branch and bound before its rank bound
+was read only as far as it prunes: every node re-inserts all of its
+candidates to bound each of them, and no cut stops a node whose
+candidates pairwise do not commute.  `max_tori` must find its basis with
+at most its nodes.
+
 `sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
 it squares each basis row with `two_map_eval`, checks injectivity by the
 GF rank of those squares, and picks a toral basis by sweeping every vector
@@ -52,13 +58,13 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
-from lie2.field import (GF, GF2, Subspace, Vec, _invert_rows, alpha_multiples, gl_matrices,
-                        pack_bits, vec_add, vec_is_zero)
-from lie2.liealg import LieAlgebra, SimplicityReport, f2_ideal
+from lie2.field import (GF, GF2, Subspace, Vec, _invert_rows, alpha_map, alpha_multiples,
+                        f2_reduce, gl_matrices, pack_bits, unpack_bits, vec_add, vec_is_zero)
+from lie2.liealg import LieAlgebra, SimplicityReport, bit_positions, f2_ideal, transpose
 from lie2.restricted import RestrictedAlgebra, two_map_eval
 from lie2.search import (_add_terms, _census_planes, _jacobi_positions, _triple_terms,
                          bytes_from_words, pair_index, splitmix64_words)
-from lie2.toruscartan import Torus, TorusReport
+from lie2.toruscartan import SWEEP_BUDGET, Torus, TorusReport, _commutation_graph, _fixpoints
 
 
 def basis_vec(n: int, i: int) -> Vec:
@@ -234,6 +240,55 @@ def sweep_toral_basis(ra, s: Subspace, squares):
             if span.dim == d:
                 return tuple(chosen)
     return None
+
+
+def max_tori_reinsert(ra: RestrictedAlgebra) -> Tuple[Tuple[Vec, ...], int, int]:
+    """The exhaustive branch and bound that `toruscartan.max_tori` pruned
+    further: (toral basis, nodes, fixpoints seen), with no node budget.
+
+    Same search order and candidates as `max_tori`, but every
+    node re-inserts all of its remaining candidates into a copy of the
+    chosen span to get its rank bound at each of them, and there is no cut
+    for pairwise non-commuting candidates."""
+    alg, k = ra.algebra, ra.algebra.gf.degree
+    items = [x for x in _fixpoints(ra, SWEEP_BUDGET) if x]
+    planes = transpose(items, alg.dim * k)
+    comm = _commutation_graph(alg, items, planes)
+    times_alpha = alpha_map(alg.gf, alg.dim)
+
+    def insert(slots, v: int) -> bool:
+        if not f2_reduce(slots, v):
+            return False
+        for _ in range(k - 1):
+            v = times_alpha(v)
+            f2_reduce(slots, v)
+        return True
+
+    best, nodes = [], 0
+
+    def search(cand: int, chosen, span) -> None:
+        nonlocal best, nodes
+        if len(chosen) > len(best):
+            best = list(chosen)
+        order = bit_positions(cand)
+        bound = [0] * (len(order) + 1)  # rank of order[t:] modulo the chosen span
+        grown = list(span)
+        for t in range(len(order) - 1, -1, -1):
+            bound[t] = bound[t + 1] + insert(grown, items[order[t]])
+        for t, idx in enumerate(order):
+            if len(chosen) + bound[t] <= len(best):
+                return
+            nodes += 1
+            x = items[idx]
+            child = list(span)
+            assert insert(child, x)
+            chosen.append(idx)
+            search(cand >> (idx + 1) << (idx + 1) & comm[idx] & ~planes[x.bit_length() - 1],
+                   chosen, child)
+            chosen.pop()
+
+    search((1 << len(items)) - 1, [], [0] * (alg.dim * k))
+    return tuple(unpack_bits(items[i], alg.dim, k) for i in best), nodes, len(items)
 
 
 def gf_mul_arrays(a: np.ndarray, b: np.ndarray, gf: GF) -> np.ndarray:

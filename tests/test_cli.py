@@ -20,7 +20,7 @@ import pytest
 
 from lie2.cli import main
 from lie2.field import GF, GF2
-from lie2.liealg import LieAlgebra, catalog, from_json, to_json
+from lie2.liealg import LieAlgebra, catalog, from_json, is_simple, to_json
 from lie2.toruscartan import FIELD_CAVEAT
 from test_reports_frozen import lifted_doc
 
@@ -457,6 +457,32 @@ def test_toral_rank_small_budget_stays_exhaustive(tmp_path, capsys):
     assert "toral rank lower bound: 3 (exhaustive, 57 fixpoints seen)" in out
 
 
+def test_psl4_is_simple_of_toral_rank_two(tmp_path, capsys):
+    """psl4 = sl4 / F2 I (dim 14) is simple and restricted, its toral rank
+    over F2 is 2 among 336 nonzero fixpoints, and its Cartan subalgebra is
+    the torus, with three root spaces of dimension 4."""
+    path = write_fixture(tmp_path, "psl4")
+    out_path = tmp_path / "report.json"
+    assert is_simple(catalog("psl4").algebra).simple
+    code, out, _ = run(capsys, "validate", path, "--restricted", "--out", str(out_path))
+    assert code == 0 and "restricted check (file two-map): ok" in out
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert doc["lie_ok"] and doc["restricted"]["ok"]
+    code, out, _ = run(capsys, "toral-rank", path, "--out", str(out_path))
+    assert code == 0
+    assert "toral rank lower bound: 2 (exhaustive, 336 fixpoints seen)" in out
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert (doc["rank_lb"], doc["exhaustive"], doc["fixpoints_seen"]) == (2, True, 336)
+    code, out, _ = run(capsys, "decompose", path, "--out", str(out_path))
+    assert code == 0
+    assert "cartan subalgebra: dim 2 (torus 2 + nil 0)" in out
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert doc["cartan_dim"] == 2
+    assert doc["dim_pattern"] == {"toral_rank": 2, "nil_dim": 0,
+                                  "root_dims": {"01": 4, "10": 4, "11": 4}}
+    assert all(c["passed"] for c in doc["audits"].values())
+
+
 # ---------------------------------------------------------------------------
 # paper verify / cross-check
 
@@ -604,6 +630,7 @@ def test_catalog_list(capsys):
     assert "strictly_upper(n): parametrized family" in out
     for name in ("heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2"):
         assert f"\n{name}: dim " in "\n" + out
+    assert "\npsl4: dim 14, sl4 modulo its centre" in out
 
 
 def test_catalog_emit_round_trips_byte_identically(tmp_path, capsys):
@@ -721,14 +748,22 @@ def stdout_env(src_env, buffered: bool) -> dict:
 @pytest.mark.parametrize("buffered", [True, False])
 def test_full_stdout_exits_two_with_one_line(src_env, buffered):
     """A write error on standard output is exit 2 with one stderr line, and
-    the interpreter's flush at exit adds nothing."""
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "lie2.cli", "catalog", "emit", "gl3"],
-                              env=stdout_env(src_env, buffered), stdout=full,
-                              stderr=subprocess.PIPE, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert lone_error_line(proc.stderr) == \
-        "error: cannot write output: [Errno 28] No space left on device"
+    the interpreter's flush at exit adds nothing.  That holds for `--help`
+    too, whose write error argparse would swallow before any command runs;
+    to a working stdout `--help` exits 0."""
+    for argv in (["catalog", "emit", "gl3"], ["--help"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "lie2.cli"] + argv,
+                                  env=stdout_env(src_env, buffered), stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert lone_error_line(proc.stderr) == \
+            "error: cannot write output: [Errno 28] No space left on device"
+    proc = subprocess.run([sys.executable, "-m", "lie2.cli", "--help"],
+                          env=stdout_env(src_env, buffered), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: lie2")
 
 
 @pytest.mark.parametrize("buffered", [True, False])

@@ -20,13 +20,13 @@ from lie2 import (FIELD_CAVEAT, BudgetExceeded, InvalidInput, Lie2Error,
                   catalog, cartan_split, is_torus, max_tori, restricted, toruscartan,
                   weight_decompose)
 from lie2.field import GF, GF2, Subspace, full_space, pack_bits, zero_vec
-from lie2.liealg import (LieAlgebra, _gl_entry, centralizer, from_json, is_nilpotent_algebra,
-                         subspace_bracket, transpose)
+from lie2.liealg import (LieAlgebra, _gl_entry, _sl_entry, centralizer, from_json,
+                         is_nilpotent_algebra, subspace_bracket, transpose)
 from lie2.restricted import (_iterate_span, classify_element, jcs_decompose,
                              square_columns, two_map_eval, validate_restricted)
 from lie2.toruscartan import _all_two_nilpotent, toral_elements
-from dense_oracles import (coefficient_vectors, dense_express, square_sweep,
-                           subspace_vectors, sweep_is_torus)
+from dense_oracles import (coefficient_vectors, dense_express, max_tori_reinsert,
+                           square_sweep, subspace_vectors, sweep_is_torus)
 from test_reports_frozen import direct_sum, fixture, lifted_coords, lifted_doc
 
 
@@ -193,7 +193,40 @@ def test_max_tori_certifies_gl3_plus_w11():
     assert rep.exhaustive and rep.method == "exhaustive"
     assert rep.rank_lb == 4
     assert rep.fixpoints_seen == 58 * 3 - 1
-    assert rep.nodes <= 3000   # 1,534 coset-minimal candidates
+    assert rep.nodes <= 3000   # 1,507 coset-minimal candidates
+
+
+# the reference cases, gl4, sl4 and psl4, and the direct sums of the
+# structure benchmark in three seeded bases each
+ORACLE_CASES = REFERENCE_CASES + ["gl4", "sl4", "psl4"] + [
+    f"{name}@{seed}" for name in ("sl3+heis3", "gl2+w11_p2", "gl3+w11_p2") for seed in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_max_tori_matches_reinsert_oracle(case):
+    """The bounds read only as far as they prune, and the cut, keep the
+    answer of the search that re-inserted every candidate at every node,
+    and never visit more nodes than it."""
+    if case in ("gl4", "sl4"):
+        entry = (_gl_entry if case == "gl4" else _sl_entry)(4)
+        ra = RestrictedAlgebra(entry.algebra, entry.two_map)
+    else:
+        ra = reference_algebra(case)
+    basis, nodes, seen = max_tori_reinsert(ra)
+    rep = max_tori(ra)
+    assert rep.exhaustive and rep.method == "exhaustive"
+    assert rep.torus.toral_basis == basis
+    assert rep.fixpoints_seen == seen
+    assert rep.nodes <= nodes
+
+
+def test_max_tori_psl4_nodes():
+    """psl4 (dim 14) pins the node count: with the cut for pairwise
+    non-commuting candidates the search visits 343 nodes, against 1,318
+    under the rank bound alone."""
+    rep = max_tori(ra_of("psl4"))
+    assert rep.exhaustive and rep.rank_lb == 2 and rep.fixpoints_seen == 336
+    assert rep.nodes == 343
 
 
 def test_max_tori_gl4_exhaustive_under_a_second():
