@@ -12,7 +12,7 @@ from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput, Lie2Error, NotCanonical, NotTwoMapClosed,
                      NotSimultaneouslyDiagonalizable, SplitFailed,
                      XiNotInSystem)
-from .field import GF, GF2, Subspace, full_space, smallest_irreducible
+from .field import FIELD_CAVEAT, GF, GF2, Subspace, full_space, smallest_irreducible
 from .liealg import (CatalogEntry, LieAlgebra, SimplicityReport, catalog,
                      catalog_names, center, centralizer, derived_series,
                      from_json, ideal_closure, is_ideal, is_simple,
@@ -21,9 +21,9 @@ from .liealg import (CatalogEntry, LieAlgebra, SimplicityReport, catalog,
 from .restricted import (ElementClass, JcsParts, RestrictedAlgebra,
                          classify_element, jcs_decompose, synthesize_two_map,
                          two_map_eval, validate_restricted)
-from .toruscartan import (FIELD_CAVEAT, CartanDecomposition, Torus,
-                          audit_decomposition, cartan_split, is_torus,
-                          max_tori, toral_elements, weight_decompose)
+from .toruscartan import (CartanDecomposition, Torus, audit_decomposition,
+                          cartan_split, is_torus, max_tori, toral_elements,
+                          weight_decompose)
 
 __version__ = "0.1.0"
 

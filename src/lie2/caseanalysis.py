@@ -44,8 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .casedata import (PUBLISHED_ADMISSIBLE_SPANS, PUBLISHED_PATTERN_LISTS,
                        raw_pattern_string)
 from .errors import InvalidInput, NotCanonical, XiNotInSystem
-from .field import GF2, Subspace, gl_matrices
-from .toruscartan import FIELD_CAVEAT
+from .field import FIELD_CAVEAT, GF2, Subspace, gl_matrices
 
 Root = Tuple[int, ...]
 
@@ -266,14 +265,16 @@ def gl3_canonicalize_dims(dims: Sequence[int]) -> Tuple[int, ...]:
 
 
 def enumerate_gl_orbit_patterns(total: int) -> List[DimPattern]:
-    """Finer enumeration: one representative per true GL3(F2) orbit."""
+    """Finer enumeration: one representative per true GL3(F2) orbit, its
+    greatest labelling, in the order of the first labelled pattern of each.
+    That pattern marks its whole orbit seen, so each orbit is built once."""
     seen = set()
     out = []
     for p in enumerate_labeled_patterns(total):
-        key = (p.nil_dim, gl3_canonicalize_dims(p.dims))
-        if key not in seen:
-            seen.add(key)
-            out.append(DimPattern(total, key[0], key[1]))
+        if (p.nil_dim, p.dims) not in seen:
+            orbit = {act_on_dims(m, p.dims) for m in gl3_matrices()}
+            seen.update((p.nil_dim, dims) for dims in orbit)
+            out.append(DimPattern(total, p.nil_dim, max(orbit)))
     return out
 
 

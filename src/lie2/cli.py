@@ -27,9 +27,9 @@ from .liealg import (catalog, catalog_names, from_json, is_json_int, to_json,
                      validate_lie)
 from .restricted import (RestrictedAlgebra, synthesize_two_map,
                          validate_restricted)
-from .toruscartan import (FIELD_CAVEAT, audit_decomposition, check_sweep_budget,
-                          is_torus, max_tori, weight_decompose, Torus)
-from .field import Subspace
+from .toruscartan import (audit_decomposition, check_sweep_budget, is_torus, max_tori,
+                          weight_decompose, Torus)
+from .field import FIELD_CAVEAT, Subspace
 
 _INPUT_ERRORS = (InvalidInput, XiNotInSystem, NotCanonical, DimensionTooLarge,
                  NotTwoMapClosed)

@@ -21,6 +21,9 @@ read off that echelon (see `Subspace`).  A matrix is its rows: ranks are
 `Subspace.dim` and null spaces `Subspace.null_basis`.  The packed core
 (`f2_apply`, `f2_reduce`, `f2_eliminate`, `f2_solver`) also serves the
 bracket tables of `liealg`.
+
+`FIELD_CAVEAT` says what a result computed over GF(2^k), and not over an
+algebraic closure, does and does not prove; every report carries it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from .errors import DimensionTooLarge, InvalidInput
 Vec = Tuple[int, ...]
 
 MAX_DEGREE = 16
+FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
+                "toral ranks are lower bounds and maximality is relative to this field")
 
 
 def _poly_mul(a: int, b: int) -> int:

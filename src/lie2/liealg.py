@@ -249,9 +249,11 @@ class SeriesReport:
     spaces: Tuple[Subspace, ...]
 
 
-def _series(alg: LieAlgebra, central: bool) -> SeriesReport:
-    """Bracket each term with g (central) or with itself until it stabilizes."""
-    g = full_space(alg.gf, alg.dim)
+def _series(alg: LieAlgebra, central: bool, g: Optional[Subspace] = None) -> SeriesReport:
+    """From a subalgebra g, the whole algebra by default, bracket each term
+    with g (central) or with itself until it stabilizes."""
+    if g is None:
+        g = full_space(alg.gf, alg.dim)
     cur = g
     spaces = [cur]
     while cur.dim:

@@ -279,26 +279,6 @@ def classify_element(ra: RestrictedAlgebra, x: Sequence[int]) -> ElementClass:
     return ElementClass("mixed", False, False)
 
 
-def semisimple_part(ra: RestrictedAlgebra, x: int) -> int:
-    """Packed semisimple part of packed x: `torus_part` on the torus T
-    spanned by the 2-power iterates of y = x^[2^d], d the F2 dimension of
-    the iterate span W of x.
-
-    Squaring is the F2-linear map A on W, and y lies in A^d W, where A is
-    injective, so T is a torus.  The semisimple part s of x lies in T: with
-    n the nilpotent part, x^[2^j] = s^[2^j] for j >= d, and those 2-powers,
-    the iterates of y, span s (see `torus_part`).
-    """
-    y = x
-    for _ in range(len(_iterate_span(ra, x).echelon)):
-        y = packed_square(ra, y)
-    part = torus_part(ra, _iterate_span(ra, y))
-    s = part(x) if part else None
-    if s is None:
-        raise InternalInconsistency("no semisimple part on the late 2-power torus")
-    return s
-
-
 @dataclass
 class JcsParts:
     semisimple: Vec
@@ -308,13 +288,23 @@ class JcsParts:
 def jcs_decompose(ra: RestrictedAlgebra, x: Sequence[int]) -> JcsParts:
     """Split x into commuting semisimple and 2-nilpotent parts.
 
-    The semisimple part is `semisimple_part`, read off the torus of the late
-    2-powers of x by `torus_part`; the nilpotent part is the rest.  All
-    claimed properties are re-verified before returning.
+    The semisimple part is `torus_part` on the torus T spanned by the
+    2-power iterates of y = x^[2^d], d the F2 dimension of the iterate span
+    W of x; the nilpotent part is the rest.  Squaring is the F2-linear map
+    A on W, and y lies in A^d W, where A is injective, so T is a torus.
+    The semisimple part s of x lies in T: with n the nilpotent part,
+    x^[2^j] = s^[2^j] for j >= d, and those 2-powers, the iterates of y,
+    span s (see `torus_part`).  All claimed properties are re-verified
+    before returning.
     """
     alg, k = ra.algebra, ra.algebra.gf.degree
-    px = pack_bits(x, k)
-    ps = semisimple_part(ra, px)
+    px = y = pack_bits(x, k)
+    for _ in range(len(_iterate_span(ra, px).echelon)):
+        y = packed_square(ra, y)
+    part = torus_part(ra, _iterate_span(ra, y))
+    ps = part(px) if part else None
+    if ps is None:
+        raise InternalInconsistency("no semisimple part on the late 2-power torus")
     s, nl = unpack_bits(ps, alg.dim, k), unpack_bits(ps ^ px, alg.dim, k)
     if not classify_element(ra, s).semisimple:
         raise InternalInconsistency("claimed semisimple part is not semisimple")

@@ -73,11 +73,11 @@ import numpy as np
 
 from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput)
-from .field import GF, GF2, gl_matrices, pack_bits
+from .field import FIELD_CAVEAT, GF, GF2, gl_matrices, pack_bits
 from .liealg import (LieAlgebra, center, derived_series, is_simple,
                      lower_central_series, validate_lie)
 from .restricted import RestrictedAlgebra, synthesize_two_map
-from .toruscartan import FIELD_CAVEAT, max_tori
+from .toruscartan import max_tori
 
 _EXHAUSTIVE_MAX_BITS = 24
 _BLOCK = 1 << 20

@@ -12,10 +12,11 @@ kept as F2 echelon slots holding every alpha^a v.  The 2-map fixpoints of
 the whole space are the zeros of q(x) = x^[2] + x, read off truth tables
 block by block (`_fixpoints`).  A torus is injective and has a toral basis
 by the kernels of A and A + I, A its squaring map from
-`restricted.square_columns`.  A Cartan split reads the semisimple part of
-each centralizer row off the torus (`restricted.torus_part`, one solver
-of A per torus), and its nil part is 2-nilpotent exactly when it is
-nilpotent and A is nilpotent on its centre.
+`restricted.square_columns`.  A Cartan split checks that its span is a
+torus, reads the semisimple part of each centralizer row off it
+(`restricted.torus_part`, one solver of A per torus), and its nil part
+is 2-nilpotent exactly when it is nilpotent and A is nilpotent on its
+centre.
 The maximal torus search is a branch and bound over int bitsets of the
 fixpoints' commutation graph (`_commutation_graph`) that reaches each torus
 through its greedy basis only.  It is pruned by the rank of the remaining
@@ -44,15 +45,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
-from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
+from .field import (FIELD_CAVEAT, Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
                     f2_eliminate, f2_reduce, f2_solver, pack_bits, unpack_bits)
-from .liealg import (LieAlgebra, ad_kernel, bit_positions, bracket_columns, centralizer,
-                     nibble_apply, nibble_tables, subspace_bracket, transpose)
-from .restricted import (RestrictedAlgebra, packed_square, semisimple_part, square_columns,
-                         torus_part)
+from .liealg import (LieAlgebra, _series, ad_kernel, bit_positions, bracket_columns,
+                     centralizer, nibble_apply, nibble_tables, subspace_bracket, transpose)
+from .restricted import RestrictedAlgebra, packed_square, square_columns, torus_part
 
-FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
-                "toral ranks are lower bounds and maximality is relative to this field")
 SWEEP_BUDGET = 1 << 20  # default bound on the vectors of a whole-space sweep
 BLOCK_BITS = 16  # low F2 coordinates of one block of fixpoint truth tables
 COMBO_LIMIT = 1 << 10  # the iso rule scans root spaces of up to this many vectors in full
@@ -405,21 +403,18 @@ class CartanSplit:
 def _all_two_nilpotent(ra: RestrictedAlgebra, nil: Subspace) -> bool:
     """Whether every element of the 2-map closed subalgebra nil is 2-nilpotent.
 
-    Exactly when nil is nilpotent and squaring is nilpotent on its centre Z
-    (Strade and Farnsteiner 1988, ch. 2).  Necessary: ad(x)^(2^m) =
-    ad(x^[2^m]), so Engel's theorem applies.  Sufficient: for x in Z_(i+1)
+    Exactly when nil is nilpotent, its lower central series (`_series` from
+    nil) ending in 0, and squaring is nilpotent on its centre Z (Strade and
+    Farnsteiner 1988, ch. 2).  Necessary: ad(x)^(2^m) = ad(x^[2^m]), so
+    Engel's theorem applies.  Sufficient: for x in Z_(i+1)
     of the upper central series, [x^[2], y] = [x, [x, y]] lies in Z_(i-1),
     so x^[2] lies in Z_i, and x^[2^(c-1)] in Z_1 = Z for every x.  Z is
     abelian and 2-map closed, so squaring on it is the F2-linear map A of
     `square_columns`, nilpotent iff A^(2^t) = 0 for 2^t above its size.
     """
-    alg, term = ra.algebra, nil
-    while term.dim:
-        below = subspace_bracket(alg, nil, term)
-        if below.dim == term.dim:
-            return False
-        term = below
-    centre = centralizer(alg, nil).intersect(nil)
+    if _series(ra.algebra, True, nil).dims[-1]:
+        return False
+    centre = centralizer(ra.algebra, nil).intersect(nil)
     cols = square_columns(ra, centre)
     if cols is None:
         raise InternalInconsistency("centre of a 2-map closed subalgebra is not 2-map closed")
@@ -440,21 +435,20 @@ def cartan_split(ra: RestrictedAlgebra, torus: Torus) -> CartanSplit:
 def _split(ra: RestrictedAlgebra, torus: Torus, h: Subspace) -> CartanSplit:
     """`cartan_split` with the centralizer h of the torus already known.
 
-    The nil part is spanned by b + s over the GF rows b of h, s the
-    semisimple part of b, which must lie in the torus: `torus_part` reads
-    it off the torus with one solver, on packed ints.  A span that is no
-    torus (squaring leaves it or kills some of it) gets each row's own
-    `semisimple_part` instead, so it fails the same checks, in the same
-    order, as the Jordan-Chevalley-Seligman parts of its rows dictate.
+    The span must be a torus.  The nil part is spanned by b + s over the GF
+    rows b of h, s the semisimple part of b, which must lie in the torus:
+    `torus_part` reads it off the torus with one solver, on packed ints.
     """
     alg, space = ra.algebra, torus.space
     if not h.contains_subspace(space):
         raise SplitFailed("torus is not abelian, centralizer misses it")
     part = torus_part(ra, space)
+    if part is None:
+        raise SplitFailed("span is not a torus: squaring leaves it or kills part of it")
     nil_vecs = []
     for b in h.echelon[::alg.gf.degree]:
-        s = part(b) if part else semisimple_part(ra, b)
-        if s is None or space.reduce_packed(s):
+        s = part(b)
+        if s is None:
             raise SplitFailed(
                 "semisimple part of a centralizer element falls outside the torus; "
                 "the torus is not maximal over this field")

@@ -45,6 +45,10 @@ it squares each basis row with `two_map_eval`, checks injectivity by the
 GF rank of those squares, and picks a toral basis by sweeping every vector
 of the subspace.
 
+`gl_orbit_patterns_canonical` is the GL3(F2) orbit enumeration that
+`caseanalysis.enumerate_gl_orbit_patterns` replaced: it canonicalizes
+every labelled pattern with `gl3_canonicalize_dims` and keeps each new one.
+
 `basis_vec`, `f2_ideal_rank` and `two_power` are small conveniences that
 only the tests use: a coordinate basis vector, the dimension of a packed
 ideal closure, and the iterated 2-map.  `jacobi_residual` is the scalar
@@ -57,6 +61,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from lie2.caseanalysis import DimPattern, enumerate_labeled_patterns, gl3_canonicalize_dims
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
 from lie2.field import (GF, GF2, Subspace, Vec, _invert_rows, alpha_map, alpha_multiples,
                         f2_reduce, gl_matrices, pack_bits, unpack_bits, vec_add, vec_is_zero)
@@ -466,3 +471,14 @@ def is_simple_full_sweep(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityRe
                 return SimplicityReport(False, Subspace.restriction(gf, n, ideal), checked,
                                         "proper ideal from seed")
     return SimplicityReport(True, None, checked, "all seeds generate the algebra")
+
+
+def gl_orbit_patterns_canonical(total: int):
+    """One pattern per GL3(F2) orbit, by canonicalizing every labelled one."""
+    seen, out = set(), []
+    for p in enumerate_labeled_patterns(total):
+        key = (p.nil_dim, gl3_canonicalize_dims(p.dims))
+        if key not in seen:
+            seen.add(key)
+            out.append(DimPattern(total, key[0], key[1]))
+    return out

@@ -28,7 +28,7 @@ from lie2.caseanalysis import (DimPattern, ROOT_ORDER,
 from lie2.casedata import (PUBLISHED_PATTERN_LISTS, PUBLISHED_ROOT_SYSTEMS,
                            raw_pattern_string)
 from lie2.field import GF2, Subspace, gl_matrices
-from dense_oracles import subspace_vectors
+from dense_oracles import gl_orbit_patterns_canonical, subspace_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,44 @@ GL_ORBIT_COUNTS = {10: 1, 11: 2, 12: 4, 13: 8, 14: 15, 15: 26, 16: 45}
 @pytest.mark.parametrize("total", sorted(GL_ORBIT_COUNTS))
 def test_gl_orbit_pattern_counts_frozen(total):
     assert len(enumerate_gl_orbit_patterns(total)) == GL_ORBIT_COUNTS[total]
+
+
+@pytest.mark.parametrize("total", range(10, 15))
+def test_gl_orbit_patterns_match_the_canonicalizing_enumerator(total):
+    """Marking each new pattern's orbit gives the list, in the order, that
+    canonicalizing every labelled pattern gave."""
+    assert enumerate_gl_orbit_patterns(total) == gl_orbit_patterns_canonical(total)
+
+
+# cycle types of GL(3, 2) on the 7 Fano points, with the sizes of their classes
+GL3_CLASSES = [((1,) * 7, 1), ((1, 1, 1, 2, 2), 21), ((1, 3, 3), 56), ((1, 2, 4), 42),
+               ((7,), 48)]
+BURNSIDE_COUNTS = dict(zip(range(10, 21), [1, 2, 4, 8, 15, 26, 45, 74, 118, 184, 280]))
+
+
+def burnside_orbit_count(total: int) -> int:
+    """GL3(F2) orbits of patterns by Burnside's lemma: a labelling fixed by
+    an element is constant on its cycles, so it has one dimension >= 1 per
+    cycle, and cycle lengths times those dimensions sum to the root part."""
+    orbits = 0
+    for nil in range(total - 9):
+        rem = total - 3 - nil
+        fixed = 0
+        for cycles, size in GL3_CLASSES:
+            ways = [1] + [0] * rem  # ways[s]: dimensions on the cycles so far summing to s
+            for c in cycles:
+                ways = [sum(ways[s - c * d] for d in range(1, s // c + 1))
+                        for s in range(rem + 1)]
+            fixed += size * ways[rem]
+        assert fixed % 168 == 0
+        orbits += fixed // 168
+    return orbits
+
+
+@pytest.mark.parametrize("total", sorted(BURNSIDE_COUNTS))
+def test_gl_orbit_pattern_counts_match_burnside(total):
+    assert burnside_orbit_count(total) == BURNSIDE_COUNTS[total]
+    assert len(enumerate_gl_orbit_patterns(total)) == BURNSIDE_COUNTS[total]
 
 
 # ---------------------------------------------------------------------------

@@ -601,6 +601,8 @@ def test_nil_check_agrees_with_per_element_check(degree):
 
 OUTSIDE = ("semisimple part of a centralizer element falls outside the torus; "
            "the torus is not maximal over this field")
+NOT_ABELIAN = "torus is not abelian, centralizer misses it"
+NOT_TORUS = "span is not a torus: squaring leaves it or kills part of it"
 
 
 def split_by_jcs(ra: RestrictedAlgebra, torus: Torus):
@@ -610,7 +612,7 @@ def split_by_jcs(ra: RestrictedAlgebra, torus: Torus):
     alg, space = ra.algebra, torus.space
     h = centralizer(alg, space)
     if not h.contains_subspace(space):
-        return "torus is not abelian, centralizer misses it"
+        return NOT_ABELIAN
     parts = [jcs_decompose(ra, b) for b in h.rows]
     if not all(space.contains(p.semisimple) for p in parts):
         return OUTSIDE
@@ -667,9 +669,10 @@ def test_split_reads_the_jcs_parts_off_the_torus(name, degree):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_split_matches_the_jcs_split_on_any_span(degree):
     """Spans of basis pairs, random spans and iterate spans, passed off as
-    tori: genuine tori and subtori, abelian spans that squaring leaves or
-    kills in part, and spans that do not commute, all split or fail as the
-    Jordan-Chevalley-Seligman parts of the centralizer rows dictate."""
+    tori.  Genuine tori and subtori split or fail as the
+    Jordan-Chevalley-Seligman parts of the centralizer rows dictate; a span
+    that does not commute, or is abelian but no torus (squaring leaves it
+    or kills part of it), fails at once with its own message."""
     outcomes = set()
     for name in TORUS_ORACLE_NAMES:
         n = catalog(name).algebra.dim
@@ -683,12 +686,16 @@ def test_split_matches_the_jcs_split_on_any_span(degree):
         for s in seeded_subspaces(ra, basis, rng, 24):
             torus = Torus(s, None)
             got = split_outcome(ra, torus)
-            assert got == split_by_jcs(ra, torus)
-            is_torus_span = restricted.torus_part(ra, s) is not None
-            outcomes.add((got if isinstance(got, str) else "split", is_torus_span))
-    assert {("split", True), (OUTSIDE, True), (OUTSIDE, False),
-            ("torus and nilpotent part overlap", False),
-            ("torus is not abelian, centralizer misses it", False)} <= outcomes
+            if not centralizer(ra.algebra, s).contains_subspace(s):
+                kind, want = "not abelian", NOT_ABELIAN
+            elif restricted.torus_part(ra, s) is None:
+                kind, want = "no torus", NOT_TORUS
+            else:
+                kind, want = "torus", split_by_jcs(ra, torus)
+            assert got == want
+            outcomes.add((got if isinstance(got, str) else "split", kind))
+    assert {("split", "torus"), (OUTSIDE, "torus"), (NOT_TORUS, "no torus"),
+            (NOT_ABELIAN, "not abelian")} <= outcomes
 
 
 def test_split_failure_messages_are_kept():
@@ -711,21 +718,21 @@ def test_split_failure_messages_are_kept():
 def test_fake_torus_of_heis3_overlaps_its_nil_part(label):
     """span(x) and span(z) of heis3 are abelian and 2-map closed, but
     squaring kills them: no torus, so `torus_part` gives None and the split
-    reads each row's own semisimple part, 0, which leaves the span itself
-    in the nil part."""
+    fails at once.  Split row by row, the span would overlap its nil part."""
     ra = ra_of("heis3")
     v = tuple(int(l == label) for l in ra.algebra.labels)
     fake = Subspace(GF2, 3, [v])
     assert restricted.torus_part(ra, fake) is None
     with pytest.raises(SplitFailed) as err:
         cartan_split(ra, Torus(fake, None))
-    assert str(err.value) == "torus and nilpotent part overlap"
+    assert str(err.value) == NOT_TORUS
+    assert split_by_jcs(ra, Torus(fake, None)) == "torus and nilpotent part overlap"
 
 
 def test_weight_decompose_needs_no_element_classification(monkeypatch):
     """At a maximal torus the split reads every semisimple part off the
-    torus: neither `jcs_decompose`, nor `classify_element`, nor the per-row
-    `semisimple_part` runs, and the decompositions stay the same."""
+    torus: neither `jcs_decompose` nor `classify_element` runs, and the
+    decompositions stay the same."""
     names = ["heis3", "sl2", "gl2", "sl3", "gl3", "w11_p2", "abelian(3)",
              "strictly_upper(4)"]
     expect = {}
@@ -738,9 +745,8 @@ def test_weight_decompose_needs_no_element_classification(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("per-element classification reached")
-    for module, attr in ((restricted, "jcs_decompose"), (restricted, "classify_element"),
-                         (restricted, "semisimple_part"), (toruscartan, "semisimple_part")):
-        monkeypatch.setattr(module, attr, forbidden)
+    for attr in ("jcs_decompose", "classify_element"):
+        monkeypatch.setattr(restricted, attr, forbidden)
     for name in names:
         ra = ra_of(name)
         try:
