@@ -290,6 +290,17 @@ def f2_reduce(slots: List[int], v: int) -> int:
     return 0
 
 
+def f2_residue(slots: Sequence[int], v: int) -> int:
+    """v reduced against the echelon slots, which are left unchanged; 0
+    means v is in their span."""
+    while v:
+        row = slots[v.bit_length() - 1]
+        if not row:
+            return v
+        v ^= row
+    return 0
+
+
 def f2_eliminate(cols: Sequence[int], n: int, rhs: Sequence[int] = ()
                  ) -> Tuple[List[int], List[Optional[int]]]:
     """Kernel basis of the packed map A with columns cols[0..n-1], and a

@@ -21,10 +21,13 @@ The maximal torus search is a branch and bound over int bitsets of the
 fixpoints' commutation graph (`_commutation_graph`) that reaches each torus
 through its greedy basis only.  It is pruned by the rank of the remaining
 candidates modulo the chosen span, read from the last candidate back only
-as far as it prunes, and cut at a node whose candidates pairwise do not
-commute.  It is exhaustive when it fits in the node budget, otherwise
-greedy with seeded restarts, and either way the reported rank is a lower
-bound for the rank over an algebraic closure (`max_tori`).
+as far as it prunes, and by a clique bound: a torus that adds g basis
+elements below a node puts 2^g - 1 pairwise commuting fixpoints among its
+candidates, so a node returns when its candidates colour greedily into
+fewer classes of pairwise non-commuting ones (`_colours_reach`).  It is
+exhaustive when it fits in the node budget, otherwise greedy with seeded
+restarts, and either way the reported rank is a lower bound for the rank
+over an algebraic closure (`max_tori`).
 
 The weight decomposition and its audits run packed too: on the GF rows
 `echelon[::k]` of each span, with `packed_bracket` and `packed_square`,
@@ -46,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      NotSimultaneouslyDiagonalizable, NotTwoMapClosed, SplitFailed)
 from .field import (FIELD_CAVEAT, Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
-                    f2_eliminate, f2_reduce, f2_solver, pack_bits, unpack_bits)
+                    f2_eliminate, f2_reduce, f2_residue, f2_solver, pack_bits, unpack_bits)
 from .liealg import (LieAlgebra, _series, ad_kernel, bit_positions, bracket_columns,
                      centralizer, nibble_apply, nibble_tables, subspace_bracket, transpose)
 from .restricted import RestrictedAlgebra, packed_square, square_columns, torus_part
@@ -260,6 +263,25 @@ def _commutation_graph(alg, items: Sequence[int], planes: Sequence[int]) -> List
     return comm
 
 
+def _colours_reach(cand: int, comm: Sequence[int], bound: int) -> bool:
+    """Whether a greedy colouring of the index set cand into classes of
+    pairwise non-commuting fixpoints (comm as from `_commutation_graph`)
+    has at least bound classes.  Each class takes the least index left,
+    drops the ones commuting with it, and repeats; the colouring stops once
+    bound - 1 classes leave indices over.  Pairwise commuting fixpoints
+    fall into distinct classes, so False proves that cand holds no bound of
+    them."""
+    rest = cand
+    while rest and bound > 1:
+        bound -= 1
+        free = rest  # what the class may still take
+        while free:
+            v = free & -free
+            rest ^= v
+            free ^= free & comm[v.bit_length() - 1] | v
+    return rest != 0
+
+
 def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
              node_budget: int = 1 << 20, restarts: int = 32,
              seed: int = 0) -> MaxTorusReport:
@@ -274,6 +296,27 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
     that commute with the one taken.  The answer is the lexicographically
     first maximum index set.  Two bounds stop a node early.
 
+    Clique bound.  Let need = len(best) - len(chosen) on entry.  A set
+    found below the node adds g picks to chosen, and replaces best only if
+    g > need.  The picks are candidates here (a child's candidates are a
+    subset of its parent's), so each is clear at the top bits of chosen and
+    exceeds the last chosen fixpoint c while clear at its top bit, hence
+    has its top bit above that of c; and each pick exceeds the picks before
+    it while clear at their top bits, so the picks have distinct top bits.
+    A nonzero F2 sum of picks is therefore clear at the top bits of chosen,
+    and its top bit is that of one of its picks, so it exceeds c; there are
+    2^g - 1 such sums, distinct, and each is a fixpoint of the torus that
+    chosen and the picks span, so each commutes with chosen.  So all
+    2^g - 1 sums are candidates of this node, and they commute pairwise.  A
+    class of pairwise non-commuting candidates holds at most one of them,
+    so any colouring of the candidates into such classes has at least
+    2^g - 1 >= 2^(need+1) - 1 classes.  The node colours greedily
+    (`_colours_reach`) until it has 2^(need+1) - 1 classes, and returns if
+    it has fewer.  With need >= 1, one class is a node whose candidates
+    pairwise do not commute.  A child with fewer than 2^need - 1
+    candidates, need taken at the parent, would return on entry (a
+    colouring has at most one class per candidate), so it is not called.
+
     Rank bound.  With need = len(best) - len(chosen), candidate t is tried
     only while r(t), the rank of the candidates t, t+1, ... modulo the
     chosen span, exceeds need.  r falls with t by at most one per step, so
@@ -283,13 +326,7 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
     exceeds need.  need only grows, when best does, and then the walk goes
     on from where it stopped.  So each candidate is inserted at most once
     per node, and the node tries exactly the candidates that r computed at
-    every t would let through.  A child with len(chosen) + 1 +
-    popcount(its candidates) <= len(best) fails that bound at its first
-    candidate, so it is not called.
-
-    Cut.  When no two candidates of a node commute, every child has no
-    candidates, so the node can add at most one fixpoint; with len(chosen)
-    < len(best) that cannot beat best, and the node returns.
+    every t would let through.
 
     Neither bound changes the answer.  Without bounds the search visits the
     index sets in lexicographic order and replaces best only by a strictly
@@ -297,7 +334,7 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
     Both bounds drop only subtrees whose sets are no larger than best at
     that moment; none of them would have replaced best, so by induction
     over the visiting order best takes the same values at every node that
-    is still visited, and ends the same.  The cut therefore only lowers
+    is still visited, and ends the same.  The bounds therefore only lower
     `nodes`.
 
     Each torus is visited through one basis only, its greedy one.  The
@@ -341,9 +378,9 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
         nonlocal best, nodes, aborted
         if len(chosen) > len(best):
             best = list(chosen)
+        if not _colours_reach(cand, comm, (2 << len(best) - len(chosen)) - 1):
+            return  # clique bound
         order = bit_positions(cand)
-        if len(chosen) < len(best) and not any(comm[i] & cand for i in order):
-            return  # pairwise non-commuting candidates add at most one fixpoint
         # rank is the rank of order[cut:] modulo the chosen span, walked in
         # from the end only until it exceeds need; order[:cut + 1] is tried
         grown, rank, cut, need = list(span), 0, len(order), -1
@@ -360,11 +397,12 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
                 return
             nodes += 1
             x = items[idx]
-            child = list(span)
-            if not insert(child, x):
+            if not f2_residue(span, x):
                 raise InternalInconsistency("a coset-minimal fixpoint lies in the chosen span")
             below = cand >> (idx + 1) << (idx + 1) & comm[idx] & ~planes[x.bit_length() - 1]
-            if len(chosen) + 1 + below.bit_count() > len(best):
+            if below.bit_count() >= (1 << need) - 1:  # else the child fails the clique bound
+                child = list(span)
+                insert(child, x)
                 chosen.append(idx)
                 search(below, chosen, child)
                 chosen.pop()

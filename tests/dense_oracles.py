@@ -36,9 +36,9 @@ x^[2] + x; its fixpoints are the reference those are checked against.
 
 `max_tori_reinsert` is the torus branch and bound before its rank bound
 was read only as far as it prunes: every node re-inserts all of its
-candidates to bound each of them, and no cut stops a node whose
-candidates pairwise do not commute.  `max_tori` must find its basis with
-at most its nodes.
+candidates to bound each of them, and no clique bound stops a node whose
+candidates colour into too few classes of pairwise non-commuting ones.
+`max_tori` must find its basis with at most its nodes.
 
 `sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
 it squares each basis row with `two_map_eval`, checks injectivity by the
@@ -253,8 +253,8 @@ def max_tori_reinsert(ra: RestrictedAlgebra) -> Tuple[Tuple[Vec, ...], int, int]
 
     Same search order and candidates as `max_tori`, but every
     node re-inserts all of its remaining candidates into a copy of the
-    chosen span to get its rank bound at each of them, and there is no cut
-    for pairwise non-commuting candidates."""
+    chosen span to get its rank bound at each of them, and there is no
+    clique bound."""
     alg, k = ra.algebra, ra.algebra.gf.degree
     items = [x for x in _fixpoints(ra, SWEEP_BUDGET) if x]
     planes = transpose(items, alg.dim * k)

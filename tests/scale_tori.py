@@ -6,8 +6,10 @@ checks rank, exhaustiveness and the number of nonzero fixpoints.  For each
 it prints the seconds spent on the fixpoint tables, the commutation graph
 and the branch and bound, the node count and the peak RSS of the process so
 far (name one case per run to read its own peak).
-It takes minutes and several hundred MB, so it is no tier-1 test (no
-test_ prefix, pytest does not collect it).  Run from the repository root:
+psl4 over GF(4) takes minutes and several hundred MB, nearly all of it in
+the commutation graph, so this is no tier-1 test (no test_ prefix, pytest
+does not collect it); sl5 alone takes about a second and has a tier-1
+twin, `test_max_tori_sl5_exhaustive`.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/scale_tori.py [psl4-gf4] [sl5]
 """

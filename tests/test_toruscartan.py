@@ -193,7 +193,7 @@ def test_max_tori_certifies_gl3_plus_w11():
     assert rep.exhaustive and rep.method == "exhaustive"
     assert rep.rank_lb == 4
     assert rep.fixpoints_seen == 58 * 3 - 1
-    assert rep.nodes <= 3000   # 1,507 coset-minimal candidates
+    assert rep.nodes == 193   # 1,507 under the rank bound and the cut alone
 
 
 # the reference cases, gl4, sl4 and psl4, and the direct sums of the
@@ -204,9 +204,9 @@ ORACLE_CASES = REFERENCE_CASES + ["gl4", "sl4", "psl4"] + [
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_max_tori_matches_reinsert_oracle(case):
-    """The bounds read only as far as they prune, and the cut, keep the
-    answer of the search that re-inserted every candidate at every node,
-    and never visit more nodes than it."""
+    """The rank bound read only as far as it prunes, and the clique bound,
+    keep the answer of the search that re-inserted every candidate at every
+    node, and never visit more nodes than it."""
     if case in ("gl4", "sl4"):
         entry = (_gl_entry if case == "gl4" else _sl_entry)(4)
         ra = RestrictedAlgebra(entry.algebra, entry.two_map)
@@ -220,13 +220,75 @@ def test_max_tori_matches_reinsert_oracle(case):
     assert rep.nodes <= nodes
 
 
-def test_max_tori_psl4_nodes():
-    """psl4 (dim 14) pins the node count: with the cut for pairwise
-    non-commuting candidates the search visits 343 nodes, against 1,318
-    under the rank bound alone."""
-    rep = max_tori(ra_of("psl4"))
-    assert rep.exhaustive and rep.rank_lb == 2 and rep.fixpoints_seen == 336
-    assert rep.nodes == 343
+def has_commuting_set(cand: int, comm, size: int) -> bool:
+    """Brute force: whether the index set cand holds size pairwise commuting
+    fixpoints, trying each index with the later ones that commute with it."""
+    if size <= 0:
+        return True
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        cand ^= low
+        if has_commuting_set(cand & comm[low.bit_length() - 1], comm, size - 1):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["gl3", "sl4", "gl3+w11_p2"])
+def test_clique_bound_cuts_only_sets_without_a_large_clique(name, monkeypatch):
+    """At every node the search colours, a colouring that stops short of
+    the bound is checked against a brute-force search for that many
+    pairwise commuting candidates."""
+    calls = []
+    real = toruscartan._colours_reach
+
+    def spy(cand, comm, bound):
+        reach = real(cand, comm, bound)
+        calls.append((cand, comm, bound, reach))
+        return reach
+
+    monkeypatch.setattr(toruscartan, "_colours_reach", spy)
+    if name == "sl4":
+        entry = _sl_entry(4)
+        ra = RestrictedAlgebra(entry.algebra, entry.two_map)
+    else:
+        ra = reference_algebra(name)
+    max_tori(ra)
+    cuts = [(cand, comm, bound) for cand, comm, bound, reach in calls if not reach]
+    assert any(bound > 1 for _, _, bound in cuts)
+    for cand, comm, bound in cuts:
+        assert not has_commuting_set(cand, comm, bound)
+
+
+# rank, nonzero fixpoints and nodes over F2; the nodes before the clique
+# bound were 139, 14,264, 3,639 and 343
+NODE_PINS = {"gl3": (3, 57, 60), "gl4": (4, 801, 856), "sl4": (3, 561, 576),
+             "psl4": (2, 336, 343)}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_PINS))
+def test_max_tori_node_counts(name):
+    """The node count of the exhaustive search.  On psl4 (dim 14) the
+    clique bound cuts no more than its one-class case did, a node whose
+    candidates pairwise do not commute: 343 nodes, against 1,318 under the
+    rank bound alone."""
+    if name in ("gl4", "sl4"):
+        entry = (_gl_entry if name == "gl4" else _sl_entry)(4)
+        ra = RestrictedAlgebra(entry.algebra, entry.two_map)
+    else:
+        ra = ra_of(name)
+    rep = max_tori(ra)
+    assert rep.exhaustive
+    assert (rep.rank_lb, rep.fixpoints_seen, rep.nodes) == NODE_PINS[name]
+
+
+def test_max_tori_sl5_exhaustive():
+    """sl5 over F2 (dim 24, 2^24 vectors swept): toral rank 4 among 10,416
+    nonzero fixpoints, exhaustive within the default node budget.  The
+    clique bound takes it from 881,648 nodes to 18,394."""
+    entry = _sl_entry(5)
+    rep = max_tori(RestrictedAlgebra(entry.algebra, entry.two_map), sweep_budget=2**24)
+    assert rep.exhaustive and rep.method == "exhaustive"
+    assert (rep.rank_lb, rep.fixpoints_seen, rep.nodes) == (4, 10416, 18394)
 
 
 def test_max_tori_gl4_exhaustive_under_a_second():
