@@ -19,15 +19,14 @@ is 2-nilpotent exactly when it is nilpotent and A is nilpotent on its
 centre.
 The maximal torus search is a branch and bound over int bitsets of the
 fixpoints' commutation graph (`_commutation_graph`) that reaches each torus
-through its greedy basis only.  It is pruned by the rank of the remaining
-candidates modulo the chosen span, read from the last candidate back only
-as far as it prunes, and by a clique bound: a torus that adds g basis
-elements below a node puts 2^g - 1 pairwise commuting fixpoints among its
-candidates, so a node returns when its candidates colour greedily into
-fewer classes of pairwise non-commuting ones (`_colours_reach`).  It is
-exhaustive when it fits in the node budget, otherwise greedy with seeded
-restarts, and either way the reported rank is a lower bound for the rank
-over an algebraic closure (`max_tori`).
+through its greedy basis only.  It is pruned by one clique lemma: a torus
+that adds g basis elements below a node puts 2^g - 1 pairwise commuting
+fixpoints among its candidates, from its first pick on.  So a node returns
+when its candidates colour greedily into fewer classes of pairwise
+non-commuting ones (`_colours_reach`), and stops trying candidates once too
+few of them are left.  It is exhaustive when it fits in the node budget,
+otherwise greedy with seeded restarts, and either way the reported rank is
+a lower bound for the rank over an algebraic closure (`max_tori`).
 
 The weight decomposition and its audits run packed too: on the GF rows
 `echelon[::k]` of each span, with `packed_bracket` and `packed_square`,
@@ -294,48 +293,45 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
     Exhaustive branch and bound under the node budget: candidates are tried
     in increasing fixpoint order, and a child keeps the later candidates
     that commute with the one taken.  The answer is the lexicographically
-    first maximum index set.  Two bounds stop a node early.
+    first maximum index set.  One lemma cuts the search.
 
-    Clique bound.  Let need = len(best) - len(chosen) on entry.  A set
-    found below the node adds g picks to chosen, and replaces best only if
-    g > need.  The picks are candidates here (a child's candidates are a
-    subset of its parent's), so each is clear at the top bits of chosen and
-    exceeds the last chosen fixpoint c while clear at its top bit, hence
-    has its top bit above that of c; and each pick exceeds the picks before
-    it while clear at their top bits, so the picks have distinct top bits.
-    A nonzero F2 sum of picks is therefore clear at the top bits of chosen,
-    and its top bit is that of one of its picks, so it exceeds c; there are
-    2^g - 1 such sums, distinct, and each is a fixpoint of the torus that
-    chosen and the picks span, so each commutes with chosen.  So all
-    2^g - 1 sums are candidates of this node, and they commute pairwise.  A
-    class of pairwise non-commuting candidates holds at most one of them,
-    so any colouring of the candidates into such classes has at least
-    2^g - 1 >= 2^(need+1) - 1 classes.  The node colours greedily
-    (`_colours_reach`) until it has 2^(need+1) - 1 classes, and returns if
-    it has fewer.  With need >= 1, one class is a node whose candidates
-    pairwise do not commute.  A child with fewer than 2^need - 1
-    candidates, need taken at the parent, would return on entry (a
-    colouring has at most one class per candidate), so it is not called.
+    Clique lemma.  Let need = len(best) - len(chosen).  A set found below
+    the node adds g picks to chosen, and replaces best only if g > need.
+    The picks are candidates here (a child's candidates are a subset of its
+    parent's), so each is clear at the top bits of chosen and exceeds the
+    last chosen fixpoint c while clear at its top bit, hence has its top
+    bit above that of c; and each pick exceeds the picks before it while
+    clear at their top bits, so the picks have distinct top bits.  A
+    nonzero F2 sum of picks is therefore clear at the top bits of chosen,
+    and its top bit is that of its highest pick, so it is at least the
+    first pick and exceeds c; there are 2^g - 1 such sums, distinct, and
+    each is a fixpoint of the torus that chosen and the picks span, so each
+    commutes with chosen.  So all 2^g - 1 sums are candidates of this node
+    from the first pick on, and they commute pairwise.
 
-    Rank bound.  With need = len(best) - len(chosen), candidate t is tried
-    only while r(t), the rank of the candidates t, t+1, ... modulo the
-    chosen span, exceeds need.  r falls with t by at most one per step, so
-    the tried candidates are a prefix ending at the last t with r(t) >
-    need, and inserting candidates from the last one backwards into one
-    copy of the chosen span finds it: the walk stops as soon as the rank
-    exceeds need.  need only grows, when best does, and then the walk goes
-    on from where it stopped.  So each candidate is inserted at most once
-    per node, and the node tries exactly the candidates that r computed at
-    every t would let through.
+    Clique bound.  A class of pairwise non-commuting candidates holds at
+    most one of the sums, so any colouring of the candidates into such
+    classes has at least 2^g - 1 >= 2^(need+1) - 1 classes.  The node
+    colours greedily (`_colours_reach`) until it has 2^(need+1) - 1
+    classes, and returns if it has fewer.  With need >= 1, one class is a
+    node whose candidates pairwise do not commute.  A child with fewer
+    than 2^need - 1 candidates, need taken at the parent, would return on
+    entry (a colouring has at most one class per candidate), so it is not
+    called.
 
-    Neither bound changes the answer.  Without bounds the search visits the
+    Count cut.  A set whose first pick is candidate t puts its 2^g - 1 sums
+    among the candidates t, t+1, ..., so before t is tried, with need read
+    again there, the node returns when fewer than 2^(need+1) - 1 of them
+    remain.  The candidates from a later t on are a subset, so none of them
+    could start a larger set either.
+
+    Neither cut changes the answer.  Without them the search visits the
     index sets in lexicographic order and replaces best only by a strictly
     larger set, so best ends as the lexicographically first maximum set.
-    Both bounds drop only subtrees whose sets are no larger than best at
-    that moment; none of them would have replaced best, so by induction
-    over the visiting order best takes the same values at every node that
-    is still visited, and ends the same.  The bounds therefore only lower
-    `nodes`.
+    Both drop only subtrees whose sets are no larger than best at that
+    moment; none of them would have replaced best, so by induction over the
+    visiting order best takes the same values at every node that is still
+    visited, and ends the same.  The cuts therefore only lower `nodes`.
 
     Each torus is visited through one basis only, its greedy one.  The
     fixpoints of a torus spanned by chosen fixpoints are their F2 span W
@@ -378,34 +374,27 @@ def max_tori(ra: RestrictedAlgebra, sweep_budget: int = SWEEP_BUDGET,
         nonlocal best, nodes, aborted
         if len(chosen) > len(best):
             best = list(chosen)
-        if not _colours_reach(cand, comm, (2 << len(best) - len(chosen)) - 1):
+        need = len(best) - len(chosen)
+        if not _colours_reach(cand, comm, (2 << need) - 1):
             return  # clique bound
-        order = bit_positions(cand)
-        # rank is the rank of order[cut:] modulo the chosen span, walked in
-        # from the end only until it exceeds need; order[:cut + 1] is tried
-        grown, rank, cut, need = list(span), 0, len(order), -1
-        for t, idx in enumerate(order):
-            if need != len(best) - len(chosen):
-                need = len(best) - len(chosen)
-                while rank <= need and cut > t:
-                    cut -= 1
-                    rank += insert(grown, items[order[cut]])
-            if rank <= need or t > cut:
-                return
+        while cand.bit_count() >= (2 << need) - 1:  # count cut
             if nodes == node_budget:
                 aborted = True
                 return
             nodes += 1
+            idx = (cand & -cand).bit_length() - 1
+            cand ^= 1 << idx
             x = items[idx]
             if not f2_residue(span, x):
                 raise InternalInconsistency("a coset-minimal fixpoint lies in the chosen span")
-            below = cand >> (idx + 1) << (idx + 1) & comm[idx] & ~planes[x.bit_length() - 1]
+            below = cand & comm[idx] & ~planes[x.bit_length() - 1]
             if below.bit_count() >= (1 << need) - 1:  # else the child fails the clique bound
                 child = list(span)
                 insert(child, x)
                 chosen.append(idx)
                 search(below, chosen, child)
                 chosen.pop()
+                need = len(best) - len(chosen)
 
     search((1 << m) - 1, [], [0] * (alg.dim * k))
     method = "exhaustive"

@@ -2,8 +2,28 @@
 from __future__ import annotations
 
 import os
+import signal
 
 import pytest
+
+TEST_SECONDS = 120  # per-test wall-clock limit; the slowest test takes about 5 s
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_SECONDS instead of hanging the run:
+    a real-time interval timer raises in the test when it expires.  The
+    previous SIGALRM handler is put back afterwards."""
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -34,11 +34,11 @@ the outer-field loop of `search._solve_last_field` replaced.
 vector that `toruscartan._fixpoints` replaced with truth tables of
 x^[2] + x; its fixpoints are the reference those are checked against.
 
-`max_tori_reinsert` is the torus branch and bound before its rank bound
-was read only as far as it prunes: every node re-inserts all of its
-candidates to bound each of them, and no clique bound stops a node whose
-candidates colour into too few classes of pairwise non-commuting ones.
-`max_tori` must find its basis with at most its nodes.
+`max_tori_reinsert` is the torus branch and bound before the clique
+lemma: every node re-inserts all of its candidates into the chosen span to
+bound each of them by the rank of the candidates left, and neither a
+clique bound nor a count of the candidates left stops a node.  `max_tori`
+must find its basis with at most its nodes.
 
 `sweep_is_torus` is the torus test that `toruscartan.is_torus` replaced:
 it squares each basis row with `two_map_eval`, checks injectivity by the
@@ -248,13 +248,13 @@ def sweep_toral_basis(ra, s: Subspace, squares):
 
 
 def max_tori_reinsert(ra: RestrictedAlgebra) -> Tuple[Tuple[Vec, ...], int, int]:
-    """The exhaustive branch and bound that `toruscartan.max_tori` pruned
-    further: (toral basis, nodes, fixpoints seen), with no node budget.
+    """The exhaustive branch and bound that `toruscartan.max_tori`
+    replaced: (toral basis, nodes, fixpoints seen), with no node budget.
 
     Same search order and candidates as `max_tori`, but every
     node re-inserts all of its remaining candidates into a copy of the
-    chosen span to get its rank bound at each of them, and there is no
-    clique bound."""
+    chosen span to get a rank bound at each of them, and there is no
+    clique bound or count cut."""
     alg, k = ra.algebra, ra.algebra.gf.degree
     items = [x for x in _fixpoints(ra, SWEEP_BUDGET) if x]
     planes = transpose(items, alg.dim * k)

@@ -448,7 +448,7 @@ def test_toral_rank_budget_exits_three(tmp_path, capsys):
 
 def test_toral_rank_small_budget_stays_exhaustive(tmp_path, capsys):
     """--budget 512 admits gl3's 2^9-vector sweep and bounds the torus
-    search to 512 nodes; it needs 60 coset-minimal ones, so it stays
+    search to 512 nodes; it needs 45 coset-minimal ones, so it stays
     exhaustive (walking every increasing basis took 525 and fell back to
     greedy)."""
     path = write_fixture(tmp_path, "gl3")

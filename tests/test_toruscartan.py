@@ -193,7 +193,7 @@ def test_max_tori_certifies_gl3_plus_w11():
     assert rep.exhaustive and rep.method == "exhaustive"
     assert rep.rank_lb == 4
     assert rep.fixpoints_seen == 58 * 3 - 1
-    assert rep.nodes == 193   # 1,507 under the rank bound and the cut alone
+    assert rep.nodes == 154   # 1,507 before the clique lemma, 193 with its bound and a rank bound
 
 
 # the reference cases, gl4, sl4 and psl4, and the direct sums of the
@@ -204,9 +204,9 @@ ORACLE_CASES = REFERENCE_CASES + ["gl4", "sl4", "psl4"] + [
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_max_tori_matches_reinsert_oracle(case):
-    """The rank bound read only as far as it prunes, and the clique bound,
-    keep the answer of the search that re-inserted every candidate at every
-    node, and never visit more nodes than it."""
+    """The clique bound and the count cut keep the answer of the search
+    bounded by the rank of the candidates left, re-inserted at every node,
+    and never visit more nodes than it."""
     if case in ("gl4", "sl4"):
         entry = (_gl_entry if case == "gl4" else _sl_entry)(4)
         ra = RestrictedAlgebra(entry.algebra, entry.two_map)
@@ -260,17 +260,18 @@ def test_clique_bound_cuts_only_sets_without_a_large_clique(name, monkeypatch):
 
 
 # rank, nonzero fixpoints and nodes over F2; the nodes before the clique
-# bound were 139, 14,264, 3,639 and 343
-NODE_PINS = {"gl3": (3, 57, 60), "gl4": (4, 801, 856), "sl4": (3, 561, 576),
-             "psl4": (2, 336, 343)}
+# lemma were 139, 14,264, 3,639 and 343, and under the clique bound with
+# the rank bound 60, 856, 576 and 343
+NODE_PINS = {"gl3": (3, 57, 45), "gl4": (4, 801, 816), "sl4": (3, 561, 561),
+             "psl4": (2, 336, 338)}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_PINS))
 def test_max_tori_node_counts(name):
     """The node count of the exhaustive search.  On psl4 (dim 14) the
     clique bound cuts no more than its one-class case did, a node whose
-    candidates pairwise do not commute: 343 nodes, against 1,318 under the
-    rank bound alone."""
+    candidates pairwise do not commute, and the count cut takes 343 nodes
+    to 338, against 1,318 under the rank bound alone."""
     if name in ("gl4", "sl4"):
         entry = (_gl_entry if name == "gl4" else _sl_entry)(4)
         ra = RestrictedAlgebra(entry.algebra, entry.two_map)
@@ -284,11 +285,12 @@ def test_max_tori_node_counts(name):
 def test_max_tori_sl5_exhaustive():
     """sl5 over F2 (dim 24, 2^24 vectors swept): toral rank 4 among 10,416
     nonzero fixpoints, exhaustive within the default node budget.  The
-    clique bound takes it from 881,648 nodes to 18,394."""
+    clique lemma takes it from 881,648 nodes to 18,067 (18,394 with the
+    rank bound in place of the count cut)."""
     entry = _sl_entry(5)
     rep = max_tori(RestrictedAlgebra(entry.algebra, entry.two_map), sweep_budget=2**24)
     assert rep.exhaustive and rep.method == "exhaustive"
-    assert (rep.rank_lb, rep.fixpoints_seen, rep.nodes) == (4, 10416, 18394)
+    assert (rep.rank_lb, rep.fixpoints_seen, rep.nodes) == (4, 10416, 18067)
 
 
 def test_max_tori_gl4_exhaustive_under_a_second():
