@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from lie2 import InvalidInput, NotCanonical, XiNotInSystem
+from lie2 import InvalidInput, NotCanonical, XiNotInSystem, caseanalysis
 from lie2.caseanalysis import (DimPattern, ROOT_ORDER,
                                admissible_toral_space, apply_root,
                                check_certificate, compare_published_spans,
@@ -422,6 +422,21 @@ def test_verify_patterns_strict_mode():
         assert entry["unrefuted"] == entry["iso_rule_dependent"]
     dim14 = next(e for e in rep["per_dim"] if e["total_dim"] == 14)
     assert "(14:3,0,2,2,2,2,1,1,1)" in dim14["unrefuted"]
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+def test_verify_patterns_canonicalizes_each_pattern_once(monkeypatch, mode):
+    """Paper mode reuses the check for its strict certificate."""
+    calls = []
+
+    def counting(dims):
+        calls.append(dims)
+        return gl3_canonicalize_dims(dims)
+
+    monkeypatch.setattr(caseanalysis, "gl3_canonicalize_dims", counting)
+    rep = verify_patterns((10, 16), mode)
+    assert rep["total_patterns"] == 75
+    assert len(calls) == rep["total_patterns"]
 
 
 def test_verify_paper_sections():
