@@ -761,6 +761,7 @@ def is_json_int(x) -> bool:
 
 def _dense_vec(pairs, dim: int, gf: GF) -> Vec:
     v = [0] * dim
+    last = -1
     try:
         for k, c in pairs:
             if not (is_json_int(k) and 0 <= k < dim):
@@ -768,6 +769,9 @@ def _dense_vec(pairs, dim: int, gf: GF) -> Vec:
             if not is_json_int(c):
                 raise InvalidInput(f"{c!r} is not an element of {gf!r}")
             v[k] = gf.check(c)
+            last = k if k > last else dim  # dim: out of order, so maybe repeated
+        if last == dim and len({k for k, _c in pairs}) < len(pairs):
+            raise InvalidInput("sparse vector lists a coordinate twice")
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"bad sparse vector: {exc}") from exc
     return tuple(v)
@@ -824,6 +828,8 @@ def from_json(doc) -> Tuple[LieAlgebra, Optional[Tuple[Vec, ...]]]:
         if not (is_json_int(i) and is_json_int(j) and i < j):
             raise InvalidInput(f"bracket entry needs i < j, got ({i!r},{j!r})")
         table[(i, j)] = _dense_vec(pairs, dim, gf)
+    if len(table) < len(bracket):
+        raise InvalidInput("bracket lists a basis pair twice")
     alg = LieAlgebra(gf, dim, table, name=str(doc.get("name", "")), labels=labels)
     two_map = None
     if "two_map" in doc:

@@ -80,7 +80,14 @@ from .restricted import RestrictedAlgebra, synthesize_two_map
 from .toruscartan import max_tori
 
 _EXHAUSTIVE_MAX_BITS = 24
-_BLOCK = 1 << 20
+# Tables per sampled F2 block, the knee of a sweep of perfbench's census
+# workload (medians of 25 s runs, 2-vCPU Xeon VM): peak RSS 53.6 MB at 2^20
+# tables, 47.0 MB at 2^19 and 45.2 MB at 2^18 (2.6 MB of planes per dim-5
+# block), wall_ref no worse; 2^17 reached 44.4 MB but wall_ref 3-16% worse.
+_F2_BLOCK = 1 << 18
+# Structure constants per sampled GF(2^k) block: blocks 4x smaller ran
+# 10-25% slower on the GF(16) dim-4, GF(4) dim-5 and GF(256) dim-3 censuses.
+_GF_BLOCK = 1 << 20
 _MIX_BLOCK = 1 << 14
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -647,11 +654,16 @@ def _run_sampled_packed(spec: CensusSpec
 
     A census that sweeps GL(n, 2) orbits (_gl_sweep) keeps the packed
     simple tables, in sample order, and builds no algebra; any other keeps
-    the first simple table in sample order, as a LieAlgebra.  A block holds
-    _BLOCK tables over F2, and at most _BLOCK structure constants above.
+    the first simple table in sample order, as a LieAlgebra.
+
+    The samples are drawn, planed and Jacobi-filtered one block at a time,
+    and only the block's survivors are kept, so the working set is one
+    block's planes: _F2_BLOCK tables over F2, and at most _GF_BLOCK
+    structure constants above.  Sample order and survivors do not depend
+    on the block size, so neither does the report.
     """
     n, gf = spec.dim, GF(spec.field_degree)
-    block = _BLOCK if gf.degree == 1 else _BLOCK // max(1, n * n * (n - 1) // 2)
+    block = _F2_BLOCK if gf.degree == 1 else _GF_BLOCK // max(1, n * n * (n - 1) // 2)
     sweep = _gl_sweep(spec)
     shifts = np.arange(n * (n - 1) // 2 * n).reshape(-1, n, 1)  # bit n p + m of c[p, m]
     jac = simple = 0

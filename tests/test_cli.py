@@ -145,6 +145,24 @@ UNREADABLE = {
 }
 
 
+REPEATED = {
+    "bracket_pair": [[0, 1, [[2, 1]]], [0, 1, [[2, 0]]]],
+    "coordinate": [[0, 1, [[2, 1]]], [0, 2, [[0, 1], [0, 0]]]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED))
+def test_validate_repeated_entry_exits_two(tmp_path, capsys, case):
+    """A document that gives a bracket pair or a coordinate twice is
+    malformed: exit 2 with one line, not a verdict on its last entries."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": {"degree": 1}, "dim": 3,
+                               "bracket": REPEATED[case]}), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert_one_line_exit_two(code, err)
+    assert "twice" in err and out == ""
+
+
 @pytest.mark.parametrize("case", sorted(UNREADABLE))
 @pytest.mark.parametrize("command", ["validate", "decompose", "toral-rank",
                                      "decompose --torus"])

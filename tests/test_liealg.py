@@ -360,6 +360,24 @@ def test_from_json_rejects_bad_documents():
         from_json(bad)
 
 
+@pytest.mark.parametrize("bracket,message", [
+    ([[0, 1, [[2, 1]]], [0, 1, [[2, 0]]]], "bracket lists a basis pair twice"),
+    ([[0, 1, [[2, 1]]], [0, 2, [[0, 1], [0, 0]]]], "lists a coordinate twice"),
+    ([[0, 1, [[2, 0], [2, 1]]]], "lists a coordinate twice"),
+])
+def test_from_json_rejects_repeated_entries(bracket, message):
+    """A bracket pair or a sparse coordinate given twice is rejected, not
+    settled by its last entry."""
+    doc = {"field": {"degree": 1}, "dim": 3, "bracket": bracket}
+    with pytest.raises(InvalidInput, match=message):
+        from_json(doc)
+
+
+def test_from_json_reads_coordinates_in_any_order():
+    doc = {"field": {"degree": 1}, "dim": 3, "bracket": [[0, 1, [[2, 1], [0, 0], [1, 1]]]]}
+    assert from_json(doc)[0].table == {(0, 1): (0, 1, 1)}
+
+
 @pytest.mark.parametrize("raw", [b"\xff", b"\xff\xfe{"])
 def test_from_json_rejects_undecodable_bytes(raw):
     with pytest.raises(InvalidInput, match="not valid JSON"):

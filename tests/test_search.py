@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import combinations
 from typing import List
 
@@ -659,19 +660,51 @@ def test_gf4_dim3_census_builds_one_algebra(monkeypatch):
 @pytest.mark.parametrize("case,per_block", [((3, 1, 2000, 11), 8), ((3, 2, 2000, 1), 5),
                                             ((3, 3, 2000, 1), 64), ((4, 2, 2000, 0), 7)])
 def test_sampled_census_in_small_blocks_matches_its_pin(monkeypatch, case, per_block):
-    """Hundreds of blocks of per_block tables give the pinned report.  The
-    first two blocks hold no simple survivor, so the representative, the
-    first simple survivor in sample order, comes from a later block (the
-    GF(4) dim-4 sample has no Jacobi survivor at all)."""
+    """Hundreds of blocks of per_block tables give the pinned report: the
+    block constant of the case's own field is patched, and the samples are
+    drawn in blocks of exactly per_block tables.  The first two blocks hold
+    no simple survivor, so the representative, the first simple survivor in
+    sample order, comes from a later block (the GF(4) dim-4 sample has no
+    Jacobi survivor at all)."""
     import lie2.search as search
     n, degree, count, seed = case
     gf = GF(degree)
     _jac, pos, _c = _census_planes(gf, n, _sample_planes(gf, n, seed, 0, count))
     assert pos.size == 0 or pos[0] >= 2 * per_block
     assert (pos.size == 0) == (n == 4)
-    monkeypatch.setattr(search, "_BLOCK",
-                        per_block * (1 if degree == 1 else n * n * (n - 1) // 2))
+    if degree == 1:
+        monkeypatch.setattr(search, "_F2_BLOCK", per_block)
+    else:
+        monkeypatch.setattr(search, "_GF_BLOCK", per_block * n * n * (n - 1) // 2)
+    counts = []
+
+    def sample_planes(gf, n, seed, start, count, _real=search._sample_planes):
+        counts.append(count)
+        return _real(gf, n, seed, start, count)
+    monkeypatch.setattr(search, "_sample_planes", sample_planes)
     assert census_digest(case) == CENSUS_FROZEN[case]
+    assert counts == [min(per_block, count - lo) for lo in range(0, count, per_block)]
+
+
+@pytest.mark.parametrize("spec", [
+    CensusSpec(dim=3), CensusSpec(dim=4),
+    CensusSpec(dim=5, sample_count=1 << 20, seed=3),
+    CensusSpec(dim=6, sample_count=1 << 18, seed=3),
+    CensusSpec(dim=3, field_degree=2, sample_count=20000, seed=3),
+], ids=["d3", "d4", "d5-sampled", "d6-sampled", "gf4-d3-sampled"])
+def test_census_working_set(spec):
+    """Each census of the benchmark's census and extension workloads peaks
+    under 6 MB of tracemalloc memory.  A sampled census holds one block's
+    planes at a time: 2^18 F2 tables, whose planes take 2.6 MB at dim 5;
+    with blocks of 2^20 tables the dim-5 census peaked at 13.9 MB."""
+    census(spec)  # warm the caches, which a measured run does not rebuild
+    tracemalloc.start()
+    try:
+        census(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 # ---------------------------------------------------------------------------
