@@ -8,9 +8,9 @@ from .caseanalysis import (Certificate, DimPattern, ROOT_ORDER,
                            enumerate_patterns, enumerate_root_systems,
                            gl3_canonicalize_dims, kill_pattern,
                            refute_root_system, verify_paper)
-from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
-                     InvalidInput, Lie2Error, NotCanonical, NotTwoMapClosed,
-                     NotSimultaneouslyDiagonalizable, SplitFailed,
+from .errors import (BudgetExceeded, CheckFailed, DimensionTooLarge,
+                     InternalInconsistency, InvalidInput, Lie2Error, NotCanonical,
+                     NotTwoMapClosed, NotSimultaneouslyDiagonalizable, SplitFailed,
                      XiNotInSystem)
 from .field import FIELD_CAVEAT, GF, GF2, Subspace, full_space, smallest_irreducible
 from .liealg import (CatalogEntry, LieAlgebra, SimplicityReport, catalog,

@@ -352,7 +352,7 @@ def check_certificate(cert) -> bool:
             fresh = _kill_unchecked(p, subject["mode"])
         else:
             return False
-    except (InvalidInput, XiNotInSystem, KeyError, TypeError):
+    except (InvalidInput, KeyError, TypeError):
         return False
     return fresh.to_json() == doc
 

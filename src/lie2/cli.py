@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 the requested check passed, 1 a check failed (a Lie axiom,
-an audit, an unrefuted pattern in strict mode), 2 the input was invalid,
-3 a search budget was exhausted; 2 also when standard output cannot be
-written (closed or full).  Human-readable text goes to standard
-output; the machine-readable JSON report goes to --out when given.
+an audit, an unrefuted pattern in strict mode); a raised `Lie2Error` exits
+with the code its class carries (see `errors.py`: 1, 2 or 3), and 2 also
+when standard output cannot be written (closed or full).  Human-readable
+text goes to standard output; the JSON report goes to --out when given.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from typing import Optional, Tuple
 
 from .casedata import PUBLISHED_PATTERN_LISTS, raw_pattern_string
 from .caseanalysis import cross_check_paper_lists, verify_paper
-from .errors import (BudgetExceeded, InvalidInput, Lie2Error, NotCanonical,
-                     XiNotInSystem, DimensionTooLarge, InternalInconsistency,
-                     NotTwoMapClosed, NotSimultaneouslyDiagonalizable,
-                     SplitFailed)
+from .errors import InvalidInput, Lie2Error
 from .liealg import (catalog, catalog_names, from_json, is_json_int, to_json,
                      validate_lie)
 from .restricted import (RestrictedAlgebra, synthesize_two_map,
@@ -30,12 +27,6 @@ from .restricted import (RestrictedAlgebra, synthesize_two_map,
 from .toruscartan import (audit_decomposition, check_sweep_budget, is_torus, max_tori,
                           weight_decompose, Torus)
 from .field import FIELD_CAVEAT, Subspace
-
-_INPUT_ERRORS = (InvalidInput, XiNotInSystem, NotCanonical, DimensionTooLarge,
-                 NotTwoMapClosed)
-_BUDGET_ERRORS = (BudgetExceeded,)
-_CHECK_ERRORS = (SplitFailed, NotSimultaneouslyDiagonalizable,
-                 InternalInconsistency)
 
 
 def _read_text(path: str) -> str:
@@ -474,18 +465,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except _BUDGET_ERRORS as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except _CHECK_ERRORS as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
     except Lie2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:  # standard output is closed or full
         # the null device takes what is still buffered, so the flush at exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -51,6 +51,9 @@ class RestrictedAlgebra:
         n = self.algebra.dim
         if len(self.two_map) != n or any(len(v) != n for v in self.two_map):
             raise InvalidInput("two_map must give one image vector per basis element")
+        for v in self.two_map:
+            for c in v:
+                self.algebra.gf.check(c)
 
     @cached_property
     def squares(self) -> List[int]:

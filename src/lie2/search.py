@@ -121,6 +121,8 @@ class CensusSpec:
             raise InvalidInput("field degree must be between 1 and 16")
         if self.threads < 1:
             raise InvalidInput("thread budget must be positive")
+        if not 0 <= self.seed <= MASK64:
+            raise InvalidInput("seed must be between 0 and 2^64 - 1")
         if self.sample_count is None:
             bits = self.dim * self.dim * (self.dim - 1) // 2
             if self.field_degree != 1 or bits > _EXHAUSTIVE_MAX_BITS:

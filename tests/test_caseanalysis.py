@@ -27,7 +27,7 @@ from lie2.caseanalysis import (DimPattern, ROOT_ORDER,
                                _kill_unchecked, act_on_dims)
 from lie2.casedata import (PUBLISHED_PATTERN_LISTS, PUBLISHED_ROOT_SYSTEMS,
                            raw_pattern_string)
-from lie2.field import GF2, Subspace, gl_matrices
+from lie2.field import GF, GF2, Subspace, full_space, gl_matrices
 from dense_oracles import gl_orbit_patterns_canonical, subspace_vectors
 
 
@@ -51,6 +51,32 @@ def test_normalize_system_validates():
         normalize_system([(0, 2, 0)])
     with pytest.raises(InvalidInput):
         normalize_system([(0, 0, 0)])
+
+
+F2_PLANE, F2_SPACE, GF4_PLANE = full_space(GF2, 2), full_space(GF2, 3), full_space(GF(2), 2)
+
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: normalize_system([]), InvalidInput),
+    (lambda: normalize_system([(1, 0, 0), (1, 0, 0)]), InvalidInput),
+    (lambda: normalize_system([(1, 1), (0, 1), (1, 0)]), ((0, 1), (1, 0), (1, 1))),
+    (lambda: normalize_system([(1, 0, 0, 1), (0, 0, 1, 0)]), ((0, 0, 1, 0), (1, 0, 0, 1))),
+    (lambda: F2_PLANE.add(F2_SPACE), InvalidInput),
+    (lambda: F2_PLANE.add(GF4_PLANE), InvalidInput),
+    (lambda: F2_PLANE.intersect(F2_SPACE), InvalidInput),
+    (lambda: F2_PLANE.intersect(GF4_PLANE), InvalidInput),
+], ids=["empty-system", "repeated-root", "rank-2-order", "rank-4-order", "sum-ambient",
+        "sum-field", "meet-ambient", "meet-field"])
+def test_input_checks(call, expected):
+    """Roots of rank other than 3 sort lexicographically; an empty or
+    repeated system and a sum or intersection of subspaces of different
+    spaces are invalid input, which the command line reports with exit 2."""
+    if expected is InvalidInput:
+        with pytest.raises(InvalidInput) as exc:
+            call()
+        assert exc.value.exit_code == 2
+    else:
+        assert call() == expected
 
 
 def test_admissible_requires_membership():

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from lie2.cli import main
+from lie2.errors import Lie2Error
 from lie2.field import GF, GF2
 from lie2.liealg import LieAlgebra, catalog, from_json, is_simple, to_json
 from lie2.toruscartan import FIELD_CAVEAT
@@ -606,6 +607,12 @@ def test_census_dim7_exits_two(capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_census_seed_outside_64_bits_exits_two(capsys, seed):
+    code, out, err = run(capsys, "census", "--dim", "5", "--sample", "10", "--seed", seed)
+    assert (code, out, err) == (2, "", "invalid input: seed must be between 0 and 2^64 - 1\n")
+
+
 def test_census_report_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LIE2_BACKEND", "numpy")
     out_path = tmp_path / "census.json"
@@ -695,6 +702,47 @@ def test_catalog_emit_unknown_exits_two(capsys):
     code, _, err = run(capsys, "catalog", "emit", "nosuch")
     assert code == 2
     assert "unknown catalog name" in err
+
+
+# ---------------------------------------------------------------------------
+# exit codes of the error classes
+
+EXIT_CONTRACT = {
+    "BudgetExceeded": (3, "budget exceeded"),
+    "InvalidInput": (2, "invalid input"),
+    "XiNotInSystem": (2, "invalid input"),
+    "NotCanonical": (2, "invalid input"),
+    "DimensionTooLarge": (2, "invalid input"),
+    "NotTwoMapClosed": (2, "invalid input"),
+    "CheckFailed": (1, "check failed"),
+    "SplitFailed": (1, "check failed"),
+    "NotSimultaneouslyDiagonalizable": (1, "check failed"),
+    "InternalInconsistency": (1, "check failed"),
+    "Lie2Error": (2, "error"),
+}
+
+
+def error_tree(cls=Lie2Error):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_tree(sub)
+
+
+def test_exit_contract_names_every_error_class():
+    assert sorted(c.__name__ for c in error_tree()) == sorted(EXIT_CONTRACT)
+
+
+@pytest.mark.parametrize("cls", list(error_tree()), ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code_and_one_line(capsys, monkeypatch, cls):
+    """Whatever a command raises from the Lie2Error tree, main exits with
+    the code of its family and prints one stderr line, "<label>: <message>"."""
+    from lie2 import cli
+
+    def fail():
+        raise cls("a message")
+    monkeypatch.setattr(cli, "catalog_names", fail)
+    exit_code, label = EXIT_CONTRACT[cls.__name__]
+    assert run(capsys, "catalog", "list") == (exit_code, "", f"{label}: a message\n")
 
 
 # ---------------------------------------------------------------------------

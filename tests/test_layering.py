@@ -5,7 +5,9 @@ errors and casedata < field < liealg < restricted < toruscartan < search <
 cli: a module imports only from layers below its own.  `caseanalysis`
 stands beside them, under `cli`, and needs no algebra layer, and
 `toruscartan` takes from `restricted` only the 2-map and the torus
-routines it is built on.
+routines it is built on.  `cli` takes from `errors` only `InvalidInput`,
+which it raises, and `Lie2Error`, whose one handler reads the exit code and
+label off the raised class.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ LAYERS = {"errors": 0, "casedata": 0, "field": 1, "liealg": 2, "restricted": 3,
 CASEANALYSIS_IMPORTS = {"casedata", "errors", "field"}
 TORUSCARTAN_FROM_RESTRICTED = {"RestrictedAlgebra", "packed_square", "square_columns",
                                "torus_part"}
+# exit codes and labels live on the error classes, not in tuples in `cli`
+CLI_FROM_ERRORS = {"InvalidInput", "Lie2Error"}
 
 
 def package_imports() -> Dict[str, Dict[str, Set[str]]]:
@@ -55,3 +59,7 @@ def test_caseanalysis_needs_no_algebra_layer():
 
 def test_toruscartan_takes_only_the_torus_routines_of_restricted():
     assert package_imports()["toruscartan"]["restricted"] <= TORUSCARTAN_FROM_RESTRICTED
+
+
+def test_cli_maps_no_error_class_itself():
+    assert package_imports()["cli"]["errors"] <= CLI_FROM_ERRORS

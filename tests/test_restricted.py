@@ -107,6 +107,15 @@ def test_two_map_shape_checked():
         RestrictedAlgebra(alg, ((0, 0), (0, 0), (0, 0)))
 
 
+@pytest.mark.parametrize("coord", [2, -1])
+def test_two_map_values_checked(coord):
+    """A coordinate outside the field is rejected, not packed into the next
+    basis bit (2) or left to bit loops that never end (-1)."""
+    alg = catalog("w11_p2").algebra
+    with pytest.raises(InvalidInput, match="is not an element of"):
+        RestrictedAlgebra(alg, ((coord, 0), (0, 1)))
+
+
 def test_two_power_iterates():
     ra = entry_ra("gl3")
     rng = random.Random(23)

@@ -26,8 +26,8 @@ from lie2 import (BudgetExceeded, DimensionTooLarge, InvalidInput, catalog,
 from lie2.liealg import LieAlgebra, derived_series
 from lie2.field import GF, f2_apply
 from lie2.errors import InternalInconsistency
-from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_planes, _gl_arrays,
-                         _invariant_signature, _jacobi_holds, _jacobi_positions,
+from lie2.search import (_MIX_BLOCK, GOLDEN, MASK64, CensusSpec, _census_planes, _class_entry,
+                         _gl_arrays, _invariant_signature, _jacobi_holds, _jacobi_positions,
                          _perfect3, _run_exhaustive,
                          _run_sampled_packed, _sample_planes,
                          _solve_last_field, _spans_all,
@@ -336,7 +336,12 @@ def test_spec_validation():
         CensusSpec(dim=5, sample_count=0)
     with pytest.raises(BudgetExceeded):
         CensusSpec(dim=5, sample_count=(1 << 28) + 1)
+    # the sample stream reads the seed mod 2^64, so -1 would alias 2^64 - 1
+    for seed in (-1, 1 << 64):
+        with pytest.raises(InvalidInput, match="seed must be between 0 and 2"):
+            CensusSpec(dim=3, sample_count=3000, seed=seed)
     CensusSpec(dim=6, sample_count=10)          # fine
+    CensusSpec(dim=3, sample_count=3000, seed=MASK64)
 
 
 def test_backend_flag(monkeypatch):
@@ -394,6 +399,15 @@ def test_census_dim3_frozen_and_class_structure():
     # representative really is the cross-product algebra
     rep_alg = table_to_algebra(3, cls["representative_table"])
     assert iso_match(rep_alg, catalog("o3").algebra) is not None
+
+
+def test_class_entry_reports_toral_rank_of_restrictable_class():
+    """No census at dims up to 6 finds a restrictable simple class, so the
+    branch that bounds its toral rank is pinned on sl3 directly."""
+    entry = _class_entry(catalog("sl3").algebra, 1, None, "gl_orbit")
+    assert entry["restrictable"] is True
+    assert entry["toral_rank_lb"] == 2
+    assert "representative_table" not in entry
 
 
 def test_census_thread_determinism_dim3(monkeypatch):
