@@ -218,6 +218,21 @@ def alpha_map(gf: GF, n: int) -> Callable[[int], int]:
     return lambda x: ((x & ~top) << 1) ^ (((x & top) >> (k - 1)) * low)
 
 
+def alpha_fold(gf: GF, n: int) -> Callable[[Sequence[int]], int]:
+    """sum_a alpha^a planes[a] of packed vectors of gf^n, by Horner's rule
+    with the step of `alpha_map` written out (k - 1 steps for k planes)."""
+    k, low = gf.degree, gf.modulus ^ gf.order
+    top = sum(1 << (i * k + k - 1) for i in range(n))
+    keep = ~top
+
+    def fold(planes: Sequence[int]) -> int:
+        out = planes[-1]
+        for p in planes[-2::-1]:
+            out = ((out & keep) << 1) ^ ((out & top) >> (k - 1)) * low ^ p
+        return out
+    return fold
+
+
 def _invert_rows(rows: Sequence[int], n: int) -> Optional[List[int]]:
     work = [rows[r] | (1 << (n + r)) for r in range(n)]
     for col in range(n):

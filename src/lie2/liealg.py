@@ -15,7 +15,13 @@ each 4-bit chunk of the input whose four columns are not all zero, a table
 of the 16 images of that chunk, so [x, f_m] costs one lookup per such chunk
 instead of one column per set bit of x.  An all-zero chunk stores nothing
 and costs nothing, so an abelian table brackets at the cost of its packing.
-The tables are built on first use.  `validate_lie` checks the basis
+The tables are built on first use.  Over GF(2^k) with k >= COORDINATE_DEGREE
+only the n GF columns ad(e_i) get tables, as in the M4RIE library
+(Albrecht, ISSAC 2012): [x, y] = sum_i y_i [x, e_i] is one table pass per
+coordinate of y, added into plane a for each bit a of y_i, and the k planes
+are folded with k - 1 multiplications by alpha; the 2-map square runs the
+same way (`restricted.packed_square`).  Below that degree every F2 column
+f_m gets a table and y is read bit by bit.  `validate_lie` checks the basis
 triples with `field.f2_apply`, one column per set bit, so a table that is
 only checked there (as the census checks its survivors) never pays for
 them; `f2_apply` also serves the ideal closure and `ad_kernel`
@@ -32,7 +38,9 @@ product of all samples is k ANDs of whole ints (`SlicedBracket`).  Each
 sample checks only what can still fail there: its [x, y] is compared with
 `packed_bracket`.  Alternation and bilinearity hold for the sliced bracket
 by construction, and for the packed one they are checked exhaustively, on
-its tables (`check_tables`).  Jacobi is then trilinear and alternating, so
+its tables (`check_tables`: the tables that were built, and alpha-homogeneity
+of the columns, on which the GF-coordinate path rests).  Jacobi is then
+trilinear and alternating, so
 the basis triples settle it for every triple, and no random triple is drawn.
 The sliced vectors carry no scalar product: the one identity that needs
 scalars, Frobenius homogeneity of the 2-map, is checked on its table of
@@ -48,11 +56,21 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidInput
-from .field import (GF, GF2, Subspace, Vec, alpha_map, alpha_multiples,
+from .field import (GF, GF2, Subspace, Vec, alpha_fold, alpha_map, alpha_multiples,
                     f2_apply, f2_eliminate, f2_reduce, full_space, pack_bits,
                     unpack_bits, vec_is_zero, zero_vec)
 
 MAX_DIM = 128
+# The field degree from which `packed_bracket` and `restricted.packed_square`
+# run per GF coordinate, on the nibble tables of the n GF columns ad(e_i)
+# only; below it they run per F2 bit, on the tables of all nk columns.
+# Microseconds per bracket / square on seeded lifts, per bit against per
+# coordinate, same process (2-vCPU Xeon VM): GF(4) gl2 0.9/1.1 against
+# 1.5/2.1, gl3 3.8/3.9 against 4.0/4.3; GF(8) gl2 1.8/2.0 against 2.2/2.7,
+# sl3 5.8/6.0 against 4.7/5.1, gl3 7.6/7.7 against 6.0/5.7; GF(16) gl3
+# 14.5/14.5 against 9.3/8.3.  From GF(8) up the n columns' tables are also
+# k times smaller than the nk columns' tables.
+COORDINATE_DEGREE = 3
 
 
 def check_dim(dim: int) -> None:
@@ -64,7 +82,8 @@ def check_dim(dim: int) -> None:
 class LieAlgebra:
     """Finite-dimensional algebra with an alternating bracket in char 2."""
 
-    __slots__ = ("gf", "dim", "name", "labels", "table", "_ad", "_nib", "_tables_ok")
+    __slots__ = ("gf", "dim", "name", "labels", "table", "_ad", "_nib", "_tables_ok",
+                 "plane_fold")
 
     def __init__(self, gf: GF, dim: int, table: Dict[Tuple[int, int], Sequence[int]],
                  name: str = "", labels: Optional[Sequence[str]] = None):
@@ -90,6 +109,8 @@ class LieAlgebra:
         self._ad = None
         self._nib = None
         self._tables_ok = False
+        # sum_a alpha^a planes[a] when brackets run per GF coordinate, else None
+        self.plane_fold = alpha_fold(gf, dim) if gf.degree >= COORDINATE_DEGREE else None
 
     @property
     def ad_columns(self) -> List[List[int]]:
@@ -109,15 +130,40 @@ class LieAlgebra:
         return self._ad
 
     @property
+    def table_step(self) -> int:
+        """The stride of the tabled columns: k when brackets run per GF
+        coordinate (degree k >= COORDINATE_DEGREE), else 1."""
+        return 1 if self.plane_fold is None else self.gf.degree
+
+    @property
     def ad_nibbles(self) -> List[List[Tuple[int, List[int]]]]:
-        """nibble_tables(ad_columns[m]) for every m; built on first use."""
+        """nibble_tables(ad_columns[m]) for m = 0, s, 2s, ... below nk, s =
+        `table_step`: every column, or the n GF columns ad(e_i); built on
+        first use."""
         if self._nib is None:
-            self._nib = [nibble_tables(col) for col in self.ad_columns]
+            self._nib = [nibble_tables(col) for col in self.ad_columns[::self.table_step]]
         return self._nib
 
     def packed_bracket(self, px: int, py: int) -> int:
-        """[x, y] of packed vectors: the sum of [x, f_m] over the bits m of y."""
-        nib = self.ad_nibbles
+        """[x, y] of packed vectors.  Per F2 bit, the sum of [x, f_m] over
+        the bits m of y.  Per GF coordinate, sum_i y_i [x, e_i]: [x, e_i]
+        is added into plane a for each bit a of y_i, and `plane_fold`
+        multiplies plane a by alpha^a."""
+        nib, fold = self.ad_nibbles, self.plane_fold
+        if fold is not None:
+            k = self.gf.degree
+            mask, planes = (1 << k) - 1, [0] * k
+            for tables in nib:
+                if not py:
+                    break
+                c, py = py & mask, py >> k
+                if c:
+                    t = 0
+                    for shift, table in tables:
+                        t ^= table[px >> shift & 15]
+                    for a in BYTE_BITS[c] if c < 256 else coefficient_bits(c):
+                        planes[a] ^= t
+            return fold(planes)
         out = 0
         while py:
             low = py & -py
@@ -156,7 +202,9 @@ def validate_lie(alg: LieAlgebra, random_checks: int = 200, seed: int = 0) -> Va
     J(x, y, z) = [[x, y], z] + [[y, z], x] + [[z, x], y] is GF-trilinear and
     alternating, and vanishes everywhere once it vanishes on the triples
     i < j < k.  `packed_bracket` is alternating and bilinear by
-    `check_tables` (checked exhaustively on its tables), and every sample's
+    `check_tables` (checked exhaustively on its tables; per GF coordinate
+    these are the tables of the GF columns ad(e_i), and the other columns
+    follow from them by alpha-homogeneity, also checked), and every sample's
     [x, y] is compared with it, so a fault in packed_bracket itself shows
     too.  With random_checks=0 only the basis triples are checked, and no
     nibble tables are built.
@@ -213,16 +261,28 @@ def _packed_fault(alg: LieAlgebra, pairs: Sequence[Tuple[int, int]],
 
 def check_tables(alg: LieAlgebra) -> None:
     """Check, on every input, that `packed_bracket` is alternating and
-    bilinear: ad_columns is symmetric with a zero diagonal, and the nibble
-    tables of each column are `nibble_tables` of it, so that every entry is
-    the sum of the chunk's columns that its chunk value picks.  Both tables
-    are built once per object, so a passed check is not repeated."""
+    bilinear with ad_columns[m][l] = [f_l, f_m]: ad_columns is symmetric
+    with a zero diagonal; it is alpha-homogeneous, ad_columns[ik + a] =
+    alpha ad_columns[ik + a - 1] entry by entry; and the nibble tables that
+    were built are `nibble_tables` of their columns, so that every entry is
+    the sum of the chunk's columns that its chunk value picks.
+
+    Per F2 bit, packed_bracket(x, y) is then the sum of ad_columns[m][l]
+    over the bits l of x and m of y.  Per GF coordinate it reads only the
+    GF columns ik, and adds alpha^a ad_columns[ik][l] for bits l of x and
+    ik + a of y, which is ad_columns[ik + a][l] by alpha-homogeneity: the
+    same sum.  Both tables are built once per object, so a passed check is
+    not repeated."""
     if alg._tables_ok:
         return
-    ad = alg.ad_columns
+    ad, k = alg.ad_columns, alg.gf.degree
     if any(col[m] for m, col in enumerate(ad)) or list(zip(*ad)) != list(map(tuple, ad)):
         raise InternalInconsistency("bracket is not alternating")
-    if any(chunks != nibble_tables(col) for col, chunks in zip(ad, alg.ad_nibbles)):
+    times_alpha = alpha_map(alg.gf, alg.dim)
+    if any(ad[m] != list(map(times_alpha, ad[m - 1])) for m in range(len(ad)) if m % k):
+        raise InternalInconsistency("bracket is not GF-bilinear")
+    if any(chunks != nibble_tables(col)
+           for col, chunks in zip(ad[::alg.table_step], alg.ad_nibbles)):
         raise InternalInconsistency("bracket is not bilinear")
     alg._tables_ok = True
 
@@ -493,6 +553,14 @@ def bit_positions(x: int) -> List[int]:
         out.append(low.bit_length() - 1)
         x ^= low
     return out
+
+
+BYTE_BITS = [tuple(bit_positions(b)) for b in range(256)]  # the set bits of each byte
+
+
+def coefficient_bits(c: int) -> Tuple[int, ...]:
+    """The set bits of a GF(2^k) coordinate c < 2^16, through `BYTE_BITS`."""
+    return BYTE_BITS[c & 255] + tuple(a + 8 for a in BYTE_BITS[c >> 8])
 
 
 class SlicedBracket:

@@ -3,7 +3,10 @@
 A 2-map is determined by its basis images: on a general vector it expands
 quadratically, squares of coordinates on the basis images plus the mixed
 bracket terms; this runs on the F2 restriction of scalars (see `liealg`)
-with packed basis squares f_{ik+a}^[2] = alpha^(2a) e_i^[2].  The key exact
+with packed basis squares f_{ik+a}^[2] = alpha^(2a) e_i^[2], bit by bit
+below `liealg.COORDINATE_DEGREE` and from it per GF coordinate, by
+Jacobson's formula x^[2] = sum_j x_j^2 e_j^[2] + sum_j x_j [x_<j, e_j] on
+the nibble tables of the GF columns ad(e_j) (`packed_square`).  The key exact
 subroutines here are synthesis of a 2-map from the bracket alone (one
 elimination of y -> ([y, e_l])_l gives the center and solves every
 ad(y) = ad(e_i)^2, or names the first basis element with no solution) and
@@ -37,8 +40,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .errors import InternalInconsistency, InvalidInput
 from .field import (Subspace, Vec, alpha_map, alpha_multiples, f2_apply, f2_solver,
                     pack_bits, unpack_bits)
-from .liealg import (LieAlgebra, SlicedBracket, ad_kernel, check_tables, lane_batches,
-                     nibble_apply)
+from .liealg import (BYTE_BITS, LieAlgebra, SlicedBracket, ad_kernel, check_tables,
+                     coefficient_bits, lane_batches, nibble_apply)
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,33 @@ class RestrictedAlgebra:
 
 
 def packed_square(ra: RestrictedAlgebra, x: int) -> int:
-    """x^[2] of a packed vector via quadratic expansion: bit by bit, x^[2]
-    gains f_m^[2] + [y, f_m] with y the bits below m."""
-    nib, squares = ra.algebra.ad_nibbles, ra.squares
+    """x^[2] of a packed vector via quadratic expansion.  Per F2 bit, x^[2]
+    gains f_m^[2] + [y, f_m] for each bit m of x, y the bits below m.  Per
+    GF coordinate, by Jacobson's formula, x^[2] = sum_j x_j^2 e_j^[2] +
+    sum_j x_j [x_<j, e_j], x_<j the coordinates below j: each bit a of x_j
+    adds squares[jk + a] = alpha^(2a) e_j^[2], and adds [x_<j, e_j] into
+    plane a, as `LieAlgebra.packed_bracket` does."""
+    alg = ra.algebra
+    nib, fold, squares = alg.ad_nibbles, alg.plane_fold, ra.squares
     out = seen = 0
+    if fold is not None:
+        k = alg.gf.degree
+        mask, planes = (1 << k) - 1, [0] * k
+        for base, tables in zip(range(0, len(squares), k), nib):
+            if not x:
+                break
+            c, x = x & mask, x >> k
+            if c:
+                t = 0
+                for shift, table in tables:
+                    if shift >= base:  # seen has no bits from base up
+                        break
+                    t ^= table[seen >> shift & 15]
+                seen |= c << base
+                for a in BYTE_BITS[c] if c < 256 else coefficient_bits(c):
+                    out ^= squares[base + a]
+                    planes[a] ^= t
+        return out ^ fold(planes)
     while x:
         low = x & -x
         m = low.bit_length() - 1
@@ -174,9 +200,11 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
     """
     alg = ra.algebra
     n, k = alg.dim, alg.gf.degree
-    nib, ad, squares, basis = alg.ad_nibbles, alg.ad_columns, ra.squares, range(0, n * k, k)
+    ad, squares, basis = alg.ad_columns, ra.squares, range(0, n * k, k)
+    tables = alg.ad_nibbles[::k // alg.table_step]  # those of the GF columns ad(e_i)
     bad = [i for i, m in enumerate(basis)
-           if any(nibble_apply(nib[l], squares[m]) != f2_apply(ad[m], ad[m][l]) for l in basis)]
+           if any(nibble_apply(t, squares[m]) != f2_apply(ad[m], ad[m][l])
+                  for l, t in zip(basis, tables))]
     batches = lane_batches(random_checks)
     if bad or not batches:
         return RestrictedReport(not bad, bad, 0)

@@ -74,7 +74,7 @@ import numpy as np
 from .errors import (BudgetExceeded, DimensionTooLarge, InternalInconsistency,
                      InvalidInput)
 from .field import FIELD_CAVEAT, GF, GF2, gl_matrices, pack_bits
-from .liealg import (LieAlgebra, center, derived_series, is_simple,
+from .liealg import (LieAlgebra, center, derived_series, is_json_int, is_simple,
                      lower_central_series, validate_lie)
 from .restricted import RestrictedAlgebra, synthesize_two_map
 from .toruscartan import max_tori
@@ -115,6 +115,10 @@ class CensusSpec:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("dim", "field_degree", "sample_count", "seed", "threads"):
+            value = getattr(self, name)
+            if not (is_json_int(value) or name == "sample_count" and value is None):
+                raise InvalidInput(f"census {name} must be an integer, not {value!r}")
         if not 1 <= self.dim <= 6:
             raise InvalidInput("census covers dimensions 1 through 6")
         if not 1 <= self.field_degree <= 16:

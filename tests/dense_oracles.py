@@ -49,6 +49,13 @@ of the subspace.
 `caseanalysis.enumerate_gl_orbit_patterns` replaced: it canonicalizes
 every labelled pattern with `gl3_canonicalize_dims` and keeps each new one.
 
+`bracket_expansion` and `square_expansion` are the packed bracket and
+2-map square written over all nk F2 columns with no nibble table: [x, y]
+is the sum of `f2_apply(ad_columns[m], x)` over the bits m of y, and x^[2]
+the quadratic form sum_m x_m f_m^[2] + sum_{l<m} x_l x_m [f_l, f_m].  They
+check `packed_bracket` and `packed_square` on both sides of the degree
+from which those run per GF coordinate.
+
 `basis_vec`, `f2_ideal_rank` and `two_power` are small conveniences that
 only the tests use: a coordinate basis vector, the dimension of a packed
 ideal closure, and the iterated 2-map.  `jacobi_residual` is the scalar
@@ -64,12 +71,31 @@ import numpy as np
 from lie2.caseanalysis import DimPattern, enumerate_labeled_patterns, gl3_canonicalize_dims
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
 from lie2.field import (GF, GF2, Subspace, Vec, _invert_rows, alpha_map, alpha_multiples,
-                        f2_reduce, gl_matrices, pack_bits, unpack_bits, vec_add, vec_is_zero)
+                        f2_apply, f2_reduce, gl_matrices, pack_bits, unpack_bits, vec_add, vec_is_zero)
 from lie2.liealg import LieAlgebra, SimplicityReport, bit_positions, f2_ideal, transpose
 from lie2.restricted import RestrictedAlgebra, two_map_eval
 from lie2.search import (_add_terms, _census_planes, _jacobi_positions, _triple_terms,
                          bytes_from_words, pair_index, splitmix64_words)
 from lie2.toruscartan import SWEEP_BUDGET, Torus, TorusReport, _commutation_graph, _fixpoints
+
+
+def bracket_expansion(alg: LieAlgebra, x: int, y: int) -> int:
+    """[x, y] of packed vectors: sum of [x, f_m] over the bits m of y."""
+    out = 0
+    for m in bit_positions(y):
+        out ^= f2_apply(alg.ad_columns[m], x)
+    return out
+
+
+def square_expansion(ra: RestrictedAlgebra, x: int) -> int:
+    """x^[2] of a packed vector: the quadratic form over all nk columns."""
+    ad, bits = ra.algebra.ad_columns, bit_positions(x)
+    out = 0
+    for i, m in enumerate(bits):
+        out ^= ra.squares[m]
+        for l in bits[:i]:
+            out ^= ad[m][l]
+    return out
 
 
 def basis_vec(n: int, i: int) -> Vec:

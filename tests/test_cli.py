@@ -15,6 +15,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -391,6 +392,39 @@ def test_gl2_over_gf16_toral_commands_are_fast(tmp_path, capsys, command):
     assert code == 0 and err == ""
     assert ("torus: rank 2 (exhaustive)" if command == "decompose"
             else "toral rank lower bound: 2 (exhaustive, 273 fixpoints seen)") in out
+
+
+@pytest.fixture(scope="module")
+def wide_field_path(tmp_path_factory):
+    """strictly_upper(8) lifted to GF(2^16): dim 28, nk = 448 F2 columns."""
+    path = tmp_path_factory.mktemp("wide") / "su8_gf65536.json"
+    path.write_text(json.dumps(lifted_doc("strictly_upper(8)", 16, 1)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("extra,bound", [([], 1.5), (["--restricted"], 2.0)])
+def test_validate_wide_field_is_fast(wide_field_path, capsys, extra, bound):
+    """Brackets and squares per GF coordinate: the 200 and 100 spot checks
+    no longer pay for 448 F2 columns (1.9 and 2.5 s when they did)."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", wide_field_path, *extra)
+    assert time.perf_counter() - start < bound
+    assert code == 0 and err == ""
+    assert "randomized identity checks: 200" in out
+    assert ("restricted check (file two-map): ok" in out) == bool(extra)
+
+
+def test_validate_wide_field_is_small(wide_field_path, capsys):
+    """Nibble tables for the 28 GF columns only: the tracemalloc peak of
+    `validate --restricted` was 77 MB with tables for all 448 columns."""
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "validate", wide_field_path, "--restricted")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 30e6
 
 
 @pytest.mark.parametrize("command", ["decompose", "toral-rank"])

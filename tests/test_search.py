@@ -344,6 +344,17 @@ def test_spec_validation():
     CensusSpec(dim=3, sample_count=3000, seed=MASK64)
 
 
+@pytest.mark.parametrize("bad", [1.5, 3.0, True, False])
+@pytest.mark.parametrize("field", ["dim", "field_degree", "sample_count", "seed", "threads"])
+def test_spec_fields_must_be_integers(field, bad):
+    """A float or bool in any field is refused up front, not met later as a
+    TypeError in the sample stream (seed=1.5) or the table shifts (dim=3.0)."""
+    fields = {"dim": 3, "sample_count": 10, "seed": 1}
+    fields[field] = bad
+    with pytest.raises(InvalidInput, match=f"census {field} must be an integer"):
+        CensusSpec(**fields)
+
+
 def test_backend_flag(monkeypatch):
     monkeypatch.setenv("LIE2_BACKEND", "numpy")
     assert census_backend() == "numpy"

@@ -27,7 +27,9 @@ import pytest
 from lie2 import liealg, restricted
 from lie2.errors import InternalInconsistency
 from lie2.field import GF
-from lie2.liealg import (LANES, LieAlgebra, SlicedBracket, catalog, center, check_tables,
+from dense_oracles import bracket_expansion, square_expansion
+from lie2.liealg import (COORDINATE_DEGREE, LANES, LieAlgebra, SlicedBracket, catalog, center,
+                         check_tables,
                          from_json, lane_batches, transpose, validate_lie)
 from lie2.restricted import RestrictedAlgebra, packed_square, validate_restricted
 from test_reports_frozen import lifted_doc
@@ -245,6 +247,41 @@ def test_check_tables_runs_once_per_algebra(monkeypatch):
     assert len(rebuilt) == 2 * fresh.dim * fresh.gf.degree  # ad_nibbles, then the check
     check_tables(fresh)
     assert len(rebuilt) == 2 * fresh.dim * fresh.gf.degree
+
+
+def test_check_tables_names_broken_gf_bilinearity():
+    """Per GF coordinate, packed_bracket reads only the columns ad(e_i), and
+    takes ad_columns[ik + a] to be alpha^a ad(e_i).  Changing [f_l, f_{ik+1}]
+    and [f_{ik+1}, f_l] together keeps the columns symmetric and their nibble
+    tables (built after the change) consistent, and leaves every basis
+    triple alone; only the alpha-homogeneity check sees it."""
+    alg, _ = from_json(lifted_doc("gl3", 4, 3))
+    k, l = alg.gf.degree, 11
+    assert k >= COORDINATE_DEGREE
+    alg.ad_columns[1][l] ^= 1
+    alg.ad_columns[l][1] = alg.ad_columns[1][l]
+    assert validate_lie(alg, random_checks=0).ok
+    with pytest.raises(InternalInconsistency, match="not GF-bilinear"):
+        check_tables(alg)
+    with pytest.raises(InternalInconsistency, match="not GF-bilinear"):
+        validate_lie(alg)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 8, 16])
+def test_packed_ops_match_the_column_expansion(degree):
+    """packed_bracket and packed_square, per F2 bit below COORDINATE_DEGREE
+    and per GF coordinate from it, equal the expansion over all nk columns
+    that `dense_oracles` writes without nibble tables.  Tables are built for
+    every column below the cut and for the n GF columns from it."""
+    alg, two_map = from_json(lifted_doc("gl2" if degree == 16 else "gl3", degree, 3))
+    ra = RestrictedAlgebra(alg, two_map)
+    n, k = alg.dim, alg.gf.degree
+    rng = random.Random(f"expansion/{degree}")
+    for _ in range(20):
+        x, y = rng.getrandbits(n * k), rng.getrandbits(n * k)
+        assert alg.packed_bracket(x, y) == bracket_expansion(alg, x, y)
+        assert packed_square(ra, x) == square_expansion(ra, x)
+    assert len(alg.ad_nibbles) == (n if k >= COORDINATE_DEGREE else n * k)
 
 
 @pytest.mark.parametrize("extra,named", [
