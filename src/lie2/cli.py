@@ -210,6 +210,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_toral_rank(args) -> int:
+    if args.budget < 1:
+        raise InvalidInput(f"--budget must be at least 1, got {args.budget}")
     alg, two_map = _load_algebra(args.file)
     check_sweep_budget(alg, args.budget)
     ra, source = _checked_restricted("toral-rank", alg, two_map)

@@ -40,6 +40,12 @@ FIELD_CAVEAT = ("computed over GF(2^k), not an algebraic closure; "
                 "toral ranks are lower bounds and maximality is relative to this field")
 
 
+def is_json_int(x) -> bool:
+    """True for a JSON integer, an int that is not a bool (JSON true and
+    false); a plain type test, as `Subspace` runs it on every entry."""
+    return type(x) is int
+
+
 def _poly_mul(a: int, b: int) -> int:
     """Carry-less product of two binary polynomials."""
     r = 0
@@ -112,6 +118,8 @@ class GF:
     __slots__ = ("degree", "modulus", "order", "_tables")
 
     def __init__(self, degree: int):
+        if not is_json_int(degree):
+            raise InvalidInput(f"field degree {degree!r} is not an integer")
         self.degree = degree
         self.modulus = smallest_irreducible(degree)
         self.order = 1 << degree
@@ -134,7 +142,7 @@ class GF:
         return f"GF(2^{self.degree})"
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        if not is_json_int(a) or not 0 <= a < self.order:
             raise InvalidInput(f"{a!r} is not an element of {self!r}")
         return a
 
@@ -223,12 +231,13 @@ def alpha_fold(gf: GF, n: int) -> Callable[[Sequence[int]], int]:
     with the step of `alpha_map` written out (k - 1 steps for k planes)."""
     k, low = gf.degree, gf.modulus ^ gf.order
     top = sum(1 << (i * k + k - 1) for i in range(n))
-    keep = ~top
+    keep, shift = ~top, k - 1
 
     def fold(planes: Sequence[int]) -> int:
-        out = planes[-1]
-        for p in planes[-2::-1]:
-            out = ((out & keep) << 1) ^ ((out & top) >> (k - 1)) * low ^ p
+        rest = reversed(planes)
+        out = next(rest)
+        for p in rest:
+            out = ((out & keep) << 1) ^ ((out & top) >> shift) * low ^ p
         return out
     return fold
 
@@ -406,10 +415,13 @@ class Subspace:
     __slots__ = ("gf", "ambient", "echelon", "_lows", "_rows")
 
     def __init__(self, gf: GF, ambient: int, vectors: Iterable[Sequence[int]] = ()):
+        if not is_json_int(ambient):
+            raise InvalidInput(f"ambient dimension {ambient!r} is not an integer")
         k = gf.degree
         packed = []
         for v in vectors:
-            if len(v) != ambient or (v and not 0 <= min(v) <= max(v) < gf.order):
+            if len(v) != ambient or not all(map(is_json_int, v)) or \
+                    (v and not 0 <= min(v) <= max(v) < gf.order):
                 raise InvalidInput(f"{v!r} is not a vector of {ambient} elements of {gf!r}")
             packed.append(pack_bits(v, k))
         self.gf, self.ambient, self._rows = gf, ambient, None

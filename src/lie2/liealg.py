@@ -5,30 +5,30 @@ bracket symmetric ([x,y] = -[y,x] = [y,x]), so the i > j values are the same
 vectors and [x,x] = 0 holds automatically.  Everything downstream (series,
 ideals, simplicity, centralizers) reduces to exact linear algebra.
 
-Every bracket runs on the packed table of the restriction of scalars to F2:
-the nk-dimensional F2 algebra with basis f_{ik+a} = alpha^a e_i, alpha the
-class of x in GF(2^k).  A vector is one int with coordinate i in bits
-ik..ik+k-1 (`field.pack_bits`); over F2 bit i is coordinate i.
+Every bracket runs on the packed vectors of the restriction of scalars to
+F2: the nk-dimensional F2 algebra with basis f_{ik+a} = alpha^a e_i, alpha
+the class of x in GF(2^k).  A vector is one int with coordinate i in bits
+ik..ik+k-1 (`field.pack_bits`); over F2 bit i is coordinate i.  ad is
+stored once per basis vector, `ad_columns[i]` = ad(e_i) on packed vectors;
+the nk columns of the F2 restriction are its alpha multiples (`f2_columns`).
 
-ad(f_m) is applied through nibble tables (the Method of Four Russians): for
+ad(e_i) is applied through nibble tables (the Method of Four Russians): for
 each 4-bit chunk of the input whose four columns are not all zero, a table
-of the 16 images of that chunk, so [x, f_m] costs one lookup per such chunk
+of the 16 images of that chunk, so [x, e_i] costs one lookup per such chunk
 instead of one column per set bit of x.  An all-zero chunk stores nothing
 and costs nothing, so an abelian table brackets at the cost of its packing.
-The tables are built on first use.  Over GF(2^k) with k >= COORDINATE_DEGREE
-only the n GF columns ad(e_i) get tables, as in the M4RIE library
-(Albrecht, ISSAC 2012): [x, y] = sum_i y_i [x, e_i] is one table pass per
-coordinate of y, added into plane a for each bit a of y_i, and the k planes
-are folded with k - 1 multiplications by alpha; the 2-map square runs the
-same way (`restricted.packed_square`).  Below that degree every F2 column
-f_m gets a table and y is read bit by bit.  `validate_lie` checks the basis
-triples with `field.f2_apply`, one column per set bit, so a table that is
-only checked there (as the census checks its survivors) never pays for
-them; `f2_apply` also serves the ideal closure and `ad_kernel`
-(centralizers, root spaces and 2-map synthesis), whose kernels and
-closures are `Subspace`s directly.  The
-packed F2 core (`f2_apply`, `f2_reduce`, `f2_eliminate`) lives in `field`,
-and is imported here.
+The tables are built on first use.  [x, y] = sum_i y_i [x, e_i]: over F2
+one table pass per bit of y; over GF(2^k), as in the M4RIE library
+(Albrecht, ISSAC 2012), one pass per coordinate of y, added into plane a
+for each bit a of y_i, and the k planes are folded with k - 1
+multiplications by alpha; the 2-map square runs the same way
+(`restricted.packed_square`).  `validate_lie` checks the basis triples
+with `field.f2_apply`, one column per set bit, so a table that is only
+checked there (as the census checks its survivors) never pays for them;
+`f2_apply` also serves the ideal closure and `ad_kernel` (centralizers,
+root spaces and 2-map synthesis), whose kernels and closures are
+`Subspace`s directly.  The packed F2 core (`f2_apply`, `f2_reduce`,
+`f2_eliminate`) lives in `field`, and is imported here.
 
 The randomized checks of `validate_lie` and `restricted.validate_restricted`
 run bit-sliced (Biham's bitslicing, in the GF(2^k) layout of Boothby and
@@ -38,10 +38,10 @@ product of all samples is k ANDs of whole ints (`SlicedBracket`).  Each
 sample checks only what can still fail there: its [x, y] is compared with
 `packed_bracket`.  Alternation and bilinearity hold for the sliced bracket
 by construction, and for the packed one they are checked exhaustively, on
-its tables (`check_tables`: the tables that were built, and alpha-homogeneity
-of the columns, on which the GF-coordinate path rests).  Jacobi is then
-trilinear and alternating, so
-the basis triples settle it for every triple, and no random triple is drawn.
+its tables (`check_tables`: symmetry of the pair values, alpha-homogeneity
+of each column and the nibble tables).  Jacobi is then trilinear and
+alternating, so the basis triples settle it for every triple, and no
+random triple is drawn.
 The sliced vectors carry no scalar product: the one identity that needs
 scalars, Frobenius homogeneity of the 2-map, is checked on its table of
 basis squares.
@@ -57,23 +57,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InternalInconsistency, InvalidInput
 from .field import (GF, GF2, Subspace, Vec, alpha_fold, alpha_map, alpha_multiples,
-                    f2_apply, f2_eliminate, f2_reduce, full_space, pack_bits,
-                    unpack_bits, vec_is_zero, zero_vec)
+                    f2_apply, f2_eliminate, f2_reduce, full_space, is_json_int,
+                    pack_bits, unpack_bits, vec_is_zero, zero_vec)
 
 MAX_DIM = 128
-# The field degree from which `packed_bracket` and `restricted.packed_square`
-# run per GF coordinate, on the nibble tables of the n GF columns ad(e_i)
-# only; below it they run per F2 bit, on the tables of all nk columns.
-# Microseconds per bracket / square on seeded lifts, per bit against per
-# coordinate, same process (2-vCPU Xeon VM): GF(4) gl2 0.9/1.1 against
-# 1.5/2.1, gl3 3.8/3.9 against 4.0/4.3; GF(8) gl2 1.8/2.0 against 2.2/2.7,
-# sl3 5.8/6.0 against 4.7/5.1, gl3 7.6/7.7 against 6.0/5.7; GF(16) gl3
-# 14.5/14.5 against 9.3/8.3.  From GF(8) up the n columns' tables are also
-# k times smaller than the nk columns' tables.
-COORDINATE_DEGREE = 3
 
 
 def check_dim(dim: int) -> None:
+    if not is_json_int(dim):
+        raise InvalidInput(f"algebra dimension {dim!r} is not an integer")
     if not 1 <= dim <= MAX_DIM:
         raise InvalidInput("algebra dimension must be positive" if dim < 1
                            else f"algebra dimension {dim} exceeds {MAX_DIM}")
@@ -90,7 +82,7 @@ class LieAlgebra:
         check_dim(dim)
         clean: Dict[Tuple[int, int], Vec] = {}
         for (i, j), v in table.items():
-            if not (0 <= i < j < dim):
+            if not (is_json_int(i) and is_json_int(j) and 0 <= i < j < dim):
                 raise InvalidInput(f"bad basis pair ({i},{j}) for dim {dim}")
             vv = tuple(v)
             if len(vv) != dim:
@@ -109,46 +101,34 @@ class LieAlgebra:
         self._ad = None
         self._nib = None
         self._tables_ok = False
-        # sum_a alpha^a planes[a] when brackets run per GF coordinate, else None
-        self.plane_fold = alpha_fold(gf, dim) if gf.degree >= COORDINATE_DEGREE else None
+        # sum_a alpha^a planes[a] over GF(2^k), k >= 2; None over F2
+        self.plane_fold = alpha_fold(gf, dim) if gf.degree > 1 else None
 
     @property
     def ad_columns(self) -> List[List[int]]:
-        """ad[m][l] is the packed [f_l, f_m] = alpha^(a+b) [e_i, e_j] of the
-        F2 restriction (m = ik+a, l = jk+b); built on first use."""
+        """ad[i][l] is the packed [f_l, e_i] = alpha^b [e_j, e_i] (l = jk +
+        b): column i is ad(e_i) on packed vectors; built on first use."""
         if self._ad is None:
-            k, nk = self.gf.degree, self.dim * self.gf.degree
-            times_alpha = alpha_map(self.gf, self.dim)
-            self._ad = ad = [[0] * nk for _ in range(nk)]
+            gf, n, k = self.gf, self.dim, self.gf.degree
+            self._ad = ad = [[0] * (n * k) for _ in range(n)]
             for (i, j), c in self.table.items():
-                p = pack_bits(c, k)
-                for s in range(2 * k - 1):  # p = alpha^s [e_i, e_j]
-                    for a in range(max(0, s - k + 1), min(s, k - 1) + 1):
-                        m, l = i * k + a, j * k + s - a
-                        ad[m][l] = ad[l][m] = p
-                    p = times_alpha(p)
+                for b, p in enumerate(alpha_multiples(gf, n, [pack_bits(c, k)])):
+                    ad[i][j * k + b] = ad[j][i * k + b] = p
         return self._ad
 
     @property
-    def table_step(self) -> int:
-        """The stride of the tabled columns: k when brackets run per GF
-        coordinate (degree k >= COORDINATE_DEGREE), else 1."""
-        return 1 if self.plane_fold is None else self.gf.degree
-
-    @property
     def ad_nibbles(self) -> List[List[Tuple[int, List[int]]]]:
-        """nibble_tables(ad_columns[m]) for m = 0, s, 2s, ... below nk, s =
-        `table_step`: every column, or the n GF columns ad(e_i); built on
+        """nibble_tables(ad_columns[i]) for each basis vector e_i; built on
         first use."""
         if self._nib is None:
-            self._nib = [nibble_tables(col) for col in self.ad_columns[::self.table_step]]
+            self._nib = [nibble_tables(col) for col in self.ad_columns]
         return self._nib
 
     def packed_bracket(self, px: int, py: int) -> int:
-        """[x, y] of packed vectors.  Per F2 bit, the sum of [x, f_m] over
-        the bits m of y.  Per GF coordinate, sum_i y_i [x, e_i]: [x, e_i]
-        is added into plane a for each bit a of y_i, and `plane_fold`
-        multiplies plane a by alpha^a."""
+        """[x, y] of packed vectors, sum_i y_i [x, e_i].  Over F2, the sum
+        of [x, e_i] over the bits i of y.  Over GF(2^k), [x, e_i] is added
+        into plane a for each bit a of y_i, and `plane_fold` multiplies
+        plane a by alpha^a."""
         nib, fold = self.ad_nibbles, self.plane_fold
         if fold is not None:
             k = self.gf.degree
@@ -183,6 +163,14 @@ class LieAlgebra:
         return f"{tag}(dim={self.dim}, {self.gf!r})"
 
 
+def f2_columns(alg: LieAlgebra) -> List[List[int]]:
+    """ad on the F2 restriction: entry l of column m = ik + a is the packed
+    [f_l, f_m] = alpha^a ad_columns[i][l]."""
+    k = alg.gf.degree
+    blocks = [alpha_multiples(alg.gf, alg.dim, col) for col in alg.ad_columns]
+    return [block[a::k] for block in blocks for a in range(k)]
+
+
 @dataclass
 class ValidationReport:
     ok: bool
@@ -202,24 +190,22 @@ def validate_lie(alg: LieAlgebra, random_checks: int = 200, seed: int = 0) -> Va
     J(x, y, z) = [[x, y], z] + [[y, z], x] + [[z, x], y] is GF-trilinear and
     alternating, and vanishes everywhere once it vanishes on the triples
     i < j < k.  `packed_bracket` is alternating and bilinear by
-    `check_tables` (checked exhaustively on its tables; per GF coordinate
-    these are the tables of the GF columns ad(e_i), and the other columns
-    follow from them by alpha-homogeneity, also checked), and every sample's
-    [x, y] is compared with it, so a fault in packed_bracket itself shows
-    too.  With random_checks=0 only the basis triples are checked, and no
-    nibble tables are built.
+    `check_tables` (checked exhaustively on the columns ad(e_i) and their
+    tables), and every sample's [x, y] is compared with it, so a fault in
+    packed_bracket itself shows too.  With random_checks=0 only the basis
+    triples are checked, and no nibble tables are built.
     """
     n, w = alg.dim, alg.gf.degree
-    # ad[k w] is ad(e_k) on packed vectors and ad[i w][j w] is [e_i, e_j]
+    # ad[k] is ad(e_k) on packed vectors and ad[i][j w] is [e_j, e_i]
     ad = alg.ad_columns
     failures = []
     count = 0
     for i in range(n):
-        adi = ad[i * w]
+        adi = ad[i]
         for j in range(i + 1, n):
-            adj, bij = ad[j * w], adi[j * w]
+            adj, bij = ad[j], adi[j * w]
             for k in range(j + 1, n):
-                adk = ad[k * w]
+                adk = ad[k]
                 r = (f2_apply(adk, bij) ^ f2_apply(adi, adj[k * w])
                      ^ f2_apply(adj, adk[i * w]))
                 count += 1
@@ -261,28 +247,27 @@ def _packed_fault(alg: LieAlgebra, pairs: Sequence[Tuple[int, int]],
 
 def check_tables(alg: LieAlgebra) -> None:
     """Check, on every input, that `packed_bracket` is alternating and
-    bilinear with ad_columns[m][l] = [f_l, f_m]: ad_columns is symmetric
-    with a zero diagonal; it is alpha-homogeneous, ad_columns[ik + a] =
-    alpha ad_columns[ik + a - 1] entry by entry; and the nibble tables that
-    were built are `nibble_tables` of their columns, so that every entry is
-    the sum of the chunk's columns that its chunk value picks.
+    bilinear with ad_columns[i][l] = [f_l, e_i]: the n^2 pair values
+    ad_columns[i][jk] = [e_j, e_i] are symmetric with a zero diagonal; the
+    n nk entries are alpha-homogeneous, ad_columns[i][jk + b] = alpha
+    ad_columns[i][jk + b - 1]; and the nibble tables are `nibble_tables` of
+    their columns, so that every entry is the sum of the chunk's columns
+    that its chunk value picks.
 
-    Per F2 bit, packed_bracket(x, y) is then the sum of ad_columns[m][l]
-    over the bits l of x and m of y.  Per GF coordinate it reads only the
-    GF columns ik, and adds alpha^a ad_columns[ik][l] for bits l of x and
-    ik + a of y, which is ad_columns[ik + a][l] by alpha-homogeneity: the
-    same sum.  Both tables are built once per object, so a passed check is
-    not repeated."""
+    [x, e_i], the sum of ad_columns[i][l] over the bits l of x, is then
+    GF-linear in x, so packed_bracket(x, y) = sum_i y_i [x, e_i] is
+    GF-bilinear, and alternating as it is on the basis.  Both tables are
+    built once per object, so a passed check is not repeated."""
     if alg._tables_ok:
         return
     ad, k = alg.ad_columns, alg.gf.degree
-    if any(col[m] for m, col in enumerate(ad)) or list(zip(*ad)) != list(map(tuple, ad)):
+    pairs = [col[::k] for col in ad]  # pairs[i][j] = [e_j, e_i]
+    if any(row[i] for i, row in enumerate(pairs)) or list(zip(*pairs)) != list(map(tuple, pairs)):
         raise InternalInconsistency("bracket is not alternating")
     times_alpha = alpha_map(alg.gf, alg.dim)
-    if any(ad[m] != list(map(times_alpha, ad[m - 1])) for m in range(len(ad)) if m % k):
+    if any(col[l] != times_alpha(col[l - 1]) for col in ad for l in range(len(col)) if l % k):
         raise InternalInconsistency("bracket is not GF-bilinear")
-    if any(chunks != nibble_tables(col)
-           for col, chunks in zip(ad[::alg.table_step], alg.ad_nibbles)):
+    if any(chunks != nibble_tables(col) for col, chunks in zip(ad, alg.ad_nibbles)):
         raise InternalInconsistency("bracket is not bilinear")
     alg._tables_ok = True
 
@@ -349,9 +334,8 @@ def ideal_closure(alg: LieAlgebra, seed: Subspace | Sequence[int]) -> Subspace:
     under the GF columns ad(e_i)."""
     if not isinstance(seed, Subspace):
         seed = Subspace(alg.gf, alg.dim, [seed])
-    k = alg.gf.degree
-    return Subspace.restriction(alg.gf, alg.dim,
-                                f2_ideal(alg.ad_columns[::k], alg.dim * k, seed.echelon))
+    nk = alg.dim * alg.gf.degree
+    return Subspace.restriction(alg.gf, alg.dim, f2_ideal(alg.ad_columns, nk, seed.echelon))
 
 
 def center(alg: LieAlgebra) -> Subspace:
@@ -366,10 +350,13 @@ def centralizer(alg: LieAlgebra, s: Subspace) -> Subspace:
 
 def bracket_columns(alg: LieAlgebra, rows: Sequence[int]) -> List[int]:
     """Packed columns of x -> ([r_j, x])_j for packed r_j, block j at bit
-    j nk: the part of every `ad_kernel` map that does not depend on lam."""
-    nk = alg.dim * alg.gf.degree
-    return [sum(f2_apply(col, p) << (j * nk) for j, p in enumerate(rows))
-            for col in alg.ad_columns]
+    j nk: the part of every `ad_kernel` map that does not depend on lam.
+    Column ik + a is alpha^a times column ik, on n len(rows) coordinates."""
+    n = alg.dim
+    nk = n * alg.gf.degree
+    return alpha_multiples(alg.gf, n * len(rows),
+                           [sum(f2_apply(col, p) << (j * nk) for j, p in enumerate(rows))
+                            for col in alg.ad_columns])
 
 
 def ad_kernel(alg: LieAlgebra, rows: Sequence[int], lam: Sequence[int] = (),
@@ -417,7 +404,7 @@ def is_simple(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityReport:
     gf, n, q, k = alg.gf, alg.dim, alg.gf.order, alg.gf.degree
     if n < 2:
         return SimplicityReport(False, None, 0, "dimension below 2")
-    ad, nk = alg.ad_columns[::k], n * k
+    ad, nk = alg.ad_columns, n * k
     # the derived algebra is the ideal that the brackets [f_l, e_i] generate,
     # an alpha-closed span: alpha^b [e_j, e_i] for every b < k
     derived = f2_ideal(ad, nk, [v for col in ad for v in col])
@@ -496,7 +483,7 @@ def f2_ideal(ad: Sequence[Sequence[int]], n: int, seeds: Sequence[int]) -> List[
     columns ad: each new basis vector goes through every map, and what
     `f2_reduce` keeps joins it.
 
-    With ad the GF columns `ad_columns[::k]`, ad(e_i), this is the ideal the
+    With ad the GF columns `ad_columns`, ad(e_i), this is the ideal the
     seeds generate whenever their span S is closed under alpha: ad(e_i) is
     GF-linear, alpha [v, e_i] = [alpha v, e_i], so the span of the words
     ad(e_i1) ... ad(e_ir) s over s in S is closed under alpha too, hence
@@ -585,7 +572,7 @@ class SlicedBracket:
         self.repeat = sum(1 << (t * LANES) for t in range(k))
         self.pairs = list(alg.table)
         # the set bits ck + u of each pack [e_i, e_j], two bytes each
-        self.bits = [array("H", bit_positions(ad[i * k][j * k])) for i, j in self.pairs]
+        self.bits = [array("H", bit_positions(ad[i][j * k])) for i, j in self.pairs]
 
     def slices(self, vectors: Sequence[int], count: int = 1) -> List[List[int]]:
         """The count sliced vectors whose lanes are packed in vectors: lane l
@@ -820,11 +807,6 @@ def catalog(name: str) -> CatalogEntry:
 
 def _sparse_vec(v: Sequence[int]) -> List[List[int]]:
     return [[k, int(c)] for k, c in enumerate(v) if c]
-
-
-def is_json_int(x) -> bool:
-    """True for a JSON integer; JSON true and false do not count."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _dense_vec(pairs, dim: int, gf: GF) -> Vec:

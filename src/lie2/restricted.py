@@ -3,10 +3,10 @@
 A 2-map is determined by its basis images: on a general vector it expands
 quadratically, squares of coordinates on the basis images plus the mixed
 bracket terms; this runs on the F2 restriction of scalars (see `liealg`)
-with packed basis squares f_{ik+a}^[2] = alpha^(2a) e_i^[2], bit by bit
-below `liealg.COORDINATE_DEGREE` and from it per GF coordinate, by
-Jacobson's formula x^[2] = sum_j x_j^2 e_j^[2] + sum_j x_j [x_<j, e_j] on
-the nibble tables of the GF columns ad(e_j) (`packed_square`).  The key exact
+with packed basis squares f_{ik+a}^[2] = alpha^(2a) e_i^[2], by Jacobson's
+formula x^[2] = sum_j x_j^2 e_j^[2] + sum_j x_j [x_<j, e_j] on the nibble
+tables of the columns ad(e_j), bit by bit over F2 and per GF coordinate
+over GF(2^k), k >= 2 (`packed_square`).  The key exact
 subroutines here are synthesis of a 2-map from the bracket alone (one
 elimination of y -> ([y, e_l])_l gives the center and solves every
 ad(y) = ad(e_i)^2, or names the first basis element with no solution) and
@@ -67,9 +67,9 @@ class RestrictedAlgebra:
 
 
 def packed_square(ra: RestrictedAlgebra, x: int) -> int:
-    """x^[2] of a packed vector via quadratic expansion.  Per F2 bit, x^[2]
-    gains f_m^[2] + [y, f_m] for each bit m of x, y the bits below m.  Per
-    GF coordinate, by Jacobson's formula, x^[2] = sum_j x_j^2 e_j^[2] +
+    """x^[2] of a packed vector via quadratic expansion.  Over F2, x^[2]
+    gains e_m^[2] + [y, e_m] for each bit m of x, y the bits below m.  Over
+    GF(2^k), by Jacobson's formula, x^[2] = sum_j x_j^2 e_j^[2] +
     sum_j x_j [x_<j, e_j], x_<j the coordinates below j: each bit a of x_j
     adds squares[jk + a] = alpha^(2a) e_j^[2], and adds [x_<j, e_j] into
     plane a, as `LieAlgebra.packed_bracket` does."""
@@ -78,11 +78,11 @@ def packed_square(ra: RestrictedAlgebra, x: int) -> int:
     out = seen = 0
     if fold is not None:
         k = alg.gf.degree
-        mask, planes = (1 << k) - 1, [0] * k
-        for base, tables in zip(range(0, len(squares), k), nib):
+        mask, planes, base = (1 << k) - 1, [0] * k, -k
+        for tables in nib:
             if not x:
                 break
-            c, x = x & mask, x >> k
+            c, x, base = x & mask, x >> k, base + k  # c is coordinate base / k
             if c:
                 t = 0
                 for shift, table in tables:
@@ -180,8 +180,9 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
     randomized identities on random_checks random vectors, run lane-sliced
     in batches of up to LANES.
 
-    On the basis the identity is checked as [e_i^[2], f_l] = [e_i, [e_i,
-    f_l]], with ad(e_i) read off `ad_columns`.  Besides `check_tables`, the
+    On the basis the identity is checked as [e_i^[2], e_l] = [e_i, [e_i,
+    e_l]], with ad(e_i) read off `ad_columns` and ad(e_l) off its nibble
+    tables.  Besides `check_tables`, the
     table check is Frobenius homogeneity, squares[ik + a] = alpha^2
     squares[ik + a - 1]: with it, `packed_square` over the GF-bilinear
     `ad_columns` is sum c_i^2 e_i^[2] + sum_{i<j} c_i c_j [e_i, e_j] at
@@ -200,11 +201,10 @@ def validate_restricted(ra: RestrictedAlgebra, random_checks: int = 100,
     """
     alg = ra.algebra
     n, k = alg.dim, alg.gf.degree
-    ad, squares, basis = alg.ad_columns, ra.squares, range(0, n * k, k)
-    tables = alg.ad_nibbles[::k // alg.table_step]  # those of the GF columns ad(e_i)
-    bad = [i for i, m in enumerate(basis)
-           if any(nibble_apply(t, squares[m]) != f2_apply(ad[m], ad[m][l])
-                  for l, t in zip(basis, tables))]
+    squares = ra.squares
+    bad = [i for i, col in enumerate(alg.ad_columns)
+           if any(nibble_apply(t, squares[i * k]) != f2_apply(col, col[l * k])
+                  for l, t in enumerate(alg.ad_nibbles))]
     batches = lane_batches(random_checks)
     if bad or not batches:
         return RestrictedReport(not bad, bad, 0)
@@ -248,8 +248,8 @@ def synthesize_two_map(alg: LieAlgebra) -> SynthesisReport:
     each is reduced modulo the center to the least representative of its coset.
     """
     n, k = alg.dim, alg.gf.degree
-    ad, basis = alg.ad_columns, range(0, n * k, k)
-    rhs = [sum(f2_apply(ad[i], ad[i][l]) << (l * n) for l in basis) for i in basis]
+    basis = range(0, n * k, k)  # the bits of the packed e_l
+    rhs = [sum(f2_apply(col, col[l]) << (l * n) for l in basis) for col in alg.ad_columns]
     cen, solutions = ad_kernel(alg, [1 << l for l in basis], rhs=rhs)
     images = []
     for i, y in enumerate(solutions):

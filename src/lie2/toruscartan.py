@@ -50,7 +50,8 @@ from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
 from .field import (FIELD_CAVEAT, Subspace, Vec, alpha_map, alpha_multiples, f2_apply,
                     f2_eliminate, f2_reduce, f2_residue, f2_solver, pack_bits, unpack_bits)
 from .liealg import (LieAlgebra, _series, ad_kernel, bit_positions, bracket_columns,
-                     centralizer, nibble_apply, nibble_tables, subspace_bracket, transpose)
+                     centralizer, f2_columns, nibble_apply, nibble_tables, subspace_bracket,
+                     transpose)
 from .restricted import RestrictedAlgebra, packed_square, square_columns, torus_part
 
 SWEEP_BUDGET = 1 << 20  # default bound on the vectors of a whole-space sweep
@@ -108,7 +109,7 @@ def _fixpoints(ra: RestrictedAlgebra, budget: int) -> List[int]:
     tables of X_0 .. X_(c-1) and the all-ones table, so memory is O(nk 2^c)
     bits at any budget, and the blocks come out in ascending order."""
     check_sweep_budget(ra.algebra, budget)
-    ad, squares = ra.algebra.ad_columns, ra.squares
+    ad, squares = f2_columns(ra.algebra), ra.squares
     d = len(squares)
     c = min(d, BLOCK_BITS)
     cols = _truth_columns(c)
@@ -229,7 +230,7 @@ def _commutation_graph(alg, items: Sequence[int], planes: Sequence[int]) -> List
     """Bit j of row i is set when packed fixpoints i and j commute (i != j).
 
     W[l][r], the set of j with bit r of [f_l, items[j]] set, is the XOR of
-    planes[m] over the m where [f_l, f_m] = ad_columns[l][m] has bit r.  Bit
+    planes[m] over the m where [f_l, f_m] = f2_columns[l][m] has bit r.  Bit
     r of [x, y] is the XOR of bit r of [f_l, y] over the bits l of x, so the
     j that do not commute with x = items[i] are OR_r XOR_{l in x} W[l][r].
     W[l] is packed into one int, slot r of it holding W[l][r]; the XOR over
@@ -239,7 +240,7 @@ def _commutation_graph(alg, items: Sequence[int], planes: Sequence[int]) -> List
     m = len(items)
     size = (m + 7) // 8
     packed = []
-    for col in alg.ad_columns:
+    for col in f2_columns(alg):
         w = [0] * len(planes)
         for b, plane in zip(col, planes):
             if b and plane:

@@ -49,12 +49,15 @@ of the subspace.
 `caseanalysis.enumerate_gl_orbit_patterns` replaced: it canonicalizes
 every labelled pattern with `gl3_canonicalize_dims` and keeps each new one.
 
-`bracket_expansion` and `square_expansion` are the packed bracket and
-2-map square written over all nk F2 columns with no nibble table: [x, y]
-is the sum of `f2_apply(ad_columns[m], x)` over the bits m of y, and x^[2]
-the quadratic form sum_m x_m f_m^[2] + sum_{l<m} x_l x_m [f_l, f_m].  They
-check `packed_bracket` and `packed_square` on both sides of the degree
-from which those run per GF coordinate.
+`restriction_columns` is the nk x nk table of ad on the F2 restriction,
+entry (m, l) the packed [f_l, f_m], built pair value by pair value as
+`LieAlgebra.ad_columns` once stored it; `liealg.f2_columns` is checked
+against it.  `bracket_expansion` and `square_expansion` are the packed
+bracket and 2-map square written over all nk F2 columns (`f2_columns`)
+with no nibble table: [x, y] is the sum of `f2_apply(f2_columns[m], x)`
+over the bits m of y, and x^[2] the quadratic form sum_m x_m f_m^[2] +
+sum_{l<m} x_l x_m [f_l, f_m].  They check `packed_bracket` and
+`packed_square`, bit by bit over F2 and per GF coordinate above it.
 
 `basis_vec`, `f2_ideal_rank` and `two_power` are small conveniences that
 only the tests use: a coordinate basis vector, the dimension of a packed
@@ -72,24 +75,42 @@ from lie2.caseanalysis import DimPattern, enumerate_labeled_patterns, gl3_canoni
 from lie2.errors import BudgetExceeded, NotTwoMapClosed
 from lie2.field import (GF, GF2, Subspace, Vec, _invert_rows, alpha_map, alpha_multiples,
                         f2_apply, f2_reduce, gl_matrices, pack_bits, unpack_bits, vec_add, vec_is_zero)
-from lie2.liealg import LieAlgebra, SimplicityReport, bit_positions, f2_ideal, transpose
+from lie2.liealg import (LieAlgebra, SimplicityReport, bit_positions, f2_columns, f2_ideal,
+                         transpose)
 from lie2.restricted import RestrictedAlgebra, two_map_eval
 from lie2.search import (_add_terms, _census_planes, _jacobi_positions, _triple_terms,
                          bytes_from_words, pair_index, splitmix64_words)
 from lie2.toruscartan import SWEEP_BUDGET, Torus, TorusReport, _commutation_graph, _fixpoints
 
 
+def restriction_columns(alg: LieAlgebra) -> list:
+    """ad[m][l] is the packed [f_l, f_m] = alpha^(a+b) [e_i, e_j] of the
+    F2 restriction (m = ik+a, l = jk+b)."""
+    k, nk = alg.gf.degree, alg.dim * alg.gf.degree
+    times_alpha = alpha_map(alg.gf, alg.dim)
+    ad = [[0] * nk for _ in range(nk)]
+    for (i, j), c in alg.table.items():
+        p = pack_bits(c, k)
+        for s in range(2 * k - 1):  # p = alpha^s [e_i, e_j]
+            for a in range(max(0, s - k + 1), min(s, k - 1) + 1):
+                m, l = i * k + a, j * k + s - a
+                ad[m][l] = ad[l][m] = p
+            p = times_alpha(p)
+    return ad
+
+
 def bracket_expansion(alg: LieAlgebra, x: int, y: int) -> int:
     """[x, y] of packed vectors: sum of [x, f_m] over the bits m of y."""
+    ad = f2_columns(alg)
     out = 0
     for m in bit_positions(y):
-        out ^= f2_apply(alg.ad_columns[m], x)
+        out ^= f2_apply(ad[m], x)
     return out
 
 
 def square_expansion(ra: RestrictedAlgebra, x: int) -> int:
     """x^[2] of a packed vector: the quadratic form over all nk columns."""
-    ad, bits = ra.algebra.ad_columns, bit_positions(x)
+    ad, bits = f2_columns(ra.algebra), bit_positions(x)
     out = 0
     for i, m in enumerate(bits):
         out ^= ra.squares[m]
@@ -215,7 +236,7 @@ def square_sweep(ra: RestrictedAlgebra) -> Iterator[Tuple[int, int]]:
     bits each, to which flipping m adds [f_m, f_j]."""
     squares = ra.squares
     d = len(squares)
-    flips = [sum(c << (j * d) for j, c in enumerate(col)) for col in ra.algebra.ad_columns]
+    flips = [sum(c << (j * d) for j, c in enumerate(col)) for col in f2_columns(ra.algebra)]
     mask = (1 << d) - 1
     x = square = brackets = 0
     yield x, square
@@ -478,7 +499,7 @@ def is_simple_full_sweep(alg: LieAlgebra, budget: int = 1 << 20) -> SimplicityRe
     gf, n, q, k = alg.gf, alg.dim, alg.gf.order, alg.gf.degree
     if n < 2:
         return SimplicityReport(False, None, 0, "dimension below 2")
-    ad, nk = alg.ad_columns[::k], n * k
+    ad, nk = alg.ad_columns, n * k
     derived = f2_ideal(ad, nk, [v for col in ad for v in col])
     if not derived:
         return SimplicityReport(False, None, 0, "abelian")

@@ -499,6 +499,16 @@ def test_toral_rank_budget_exits_three(tmp_path, capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_toral_rank_budget_below_one_is_invalid_input(tmp_path, capsys, budget):
+    """A sweep budget below 1 admits no sweep at all: the option is
+    malformed, not exceeded."""
+    path = write_fixture(tmp_path, "sl3")
+    code, out, err = run(capsys, "toral-rank", path, "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == f"invalid input: --budget must be at least 1, got {budget}\n"
+
+
 def test_toral_rank_small_budget_stays_exhaustive(tmp_path, capsys):
     """--budget 512 admits gl3's 2^9-vector sweep and bounds the torus
     search to 512 nodes; it needs 45 coset-minimal ones, so it stays

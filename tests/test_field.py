@@ -190,6 +190,24 @@ def test_degree_bounds():
         GF(17)
 
 
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_field_degree_must_be_an_integer(bad):
+    with pytest.raises(InvalidInput, match="field degree .* is not an integer"):
+        GF(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_subspace_entries_must_be_integers(bad):
+    with pytest.raises(InvalidInput, match="is not a vector of 3 elements"):
+        Subspace(GF2, 3, [(bad, 0, 1)])
+
+
+@pytest.mark.parametrize("bad", [3.0, True])
+def test_subspace_ambient_must_be_an_integer(bad):
+    with pytest.raises(InvalidInput, match="ambient dimension .* is not an integer"):
+        Subspace(GF2, bad, [(1, 0, 1)])
+
+
 def test_pack_unpack_roundtrip():
     rng = random.Random(1)
     for _ in range(50):

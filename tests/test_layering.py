@@ -8,10 +8,16 @@ stands beside them, under `cli`, and needs no algebra layer, and
 routines it is built on.  `cli` takes from `errors` only `InvalidInput`,
 which it raises, and `Lie2Error`, whose one handler reads the exit code and
 label off the raised class.
+
+The README names the library functions that no module of the package
+calls; the calls are read with `ast` too, and the list must stay exact.
 """
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 from typing import Dict, Set
 
@@ -24,6 +30,7 @@ TORUSCARTAN_FROM_RESTRICTED = {"RestrictedAlgebra", "packed_square", "square_col
                                "torus_part"}
 # exit codes and labels live on the error classes, not in tuples in `cli`
 CLI_FROM_ERRORS = {"InvalidInput", "Lie2Error"}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def package_imports() -> Dict[str, Dict[str, Set[str]]]:
@@ -63,3 +70,32 @@ def test_toruscartan_takes_only_the_torus_routines_of_restricted():
 
 def test_cli_maps_no_error_class_itself():
     assert package_imports()["cli"]["errors"] <= CLI_FROM_ERRORS
+
+
+def called_names() -> Set[str]:
+    """The names that some call in the package calls, as f(...) or x.f(...)."""
+    out: Set[str] = set()
+    for path in Path(lie2.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                out.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", ""))
+    return out
+
+
+def test_readme_names_every_public_function_without_a_caller():
+    """The public names of `lie2` (its imports and the lazy census names)
+    and the names of the README sentence, `module.name` each: the functions
+    among them that no module calls are exactly the names of that sentence."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Library functions without a caller inside the package .*?\.(?= )",
+                         text).group(0)
+    listed = re.findall(r"`(\w+)\.(\w+)`", sentence)
+    init = ast.parse(Path(lie2.__file__).read_text())
+    public = {a.name for node in init.body if isinstance(node, ast.ImportFrom)  # module level
+              for a in node.names} | lie2._LAZY
+    found = {name: getattr(lie2, name) for name in public - {"annotations"}}
+    found.update((name, getattr(importlib.import_module(f"lie2.{mod}"), name))
+                 for mod, name in listed)
+    uncalled = {name for name, obj in found.items() if inspect.isfunction(obj)} - called_names()
+    assert uncalled == {name for _, name in listed}

@@ -342,6 +342,18 @@ def test_json_roundtrip_all_catalog():
         assert alg3.table == alg2.table
 
 
+@pytest.mark.parametrize("bad", [3.0, True])
+def test_algebra_dimension_must_be_an_integer(bad):
+    with pytest.raises(InvalidInput, match="algebra dimension .* is not an integer"):
+        LieAlgebra(GF2, bad, {})
+
+
+@pytest.mark.parametrize("bad", [0.0, False])
+def test_algebra_pair_indices_must_be_integers(bad):
+    with pytest.raises(InvalidInput, match="bad basis pair"):
+        LieAlgebra(GF2, 3, {(bad, 1): (1, 0, 0)})
+
+
 def test_from_json_rejects_bad_documents():
     good = to_json(catalog("o3").algebra)
     with pytest.raises(InvalidInput):

@@ -26,8 +26,8 @@ import pytest
 from lie2.errors import Lie2Error
 from lie2.field import (GF, Subspace, alpha_multiples, f2_apply, f2_eliminate, full_space,
                         vec_add)
-from lie2.liealg import (LieAlgebra, catalog, center, centralizer, f2_ideal, from_json,
-                         ideal_closure, is_simple, nibble_apply, nibble_tables)
+from lie2.liealg import (LieAlgebra, catalog, center, centralizer, f2_columns, f2_ideal,
+                         from_json, ideal_closure, is_simple, nibble_apply, nibble_tables)
 from lie2.restricted import (RestrictedAlgebra, synthesize_two_map,
                              two_map_eval, validate_restricted)
 from lie2.toruscartan import Torus, max_tori, toral_elements, weight_decompose
@@ -167,6 +167,7 @@ def test_centralizer_and_center_match_dense_kernels(name, degree):
     full = full_space(gf, n)
     expect = dense_kernel(alg, [dense_ad(alg, r) for r in full.rows])
     assert centralizer(alg, full) == expect == center(alg)
+    assert centralizer(alg, Subspace(gf, n)) == full  # no rows to bracket with
     rng = random.Random(f"{name}/{degree}/centralizer")
     for r in range(n + 1):
         s = Subspace(gf, n, [rand_vec(rng, alg) for _ in range(r)])
@@ -345,12 +346,12 @@ def test_ideal_closure_under_gf_columns_is_the_f2_closure(name, degree):
     gf, n, ad = alg.gf, alg.dim, alg.ad_columns
     nk = n * degree
     rng = random.Random(f"{name}/{degree}/ideal")
-    seed_sets = [[v for col in ad[::degree] for v in col]]
+    seed_sets = [[v for col in ad for v in col]]
     seed_sets += [alpha_multiples(gf, n, [rng.getrandbits(nk) for _ in range(m)])
                   for m in (1, 1, 1, 2, 2)]
     for seeds in seed_sets:
-        whole = f2_ideal(ad, nk, seeds)
-        gf_cols = f2_ideal(ad[::degree], nk, seeds)
+        whole = f2_ideal(f2_columns(alg), nk, seeds)
+        gf_cols = f2_ideal(ad, nk, seeds)
         assert len(gf_cols) == len(whole) == len(f2_ideal([], nk, whole + gf_cols))
         assert ideal_closure(alg, Subspace.restriction(gf, n, seeds)) \
             == Subspace.restriction(gf, n, whole)

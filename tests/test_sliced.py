@@ -27,10 +27,9 @@ import pytest
 from lie2 import liealg, restricted
 from lie2.errors import InternalInconsistency
 from lie2.field import GF
-from dense_oracles import bracket_expansion, square_expansion
-from lie2.liealg import (COORDINATE_DEGREE, LANES, LieAlgebra, SlicedBracket, catalog, center,
-                         check_tables,
-                         from_json, lane_batches, transpose, validate_lie)
+from dense_oracles import bracket_expansion, restriction_columns, square_expansion
+from lie2.liealg import (LANES, LieAlgebra, SlicedBracket, catalog, center, check_tables,
+                         f2_columns, from_json, lane_batches, transpose, validate_lie)
 from lie2.restricted import RestrictedAlgebra, packed_square, validate_restricted
 from test_reports_frozen import lifted_doc
 
@@ -244,22 +243,26 @@ def test_check_tables_runs_once_per_algebra(monkeypatch):
     assert rebuilt == []
     fresh, _ = from_json(lifted_doc("gl2", 2, 3))
     check_tables(fresh)
-    assert len(rebuilt) == 2 * fresh.dim * fresh.gf.degree  # ad_nibbles, then the check
+    assert len(rebuilt) == 2 * fresh.dim  # ad_nibbles, then the check
     check_tables(fresh)
-    assert len(rebuilt) == 2 * fresh.dim * fresh.gf.degree
+    assert len(rebuilt) == 2 * fresh.dim
 
 
 def test_check_tables_names_broken_gf_bilinearity():
-    """Per GF coordinate, packed_bracket reads only the columns ad(e_i), and
-    takes ad_columns[ik + a] to be alpha^a ad(e_i).  Changing [f_l, f_{ik+1}]
-    and [f_{ik+1}, f_l] together keeps the columns symmetric and their nibble
-    tables (built after the change) consistent, and leaves every basis
-    triple alone; only the alpha-homogeneity check sees it."""
-    alg, _ = from_json(lifted_doc("gl3", 4, 3))
-    k, l = alg.gf.degree, 11
-    assert k >= COORDINATE_DEGREE
-    alg.ad_columns[1][l] ^= 1
-    alg.ad_columns[l][1] = alg.ad_columns[1][l]
+    """packed_bracket takes ad_columns[i][jk + b] = [f_{jk+b}, e_i] to be
+    alpha^b [e_j, e_i].  gl3 with its F2 structure constants read over
+    GF(16) has pair values with bits only at coordinate bits 0, so the
+    basis triples read no entry jk + b with b >= 1.  Changing
+    ad_columns[i][jk + 1] and ad_columns[j][ik + 1] together keeps the pair
+    values ad_columns[i][jk] symmetric and the nibble tables (built after
+    the change) consistent, and leaves every basis triple alone; only the
+    alpha-homogeneity check sees it."""
+    gl3 = catalog("gl3").algebra
+    alg = LieAlgebra(GF(4), gl3.dim, gl3.table)
+    (i, j), k = next(iter(alg.table)), alg.gf.degree
+    assert all(c in (0, 1) for v in alg.table.values() for c in v)
+    alg.ad_columns[i][j * k + 1] ^= 1
+    alg.ad_columns[j][i * k + 1] ^= 1
     assert validate_lie(alg, random_checks=0).ok
     with pytest.raises(InternalInconsistency, match="not GF-bilinear"):
         check_tables(alg)
@@ -269,10 +272,12 @@ def test_check_tables_names_broken_gf_bilinearity():
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 8, 16])
 def test_packed_ops_match_the_column_expansion(degree):
-    """packed_bracket and packed_square, per F2 bit below COORDINATE_DEGREE
-    and per GF coordinate from it, equal the expansion over all nk columns
-    that `dense_oracles` writes without nibble tables.  Tables are built for
-    every column below the cut and for the n GF columns from it."""
+    """packed_bracket and packed_square, per F2 bit over F2 and per GF
+    coordinate above it, equal the expansion over all nk columns that
+    `dense_oracles` writes without nibble tables.  Those columns,
+    `f2_columns`, are the nk x nk table that `dense_oracles` builds pair
+    value by pair value, and at every degree one column and one set of
+    nibble tables is stored per basis vector."""
     alg, two_map = from_json(lifted_doc("gl2" if degree == 16 else "gl3", degree, 3))
     ra = RestrictedAlgebra(alg, two_map)
     n, k = alg.dim, alg.gf.degree
@@ -281,7 +286,8 @@ def test_packed_ops_match_the_column_expansion(degree):
         x, y = rng.getrandbits(n * k), rng.getrandbits(n * k)
         assert alg.packed_bracket(x, y) == bracket_expansion(alg, x, y)
         assert packed_square(ra, x) == square_expansion(ra, x)
-    assert len(alg.ad_nibbles) == (n if k >= COORDINATE_DEGREE else n * k)
+    assert len(alg.ad_columns) == len(alg.ad_nibbles) == n
+    assert f2_columns(alg) == restriction_columns(alg)
 
 
 @pytest.mark.parametrize("extra,named", [
